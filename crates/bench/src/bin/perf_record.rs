@@ -15,11 +15,13 @@
 //!    subsystem: its cold-solve iteration count must be at most **half**
 //!    of IC(0)'s. Control with `PERF_RECORD_FAST=all|mg|off` (CI's smoke
 //!    job runs `mg` to exercise hierarchy construction on every push).
-//! 3. **V-cycle threading A/B** — on the fast-fidelity operator, one
-//!    multigrid V-cycle with `parallel_sweeps` off (serial smoothers and
-//!    transfers) vs on (banded block-SSOR + threaded SpMV), recording the
-//!    wall-clock per cycle and the speedup. On machines with at least two
-//!    hardware threads the parallel cycle must be ≥ 1.3× faster.
+//! 3. **Multigrid threading A/B** — on the fast-fidelity system, one cold
+//!    multigrid-CG solve with `parallel_sweeps` off (every cycle kernel
+//!    serial) and one with it on (threaded Chebyshev smoother, residual and
+//!    transfers), recording iterations and solve wall time. The two must
+//!    take identical iteration counts on every run, CI smoke included;
+//!    on full runs with at least two hardware threads the threaded solve
+//!    must also be no slower end to end.
 //! 4. **Triangular-solve threading A/B** — on the same fast-fidelity
 //!    operator, one IC(0) application (both triangular solves) with
 //!    `parallel_apply` off (exact serial sweeps) vs on (level-scheduled
@@ -75,10 +77,7 @@ use std::time::Instant;
 
 use vcsel_arch::{Fidelity, SccConfig, SccSystem};
 use vcsel_core::{CacheMode, CacheStore, EngineCache};
-use vcsel_numerics::{
-    hardware_threads, CsrMatrix, CycleKind, IncompleteCholesky, MgWorkspace, MultigridHierarchy,
-    Preconditioner,
-};
+use vcsel_numerics::{hardware_threads, CsrMatrix, IncompleteCholesky, Preconditioner};
 use vcsel_thermal::{
     Design, EngineBlueprint, MeshSpec, MultigridConfig, PreconditionerKind, ResponseBasis,
     SolveContext, TransientStepper,
@@ -177,17 +176,19 @@ struct PaperRecord {
     restore_s: f64,
     /// One copy of the fine conduction operator, in MB — the allocation
     /// the engine and the multigrid hierarchy now *share* (pre-sharing,
-    /// it was held three times: context, fine level, SSOR smoother).
+    /// it was held three times: context, fine level, fine-level smoother).
     fine_operator_mb: f64,
     /// Process peak RSS (VmHWM) after the solve, when the OS exposes it.
     peak_rss_mb: Option<f64>,
 }
 
-struct VcycleRecord {
+struct MgThreadsRecord {
     unknowns: usize,
     threads: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
+    serial_iterations: usize,
+    threaded_iterations: usize,
+    serial_solve_ms: f64,
+    threaded_solve_ms: f64,
     speedup: f64,
 }
 
@@ -199,33 +200,46 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Times one multigrid V-cycle on the assembled operator with the serial
-/// and the threaded sweep configuration (same hierarchy parameters
-/// otherwise, both sharing the same operator allocation).
-fn vcycle_section(op: &Arc<CsrMatrix>) -> VcycleRecord {
-    let n = op.rows();
-    let b = vec![1.0; n];
-    let mut times = [0.0f64; 2];
+/// Times a cold multigrid-CG solve of the system with every cycle kernel
+/// serial (`parallel_sweeps = false`) and with the threaded kernels (best
+/// of `reps` each), recording both iteration counts.
+fn mg_threads_section(design: &Design, spec: &MeshSpec, reps: usize) -> MgThreadsRecord {
+    let mut unknowns = 0;
+    let mut rows = [(0usize, 0.0f64); 2];
     for (slot, parallel_sweeps) in [(0, false), (1, true)] {
         let config = MultigridConfig { parallel_sweeps, ..Default::default() };
-        let mut h =
-            MultigridHierarchy::build_shared(Arc::clone(op), &config).expect("hierarchy builds");
-        let mut ws = MgWorkspace::for_hierarchy(&h);
-        let mut x = vec![0.0; n];
-        h.cycle(CycleKind::V, &b, &mut x, &mut ws); // warm-up (page in buffers)
-        let (best, _) = time_best(5, || h.cycle(CycleKind::V, &b, &mut x, &mut ws));
-        times[slot] = best * 1e3;
+        let mut ctx = SolveContext::new_preconditioned(
+            design,
+            spec,
+            PreconditionerKind::Multigrid { config },
+        )
+        .expect("multigrid context builds");
+        unknowns = ctx.unknowns();
+        let (best, _) = time_best(reps, || {
+            ctx.reset_guess();
+            ctx.solve().expect("cold multigrid solve")
+        });
+        rows[slot] = (ctx.last_iterations(), best * 1e3);
     }
-    let record = VcycleRecord {
-        unknowns: n,
+    let record = MgThreadsRecord {
+        unknowns,
         threads: hardware_threads(),
-        serial_ms: times[0],
-        parallel_ms: times[1],
-        speedup: times[0] / times[1],
+        serial_iterations: rows[0].0,
+        threaded_iterations: rows[1].0,
+        serial_solve_ms: rows[0].1,
+        threaded_solve_ms: rows[1].1,
+        speedup: rows[0].1 / rows[1].1,
     };
     println!(
-        "[vcycle/fast] {} unknowns, {} threads: serial {:.1} ms, parallel {:.1} ms ({:.2}x)",
-        record.unknowns, record.threads, record.serial_ms, record.parallel_ms, record.speedup
+        "[mg_threads/fast] {} unknowns, {} threads: serial {:.0} ms / {} iters, \
+         threaded {:.0} ms / {} iters ({:.2}x)",
+        record.unknowns,
+        record.threads,
+        record.serial_solve_ms,
+        record.serial_iterations,
+        record.threaded_solve_ms,
+        record.threaded_iterations,
+        record.speedup
     );
     record
 }
@@ -430,6 +444,10 @@ fn run() {
     let mut phases: Vec<(&'static str, f64)> = Vec::new();
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_solvers.json".to_string());
     let multigrid = PreconditionerKind::Multigrid { config: MultigridConfig::default() };
+    // CI's reduced smoke run is identified by its PERF_RECORD_STEPS
+    // override; wall-clock bars measured on a contended shared runner are
+    // only recorded there, while the deterministic bars assert everywhere.
+    let full_run = std::env::var_os("PERF_RECORD_STEPS").is_none();
 
     // ---- Tiny steady solves per preconditioner -------------------------
     let phase_t = Instant::now();
@@ -456,7 +474,8 @@ fn run() {
         "all" => &[("ic0", PreconditionerKind::IncompleteCholesky), ("multigrid", multigrid)],
         other => panic!("PERF_RECORD_FAST must be all|mg|off, got '{other}'"),
     };
-    let (fast_unknowns, fast_steady, vcycle, trisolve, engine_cache) = if fast_kinds.is_empty() {
+    let (fast_unknowns, fast_steady, mg_threads, trisolve, engine_cache) = if fast_kinds.is_empty()
+    {
         (0, Vec::new(), None, None, None)
     } else {
         let phase_t = Instant::now();
@@ -481,10 +500,10 @@ fn run() {
         phases.push(("steady_fast", phase_t.elapsed().as_secs_f64() * 1e3));
 
         let phase_t = Instant::now();
-        let phase_span = sink.span("perf", "vcycle_ab");
-        let vcycle = vcycle_section(&op);
+        let phase_span = sink.span("perf", "mg_threads_ab");
+        let mg_threads = mg_threads_section(system.design(), &spec, if full_run { 3 } else { 1 });
         drop(phase_span);
-        phases.push(("vcycle_ab", phase_t.elapsed().as_secs_f64() * 1e3));
+        phases.push(("mg_threads_ab", phase_t.elapsed().as_secs_f64() * 1e3));
 
         let phase_t = Instant::now();
         let phase_span = sink.span("perf", "trisolve_ab");
@@ -497,7 +516,7 @@ fn run() {
         let engine_cache = engine_cache_section(&config, &system, &spec);
         drop(phase_span);
         phases.push(("engine_cache", phase_t.elapsed().as_secs_f64() * 1e3));
-        (unknowns, records, Some(vcycle), Some(trisolve), Some(engine_cache))
+        (unknowns, records, Some(mg_threads), Some(trisolve), Some(engine_cache))
     };
 
     // ---- Optional full-paper-fidelity multigrid solve ------------------
@@ -751,19 +770,26 @@ fn run() {
             "\"skipped: single core\""
         }
     };
-    let vcycle_json = vcycle
+    let mg_threads_json = mg_threads
         .as_ref()
-        .map(|v| {
+        .map(|m| {
+            let note = if m.threads >= 2 && !full_run {
+                "\"skipped: smoke run\""
+            } else {
+                speedup_note(m.threads)
+            };
             format!(
-                ",\n  \"vcycle_fast\": {{ \"unknowns\": {}, \"threads\": {}, \
-                 \"serial_ms_per_cycle\": {:.3}, \"parallel_ms_per_cycle\": {:.3}, \
-                 \"speedup\": {:.3}, \"speedup_assertion\": {} }}",
-                v.unknowns,
-                v.threads,
-                v.serial_ms,
-                v.parallel_ms,
-                v.speedup,
-                speedup_note(v.threads)
+                ",\n  \"mg_threads_fast\": {{ \"unknowns\": {}, \"threads\": {}, \
+                 \"serial_iterations\": {}, \"threaded_iterations\": {}, \
+                 \"serial_solve_ms\": {:.1}, \"threaded_solve_ms\": {:.1}, \
+                 \"speedup\": {:.3}, \"speedup_assertion\": {note} }}",
+                m.unknowns,
+                m.threads,
+                m.serial_iterations,
+                m.threaded_iterations,
+                m.serial_solve_ms,
+                m.threaded_solve_ms,
+                m.speedup,
             )
         })
         .unwrap_or_default();
@@ -850,10 +876,10 @@ fn run() {
         })
         .unwrap_or_default();
     let json = format!(
-        "{{\n  \"schema\": \"bench_solvers_v7\",\n  \"generated_by\": \"perf_record\",\n  \
+        "{{\n  \"schema\": \"bench_solvers_v8\",\n  \"generated_by\": \"perf_record\",\n  \
          \"workload\": \"SccConfig tiny_test + full-die Fast, p_vcsel = 4 mW\",\n  \
          \"unknowns\": {unknowns},\n  \
-         \"steady\": [\n{}\n  ]{fast_json}{fast_ratio}{vcycle_json}{trisolve_json}{engine_cache_json}{dse_json}{paper_json}\
+         \"steady\": [\n{}\n  ]{fast_json}{fast_ratio}{mg_threads_json}{trisolve_json}{engine_cache_json}{dse_json}{paper_json}\
          {phases_json},\n  \
          \"transient\": {{\n    \
          \"steps\": {steps},\n    \"dt_s\": {TRANSIENT_DT_S},\n    \
@@ -896,24 +922,28 @@ fn run() {
             ic.cold_iterations
         );
     }
-    // The V-cycle threading bar only binds where threads exist to win
-    // with (a single-core machine records ~1.0x and that is correct) and
-    // only on dedicated full record runs: the iteration-count bars above
-    // are deterministic, but a wall-clock ratio measured on a contended
-    // shared CI runner is not, so the reduced smoke run (identified by
-    // its PERF_RECORD_STEPS override) records the ratio without gating
-    // the push on it.
-    let full_run = std::env::var_os("PERF_RECORD_STEPS").is_none();
-    if let Some(v) = &vcycle {
-        if v.threads >= 2 && full_run {
+    // The multigrid threading bars: the threaded kernels compute every
+    // entry exactly as the serial ones do, so the iteration counts must
+    // match on every run (deterministic, smoke included). The wall-clock
+    // bar — threading must not make the cold solve slower — only binds
+    // where threads exist to win with, and only on dedicated full runs.
+    if let Some(m) = &mg_threads {
+        assert_eq!(
+            m.serial_iterations, m.threaded_iterations,
+            "multigrid iterations depend on threading: serial {} vs threaded {}",
+            m.serial_iterations, m.threaded_iterations
+        );
+        if m.threads >= 2 && full_run {
             assert!(
-                v.speedup >= 1.3,
-                "parallel V-cycle speedup {:.2}x < 1.3x on {} threads",
-                v.speedup,
-                v.threads
+                m.threaded_solve_ms <= m.serial_solve_ms,
+                "threaded cold multigrid solve {:.0} ms is slower than serial {:.0} ms on {} \
+                 threads",
+                m.threaded_solve_ms,
+                m.serial_solve_ms,
+                m.threads
             );
-        } else if v.threads < 2 {
-            println!("[vcycle/fast] single-core: speedup assertion skipped");
+        } else if m.threads < 2 {
+            println!("[mg_threads/fast] single-core: speedup assertion skipped");
         }
     }
     // The triangular-solve bar asserts whenever at least two hardware

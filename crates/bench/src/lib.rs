@@ -10,10 +10,10 @@
 //!   full-fidelity reproductions live in the `src/bin` report binaries of
 //!   the root crate.
 //! * **The `perf_record` binary** (`src/bin/perf_record.rs`): emits
-//!   `BENCH_solvers.json` (schema `bench_solvers_v7`), the committed
+//!   `BENCH_solvers.json` (schema `bench_solvers_v8`), the committed
 //!   machine-readable record of the solve-engine trajectory — steady
 //!   cold/warm solves per preconditioner, IC(0)-vs-multigrid at full-die
-//!   fast fidelity, the V-cycle threading A/B, the engine-cache
+//!   fast fidelity, the multigrid threading A/B, the engine-cache
 //!   cold-build-vs-warm-restore A/B, the batched DSE sweep, the 200-step
 //!   transient, and (env-gated) the paper-fidelity solve with its
 //!   shared-operator memory story and artifact-restore timing. CI runs it

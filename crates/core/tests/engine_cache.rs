@@ -5,8 +5,9 @@
 use vcsel_arch::{SccConfig, SccSystem};
 use vcsel_core::cache::{attempt_log, cache_hits, cache_misses};
 use vcsel_core::{CacheMode, CacheOutcome, CacheStore, EngineCache};
+use vcsel_numerics::artifact::ARTIFACT_VERSION;
 use vcsel_numerics::ArtifactError;
-use vcsel_thermal::{EngineBlueprint, RestoreError};
+use vcsel_thermal::{EngineBlueprint, MultigridConfig, PreconditionerKind, RestoreError};
 
 /// A blueprint for the tiny test system (the same engine
 /// `ThermalStudy::new(SccConfig::tiny_test(), ..)` builds).
@@ -136,24 +137,112 @@ fn version_bump_falls_back_to_fresh_build() {
     cache.obtain(&config, &blueprint).unwrap();
 
     let path = cache.store().path(&key);
-    let mut bytes = std::fs::read(&path).unwrap();
-    // Bytes 4..8 hold the little-endian format version; simulate a future
-    // format. Version skew must be reported as such (checked before the
-    // checksum), not as generic corruption.
-    bytes[4] = bytes[4].wrapping_add(1);
-    std::fs::write(&path, &bytes).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    // Bytes 4..8 hold the little-endian format version; simulate a file
+    // from the previous format and one from a future format. Version skew
+    // must be reported as such (checked before the checksum), not as
+    // generic corruption.
+    for version in [ARTIFACT_VERSION - 1, ARTIFACT_VERSION + 1] {
+        let mut skewed = bytes.clone();
+        skewed[4..8].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &skewed).unwrap();
 
-    let (mut ctx, outcome) = cache.obtain(&config, &blueprint).unwrap();
-    assert!(
-        matches!(
-            outcome,
-            CacheOutcome::MissRejected(RestoreError::Artifact(ArtifactError::VersionSkew { .. }))
-        ),
-        "version skew must surface typed: {outcome:?}"
-    );
-    ctx.solve().unwrap();
+        let (mut ctx, outcome) = cache.obtain(&config, &blueprint).unwrap();
+        assert!(
+            matches!(
+                outcome,
+                CacheOutcome::MissRejected(RestoreError::Artifact(ArtifactError::VersionSkew {
+                    found,
+                    ..
+                })) if found == version
+            ),
+            "version skew must surface typed: {outcome:?}"
+        );
+        ctx.solve().unwrap();
+    }
 
     let _ = std::fs::remove_dir_all(cache.store().dir());
+}
+
+#[test]
+fn out_of_range_smoother_bound_falls_back_to_fresh_build() {
+    // A multigrid engine artifact stores each level's Chebyshev bound. A
+    // bound that is NaN, zero or above its level's Gershgorin bound must be
+    // rejected typed even behind valid checksums (as a crafted file would
+    // carry them), and the engine rebuilt fresh.
+    let (config, blueprint) = tiny_blueprint();
+    let blueprint =
+        blueprint.with_kind(PreconditionerKind::Multigrid { config: MultigridConfig::default() });
+    let cache = scratch_cache("bound");
+    let key = EngineCache::key(&config, blueprint.content_hash());
+    let (cold, _) = cache.obtain(&config, &blueprint).unwrap();
+    let hierarchy = cold.preconditioner().as_multigrid().expect("multigrid engine").hierarchy();
+
+    // Locate a level whose bound's bit pattern occurs exactly once in the
+    // file (a fine-level bound at the Gershgorin cap can repeat a matrix
+    // value).
+    let path = cache.store().path(&key);
+    let bytes = std::fs::read(&path).unwrap();
+    let offset = hierarchy
+        .smoother_bounds()
+        .find_map(|(_, bound)| {
+            let pattern = bound.to_le_bytes();
+            let mut hits = bytes.windows(8).enumerate().filter(|(_, w)| *w == pattern);
+            match (hits.next(), hits.next()) {
+                (Some((at, _)), None) => Some(at),
+                _ => None,
+            }
+        })
+        .expect("some level's bound is locatable in the artifact");
+
+    for bad in [f64::NAN, 0.0, 1e300] {
+        let mut damaged = bytes.clone();
+        damaged[offset..offset + 8].copy_from_slice(&bad.to_le_bytes());
+        reseal_engine(&mut damaged);
+        std::fs::write(&path, &damaged).unwrap();
+
+        let (mut ctx, outcome) = cache.obtain(&config, &blueprint).unwrap();
+        assert!(
+            matches!(
+                outcome,
+                CacheOutcome::MissRejected(RestoreError::Artifact(
+                    ArtifactError::BadStructure { .. }
+                ))
+            ),
+            "bound {bad} must surface typed: {outcome:?}"
+        );
+        ctx.solve().unwrap();
+    }
+
+    let _ = std::fs::remove_dir_all(cache.store().dir());
+}
+
+/// Recomputes the checksums of a multigrid engine artifact after a payload
+/// edit: first the nested hierarchy envelope, then the engine envelope
+/// around it. The engine payload opens with the content hash, the cell
+/// count, the preconditioner tag and the hierarchy's length prefix.
+fn reseal_engine(engine: &mut [u8]) {
+    const NESTED: usize = 9 + 8 + 8 + 1 + 8;
+    let len = u64::from_le_bytes(engine[NESTED - 8..NESTED].try_into().unwrap()) as usize;
+    seal(&mut engine[NESTED..NESTED + len]);
+    seal(engine);
+}
+
+/// Rewrites an envelope's trailing checksum: FNV-1a-64 over the bytes
+/// before it, folded in 8-byte little-endian words, then the remainder
+/// byte by byte.
+fn seal(envelope: &mut [u8]) {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let body = envelope.len() - 8;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut words = envelope[..body].chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    envelope[body..].copy_from_slice(&h.to_le_bytes());
 }
 
 #[test]

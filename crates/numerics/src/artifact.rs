@@ -32,10 +32,12 @@ use std::sync::Arc;
 use crate::multigrid::{Multigrid, MultigridConfig, MultigridHierarchy};
 use crate::precond::{IncompleteCholesky, LevelSchedule};
 use crate::sparse::WavefrontFactor;
-use crate::{CsrMatrix, CycleKind, NumericsError, SmootherKind};
+use crate::{CsrMatrix, CycleKind, NumericsError};
 
 /// Format version written into (and required from) every artifact envelope.
-pub const ARTIFACT_VERSION: u32 = 1;
+/// Version 2: the multigrid configuration dropped its smoother tag and each
+/// level gained its Chebyshev bound.
+pub const ARTIFACT_VERSION: u32 = 2;
 
 /// Envelope magic: "VCsel Artifact Format".
 const MAGIC: [u8; 4] = *b"VCAF";
@@ -851,16 +853,6 @@ impl IncompleteCholesky {
 fn write_config(w: &mut ArtifactWriter, c: &MultigridConfig) {
     w.put_f64(c.strength_threshold);
     w.put_f64(c.prolongation_damping);
-    match c.smoother {
-        SmootherKind::DampedJacobi { omega } => {
-            w.put_u8(0);
-            w.put_f64(omega);
-        }
-        SmootherKind::Ssor { omega } => {
-            w.put_u8(1);
-            w.put_f64(omega);
-        }
-    }
     w.put_u64(c.pre_sweeps as u64);
     w.put_u64(c.post_sweeps as u64);
     w.put_u64(c.max_levels as u64);
@@ -875,11 +867,6 @@ fn write_config(w: &mut ArtifactWriter, c: &MultigridConfig) {
 fn read_config(r: &mut ArtifactReader<'_>) -> Result<MultigridConfig, ArtifactError> {
     let strength_threshold = r.get_f64()?;
     let prolongation_damping = r.get_f64()?;
-    let smoother = match r.get_u8()? {
-        0 => SmootherKind::DampedJacobi { omega: r.get_f64()? },
-        1 => SmootherKind::Ssor { omega: r.get_f64()? },
-        t => return Err(bad(format!("unknown smoother tag {t}"))),
-    };
     let pre_sweeps = r.get_usize()?;
     let post_sweeps = r.get_usize()?;
     let max_levels = r.get_usize()?;
@@ -893,7 +880,6 @@ fn read_config(r: &mut ArtifactReader<'_>) -> Result<MultigridConfig, ArtifactEr
     Ok(MultigridConfig {
         strength_threshold,
         prolongation_damping,
-        smoother,
         pre_sweeps,
         post_sweeps,
         max_levels,
@@ -904,20 +890,22 @@ fn read_config(r: &mut ArtifactReader<'_>) -> Result<MultigridConfig, ArtifactEr
 }
 
 impl MultigridHierarchy {
-    /// Serializes every level operator and prolongator, the coarsest
-    /// operator, the coarsest dense Cholesky factor (when the hierarchy
-    /// uses one), and the build configuration. Restrictions (`R = Pᵀ`) and
-    /// smoother state are deterministic functions of the level operators
-    /// and are rebuilt on restore instead of being stored twice.
+    /// Serializes every level operator, prolongator and Chebyshev bound,
+    /// the coarsest operator, the coarsest dense Cholesky factor (when the
+    /// hierarchy uses one), and the build configuration. Restrictions
+    /// (`R = Pᵀ`) and inverse diagonals are deterministic functions of the
+    /// level operators and are rebuilt on restore instead of being stored
+    /// twice; the bounds are stored because estimating them costs SpMVs.
     #[must_use]
     pub fn to_artifact(&self) -> Vec<u8> {
         let mut w = ArtifactWriter::new(KIND_MULTIGRID_HIERARCHY);
         write_config(&mut w, self.config());
-        let pairs: Vec<_> = self.transfer_pairs().collect();
-        w.put_u64(pairs.len() as u64);
-        for (a, p) in pairs {
+        let levels: Vec<_> = self.level_parts().collect();
+        w.put_u64(levels.len() as u64);
+        for (a, p, lambda_max) in levels {
             write_csr_body(&mut w, a);
             write_csr_body(&mut w, p);
+            w.put_f64(lambda_max);
         }
         write_csr_body(&mut w, self.coarse_matrix());
         match self.coarse_dense_factor() {
@@ -935,23 +923,30 @@ impl MultigridHierarchy {
     /// level operators are revalidated with
     /// [`CsrMatrix::validate_symmetric`], prolongators with
     /// [`CsrMatrix::validate`], the transfer-chain dimensions are checked,
-    /// and smoothers plus restrictions are rebuilt from the restored
-    /// operators. No coarsening, factorization or spectral estimation runs.
+    /// each stored Chebyshev bound must be finite, positive and at most
+    /// its level's Gershgorin bound, and inverse diagonals plus
+    /// restrictions are rebuilt from the restored operators. No
+    /// coarsening, factorization or spectral estimation runs.
     ///
     /// # Errors
     ///
     /// Any [`ArtifactError`]: envelope defects, operator/prolongator
-    /// structural violations, a broken transfer chain, or an invalid
-    /// configuration or dense coarse factor.
+    /// structural violations, a broken transfer chain, an out-of-range
+    /// smoother bound, or an invalid configuration or dense coarse factor.
     pub fn from_artifact(bytes: &[u8]) -> Result<Self, ArtifactError> {
         let mut r = ArtifactReader::open(bytes, KIND_MULTIGRID_HIERARCHY)?;
         let config = read_config(&mut r)?;
         let level_count = r.get_usize()?;
-        let mut ops = Vec::with_capacity(level_count);
-        let mut prolongators = Vec::with_capacity(level_count);
+        // Cap the pre-allocation by what the payload could hold: a hostile
+        // count must not reserve memory before the reads fail.
+        let capacity = level_count.min(bytes.len());
+        let mut ops = Vec::with_capacity(capacity);
+        let mut prolongators = Vec::with_capacity(capacity);
+        let mut bounds = Vec::with_capacity(capacity);
         for _ in 0..level_count {
             ops.push(Arc::new(read_sym_csr_body(&mut r)?));
             prolongators.push(read_csr_body(&mut r)?);
+            bounds.push(r.get_f64()?);
         }
         let coarse_a = read_sym_csr_body(&mut r)?;
         let coarse_dense = if r.get_bool()? {
@@ -967,7 +962,7 @@ impl MultigridHierarchy {
             None
         };
         r.expect_end()?;
-        Ok(Self::from_restored_parts(ops, prolongators, coarse_a, coarse_dense, config)?)
+        Ok(Self::from_restored_parts(ops, prolongators, bounds, coarse_a, coarse_dense, config)?)
     }
 }
 
@@ -1053,12 +1048,15 @@ mod tests {
             ArtifactError::ChecksumMismatch { .. }
         ));
 
-        let mut skew = bytes.clone();
-        skew[4] = skew[4].wrapping_add(1);
-        assert!(matches!(
-            CsrMatrix::from_artifact(&skew).unwrap_err(),
-            ArtifactError::VersionSkew { found, .. } if found == ARTIFACT_VERSION + 1
-        ));
+        // A future format and the previous one are both skew.
+        for version in [ARTIFACT_VERSION + 1, ARTIFACT_VERSION - 1] {
+            let mut skew = bytes.clone();
+            skew[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                CsrMatrix::from_artifact(&skew).unwrap_err(),
+                ArtifactError::VersionSkew { found, .. } if found == version
+            ));
+        }
 
         let mut magic = bytes.clone();
         magic[0] = b'X';
@@ -1152,7 +1150,7 @@ mod tests {
         assert_eq!(h.config(), restored.config());
 
         // One V-cycle from zero must be bitwise identical: same operators,
-        // same smoothers (rebuilt deterministically), same coarse factor.
+        // same stored smoother bounds, same coarse factor.
         let b: Vec<f64> = (0..1500).map(|i| (i as f64 * 0.07).sin() + 0.2).collect();
         let mut x1 = vec![0.0; 1500];
         let mut x2 = vec![0.0; 1500];
@@ -1174,16 +1172,43 @@ mod tests {
         // the next level: caught by the dimension-chain check.
         let mut w = ArtifactWriter::new(KIND_MULTIGRID_HIERARCHY);
         write_config(&mut w, h.config());
-        let pairs: Vec<_> = h.transfer_pairs().collect();
-        w.put_u64(pairs.len() as u64);
-        for (a_l, _) in &pairs {
+        let levels: Vec<_> = h.level_parts().collect();
+        w.put_u64(levels.len() as u64);
+        for (a_l, _, lambda_max) in &levels {
             write_csr_body(&mut w, a_l);
             write_csr_body(&mut w, &CsrMatrix::identity(a_l.rows())); // wrong P
+            w.put_f64(*lambda_max);
         }
         write_csr_body(&mut w, h.coarse_matrix());
         w.put_bool(false);
         let err = MultigridHierarchy::from_artifact(&w.finish()).unwrap_err();
         assert!(matches!(err, ArtifactError::BadStructure { .. }), "{err}");
+    }
+
+    #[test]
+    fn hierarchy_decode_rejects_out_of_range_smoother_bounds() {
+        let a = poisson_1d(1500);
+        let h = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
+        // Re-encode with the first level's bound replaced: each value must
+        // be rejected typed, before any cycle could use it.
+        for bad_bound in [f64::NAN, f64::INFINITY, 0.0, -1.0, 1e300] {
+            let mut w = ArtifactWriter::new(KIND_MULTIGRID_HIERARCHY);
+            write_config(&mut w, h.config());
+            let levels: Vec<_> = h.level_parts().collect();
+            w.put_u64(levels.len() as u64);
+            for (idx, (a_l, p, lambda_max)) in levels.iter().enumerate() {
+                write_csr_body(&mut w, a_l);
+                write_csr_body(&mut w, p);
+                w.put_f64(if idx == 0 { bad_bound } else { *lambda_max });
+            }
+            write_csr_body(&mut w, h.coarse_matrix());
+            let (n, l) = h.coarse_dense_factor().expect("fixture factors its coarsest level");
+            w.put_bool(true);
+            w.put_u64(n as u64);
+            w.put_f64_slice(l);
+            let err = MultigridHierarchy::from_artifact(&w.finish()).unwrap_err();
+            assert!(matches!(err, ArtifactError::BadStructure { .. }), "{bad_bound}: {err}");
+        }
     }
 
     #[test]

@@ -19,16 +19,18 @@
 //!   preconditioners alias the caller's allocation instead of cloning it.
 //!   IC(0) analyzes its factor into dependency levels at factorization
 //!   time and applies the two triangular solves as level-scheduled
-//!   (wavefront) parallel sweeps on large systems — bitwise-deterministic
-//!   for every worker count, exact-serial below the SpMV size gate,
+//!   (wavefront) parallel sweeps on large systems — the same bits for
+//!   every worker count of two or more, exact-serial below the SpMV size
+//!   gate,
 //! * [`block_solver`]: multi-RHS block CG — k independent recurrences in
 //!   lockstep over a [`BlockVector`] bundle, one operator stream per
 //!   iteration shared by every active column, converged columns deflated
 //!   from the sweep — the engine behind batched design-space sweeps,
 //! * [`multigrid`]: a smoothed-aggregation algebraic multigrid hierarchy
 //!   (V-/F-cycles, Galerkin coarse operators, dense coarsest solve,
-//!   size-gated threaded smoothers and transfers) usable standalone or as
-//!   a mesh-independent CG preconditioner,
+//!   Chebyshev smoothers and transfers threaded behind the size gates
+//!   with bitwise-identical results) usable standalone or as a
+//!   mesh-independent CG preconditioner,
 //! * [`artifact`]: a dependency-free, versioned, checksummed binary codec
 //!   for solver-engine state — `to_artifact`/`from_artifact` on
 //!   [`CsrMatrix`], [`IncompleteCholesky`] and [`MultigridHierarchy`] —
@@ -76,9 +78,7 @@ pub use block_solver::{block_preconditioned_cg, BlockCgWorkspace, BlockVector};
 pub use error::NumericsError;
 pub use interp::{Interp1d, Interp2d};
 pub use ladder::{LadderSummary, RungAttempt, RungOutcome, SolveLadder};
-pub use multigrid::{
-    CycleKind, MgWorkspace, Multigrid, MultigridConfig, MultigridHierarchy, SmootherKind,
-};
+pub use multigrid::{CycleKind, MgWorkspace, Multigrid, MultigridConfig, MultigridHierarchy};
 pub use optimize::{golden_section_min, grid_argmin, Minimum};
 pub use precond::{
     AnyPreconditioner, IncompleteCholesky, Jacobi, LevelScheduleStats, Preconditioner,

@@ -76,7 +76,7 @@ pub trait Preconditioner {
     fn name(&self) -> &'static str;
 }
 
-fn checked_diagonal(a: &CsrMatrix) -> Result<Vec<f64>, NumericsError> {
+pub(crate) fn checked_diagonal(a: &CsrMatrix) -> Result<Vec<f64>, NumericsError> {
     let diag = a.diagonal();
     if let Some(i) = diag.iter().position(|&d| d <= 0.0 || !d.is_finite()) {
         return Err(NumericsError::BadMatrix {
@@ -318,9 +318,14 @@ pub struct LevelScheduleStats {
 /// from then on, so serial-only consumers never pay the analysis. Rows of
 /// one level solve in parallel, dispatched as contiguous nnz-balanced
 /// blocks of a level-permuted copy of the factor over the same
-/// scoped-thread partitioning the SpMV gate uses. Each row's
-/// arithmetic is identical to the serial gather kernel, so the parallel
-/// apply is **bitwise deterministic** for every worker count.
+/// scoped-thread partitioning the SpMV gate uses. The wavefront apply
+/// gives the same bits for every worker count of two or more, but **not**
+/// the bits of the one-thread path: the serial apply runs the backward
+/// solve as a scatter over `L`, the wavefront as a gather over the rows
+/// of `Lᵀ`, and the two summation orders round differently. That is why
+/// a cold tiny-fidelity IC(0) solve takes 220 CG iterations on one thread
+/// and 221 on two. Removing level scheduling (leaving the serial solves
+/// only) would make IC(0) thread-invariant.
 ///
 /// The threaded path engages only when all of the following hold, and runs
 /// the exact serial solves otherwise:
@@ -708,35 +713,19 @@ impl Preconditioner for IncompleteCholesky {
 /// `M = (D + ωL) D⁻¹ (D + ωLᵀ) / (ω(2 − ω))`.
 ///
 /// Needs no factorization — the two triangular solves run directly on `A`,
-/// held behind an [`Arc`] so a solve engine, a multigrid level and this
-/// preconditioner can all reference **one** copy of the operator — and
-/// sits between Jacobi and IC(0) in strength.
-///
-/// # Band-parallel variant
-///
-/// Triangular solves are inherently sequential, so the exact SSOR sweep
-/// cannot be threaded. [`Ssor::shared_banded`] instead partitions the rows
-/// into contiguous nnz-balanced bands (the same partition as
-/// [`CsrMatrix::mul_vec_into_threaded`]) and applies the SSOR splitting of
-/// each band's *diagonal block* independently — additive block-SSOR.
-/// Couplings that cross a band boundary are dropped from `M` (never from
-/// `A`), which keeps `M` block-diagonal with SPD blocks: still a legal CG
-/// preconditioner, marginally weaker than exact SSOR, and each band solves
-/// on its own thread. With one band the sweep is bitwise-identical to the
-/// classic serial SSOR.
+/// held behind an [`Arc`] so a solve engine and this preconditioner can
+/// reference **one** copy of the operator — and sits between Jacobi and
+/// IC(0) in strength. The sweeps are sequential, so the apply is serial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ssor {
     a: Arc<CsrMatrix>,
     diag: Vec<f64>,
     omega: f64,
-    /// `bands + 1` ascending row boundaries; two entries = exact serial
-    /// SSOR, more = additive block-SSOR solved band-parallel.
-    band_bounds: Vec<usize>,
 }
 
 impl Ssor {
-    /// Builds the exact (serial, single-band) SSOR splitting of `a` with
-    /// relaxation factor `omega`, cloning the operator.
+    /// Builds the SSOR splitting of `a` with relaxation factor `omega`,
+    /// cloning the operator.
     ///
     /// # Errors
     ///
@@ -754,31 +743,9 @@ impl Ssor {
     ///
     /// Same contract as [`Ssor::new`].
     pub fn shared(a: Arc<CsrMatrix>, omega: f64) -> Result<Self, NumericsError> {
-        Self::shared_banded(a, omega, 1)
-    }
-
-    /// Builds the additive block-SSOR splitting over `bands` contiguous
-    /// nnz-balanced row bands, each applied on its own thread (see the
-    /// type-level docs). `bands = 1` is the exact serial sweep; the band
-    /// count is clamped to the row count.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Ssor::new`], plus [`NumericsError::BadInput`] for
-    /// `bands = 0`.
-    pub fn shared_banded(
-        a: Arc<CsrMatrix>,
-        omega: f64,
-        bands: usize,
-    ) -> Result<Self, NumericsError> {
         if !(omega > 0.0 && omega < 2.0) {
             return Err(NumericsError::BadInput {
                 reason: format!("SSOR relaxation factor must be in (0,2), got {omega}"),
-            });
-        }
-        if bands == 0 {
-            return Err(NumericsError::BadInput {
-                reason: "block-SSOR needs at least one band".into(),
             });
         }
         if a.rows() != a.cols() {
@@ -787,57 +754,7 @@ impl Ssor {
             });
         }
         let diag = checked_diagonal(&a)?;
-        let band_bounds = a.nnz_balanced_rows(bands.min(a.rows()).max(1));
-        Ok(Self { a, diag, omega, band_bounds })
-    }
-
-    /// The band count the *auto* policy picks for `a`: one (exact serial
-    /// SSOR) below [`CsrMatrix::PARALLEL_NNZ_THRESHOLD`] stored non-zeros
-    /// — so small systems keep bitwise-deterministic sweeps — and the
-    /// hardware thread count (capped like the threaded SpMV) above it.
-    pub fn auto_bands(a: &CsrMatrix) -> usize {
-        if a.nnz() < CsrMatrix::PARALLEL_NNZ_THRESHOLD {
-            1
-        } else {
-            hardware_threads().clamp(1, CsrMatrix::MAX_SPMV_THREADS)
-        }
-    }
-
-    /// Number of independent SSOR bands (1 = exact serial sweep).
-    pub fn bands(&self) -> usize {
-        self.band_bounds.len() - 1
-    }
-
-    /// One band's forward/diagonal/backward SSOR sweep restricted to the
-    /// band's diagonal block of `A`. `z_band` is the band's slice of the
-    /// output; row/column indices are global.
-    fn apply_band(&self, start: usize, end: usize, r: &[f64], z_band: &mut [f64]) {
-        let w = self.omega;
-        let c = w * (2.0 - w);
-        // (D + ωL) y = c·r (forward, y lands in z).
-        for i in start..end {
-            let mut s = c * r[i];
-            for (j, v) in self.a.row(i) {
-                if (start..i).contains(&j) {
-                    s -= w * v * z_band[j - start];
-                }
-            }
-            z_band[i - start] = s / self.diag[i];
-        }
-        // w = D y.
-        for (zi, d) in z_band.iter_mut().zip(&self.diag[start..end]) {
-            *zi *= d;
-        }
-        // (D + ωLᵀ) x = w (backward, in place).
-        for i in (start..end).rev() {
-            let mut s = z_band[i - start];
-            for (j, v) in self.a.row(i) {
-                if j > i && j < end {
-                    s -= w * v * z_band[j - start];
-                }
-            }
-            z_band[i - start] = s / self.diag[i];
-        }
+        Ok(Self { a, diag, omega })
     }
 }
 
@@ -846,23 +763,32 @@ impl Preconditioner for Ssor {
         let n = self.diag.len();
         assert_eq!(r.len(), n);
         assert_eq!(z.len(), n);
-        if self.bands() == 1 {
-            self.apply_band(0, n, r, z);
-            return;
-        }
-        std::thread::scope(|scope| {
-            let mut rest = z;
-            for pair in self.band_bounds.windows(2) {
-                let (start, end) = (pair[0], pair[1]);
-                let (band, tail) = rest.split_at_mut(end - start);
-                rest = tail;
-                if band.is_empty() {
-                    continue;
+        let w = self.omega;
+        let c = w * (2.0 - w);
+        // (D + ωL) y = c·r (forward, y lands in z).
+        for i in 0..n {
+            let mut s = c * r[i];
+            for (j, v) in self.a.row(i) {
+                if j < i {
+                    s -= w * v * z[j];
                 }
-                let this = &*self;
-                scope.spawn(move || this.apply_band(start, end, r, band));
             }
-        });
+            z[i] = s / self.diag[i];
+        }
+        // w = D y.
+        for (zi, d) in z.iter_mut().zip(&self.diag) {
+            *zi *= d;
+        }
+        // (D + ωLᵀ) x = w (backward, in place).
+        for i in (0..n).rev() {
+            let mut s = z[i];
+            for (j, v) in self.a.row(i) {
+                if j > i {
+                    s -= w * v * z[j];
+                }
+            }
+            z[i] = s / self.diag[i];
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -1180,64 +1106,10 @@ mod tests {
     }
 
     #[test]
-    fn single_band_ssor_matches_legacy_serial_sweep() {
-        let a = std::sync::Arc::new(laplacian_1d(50));
-        let mut legacy = Ssor::new(&a, 1.3).unwrap();
-        let mut banded = Ssor::shared_banded(std::sync::Arc::clone(&a), 1.3, 1).unwrap();
-        assert_eq!(legacy.bands(), 1);
-        assert_eq!(banded.bands(), 1);
-        let r: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut z1 = vec![0.0; 50];
-        let mut z2 = vec![0.0; 50];
-        legacy.apply(&r, &mut z1);
-        banded.apply(&r, &mut z2);
-        assert_eq!(z1, z2, "one band must be the exact serial sweep");
-    }
-
-    #[test]
-    fn banded_block_ssor_is_spd_and_preconditions_cg() {
-        use crate::solver::{preconditioned_cg, CgWorkspace, SolveOptions};
-        let n = 600;
-        let a = std::sync::Arc::new(laplacian_1d(n));
-        let mut banded = Ssor::shared_banded(std::sync::Arc::clone(&a), 1.2, 4).unwrap();
-        assert_eq!(banded.bands(), 4);
-
-        // SPD: symmetry ⟨M⁻¹u, v⟩ = ⟨u, M⁻¹v⟩ and positivity of xᵀM⁻¹x.
-        let u: Vec<f64> = (0..n).map(|i| ((i * 7 % 5) as f64) - 2.0).collect();
-        let v: Vec<f64> = (0..n).map(|i| ((i * 3 % 7) as f64) - 3.0).collect();
-        let mu = apply_inverse(&mut banded, &u);
-        let mv = apply_inverse(&mut banded, &v);
-        let dot = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(a, b)| a * b).sum::<f64>();
-        assert!((dot(&mu, &v) - dot(&u, &mv)).abs() < 1e-9, "block-SSOR must stay symmetric");
-        assert!(dot(&u, &mu) > 0.0);
-
-        // As a CG preconditioner it must reach the same solution as the
-        // exact serial sweep (it is a weaker M, never a wrong one).
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).sin()).collect();
-        let rhs = a.mul_vec(&x_true).unwrap();
-        let opts = SolveOptions { tolerance: 1e-12, ..Default::default() };
-        let mut solutions = Vec::new();
-        for mut m in [Ssor::new(&a, 1.2).unwrap(), banded] {
-            let mut x = vec![0.0; n];
-            let mut ws = CgWorkspace::new();
-            preconditioned_cg(&a, &rhs, &mut x, &mut m, &opts, &mut ws).expect("converges");
-            solutions.push(x);
-        }
-        for (s, b) in solutions[0].iter().zip(&solutions[1]) {
-            assert!((s - b).abs() < 1e-8, "serial {s} vs banded {b}");
-        }
-    }
-
-    #[test]
-    fn ssor_banded_validation_and_sharing() {
+    fn shared_ssor_aliases_the_operator() {
         let a = std::sync::Arc::new(laplacian_1d(10));
-        assert!(Ssor::shared_banded(std::sync::Arc::clone(&a), 1.0, 0).is_err());
-        // More bands than rows is clamped, not rejected.
-        let s = Ssor::shared_banded(std::sync::Arc::clone(&a), 1.0, 64).unwrap();
-        assert!(s.bands() <= 10);
-        // Shared construction aliases the operator instead of cloning it.
+        let _s = Ssor::shared(std::sync::Arc::clone(&a), 1.0).unwrap();
         assert_eq!(std::sync::Arc::strong_count(&a), 2);
-        assert_eq!(Ssor::auto_bands(&a), 1, "tiny operators stay serial");
     }
 
     /// 3-D 7-point SPD stencil with mildly varying conductances — the FVM
@@ -1303,8 +1175,10 @@ mod tests {
     #[test]
     fn wavefront_apply_is_bitwise_serial_for_every_worker_count() {
         // Forced thread counts bypass the size gate and spawn real workers
-        // even on one core; each row's arithmetic is identical to the
-        // serial gather kernel, so outputs must match bitwise.
+        // even on one core. The forward solve matches the serial kernel
+        // bitwise; the backward solve sums in a different order, so
+        // against serial the outputs agree to rounding, and across worker
+        // counts they agree bitwise.
         let a = stencil_3d(6, 5, 4);
         let mut serial = IncompleteCholesky::new(&a).unwrap().with_parallel_apply(false);
         assert_eq!(serial.apply_threads(), 1);

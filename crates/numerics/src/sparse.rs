@@ -550,8 +550,7 @@ impl CsrMatrix {
     /// equal stored-non-zero counts, returned as `bands + 1` ascending row
     /// boundaries (first `0`, last `rows`). Uniform row partitions would
     /// let a dense band straggle; this is the partition behind
-    /// [`CsrMatrix::mul_vec_into_threaded`] and the band-parallel SSOR
-    /// sweeps of the multigrid smoothers.
+    /// [`CsrMatrix::mul_vec_into_threaded`] and its block form.
     ///
     /// # Panics
     ///

@@ -7,8 +7,8 @@ use vcsel_numerics::solver::{
 };
 use vcsel_numerics::{
     block_preconditioned_cg, golden_section_min, grid_argmin, BlockCgWorkspace, BlockVector,
-    CsrMatrix, IncompleteCholesky, Interp1d, MultigridConfig, Preconditioner, PreconditionerKind,
-    TripletBuilder,
+    CsrMatrix, IncompleteCholesky, Interp1d, Multigrid, MultigridConfig, Preconditioner,
+    PreconditionerKind, TripletBuilder,
 };
 
 /// Random SPD stencil matrix: a 2-D 5-point grid Laplacian with per-edge
@@ -104,6 +104,29 @@ fn random_spd(n: usize, seed: &[f64]) -> CsrMatrix {
         b.add(i, i, s + 1.0 + seed[i % seed.len()].abs());
     }
     b.build()
+}
+
+/// `ρ(D⁻¹A)` from 200 power-iteration steps on the similar symmetric
+/// matrix `D^{-1/2} A D^{-1/2}`. For a symmetric matrix the norm ratio
+/// never exceeds `ρ`, so this converges to it from below.
+fn jacobi_spectral_radius(a: &CsrMatrix) -> f64 {
+    let n = a.rows();
+    let scale: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d.sqrt()).collect();
+    let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
+    let mut v: Vec<f64> = (0..n).map(|i| ((i * 7919) % 13) as f64 - 6.5).collect();
+    let mut rho = 0.0;
+    for _ in 0..200 {
+        let sv: Vec<f64> = v.iter().zip(&scale).map(|(x, s)| x * s).collect();
+        let w: Vec<f64> = a.mul_vec(&sv).unwrap().iter().zip(&scale).map(|(x, s)| x * s).collect();
+        let w_norm = norm(&w);
+        rho = w_norm / norm(&v);
+        v = w.iter().map(|x| x / w_norm).collect();
+    }
+    rho
+}
+
+fn dot(x: &[f64], y: &[f64]) -> f64 {
+    x.iter().zip(y).map(|(p, q)| p * q).sum()
 }
 
 fn residual(a: &CsrMatrix, x: &[f64], rhs: &[f64]) -> f64 {
@@ -223,6 +246,44 @@ proptest! {
     }
 
     #[test]
+    fn chebyshev_bounds_cover_the_spectrum_on_high_contrast_stencils(
+        nx in 3usize..10,
+        ny in 3usize..10,
+        nz in 2usize..6,
+        exponents in proptest::collection::vec(-1.0f64..1.0, 56),
+        probe in proptest::collection::vec(-5.0f64..5.0, 64),
+    ) {
+        // Conductances spanning up to ~5 orders of magnitude (the
+        // package's copper-against-oxide contrast). Every smoothed level's
+        // stored Chebyshev bound must lie above ρ(D⁻¹A) — an
+        // under-estimate turns the smoother into an amplifier — and the
+        // V-cycle built on those bounds must stay symmetric positive
+        // definite, so CG may use it.
+        let seed: Vec<f64> = exponents.iter().map(|e| 10f64.powf(3.0 * e)).collect();
+        let a = random_spd_stencil_3d(nx, ny, nz, &seed);
+        let n = nx * ny * nz;
+        let config = MultigridConfig { direct_cells: 8, ..MultigridConfig::default() };
+        let mut mg = Multigrid::new(&a, &config).expect("hierarchy builds");
+        for (level, (op, bound)) in mg.hierarchy().smoother_bounds().enumerate() {
+            let rho = jacobi_spectral_radius(op);
+            prop_assert!(bound >= rho, "level {level}: bound {bound} below rho(D^-1 A) {rho}");
+        }
+
+        let u: Vec<f64> = (0..n).map(|i| probe[i % probe.len()] + 0.01 * i as f64).collect();
+        let v: Vec<f64> = (0..n).map(|i| probe[(7 * i + 3) % probe.len()]).collect();
+        let (mut mu, mut mv) = (vec![0.0; n], vec![0.0; n]);
+        mg.apply(&u, &mut mu);
+        mg.apply(&v, &mut mv);
+        let scale = dot(&u, &u).sqrt() * dot(&mv, &mv).sqrt()
+            + dot(&v, &v).sqrt() * dot(&mu, &mu).sqrt();
+        prop_assert!(
+            (dot(&u, &mv) - dot(&v, &mu)).abs() <= 1e-10 * scale,
+            "V-cycle not symmetric: {} vs {}", dot(&u, &mv), dot(&v, &mu)
+        );
+        prop_assert!(dot(&u, &mu) > 0.0 && dot(&v, &mv) > 0.0, "V-cycle not positive definite");
+    }
+
+    #[test]
     fn level_scheduled_ic0_apply_matches_serial_on_random_stencils(
         nx in 3usize..8,
         ny in 3usize..8,
@@ -235,8 +296,7 @@ proptest! {
         // serial triangular solves on random 3-D 7-point SPD stencils,
         // whatever the conductance draw. Pinning the worker count forces
         // multi-level scheduling — and real thread spawning — even on one
-        // core and even below the size gate, mirroring the forced-band
-        // block-SSOR tests.
+        // core and even below the size gate.
         let a = random_spd_stencil_3d(nx, ny, nz, &seed);
         let n = nx * ny * nz;
         let r: Vec<f64> = rhs_seed.iter().take(n).cloned().collect();

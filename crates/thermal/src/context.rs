@@ -430,8 +430,8 @@ impl SolveContext {
     /// Enables/disables the level-scheduled parallel IC(0) triangular
     /// solves on the cached factor (builder style; on by default, with the
     /// usual size gate). No effect unless the active preconditioner is
-    /// IC(0) — the other kinds thread through their own gates
-    /// (`MultigridConfig::parallel_sweeps`, the SSOR band policy). The
+    /// IC(0) — multigrid threads through `MultigridConfig::parallel_sweeps`,
+    /// and SSOR is serial. The
     /// `false` setting is the serial A/B baseline `perf_record` measures
     /// the threaded apply against.
     #[must_use]

@@ -111,7 +111,7 @@ pub use transient::{TransientSimulator, TransientTrace};
 /// Re-exported so downstream crates can pick a solve-engine preconditioner
 /// (including the multigrid hierarchy and its tuning knobs) without
 /// depending on `vcsel_numerics` directly.
-pub use vcsel_numerics::{CycleKind, MultigridConfig, PreconditionerKind, SmootherKind};
+pub use vcsel_numerics::{CycleKind, MultigridConfig, PreconditionerKind};
 /// Re-exported so downstream crates can read the per-rung story inside a
 /// [`SolveHealth`] report without depending on `vcsel_numerics` directly.
 pub use vcsel_numerics::{RungAttempt, RungOutcome};
