@@ -22,26 +22,18 @@
 //!    take identical iteration counts on every run, CI smoke included;
 //!    on full runs with at least two hardware threads the threaded solve
 //!    must also be no slower end to end.
-//! 4. **Triangular-solve threading A/B** — on the same fast-fidelity
-//!    operator, one IC(0) application (both triangular solves) with
-//!    `parallel_apply` off (exact serial sweeps) vs on (level-scheduled
-//!    wavefront execution), recording ms/apply, the level-schedule shape
-//!    (level count, mean/max level width) and the speedup. With at least
-//!    two hardware threads the level-scheduled apply must be ≥ 1.3×
-//!    faster — this is the inner loop of the transient workload below.
-//! 5. **200-step transient** — the paper's runtime-management shape — run
-//!    on the seed-era path (cold-start Jacobi-CG every step) and twice on
-//!    the engine path (IC(0) factored once + warm starts): once with the
-//!    serial triangular solves and once with the level-scheduled parallel
-//!    apply, recording steps/second and the wall-clock speedups.
-//! 6. **Engine-cache cold/warm** — on the same fast-fidelity system, one
+//! 4. **200-step transient** — the paper's runtime-management shape — run
+//!    on the seed-era path (cold-start Jacobi-CG every step) and on the
+//!    engine path (IC(0) factored once + warm starts), recording
+//!    steps/second and the wall-clock speedup.
+//! 5. **Engine-cache cold/warm** — on the same fast-fidelity system, one
 //!    cold engine construction through the persistent cache (fresh build
 //!    plus artifact store under `reports/cache/`) and one warm
 //!    construction (artifact restore with zero factorizations), recording
 //!    both setup times and the restore speedup. The warm probe must hit,
 //!    and with at least two hardware threads the restore must be ≥ 2×
 //!    faster than the fresh build.
-//! 7. **Batched DSE sweep** — a 100-point power sweep on the tiny system
+//! 6. **Batched DSE sweep** — a 100-point power sweep on the tiny system
 //!    evaluated two ways: the sequential path (one warm-started
 //!    `solve_scaled` per point) vs the batched path (a
 //!    `ResponseBasis::build_on_batched` block solve, then one `compose`
@@ -77,7 +69,7 @@ use std::time::Instant;
 
 use vcsel_arch::{Fidelity, SccConfig, SccSystem};
 use vcsel_core::{CacheMode, CacheStore, EngineCache};
-use vcsel_numerics::{hardware_threads, CsrMatrix, IncompleteCholesky, Preconditioner};
+use vcsel_numerics::hardware_threads;
 use vcsel_thermal::{
     Design, EngineBlueprint, MeshSpec, MultigridConfig, PreconditionerKind, ResponseBasis,
     SolveContext, TransientStepper,
@@ -86,7 +78,6 @@ use vcsel_units::{Celsius, Watts};
 
 const TRANSIENT_DT_S: f64 = 1e-2;
 const STEADY_REPS: usize = 5;
-const TRISOLVE_REPS: usize = 10;
 
 /// Transient step count: 200 by default (the acceptance workload); CI's
 /// smoke job shrinks it via `PERF_RECORD_STEPS` to stay within its budget.
@@ -137,19 +128,6 @@ struct TransientRecord {
     steps_per_s: f64,
     total_iterations: usize,
     final_hottest_c: f64,
-}
-
-struct TrisolveRecord {
-    unknowns: usize,
-    /// Worker count of the level-scheduled candidate (1 when the machine
-    /// or the size gate keeps it serial).
-    threads: usize,
-    levels: usize,
-    mean_level_rows: f64,
-    max_level_rows: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
-    speedup: f64,
 }
 
 struct EngineCacheRecord {
@@ -239,50 +217,6 @@ fn mg_threads_section(design: &Design, spec: &MeshSpec, reps: usize) -> MgThread
         record.serial_iterations,
         record.threaded_solve_ms,
         record.threaded_iterations,
-        record.speedup
-    );
-    record
-}
-
-/// Times one IC(0) application (forward + backward triangular solve) on
-/// the assembled operator with the exact serial sweeps vs the
-/// level-scheduled wavefront execution — the inner loop of the transient
-/// workload, two of these per CG iteration.
-fn trisolve_section(op: &Arc<CsrMatrix>) -> TrisolveRecord {
-    let n = op.rows();
-    let r: Vec<f64> = (0..n).map(|i| 1.5 + (i as f64 * 0.37).sin()).collect();
-    let mut z = vec![0.0; n];
-
-    let mut serial = IncompleteCholesky::new(op).expect("IC(0) factors").with_parallel_apply(false);
-    serial.apply(&r, &mut z); // warm-up (page in the factor)
-    let (serial_s, _) = time_best(TRISOLVE_REPS, || serial.apply(&r, &mut z));
-
-    let mut scheduled = IncompleteCholesky::new(op).expect("IC(0) factors");
-    let threads = scheduled.apply_threads();
-    scheduled.apply(&r, &mut z);
-    let (parallel_s, _) = time_best(TRISOLVE_REPS, || scheduled.apply(&r, &mut z));
-
-    let stats = scheduled.level_stats();
-    let record = TrisolveRecord {
-        unknowns: n,
-        threads,
-        levels: stats.levels,
-        mean_level_rows: stats.mean_level_rows,
-        max_level_rows: stats.max_level_rows,
-        serial_ms: serial_s * 1e3,
-        parallel_ms: parallel_s * 1e3,
-        speedup: serial_s / parallel_s,
-    };
-    println!(
-        "[trisolve/fast] {} unknowns, {} threads, {} levels (mean {:.0} / max {} rows): \
-         serial {:.2} ms, level-scheduled {:.2} ms ({:.2}x)",
-        record.unknowns,
-        record.threads,
-        record.levels,
-        record.mean_level_rows,
-        record.max_level_rows,
-        record.serial_ms,
-        record.parallel_ms,
         record.speedup
     );
     record
@@ -474,9 +408,8 @@ fn run() {
         "all" => &[("ic0", PreconditionerKind::IncompleteCholesky), ("multigrid", multigrid)],
         other => panic!("PERF_RECORD_FAST must be all|mg|off, got '{other}'"),
     };
-    let (fast_unknowns, fast_steady, mg_threads, trisolve, engine_cache) = if fast_kinds.is_empty()
-    {
-        (0, Vec::new(), None, None, None)
+    let (fast_unknowns, fast_steady, mg_threads, engine_cache) = if fast_kinds.is_empty() {
+        (0, Vec::new(), None, None)
     } else {
         let phase_t = Instant::now();
         let phase_span = sink.span("perf", "steady_fast");
@@ -488,14 +421,6 @@ fn run() {
         let system = SccSystem::build(&config).expect("fast SCC builds");
         let spec = system.mesh_spec().expect("mesh spec");
         let (unknowns, records) = steady_section("fast", system.design(), &spec, fast_kinds, 1);
-        // ---- Threading A/Bs on the same operator -----------------------
-        // A throwaway Jacobi engine is the cheapest way to assemble once
-        // and share the operator with both hierarchies and both factors.
-        let ctx =
-            SolveContext::new_preconditioned(system.design(), &spec, PreconditionerKind::Jacobi)
-                .expect("fast context assembles");
-        let op = Arc::clone(ctx.shared_operator());
-        drop(ctx);
         drop(phase_span);
         phases.push(("steady_fast", phase_t.elapsed().as_secs_f64() * 1e3));
 
@@ -506,17 +431,11 @@ fn run() {
         phases.push(("mg_threads_ab", phase_t.elapsed().as_secs_f64() * 1e3));
 
         let phase_t = Instant::now();
-        let phase_span = sink.span("perf", "trisolve_ab");
-        let trisolve = trisolve_section(&op);
-        drop(phase_span);
-        phases.push(("trisolve_ab", phase_t.elapsed().as_secs_f64() * 1e3));
-
-        let phase_t = Instant::now();
         let phase_span = sink.span("perf", "engine_cache");
         let engine_cache = engine_cache_section(&config, &system, &spec);
         drop(phase_span);
         phases.push(("engine_cache", phase_t.elapsed().as_secs_f64() * 1e3));
-        (unknowns, records, Some(mg_threads), Some(trisolve), Some(engine_cache))
+        (unknowns, records, Some(mg_threads), Some(engine_cache))
     };
 
     // ---- Optional full-paper-fidelity multigrid solve ------------------
@@ -608,23 +527,11 @@ fn run() {
     let steps = transient_steps();
     let (seed_wall, seed_iters, seed_hot) = run_transient(&mut seed_stepper, &scales, steps);
 
-    // Engine path A/B on the per-iteration IC(0) apply: exact serial
-    // triangular solves vs the level-scheduled wavefront execution.
-    let mut serial_apply_stepper = TransientStepper::new(design, &spec, initial, TRANSIENT_DT_S)
-        .expect("stepper builds")
-        .with_parallel_apply(false);
-    let (serial_apply_wall, serial_apply_iters, serial_apply_hot) =
-        run_transient(&mut serial_apply_stepper, &scales, steps);
-
     let mut engine_stepper =
         TransientStepper::new(design, &spec, initial, TRANSIENT_DT_S).expect("stepper builds");
-    let transient_threads = engine_stepper
-        .preconditioner()
-        .as_incomplete_cholesky()
-        .expect("engine stepper factors IC(0)")
-        .apply_threads();
     let (engine_wall, engine_iters, engine_hot) =
         run_transient(&mut engine_stepper, &scales, steps);
+    let transient_threads = hardware_threads();
     drop(phase_span);
     phases.push(("transient", phase_t.elapsed().as_secs_f64() * 1e3));
     sink.rss_snapshot("perf", "final_peak_rss");
@@ -633,12 +540,7 @@ fn run() {
         (seed_hot - engine_hot).abs() < 1e-6,
         "paths disagree: seed {seed_hot} vs engine {engine_hot}"
     );
-    assert!(
-        (serial_apply_hot - engine_hot).abs() < 1e-6,
-        "apply paths disagree: serial {serial_apply_hot} vs level-scheduled {engine_hot}"
-    );
     let speedup = seed_wall / engine_wall;
-    let apply_speedup = serial_apply_wall / engine_wall;
     let transient = [
         TransientRecord {
             label: "seed_jacobi_cold",
@@ -646,13 +548,6 @@ fn run() {
             steps_per_s: steps as f64 / seed_wall,
             total_iterations: seed_iters,
             final_hottest_c: seed_hot,
-        },
-        TransientRecord {
-            label: "engine_ic0_warm_serial_apply",
-            wall_s: serial_apply_wall,
-            steps_per_s: steps as f64 / serial_apply_wall,
-            total_iterations: serial_apply_iters,
-            final_hottest_c: serial_apply_hot,
         },
         TransientRecord {
             label: "engine_ic0_warm",
@@ -669,10 +564,6 @@ fn run() {
         );
     }
     println!("[transient] wall-clock speedup engine vs seed: {speedup:.2}x");
-    println!(
-        "[transient] level-scheduled vs serial apply ({transient_threads} threads): \
-         {apply_speedup:.2}x"
-    );
 
     // ---- Batched DSE sweep: shared basis vs per-point solves -----------
     let phase_t = Instant::now();
@@ -793,26 +684,6 @@ fn run() {
             )
         })
         .unwrap_or_default();
-    let trisolve_json = trisolve
-        .as_ref()
-        .map(|t| {
-            format!(
-                ",\n  \"trisolve_fast\": {{ \"unknowns\": {}, \"threads\": {}, \
-                 \"levels\": {}, \"mean_level_rows\": {:.1}, \"max_level_rows\": {}, \
-                 \"serial_ms_per_apply\": {:.3}, \"scheduled_ms_per_apply\": {:.3}, \
-                 \"speedup\": {:.3}, \"speedup_assertion\": {} }}",
-                t.unknowns,
-                t.threads,
-                t.levels,
-                t.mean_level_rows,
-                t.max_level_rows,
-                t.serial_ms,
-                t.parallel_ms,
-                t.speedup,
-                speedup_note(t.threads)
-            )
-        })
-        .unwrap_or_default();
     // Per-phase wall clock (since v5): the same section boundaries the trace
     // spans use, so a record and a Perfetto trace line up by name.
     let phases_json = {
@@ -876,16 +747,15 @@ fn run() {
         })
         .unwrap_or_default();
     let json = format!(
-        "{{\n  \"schema\": \"bench_solvers_v8\",\n  \"generated_by\": \"perf_record\",\n  \
+        "{{\n  \"schema\": \"bench_solvers_v9\",\n  \"generated_by\": \"perf_record\",\n  \
          \"workload\": \"SccConfig tiny_test + full-die Fast, p_vcsel = 4 mW\",\n  \
          \"unknowns\": {unknowns},\n  \
-         \"steady\": [\n{}\n  ]{fast_json}{fast_ratio}{mg_threads_json}{trisolve_json}{engine_cache_json}{dse_json}{paper_json}\
+         \"steady\": [\n{}\n  ]{fast_json}{fast_ratio}{mg_threads_json}{engine_cache_json}{dse_json}{paper_json}\
          {phases_json},\n  \
          \"transient\": {{\n    \
          \"steps\": {steps},\n    \"dt_s\": {TRANSIENT_DT_S},\n    \
          \"threads\": {transient_threads},\n    \"paths\": [\n{}\n    ],\n    \
-         \"speedup_engine_vs_seed\": {speedup:.3},\n    \
-         \"speedup_scheduled_vs_serial_apply\": {apply_speedup:.3}\n  }},\n  \
+         \"speedup_engine_vs_seed\": {speedup:.3}\n  }},\n  \
          \"ic0_vs_jacobi_cold_iteration_ratio\": {:.4}\n}}\n",
         steady_json(&steady, "    "),
         transient_json.join(",\n"),
@@ -945,28 +815,6 @@ fn run() {
         } else if m.threads < 2 {
             println!("[mg_threads/fast] single-core: speedup assertion skipped");
         }
-    }
-    // The triangular-solve bar asserts whenever at least two hardware
-    // threads are reported — including CI's reduced smoke run, so the
-    // level-scheduled path's win is re-proven on every push of a
-    // multicore runner.
-    if let Some(t) = &trisolve {
-        if t.threads >= 2 {
-            assert!(
-                t.speedup >= 1.3,
-                "level-scheduled IC(0) apply speedup {:.2}x < 1.3x on {} threads \
-                 ({} levels, mean width {:.0})",
-                t.speedup,
-                t.threads,
-                t.levels,
-                t.mean_level_rows
-            );
-        } else {
-            println!("[trisolve/fast] single-core: speedup assertion skipped");
-        }
-    }
-    if transient_threads < 2 {
-        println!("[transient] single-core: threaded-apply speedup assertion skipped");
     }
     // The engine-cache bars: the warm probe must restore (a miss means the
     // artifact pipeline regressed — deterministic, asserted everywhere),

@@ -10,7 +10,7 @@
 //!   full-fidelity reproductions live in the `src/bin` report binaries of
 //!   the root crate.
 //! * **The `perf_record` binary** (`src/bin/perf_record.rs`): emits
-//!   `BENCH_solvers.json` (schema `bench_solvers_v8`), the committed
+//!   `BENCH_solvers.json` (schema `bench_solvers_v9`), the committed
 //!   machine-readable record of the solve-engine trajectory — steady
 //!   cold/warm solves per preconditioner, IC(0)-vs-multigrid at full-die
 //!   fast fidelity, the multigrid threading A/B, the engine-cache

@@ -43,9 +43,6 @@ pub struct Config {
     pub gate_consts: Vec<String>,
     /// Functions that act as worker-count sources (`hardware_threads`).
     pub gate_fns: Vec<String>,
-    /// Functions that *encapsulate* the gate. Each must itself reference a
-    /// gate constant — verified every run, so the list cannot go stale.
-    pub gate_predicates: Vec<String>,
     /// Functions whose bodies must stay allocation-free.
     pub hot_path_fns: Vec<HotPathFn>,
     /// Path of the env-var registry document (the README table).
@@ -236,7 +233,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                 cfg.threaded_gate_path = get_str(&keys, "path")?;
                 cfg.gate_consts = get_list(&keys, "gate_consts")?;
                 cfg.gate_fns = get_list(&keys, "gate_fns")?;
-                cfg.gate_predicates = get_list(&keys, "gate_predicates")?;
             }
             "[env_registry]" => {
                 cfg.env_registry_doc = get_str(&keys, "doc")?;
@@ -286,7 +282,6 @@ mod tests {
 path = "crates/numerics/src"
 gate_consts = ["PARALLEL_NNZ_THRESHOLD", "PARALLEL_LEN_THRESHOLD"]
 gate_fns = ["hardware_threads"]
-gate_predicates = ["wants_parallel"]
 
 [env_registry]
 doc = "README.md"  # trailing comment

@@ -89,53 +89,14 @@ fn body_mentions(sf: &SourceFile, span: &FnSpan, names: &[&str]) -> bool {
 /// the size gates (`PARALLEL_*_THRESHOLD`) and `hardware_threads()`.
 ///
 /// A spawn site passes when its enclosing function references a gate
-/// (constant, gate function, or a configured gate *predicate* such as
-/// `wants_parallel`), or when every non-test caller of that function does.
-/// Gate predicates are themselves verified each run to reference a gate,
-/// so the indirection cannot go stale.
+/// (constant or gate function), or when every non-test caller of that
+/// function does.
 pub fn threaded_gate(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     let scoped: Vec<&SourceFile> =
         files.iter().filter(|s| s.path.starts_with(&cfg.threaded_gate_path)).collect();
-    let gate_names: Vec<&str> = cfg
-        .gate_consts
-        .iter()
-        .chain(&cfg.gate_fns)
-        .chain(&cfg.gate_predicates)
-        .map(String::as_str)
-        .collect();
-
-    // Verify the predicates really encapsulate a gate.
-    for pred in &cfg.gate_predicates {
-        let mut seen = false;
-        for sf in &scoped {
-            for f in sf.fns.iter().filter(|f| f.name == *pred) {
-                seen = true;
-                if !body_mentions(sf, f, &gate_names) {
-                    out.push(finding(
-                        "threaded_gate",
-                        &sf.path,
-                        f.line,
-                        format!(
-                            "gate predicate `{pred}` (lint.toml) does not reference any gate \
-                             constant or gate function"
-                        ),
-                    ));
-                }
-            }
-        }
-        if !seen {
-            out.push(finding(
-                "threaded_gate",
-                "lint.toml",
-                0,
-                format!(
-                    "gate predicate `{pred}` matches no function under {}",
-                    cfg.threaded_gate_path
-                ),
-            ));
-        }
-    }
+    let gate_names: Vec<&str> =
+        cfg.gate_consts.iter().chain(&cfg.gate_fns).map(String::as_str).collect();
 
     for sf in &scoped {
         // One finding per ungated enclosing function, at its first spawn.
@@ -404,7 +365,6 @@ mod tests {
             "[threaded_gate]\npath = \"crates/numerics/src\"\n\
              gate_consts = [\"PARALLEL_NNZ_THRESHOLD\"]\n\
              gate_fns = [\"hardware_threads\"]\n\
-             gate_predicates = [\"wants_parallel\"]\n\
              [env_registry]\ndoc = \"README.md\"\n",
         )
         .expect("valid fixture config")
@@ -439,8 +399,7 @@ mod tests {
     fn threaded_gate_fires_on_ungated_spawn() {
         let f = sf(
             "crates/numerics/src/bad.rs",
-            "fn wants_parallel() -> bool { hardware_threads() > 1 }\n\
-             fn rogue(s: &S) { std::thread::scope(|t| { t.spawn(|| work()); }); }",
+            "fn rogue(s: &S) { std::thread::scope(|t| { t.spawn(|| w()); }); }",
         );
         let got = threaded_gate(&[f], &gate_cfg());
         assert_eq!(got.len(), 1, "{got:?}");
@@ -457,8 +416,7 @@ mod tests {
         let split = sf(
             "crates/numerics/src/b.rs",
             "fn driver() { if hardware_threads() > 1 { kernel(); } }\n\
-             fn kernel() { std::thread::scope(|t| { t.spawn(|| w()); }); }\n\
-             fn wants_parallel() -> bool { hardware_threads() > 1 }\n",
+             fn kernel() { std::thread::scope(|t| { t.spawn(|| w()); }); }\n",
         );
         let got = threaded_gate(&[direct, split], &gate_cfg());
         assert!(got.is_empty(), "{got:?}");
@@ -470,24 +428,11 @@ mod tests {
             "crates/numerics/src/c.rs",
             "fn good() { if hardware_threads() > 1 { kernel(); } }\n\
              fn bad() { kernel(); }\n\
-             fn kernel() { std::thread::scope(|t| { t.spawn(|| w()); }); }\n\
-             fn wants_parallel() -> bool { hardware_threads() > 1 }\n",
+             fn kernel() { std::thread::scope(|t| { t.spawn(|| w()); }); }\n",
         );
         let got = threaded_gate(&[f], &gate_cfg());
         assert_eq!(got.len(), 1, "{got:?}");
         assert!(got[0].message.contains("bad"), "{got:?}");
-    }
-
-    #[test]
-    fn threaded_gate_verifies_predicates_reference_a_gate() {
-        let f = sf(
-            "crates/numerics/src/d.rs",
-            "fn wants_parallel() -> bool { true }\n\
-             fn apply() { if wants_parallel() { std::thread::scope(|t| { t.spawn(|| w()); }); } }\n",
-        );
-        let got = threaded_gate(&[f], &gate_cfg());
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert!(got[0].message.contains("gate predicate"), "{got:?}");
     }
 
     #[test]
@@ -498,8 +443,7 @@ mod tests {
         );
         let test_only = sf(
             "crates/numerics/src/e.rs",
-            "fn wants_parallel() -> bool { hardware_threads() > 1 }\n\
-             #[cfg(test)]\nmod tests { fn t() { std::thread::scope(|s| { s.spawn(|| w()); }); } }\n",
+            "#[cfg(test)]\nmod tests { fn t() { std::thread::scope(|s| { s.spawn(|| w()); }); } }\n",
         );
         let got = threaded_gate(&[outside, test_only], &gate_cfg());
         assert!(got.is_empty(), "{got:?}");

@@ -30,14 +30,13 @@
 use std::sync::Arc;
 
 use crate::multigrid::{Multigrid, MultigridConfig, MultigridHierarchy};
-use crate::precond::{IncompleteCholesky, LevelSchedule};
-use crate::sparse::WavefrontFactor;
+use crate::precond::IncompleteCholesky;
 use crate::{CsrMatrix, CycleKind, NumericsError};
 
 /// Format version written into (and required from) every artifact envelope.
-/// Version 2: the multigrid configuration dropped its smoother tag and each
-/// level gained its Chebyshev bound.
-pub const ARTIFACT_VERSION: u32 = 2;
+/// Version 3: an IC(0) payload is `n` plus the three factor arrays and
+/// nothing else.
+pub const ARTIFACT_VERSION: u32 = 3;
 
 /// Envelope magic: "VCsel Artifact Format".
 const MAGIC: [u8; 4] = *b"VCAF";
@@ -701,76 +700,8 @@ fn validate_ic0_factor(
     Ok(())
 }
 
-fn write_wavefront(w: &mut ArtifactWriter, level_ptr: &[usize], wf: &WavefrontFactor) {
-    w.put_usize_slice(level_ptr);
-    w.put_usize_slice(&wf.row_ptr);
-    w.put_u32_slice(&wf.rows);
-    w.put_u32_slice(&wf.col_idx);
-    w.put_f64_slice(&wf.values);
-}
-
-/// Reads one wavefront (level-scheduled permuted factor) and checks every
-/// index the solve kernels will touch: the level pointers partition the `n`
-/// permuted rows, the rows are a permutation of `0..n`, and all stored
-/// indices are in bounds with `nnz` matching the serial factor.
-fn read_wavefront(
-    r: &mut ArtifactReader<'_>,
-    n: usize,
-    nnz: usize,
-    dir: &str,
-) -> Result<(Vec<usize>, WavefrontFactor), ArtifactError> {
-    let level_ptr = r.get_usize_slice()?;
-    let row_ptr = r.get_usize_slice()?;
-    let rows = r.get_u32_slice()?;
-    let col_idx = r.get_u32_slice()?;
-    let values = r.get_f64_slice()?;
-    if level_ptr.first() != Some(&0) || level_ptr.last() != Some(&n) {
-        return Err(bad(format!("{dir} schedule levels must span 0..{n}")));
-    }
-    if level_ptr.windows(2).any(|w| w[0] > w[1]) {
-        return Err(bad(format!("{dir} schedule level pointers decrease")));
-    }
-    if rows.len() != n || row_ptr.len() != n + 1 {
-        return Err(bad(format!(
-            "{dir} schedule shape mismatch: {} rows, {} pointers for n = {n}",
-            rows.len(),
-            row_ptr.len()
-        )));
-    }
-    if row_ptr.first() != Some(&0)
-        || row_ptr.last() != Some(&nnz)
-        || row_ptr.windows(2).any(|w| w[0] > w[1])
-    {
-        return Err(bad(format!("{dir} schedule row pointers do not cover {nnz} non-zeros")));
-    }
-    if col_idx.len() != nnz || values.len() != nnz {
-        return Err(bad(format!(
-            "{dir} schedule stores {} columns / {} values, factor has {nnz}",
-            col_idx.len(),
-            values.len()
-        )));
-    }
-    let mut seen = vec![false; n];
-    for &row in &rows {
-        let row = row as usize;
-        if row >= n || seen[row] {
-            return Err(bad(format!("{dir} schedule rows are not a permutation of 0..{n}")));
-        }
-        seen[row] = true;
-    }
-    if col_idx.iter().any(|&c| c as usize >= n) {
-        return Err(bad(format!("{dir} schedule column index out of bounds")));
-    }
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err(bad(format!("{dir} schedule holds a non-finite value")));
-    }
-    Ok((level_ptr, WavefrontFactor { row_ptr, rows, col_idx, values }))
-}
-
 impl IncompleteCholesky {
-    /// Serializes the factor, its apply configuration, and — when built —
-    /// the level schedule, so a restore skips both the factorization and
-    /// the wavefront analysis.
+    /// Serializes the factor arrays, so a restore skips the factorization.
     #[must_use]
     pub fn to_artifact(&self) -> Vec<u8> {
         let mut w = ArtifactWriter::new(KIND_INCOMPLETE_CHOLESKY);
@@ -780,36 +711,16 @@ impl IncompleteCholesky {
         w.put_usize_slice(row_ptr);
         w.put_u32_slice(col_idx);
         w.put_f64_slice(values);
-        let (parallel_apply, apply_threads) = self.apply_config();
-        w.put_bool(parallel_apply);
-        match apply_threads {
-            Some(t) => {
-                w.put_bool(true);
-                w.put_u64(t as u64);
-            }
-            None => {
-                w.put_bool(false);
-                w.put_u64(0);
-            }
-        }
-        match self.schedule_ref() {
-            Some(s) => {
-                w.put_bool(true);
-                write_wavefront(&mut w, &s.fwd_level_ptr, &s.fwd);
-                write_wavefront(&mut w, &s.bwd_level_ptr, &s.bwd);
-            }
-            None => w.put_bool(false),
-        }
         w.finish()
     }
 
     /// Decodes a factor from [`IncompleteCholesky::to_artifact`] bytes with
-    /// full structural revalidation; the apply counter restarts at zero.
+    /// full structural revalidation.
     ///
     /// # Errors
     ///
-    /// Any [`ArtifactError`]: envelope defects or a factor/schedule that
-    /// violates the triangular-solve invariants.
+    /// Any [`ArtifactError`]: envelope defects or a factor that violates
+    /// the triangular-solve invariants.
     pub fn from_artifact(bytes: &[u8]) -> Result<Self, ArtifactError> {
         let mut r = ArtifactReader::open(bytes, KIND_INCOMPLETE_CHOLESKY)?;
         let n = r.get_usize()?;
@@ -817,33 +728,8 @@ impl IncompleteCholesky {
         let col_idx = r.get_u32_slice()?;
         let values = r.get_f64_slice()?;
         validate_ic0_factor(n, &row_ptr, &col_idx, &values)?;
-        let parallel_apply = r.get_bool()?;
-        let has_threads = r.get_bool()?;
-        let threads = r.get_u64()?;
-        let apply_threads = if has_threads {
-            let t = usize::try_from(threads)
-                .map_err(|_| bad(format!("apply thread count {threads} overflows")))?;
-            Some(t.max(1))
-        } else {
-            None
-        };
-        let schedule = if r.get_bool()? {
-            let nnz = values.len();
-            let (fwd_level_ptr, fwd) = read_wavefront(&mut r, n, nnz, "forward")?;
-            let (bwd_level_ptr, bwd) = read_wavefront(&mut r, n, nnz, "backward")?;
-            Some(LevelSchedule { fwd_level_ptr, fwd, bwd_level_ptr, bwd })
-        } else {
-            None
-        };
         r.expect_end()?;
-        Ok(Self::from_restored_parts(
-            row_ptr,
-            col_idx,
-            values,
-            schedule,
-            parallel_apply,
-            apply_threads,
-        ))
+        Ok(Self::from_restored_parts(row_ptr, col_idx, values))
     }
 }
 
@@ -1088,7 +974,7 @@ mod tests {
         let a = poisson_1d(200);
         let fresh = IncompleteCholesky::new(&a).unwrap();
         let restored = IncompleteCholesky::from_artifact(&fresh.to_artifact()).unwrap();
-        // PartialEq covers the factor arrays plus the apply configuration.
+        // PartialEq covers the factor arrays.
         assert_eq!(fresh, restored);
 
         use crate::precond::Preconditioner;
@@ -1103,34 +989,28 @@ mod tests {
     }
 
     #[test]
-    fn ic0_with_schedule_round_trips() {
-        let a = poisson_1d(300);
-        let mut fresh = IncompleteCholesky::new(&a).unwrap().with_apply_threads(2);
-        use crate::precond::Preconditioner;
-        let r: Vec<f64> = (0..300).map(|i| (i as f64 * 0.11).sin()).collect();
-        let mut z1 = vec![0.0; 300];
-        fresh.apply(&r, &mut z1); // forces the lazy schedule build
-        let restored = IncompleteCholesky::from_artifact(&fresh.to_artifact()).unwrap();
-        assert_eq!(fresh, restored);
-        let mut z2 = vec![0.0; 300];
-        let mut restored = restored;
-        restored.apply(&r, &mut z2);
-        assert_eq!(z1, z2, "schedule-carrying restore must replay bitwise");
-    }
-
-    #[test]
     fn ic0_decode_rejects_broken_factor() {
         let a = poisson_1d(32);
         let fresh = IncompleteCholesky::new(&a).unwrap();
         let (row_ptr, col_idx, values) = fresh.factor_parts();
+        let ic0_payload = |vals: &[f64]| {
+            let mut w = ArtifactWriter::new(KIND_INCOMPLETE_CHOLESKY);
+            w.put_u64(32);
+            w.put_usize_slice(row_ptr);
+            w.put_u32_slice(col_idx);
+            w.put_f64_slice(vals);
+            w
+        };
         // Negate a pivot: structurally intact envelope, invalid factor.
-        let mut w = ArtifactWriter::new(KIND_INCOMPLETE_CHOLESKY);
-        w.put_u64(32);
-        w.put_usize_slice(row_ptr);
-        w.put_u32_slice(col_idx);
         let mut vals = values.to_vec();
         vals[row_ptr[1] - 1] = -vals[row_ptr[1] - 1];
-        w.put_f64_slice(&vals);
+        let err = IncompleteCholesky::from_artifact(&ic0_payload(&vals).finish()).unwrap_err();
+        assert!(matches!(err, ArtifactError::BadStructure { .. }), "{err}");
+
+        // A valid factor followed by the version-2 tail (apply knob, thread
+        // pin, schedule flag), resealed under the current version: the
+        // checksum passes, so the trailing bytes must be rejected.
+        let mut w = ic0_payload(values);
         w.put_bool(true);
         w.put_bool(false);
         w.put_u64(0);

@@ -123,8 +123,6 @@ pub struct SolveLadder {
     active: usize,
     saved_guess: Vec<f64>,
     attempts: Vec<RungAttempt>,
-    parallel_apply: Option<bool>,
-    apply_threads: Option<usize>,
     /// Telemetry handle: rung-build spans, per-attempt and escalation
     /// events. Defaults to the process-wide sink; engines and tests
     /// inject their own via [`SolveLadder::set_telemetry`].
@@ -170,8 +168,6 @@ impl SolveLadder {
             active: 0,
             saved_guess: Vec::new(),
             attempts: Vec::new(),
-            parallel_apply: None,
-            apply_threads: None,
             telemetry: vcsel_telemetry::global().clone(),
         };
         // Activate the first buildable rung now so construction-time
@@ -235,8 +231,6 @@ impl SolveLadder {
             active: 0,
             saved_guess: Vec::new(),
             attempts: Vec::new(),
-            parallel_apply: None,
-            apply_threads: None,
             telemetry: vcsel_telemetry::global().clone(),
         })
     }
@@ -254,11 +248,6 @@ impl SolveLadder {
     /// The active rung's preconditioner.
     pub fn active_preconditioner(&self) -> &AnyPreconditioner {
         self.rungs[self.active].precond.as_ref().expect("active rung is always built")
-    }
-
-    /// Mutable access to the active rung's preconditioner.
-    pub fn active_preconditioner_mut(&mut self) -> &mut AnyPreconditioner {
-        self.rungs[self.active].precond.as_mut().expect("active rung is always built")
     }
 
     /// Diagnostics of every attempt made by the most recent
@@ -283,22 +272,6 @@ impl SolveLadder {
     /// their state back when even the last rung fails.
     pub fn saved_guess(&self) -> &[f64] {
         &self.saved_guess
-    }
-
-    /// Forwards [`AnyPreconditioner::set_parallel_apply`] to the active
-    /// rung and remembers the setting for rungs built by later
-    /// escalations. Returns whether the active rung honors it.
-    pub fn set_parallel_apply(&mut self, on: bool) -> bool {
-        self.parallel_apply = Some(on);
-        self.active_preconditioner_mut().set_parallel_apply(on)
-    }
-
-    /// Forwards [`AnyPreconditioner::set_apply_threads`] to the active
-    /// rung and remembers the setting for rungs built by later
-    /// escalations. Returns whether the active rung honors it.
-    pub fn set_apply_threads(&mut self, threads: usize) -> bool {
-        self.apply_threads = Some(threads);
-        self.active_preconditioner_mut().set_apply_threads(threads)
     }
 
     /// Corrupts the active rung's preconditioner apply (an
@@ -542,14 +515,7 @@ impl SolveLadder {
         }
         let mut span = self.telemetry.span("solver", "rung_build");
         span.arg("rung", vcsel_telemetry::ArgValue::Str(kind_label(&self.rungs[index].kind)));
-        let mut built = self.rungs[index].kind.build_shared(a)?;
-        if let Some(on) = self.parallel_apply {
-            built.set_parallel_apply(on);
-        }
-        if let Some(threads) = self.apply_threads {
-            built.set_apply_threads(threads);
-        }
-        self.rungs[index].precond = Some(built);
+        self.rungs[index].precond = Some(self.rungs[index].kind.build_shared(a)?);
         Ok(())
     }
 

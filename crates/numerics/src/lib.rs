@@ -17,11 +17,8 @@
 //!   own their matrix behind an [`std::sync::Arc`] build through
 //!   [`PreconditionerKind::build_shared`], so the operator-holding
 //!   preconditioners alias the caller's allocation instead of cloning it.
-//!   IC(0) analyzes its factor into dependency levels at factorization
-//!   time and applies the two triangular solves as level-scheduled
-//!   (wavefront) parallel sweeps on large systems — the same bits for
-//!   every worker count of two or more, exact-serial below the SpMV size
-//!   gate,
+//!   IC(0) applies its two triangular solves serially, so IC(0) solves
+//!   give the same bits at every worker count,
 //! * [`block_solver`]: multi-RHS block CG — k independent recurrences in
 //!   lockstep over a [`BlockVector`] bundle, one operator stream per
 //!   iteration shared by every active column, converged columns deflated
@@ -81,8 +78,7 @@ pub use ladder::{LadderSummary, RungAttempt, RungOutcome, SolveLadder};
 pub use multigrid::{CycleKind, MgWorkspace, Multigrid, MultigridConfig, MultigridHierarchy};
 pub use optimize::{golden_section_min, grid_argmin, Minimum};
 pub use precond::{
-    AnyPreconditioner, IncompleteCholesky, Jacobi, LevelScheduleStats, Preconditioner,
-    PreconditionerKind, Ssor,
+    AnyPreconditioner, IncompleteCholesky, Jacobi, Preconditioner, PreconditionerKind, Ssor,
 };
 pub use sparse::{hardware_threads, CsrMatrix, TripletBuilder};
 pub use stats::Summary;

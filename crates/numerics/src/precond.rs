@@ -12,8 +12,8 @@
 //! * [`IncompleteCholesky`] — IC(0), a zero-fill `L·Lᵀ ≈ A` factorization;
 //!   the strongest *one-level* option and the default for cached transient
 //!   engines, because one factorization amortizes over many right-hand
-//!   sides. Large factors apply their two triangular solves as
-//!   level-scheduled (wavefront) parallel sweeps — see the type docs,
+//!   sides. Its two triangular solves run serially, so IC(0) iteration
+//!   counts and fields are the same at every worker count,
 //! * [`Multigrid`] — a smoothed-aggregation algebraic
 //!   multigrid V-cycle (see [`crate::multigrid`]); the only option whose
 //!   iteration counts stay (nearly) mesh-independent, and the default for
@@ -25,9 +25,7 @@
 use std::sync::Arc;
 
 use crate::multigrid::{Multigrid, MultigridConfig};
-use crate::sparse::{
-    hardware_threads, nnz_balanced_chunk, SharedF64, SpinBarrier, WavefrontFactor,
-};
+use crate::sparse::hardware_threads;
 use crate::{CsrMatrix, NumericsError};
 
 /// Applies `z = M⁻¹ r` for some SPD approximation `M ≈ A`.
@@ -160,146 +158,6 @@ impl Preconditioner for Jacobi {
     }
 }
 
-/// Level-set (wavefront) schedule of an IC(0) factor: the rows of `L`
-/// partitioned into dependency levels — a row's level is one past the
-/// deepest level among its lower-triangular neighbours, so all rows of one
-/// level are mutually independent in the forward solve. Processing the same
-/// levels back-to-front is a valid schedule for the transposed (backward)
-/// solve: `l_ji ≠ 0` with `j > i` forces `level(j) > level(i)`, so every
-/// dependency of a backward row lives in a later level.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LevelSchedule {
-    /// `levels + 1` boundaries into the forward permuted rows.
-    pub(crate) fwd_level_ptr: Vec<usize>,
-    /// `L` with rows gathered into level order (within a level: ascending
-    /// natural index, so the schedule is deterministic).
-    pub(crate) fwd: WavefrontFactor,
-    /// `levels + 1` boundaries into the backward permuted rows.
-    pub(crate) bwd_level_ptr: Vec<usize>,
-    /// `Lᵀ` with rows gathered into backward processing order (levels
-    /// descending, ascending natural index within a level).
-    pub(crate) bwd: WavefrontFactor,
-}
-
-impl LevelSchedule {
-    /// Analyzes the factor's dependency levels and gathers both triangular
-    /// factors into wavefront processing order. `O(nnz)` time and two
-    /// permuted copies of the factor in memory.
-    fn analyze(row_ptr: &[usize], col_idx: &[u32], values: &[f64]) -> Self {
-        let n = row_ptr.len() - 1;
-        let mut level_of = vec![0u32; n];
-        let mut levels = 0usize;
-        for i in 0..n {
-            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-            let mut lvl = 0;
-            for &c in &col_idx[lo..hi - 1] {
-                lvl = lvl.max(level_of[c as usize] + 1);
-            }
-            level_of[i] = lvl;
-            levels = levels.max(lvl as usize + 1);
-        }
-
-        // Counting sort: forward order = (level ascending, row ascending).
-        let mut fwd_level_ptr = vec![0usize; levels + 1];
-        for &l in &level_of {
-            fwd_level_ptr[l as usize + 1] += 1;
-        }
-        for l in 0..levels {
-            fwd_level_ptr[l + 1] += fwd_level_ptr[l];
-        }
-        let mut order = vec![0u32; n];
-        let mut next = fwd_level_ptr.clone();
-        for (i, &l) in level_of.iter().enumerate() {
-            order[next[l as usize]] = i as u32;
-            next[l as usize] += 1;
-        }
-        let fwd = WavefrontFactor::gather(&order, row_ptr, col_idx, values);
-
-        // Lᵀ in CSR (upper triangular, diagonal first in each row), then
-        // gathered in backward processing order: levels descending.
-        let (t_ptr, t_idx, t_val) = transpose_triangular(row_ptr, col_idx, values);
-        let mut bwd_order = Vec::with_capacity(n);
-        let mut bwd_level_ptr = Vec::with_capacity(levels + 1);
-        bwd_level_ptr.push(0usize);
-        for l in (0..levels).rev() {
-            bwd_order.extend_from_slice(&order[fwd_level_ptr[l]..fwd_level_ptr[l + 1]]);
-            bwd_level_ptr.push(bwd_order.len());
-        }
-        let bwd = WavefrontFactor::gather(&bwd_order, &t_ptr, &t_idx, &t_val);
-
-        Self { fwd_level_ptr, fwd, bwd_level_ptr, bwd }
-    }
-
-    fn levels(&self) -> usize {
-        self.fwd_level_ptr.len() - 1
-    }
-}
-
-/// Rows per dependency level of a triangular factor (diagonal last per
-/// row), without materializing the schedule — the cheap form behind
-/// [`IncompleteCholesky::level_stats`].
-fn level_row_counts(row_ptr: &[usize], col_idx: &[u32]) -> Vec<usize> {
-    let n = row_ptr.len() - 1;
-    let mut level_of = vec![0u32; n];
-    let mut counts: Vec<usize> = Vec::new();
-    for i in 0..n {
-        let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-        let mut lvl = 0;
-        for &c in &col_idx[lo..hi - 1] {
-            lvl = lvl.max(level_of[c as usize] + 1);
-        }
-        level_of[i] = lvl;
-        if counts.len() <= lvl as usize {
-            counts.resize(lvl as usize + 1, 0);
-        }
-        counts[lvl as usize] += 1;
-    }
-    counts
-}
-
-/// Transposes a square triangular CSR factor (counting sort over columns,
-/// `O(nnz)`; source rows ascending keep each output row's columns
-/// ascending).
-fn transpose_triangular(
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
-    let n = row_ptr.len() - 1;
-    let mut t_ptr = vec![0usize; n + 1];
-    for &c in col_idx {
-        t_ptr[c as usize + 1] += 1;
-    }
-    for i in 0..n {
-        t_ptr[i + 1] += t_ptr[i];
-    }
-    let mut t_idx = vec![0u32; values.len()];
-    let mut t_val = vec![0.0; values.len()];
-    let mut next = t_ptr.clone();
-    for r in 0..n {
-        for k in row_ptr[r]..row_ptr[r + 1] {
-            let c = col_idx[k] as usize;
-            t_idx[next[c]] = r as u32;
-            t_val[next[c]] = values[k];
-            next[c] += 1;
-        }
-    }
-    (t_ptr, t_idx, t_val)
-}
-
-/// Shape statistics of an IC(0) level schedule — how much wavefront
-/// parallelism the factor exposes. Reported by `perf_record`'s
-/// `trisolve_fast` section.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LevelScheduleStats {
-    /// Number of dependency levels (sequential stages per sweep).
-    pub levels: usize,
-    /// Rows of the widest level (peak available parallelism).
-    pub max_level_rows: usize,
-    /// Mean rows per level (`n / levels`).
-    pub mean_level_rows: f64,
-}
-
 /// Zero-fill incomplete Cholesky factorization IC(0): `L·Lᵀ ≈ A` with `L`
 /// restricted to the sparsity pattern of the lower triangle of `A`.
 ///
@@ -308,74 +166,19 @@ pub struct LevelScheduleStats {
 /// roughly the price of one extra matrix-vector product per CG iteration,
 /// and typically cuts the iteration count by 2–6× on anisotropic meshes.
 ///
-/// # Level-scheduled parallel application
-///
-/// The two triangular solves are inherently sequential row-by-row, but not
-/// row-by-row *dense*: a row only depends on the rows its off-diagonal
-/// columns name. The factor is analyzed once into dependency **levels**
-/// (rows whose lower-triangular neighbours all live in earlier levels) —
-/// lazily at the first threaded application, cached alongside the factor
-/// from then on, so serial-only consumers never pay the analysis. Rows of
-/// one level solve in parallel, dispatched as contiguous nnz-balanced
-/// blocks of a level-permuted copy of the factor over the same
-/// scoped-thread partitioning the SpMV gate uses. The wavefront apply
-/// gives the same bits for every worker count of two or more, but **not**
-/// the bits of the one-thread path: the serial apply runs the backward
-/// solve as a scatter over `L`, the wavefront as a gather over the rows
-/// of `Lᵀ`, and the two summation orders round differently. That is why
-/// a cold tiny-fidelity IC(0) solve takes 220 CG iterations on one thread
-/// and 221 on two. Removing level scheduling (leaving the serial solves
-/// only) would make IC(0) thread-invariant.
-///
-/// The threaded path engages only when all of the following hold, and runs
-/// the exact serial solves otherwise:
-///
-/// * [`IncompleteCholesky::set_parallel_apply`] is on (the default; the
-///   `false` setting is the measurable A/B baseline, mirroring
-///   [`MultigridConfig::parallel_sweeps`]),
-/// * at least two workers are available ([`hardware_threads`], or the
-///   explicit [`IncompleteCholesky::set_apply_threads`] override), and
-/// * one apply's work (both sweeps, ≈ nnz of `A`) reaches
-///   [`CsrMatrix::PARALLEL_NNZ_THRESHOLD`] — small factors stay serial so
-///   test-scale meshes never pay thread-spawn cost. An explicit
-///   [`IncompleteCholesky::set_apply_threads`] override bypasses the size
-///   gate (tests force multi-level scheduling on tiny systems with it).
-#[derive(Debug, Clone)]
+/// Both solves run serially (a gather forward over `L`, a scatter backward
+/// over the same rows) whatever the worker count. The factor's dependency
+/// levels are too narrow for a level-scheduled sweep to repay its
+/// per-level barrier, and the serial apply keeps IC(0) solves bitwise
+/// thread-invariant: only the SpMV and Jacobi loops around it are
+/// threaded, and both compute each entry exactly as their serial loops do.
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncompleteCholesky {
-    /// CSR of `L` (lower triangular, diagonal stored last in each row,
-    /// columns ascending) — the serial-apply form.
+    /// CSR of `L`: lower triangular, diagonal stored last in each row,
+    /// columns ascending.
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
     values: Vec<f64>,
-    /// Wavefront execution plan, built when the parallel path is in play
-    /// (boxed so the serial-only factor stays lean inside
-    /// [`AnyPreconditioner`]).
-    schedule: Option<Box<LevelSchedule>>,
-    /// Scratch vector the wavefront workers share (length `n` whenever
-    /// `schedule` is present), so `apply` stays allocation-free.
-    scratch: SharedF64,
-    /// The A/B knob: `false` forces the serial solves everywhere.
-    parallel_apply: bool,
-    /// Explicit worker-count override (benches and forced-schedule tests);
-    /// `None` means [`hardware_threads`] capped like the threaded SpMV.
-    apply_threads: Option<usize>,
-    /// Applications run so far (each is one forward + one backward
-    /// triangular sweep) — a plain counter read by telemetry, incremented
-    /// in the apply dispatcher, never inside the sweep loops.
-    applies: u64,
-}
-
-impl PartialEq for IncompleteCholesky {
-    fn eq(&self, other: &Self) -> bool {
-        // The schedule and scratch are derived from the factor, and the
-        // apply counter is run history, not identity; equality is the
-        // factor plus the apply configuration.
-        self.row_ptr == other.row_ptr
-            && self.col_idx == other.col_idx
-            && self.values == other.values
-            && self.parallel_apply == other.parallel_apply
-            && self.apply_threads == other.apply_threads
-    }
 }
 
 impl IncompleteCholesky {
@@ -454,178 +257,26 @@ impl IncompleteCholesky {
             row_ptr.push(values.len());
         }
 
-        // The level schedule is built lazily on the first parallel apply,
-        // so serial-only consumers (explicit baselines, single-core
-        // machines, below-gate factors) never pay its analysis or memory.
-        Ok(Self {
-            row_ptr,
-            col_idx,
-            values,
-            schedule: None,
-            scratch: SharedF64::new(0),
-            parallel_apply: true,
-            apply_threads: None,
-            applies: 0,
-        })
+        Ok(Self { row_ptr, col_idx, values })
     }
 
-    /// Applications run since construction: each apply is one forward and
-    /// one backward triangular sweep, so telemetry counts `2 × applies`
-    /// triangular solves.
-    pub fn applies(&self) -> u64 {
-        self.applies
-    }
-
-    /// The serial factor arrays `(row_ptr, col_idx, values)` — lower
-    /// triangular, diagonal stored last per row (the artifact codec's
-    /// source of truth).
+    /// The factor arrays `(row_ptr, col_idx, values)` — lower triangular,
+    /// diagonal stored last per row (the artifact codec's source of truth).
     pub(crate) fn factor_parts(&self) -> (&[usize], &[u32], &[f64]) {
         (&self.row_ptr, &self.col_idx, &self.values)
     }
 
-    /// The level schedule, when one has been built (lazily, on the first
-    /// parallel apply).
-    pub(crate) fn schedule_ref(&self) -> Option<&LevelSchedule> {
-        self.schedule.as_deref()
-    }
-
-    /// The apply configuration `(parallel_apply, apply_threads)` the
-    /// artifact codec persists alongside the factor.
-    pub(crate) fn apply_config(&self) -> (bool, Option<usize>) {
-        (self.parallel_apply, self.apply_threads)
-    }
-
-    /// Reassembles a factor from artifact-validated parts: the apply
-    /// counter restarts at zero, scratch is sized for the carried schedule,
-    /// and — matching [`IncompleteCholesky::set_parallel_apply`] — a
-    /// schedule the current configuration would never use is dropped.
+    /// Reassembles a factor from arrays the artifact codec has already
+    /// validated.
     pub(crate) fn from_restored_parts(
         row_ptr: Vec<usize>,
         col_idx: Vec<u32>,
         values: Vec<f64>,
-        schedule: Option<LevelSchedule>,
-        parallel_apply: bool,
-        apply_threads: Option<usize>,
     ) -> Self {
-        let n = row_ptr.len().saturating_sub(1);
-        let scratch = if schedule.is_some() { SharedF64::new(n) } else { SharedF64::new(0) };
-        let mut restored = Self {
-            row_ptr,
-            col_idx,
-            values,
-            schedule: schedule.map(Box::new),
-            scratch,
-            parallel_apply,
-            apply_threads,
-            applies: 0,
-        };
-        restored.drop_stale_schedule();
-        restored
+        Self { row_ptr, col_idx, values }
     }
 
-    /// Enables/disables the level-scheduled parallel triangular solves
-    /// (builder style); `false` forces the exact serial solves everywhere —
-    /// the A/B baseline, mirroring [`MultigridConfig::parallel_sweeps`].
-    /// On by default (the size gate still applies).
-    #[must_use]
-    pub fn with_parallel_apply(mut self, on: bool) -> Self {
-        self.set_parallel_apply(on);
-        self
-    }
-
-    /// In-place form of [`IncompleteCholesky::with_parallel_apply`], for
-    /// factors already cached inside a solve engine.
-    pub fn set_parallel_apply(&mut self, on: bool) {
-        self.parallel_apply = on;
-        self.drop_stale_schedule();
-    }
-
-    /// Pins the wavefront worker count (builder style), clamped to ≥ 1. An
-    /// explicit count bypasses the [`CsrMatrix::PARALLEL_NNZ_THRESHOLD`]
-    /// size gate, so tests can force multi-level scheduling (and real
-    /// thread spawning) on tiny systems even on one core.
-    #[must_use]
-    pub fn with_apply_threads(mut self, threads: usize) -> Self {
-        self.set_apply_threads(threads);
-        self
-    }
-
-    /// In-place form of [`IncompleteCholesky::with_apply_threads`].
-    pub fn set_apply_threads(&mut self, threads: usize) {
-        self.apply_threads = Some(threads.max(1));
-        self.drop_stale_schedule();
-    }
-
-    /// The worker count an apply will use right now: 1 on the serial path,
-    /// the (possibly pinned) thread count on the wavefront path.
-    pub fn apply_threads(&self) -> usize {
-        if self.runs_parallel() {
-            self.configured_threads()
-        } else {
-            1
-        }
-    }
-
-    /// Whether the next apply takes the level-scheduled parallel path
-    /// (the schedule itself is built lazily on that first apply).
-    pub fn runs_parallel(&self) -> bool {
-        self.wants_parallel()
-    }
-
-    /// Level-schedule shape statistics (levels, widest level, mean width).
-    /// Reads the stored schedule when present, otherwise counts level
-    /// widths directly — `O(nnz)` time, `O(n)` memory, no permuted factor
-    /// copies.
-    pub fn level_stats(&self) -> LevelScheduleStats {
-        let n = self.row_ptr.len() - 1;
-        let counts = match &self.schedule {
-            Some(s) => s.fwd_level_ptr.windows(2).map(|w| w[1] - w[0]).collect(),
-            None => level_row_counts(&self.row_ptr, &self.col_idx),
-        };
-        let levels = counts.len();
-        let max = counts.into_iter().max().unwrap_or(0);
-        LevelScheduleStats {
-            levels,
-            max_level_rows: max,
-            mean_level_rows: n as f64 / levels.max(1) as f64,
-        }
-    }
-
-    fn configured_threads(&self) -> usize {
-        self.apply_threads
-            .unwrap_or_else(|| hardware_threads().min(CsrMatrix::MAX_SPMV_THREADS))
-            .max(1)
-    }
-
-    /// The auto policy: both sweeps together touch ≈ nnz(A) stored values,
-    /// so the parallel path engages at the same total work as the threaded
-    /// SpMV. A pinned thread count bypasses the gate.
-    fn wants_parallel(&self) -> bool {
-        self.parallel_apply
-            && self.configured_threads() >= 2
-            && (self.apply_threads.is_some()
-                || 2 * self.values.len() >= CsrMatrix::PARALLEL_NNZ_THRESHOLD)
-    }
-
-    /// Frees the schedule (and its scratch) when the current configuration
-    /// no longer wants the parallel path; re-enabling rebuilds lazily.
-    fn drop_stale_schedule(&mut self) {
-        if !self.wants_parallel() {
-            self.schedule = None;
-            self.scratch = SharedF64::new(0);
-        }
-    }
-
-    /// Builds the level schedule on first parallel use.
-    fn ensure_schedule(&mut self) {
-        if self.schedule.is_none() {
-            self.schedule =
-                Some(Box::new(LevelSchedule::analyze(&self.row_ptr, &self.col_idx, &self.values)));
-            self.scratch = SharedF64::new(self.row_ptr.len() - 1);
-        }
-    }
-
-    /// The exact serial solves (gather forward, scatter backward in place).
+    /// The two triangular solves: gather forward, scatter backward in place.
     fn apply_serial(&self, r: &[f64], z: &mut [f64]) {
         let n = self.row_ptr.len() - 1;
         // Forward solve L y = r (gather; y lands in z).
@@ -648,46 +299,6 @@ impl IncompleteCholesky {
             }
         }
     }
-
-    /// The level-scheduled solves: one persistent worker pool per apply
-    /// (not per level), with a spin barrier between levels. Workers carve
-    /// each level into nnz-balanced contiguous blocks of the permuted
-    /// factor; the barrier (and finally the scope join) orders the levels.
-    fn apply_wavefront(&self, r: &[f64], z: &mut [f64], threads: usize) {
-        let schedule = self.schedule.as_ref().expect("wavefront apply needs a schedule");
-        let y = &self.scratch;
-        debug_assert_eq!(y.len(), z.len());
-        let levels = schedule.levels();
-        let barrier = SpinBarrier::new(threads);
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    for level in 0..levels {
-                        let (ls, le) =
-                            (schedule.fwd_level_ptr[level], schedule.fwd_level_ptr[level + 1]);
-                        let (lo, hi) =
-                            nnz_balanced_chunk(&schedule.fwd.row_ptr, ls, le, worker, threads);
-                        schedule.fwd.solve_lower_block(lo, hi, r, y);
-                        barrier.wait();
-                    }
-                    for level in 0..levels {
-                        let (ls, le) =
-                            (schedule.bwd_level_ptr[level], schedule.bwd_level_ptr[level + 1]);
-                        let (lo, hi) =
-                            nnz_balanced_chunk(&schedule.bwd.row_ptr, ls, le, worker, threads);
-                        schedule.bwd.solve_upper_block(lo, hi, y);
-                        if level + 1 < levels {
-                            barrier.wait();
-                        }
-                    }
-                });
-            }
-        });
-        for (i, zi) in z.iter_mut().enumerate() {
-            *zi = y.load(i);
-        }
-    }
 }
 
 impl Preconditioner for IncompleteCholesky {
@@ -695,13 +306,7 @@ impl Preconditioner for IncompleteCholesky {
         let n = self.row_ptr.len() - 1;
         assert_eq!(r.len(), n);
         assert_eq!(z.len(), n);
-        self.applies += 1;
-        if self.runs_parallel() {
-            self.ensure_schedule();
-            self.apply_wavefront(r, z, self.configured_threads());
-        } else {
-            self.apply_serial(r, z);
-        }
+        self.apply_serial(r, z);
     }
 
     fn name(&self) -> &'static str {
@@ -902,44 +507,6 @@ impl AnyPreconditioner {
             _ => None,
         }
     }
-
-    /// The IC(0) factor, when this is the incomplete-Cholesky variant —
-    /// benches and tests use it to inspect the level schedule behind a
-    /// cached engine.
-    pub fn as_incomplete_cholesky(&self) -> Option<&IncompleteCholesky> {
-        match self {
-            AnyPreconditioner::IncompleteCholesky(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Applies the IC(0) `parallel_apply` knob when this is the
-    /// incomplete-Cholesky variant; a no-op for the other kinds (whose
-    /// threading is governed by their own gates). Returns whether the knob
-    /// landed on an IC(0) factor.
-    pub fn set_parallel_apply(&mut self, on: bool) -> bool {
-        match self {
-            AnyPreconditioner::IncompleteCholesky(p) => {
-                p.set_parallel_apply(on);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Pins the IC(0) wavefront worker count when this is the
-    /// incomplete-Cholesky variant (forcing the level-scheduled path past
-    /// the size gate — see [`IncompleteCholesky::with_apply_threads`]); a
-    /// no-op for the other kinds. Returns whether the pin landed.
-    pub fn set_apply_threads(&mut self, threads: usize) -> bool {
-        match self {
-            AnyPreconditioner::IncompleteCholesky(p) => {
-                p.set_apply_threads(threads);
-                true
-            }
-            _ => false,
-        }
-    }
 }
 
 impl Preconditioner for AnyPreconditioner {
@@ -1110,153 +677,6 @@ mod tests {
         let a = std::sync::Arc::new(laplacian_1d(10));
         let _s = Ssor::shared(std::sync::Arc::clone(&a), 1.0).unwrap();
         assert_eq!(std::sync::Arc::strong_count(&a), 2);
-    }
-
-    /// 3-D 7-point SPD stencil with mildly varying conductances — the FVM
-    /// system shape, small enough for forced-schedule tests.
-    fn stencil_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
-        let n = nx * ny * nz;
-        let mut b = TripletBuilder::with_capacity(n, n, 7 * n);
-        let idx = |i: usize, j: usize, k: usize| (k * ny + j) * nx + i;
-        let mut diag = vec![0.0; n];
-        for k in 0..nz {
-            for j in 0..ny {
-                for i in 0..nx {
-                    let c = idx(i, j, k);
-                    let mut couple = |d: usize, g: f64| {
-                        b.add(c, d, -g);
-                        b.add(d, c, -g);
-                        diag[c] += g;
-                        diag[d] += g;
-                    };
-                    if i + 1 < nx {
-                        couple(idx(i + 1, j, k), 0.4 + 0.3 * ((c * 3) as f64 * 0.7).sin().abs());
-                    }
-                    if j + 1 < ny {
-                        couple(idx(i, j + 1, k), 0.2 + 0.5 * ((c * 5) as f64 * 0.3).cos().abs());
-                    }
-                    if k + 1 < nz {
-                        couple(idx(i, j, k + 1), 0.1 + 0.2 * ((c * 7) as f64 * 0.9).sin().abs());
-                    }
-                }
-            }
-        }
-        for (c, d) in diag.iter().enumerate() {
-            b.add(c, c, d + 0.05 + 0.01 * (c as f64 * 0.11).cos().abs());
-        }
-        b.build()
-    }
-
-    #[test]
-    fn level_schedule_shape_on_known_factors() {
-        // Diagonal matrix: no dependencies, one level holding every row.
-        let mut b = TripletBuilder::new(5, 5);
-        for i in 0..5 {
-            b.add(i, i, 2.0 + i as f64);
-        }
-        let diag = IncompleteCholesky::new(&b.build()).unwrap();
-        let s = diag.level_stats();
-        assert_eq!((s.levels, s.max_level_rows), (1, 5));
-
-        // 1-D Laplacian: bidiagonal factor, strictly sequential — n levels
-        // of one row each (no wavefront parallelism to exploit).
-        let chain = IncompleteCholesky::new(&laplacian_1d(9)).unwrap();
-        let s = chain.level_stats();
-        assert_eq!((s.levels, s.max_level_rows), (9, 1));
-        assert!((s.mean_level_rows - 1.0).abs() < 1e-12);
-
-        // 3-D stencil: levels are the i+j+k wavefronts, far fewer than n.
-        let stencil = IncompleteCholesky::new(&stencil_3d(5, 4, 3)).unwrap();
-        let s = stencil.level_stats();
-        assert_eq!(s.levels, 5 + 4 + 3 - 2, "grid wavefront count");
-        assert!(s.max_level_rows > 1);
-    }
-
-    #[test]
-    fn wavefront_apply_is_bitwise_serial_for_every_worker_count() {
-        // Forced thread counts bypass the size gate and spawn real workers
-        // even on one core. The forward solve matches the serial kernel
-        // bitwise; the backward solve sums in a different order, so
-        // against serial the outputs agree to rounding, and across worker
-        // counts they agree bitwise.
-        let a = stencil_3d(6, 5, 4);
-        let mut serial = IncompleteCholesky::new(&a).unwrap().with_parallel_apply(false);
-        assert_eq!(serial.apply_threads(), 1);
-        let n = a.rows();
-        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin() * 2.0).collect();
-        let mut z_serial = vec![0.0; n];
-        serial.apply(&r, &mut z_serial);
-
-        for threads in [2, 3, 5, 8] {
-            let mut forced = IncompleteCholesky::new(&a).unwrap().with_apply_threads(threads);
-            assert!(forced.runs_parallel(), "pinned {threads} workers must take the wavefront");
-            assert_eq!(forced.apply_threads(), threads);
-            let mut z_par = vec![0.0; n];
-            forced.apply(&r, &mut z_par);
-            // The parallel backward sweep gathers over Lᵀ where the serial
-            // sweep scatters, so orderings differ only there; both solve
-            // the same triangular systems.
-            for (s, p) in z_serial.iter().zip(&z_par) {
-                let scale = s.abs().max(1.0);
-                assert!((s - p).abs() <= 1e-14 * scale, "{threads} workers: {s} vs {p}");
-            }
-            // And the wavefront itself is deterministic: every worker count
-            // produces bitwise-identical output.
-            let mut z_again = vec![0.0; n];
-            let mut two = IncompleteCholesky::new(&a).unwrap().with_apply_threads(2);
-            two.apply(&r, &mut z_again);
-            assert_eq!(z_par, z_again, "wavefront output must not depend on worker count");
-        }
-    }
-
-    #[test]
-    fn parallel_apply_knob_and_size_gate() {
-        let a = stencil_3d(4, 4, 3);
-        // Small factor + no pinned threads: the size gate keeps it serial.
-        let auto = IncompleteCholesky::new(&a).unwrap();
-        assert!(!auto.runs_parallel(), "below the nnz gate the apply stays exact-serial");
-        // Pinning workers forces the schedule; the knob drops it again.
-        let mut forced = auto.clone().with_apply_threads(4);
-        assert!(forced.runs_parallel());
-        forced.set_parallel_apply(false);
-        assert!(!forced.runs_parallel(), "parallel_apply = false is the serial A/B baseline");
-        assert_eq!(forced.apply_threads(), 1);
-        forced.set_parallel_apply(true);
-        assert!(forced.runs_parallel(), "re-enabling restores the pinned wavefront");
-        // The enum-level knob reaches a cached IC(0) and ignores others.
-        let mut any = PreconditionerKind::IncompleteCholesky.build(&a).unwrap();
-        assert!(any.set_parallel_apply(false));
-        assert!(any.as_incomplete_cholesky().is_some());
-        let mut jac = PreconditionerKind::Jacobi.build(&a).unwrap();
-        assert!(!jac.set_parallel_apply(false));
-        assert!(jac.as_incomplete_cholesky().is_none());
-    }
-
-    #[test]
-    fn wavefront_ic0_preconditions_cg_to_the_same_field() {
-        use crate::solver::{preconditioned_cg, CgWorkspace, SolveOptions};
-        let a = stencil_3d(6, 6, 3);
-        let n = a.rows();
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).sin()).collect();
-        let rhs = a.mul_vec(&x_true).unwrap();
-        let opts = SolveOptions { tolerance: 1e-12, ..Default::default() };
-        let mut fields = Vec::new();
-        let mut iterations = Vec::new();
-        for m in [
-            IncompleteCholesky::new(&a).unwrap().with_parallel_apply(false),
-            IncompleteCholesky::new(&a).unwrap().with_apply_threads(3),
-        ] {
-            let mut m = m;
-            let mut x = vec![0.0; n];
-            let mut ws = CgWorkspace::new();
-            let stats = preconditioned_cg(&a, &rhs, &mut x, &mut m, &opts, &mut ws).unwrap();
-            fields.push(x);
-            iterations.push(stats.iterations);
-        }
-        assert_eq!(iterations[0], iterations[1], "same preconditioner, same trajectory");
-        for (s, p) in fields[0].iter().zip(&fields[1]) {
-            assert!((s - p).abs() < 1e-10, "serial {s} vs wavefront {p}");
-        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! the standard representation; duplicate triplets are summed, which matches
 //! how FVM assembly naturally emits one contribution per face.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::block_solver::BlockVector;
@@ -29,191 +28,6 @@ pub fn hardware_threads() -> usize {
             std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
         })
     })
-}
-
-/// A scratch vector of `f64` values shared across the wavefront workers of
-/// a level-scheduled triangular solve, stored as relaxed `AtomicU64` bit
-/// patterns. Safe-Rust stand-in for scattered disjoint writes: within one
-/// level every slot is written by exactly one worker, and the level barrier
-/// (or the scope join) orders those writes before any cross-level read, so
-/// relaxed loads/stores are sufficient.
-pub(crate) struct SharedF64(Vec<AtomicU64>);
-
-impl SharedF64 {
-    pub fn new(len: usize) -> Self {
-        Self((0..len).map(|_| AtomicU64::new(0)).collect())
-    }
-
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    #[inline]
-    pub fn load(&self, i: usize) -> f64 {
-        // ORDER: cross-level visibility comes from the level barrier (or
-        // scope join); within a level each slot has exactly one writer.
-        f64::from_bits(self.0[i].load(Ordering::Relaxed))
-    }
-
-    #[inline]
-    pub fn store(&self, i: usize, v: f64) {
-        // ORDER: disjoint slots per worker within a level; the barrier's
-        // release/acquire pair publishes the bits to the next level.
-        self.0[i].store(v.to_bits(), Ordering::Relaxed);
-    }
-}
-
-impl std::fmt::Debug for SharedF64 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SharedF64(len = {})", self.0.len())
-    }
-}
-
-impl Clone for SharedF64 {
-    fn clone(&self) -> Self {
-        // Scratch contents are transient per apply; a clone only needs the
-        // capacity, not the bits.
-        Self::new(self.0.len())
-    }
-}
-
-/// A sense-reversing spin barrier for the wavefront solves: `members`
-/// threads synchronize once per dependency level, thousands of times per
-/// second, which is exactly the regime where the mutex/condvar
-/// [`std::sync::Barrier`] pays a wakeup latency per level that can exceed
-/// the level's work. Spins briefly, then yields (so an oversubscribed or
-/// single-core machine still makes progress).
-pub(crate) struct SpinBarrier {
-    members: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    pub fn new(members: usize) -> Self {
-        assert!(members > 0, "barrier needs at least one member");
-        Self { members, arrived: AtomicUsize::new(0), generation: AtomicUsize::new(0) }
-    }
-
-    /// Blocks until all `members` threads have called `wait` for the
-    /// current generation. Release/acquire on the generation counter makes
-    /// every write before the barrier visible after it.
-    pub fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.members {
-            // Last arrival: reset the count, then open the next generation.
-            // Waiters only touch `arrived` again after observing the bump,
-            // so the reset cannot race their increments.
-            // ORDER: the generation store below is the publishing release;
-            // the reset itself needs no ordering of its own.
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation.store(generation + 1, Ordering::Release);
-            return;
-        }
-        let mut spins = 0u32;
-        while self.generation.load(Ordering::Acquire) == generation {
-            spins += 1;
-            if spins < 1 << 12 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-/// The nnz-balanced sub-range of permuted rows `[level_start, level_end)`
-/// assigned to `worker` of `workers`, computed from cumulative non-zero
-/// counts exactly like [`CsrMatrix::nnz_balanced_rows`] — every worker
-/// derives the same boundaries independently, so no coordination is needed.
-pub(crate) fn nnz_balanced_chunk(
-    row_ptr: &[usize],
-    level_start: usize,
-    level_end: usize,
-    worker: usize,
-    workers: usize,
-) -> (usize, usize) {
-    let base = row_ptr[level_start];
-    let total = row_ptr[level_end] - base;
-    let bound = |t: usize| -> usize {
-        if t == 0 {
-            return level_start;
-        }
-        if t >= workers {
-            return level_end;
-        }
-        let target = base + total * t / workers;
-        (level_start + row_ptr[level_start..level_end].partition_point(|&p| p < target))
-            .min(level_end)
-    };
-    (bound(worker), bound(worker + 1))
-}
-
-/// A triangular factor whose rows are permuted into wavefront (dependency
-/// level) processing order: position `p` holds natural row `rows[p]`, with
-/// its stored entries at `row_ptr[p]..row_ptr[p + 1]` (column indices stay
-/// natural). Rows of one level are contiguous, so the level scheduler
-/// dispatches contiguous row-range micro-kernels whose factor reads stream
-/// sequentially — cache-friendly instead of gather-heavy — while the
-/// solution vector stays in natural ordering.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WavefrontFactor {
-    pub row_ptr: Vec<usize>,
-    /// Natural row index of each permuted position.
-    pub rows: Vec<u32>,
-    pub col_idx: Vec<u32>,
-    pub values: Vec<f64>,
-}
-
-impl WavefrontFactor {
-    /// Gathers the rows of a triangular CSR factor in `order` into a
-    /// contiguous permuted copy.
-    pub fn gather(order: &[u32], row_ptr: &[usize], col_idx: &[u32], values: &[f64]) -> Self {
-        let mut out_ptr = Vec::with_capacity(order.len() + 1);
-        let mut out_idx = Vec::with_capacity(values.len());
-        let mut out_val = Vec::with_capacity(values.len());
-        out_ptr.push(0);
-        for &r in order {
-            let (lo, hi) = (row_ptr[r as usize], row_ptr[r as usize + 1]);
-            out_idx.extend_from_slice(&col_idx[lo..hi]);
-            out_val.extend_from_slice(&values[lo..hi]);
-            out_ptr.push(out_val.len());
-        }
-        Self { row_ptr: out_ptr, rows: order.to_vec(), col_idx: out_idx, values: out_val }
-    }
-
-    /// Forward-substitution micro-kernel over the contiguous permuted row
-    /// range `lo..hi` of a *lower*-triangular factor (diagonal stored last
-    /// in each row): `y[i] = (r[i] − Σ_k l_ik · y[k]) / l_ii`. Every `y`
-    /// slot it reads belongs to an earlier dependency level, every slot it
-    /// writes belongs to the current one.
-    pub fn solve_lower_block(&self, lo: usize, hi: usize, r: &[f64], y: &SharedF64) {
-        for p in lo..hi {
-            let (s, e) = (self.row_ptr[p], self.row_ptr[p + 1]);
-            let i = self.rows[p] as usize;
-            let mut acc = r[i];
-            for k in s..e - 1 {
-                acc -= self.values[k] * y.load(self.col_idx[k] as usize);
-            }
-            y.store(i, acc / self.values[e - 1]);
-        }
-    }
-
-    /// Backward-substitution micro-kernel over the contiguous permuted row
-    /// range `lo..hi` of an *upper*-triangular factor (diagonal stored
-    /// first in each row), in place over `y`:
-    /// `y[i] = (y[i] − Σ_j u_ij · y[j]) / u_ii`.
-    pub fn solve_upper_block(&self, lo: usize, hi: usize, y: &SharedF64) {
-        for p in lo..hi {
-            let (s, e) = (self.row_ptr[p], self.row_ptr[p + 1]);
-            let i = self.rows[p] as usize;
-            let mut acc = y.load(i);
-            for k in s + 1..e {
-                acc -= self.values[k] * y.load(self.col_idx[k] as usize);
-            }
-            y.store(i, acc / self.values[s]);
-        }
-    }
 }
 
 /// Accumulates `(row, col, value)` triplets and compacts them into a
@@ -1195,83 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn nnz_balanced_chunks_cover_and_partition_the_level() {
-        // Skewed row weights so the nnz balancing actually shifts bounds.
-        let row_ptr = [0usize, 10, 11, 12, 13, 14, 30];
-        for workers in [1, 2, 3, 8] {
-            let mut expected = 1; // level [1, 6)
-            for w in 0..workers {
-                let (lo, hi) = nnz_balanced_chunk(&row_ptr, 1, 6, w, workers);
-                assert_eq!(lo, expected, "chunks must tile the level");
-                assert!(hi >= lo);
-                expected = hi;
-            }
-            assert_eq!(expected, 6, "chunks must cover the level");
-        }
-    }
-
-    #[test]
-    fn spin_barrier_orders_writes_across_members() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let members = 4;
-        let barrier = SpinBarrier::new(members);
-        let hits = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..members {
-                scope.spawn(|| {
-                    for round in 1..=3usize {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        barrier.wait();
-                        // Every member observes all increments of the round.
-                        assert_eq!(hits.load(Ordering::Relaxed), members * round);
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn wavefront_blocks_solve_a_bidiagonal_factor() {
-        // L from the 1-D Laplacian Cholesky-like shape: diag 2, sub -1.
-        let n = 6;
-        let mut b = TripletBuilder::new(n, n);
-        for i in 0..n {
-            b.add(i, i, 2.0);
-            if i > 0 {
-                b.add(i, i - 1, -1.0);
-            }
-        }
-        let l = b.build();
-        let order: Vec<u32> = (0..n as u32).collect();
-        let fwd = WavefrontFactor::gather(&order, &l.row_ptr, &l.col_idx, &l.values);
-        let r: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        let y = SharedF64::new(n);
-        // A bidiagonal factor has strictly sequential levels: one row each.
-        for i in 0..n {
-            fwd.solve_lower_block(i, i + 1, &r, &y);
-        }
-        // Check L y = r by substitution.
-        for (i, ri) in r.iter().enumerate() {
-            let got = 2.0 * y.load(i) - if i > 0 { y.load(i - 1) } else { 0.0 };
-            assert!((got - ri).abs() < 1e-12, "row {i}: {got} vs {ri}");
-        }
-        // Upper solve on Lᵀ (diag first) back-substitutes in place.
-        let u = l.transpose();
-        let rev: Vec<u32> = (0..n as u32).rev().collect();
-        let bwd = WavefrontFactor::gather(&rev, &u.row_ptr, &u.col_idx, &u.values);
-        let before: Vec<f64> = (0..n).map(|i| y.load(i)).collect();
-        for p in 0..n {
-            bwd.solve_upper_block(p, p + 1, &y);
-        }
-        for (i, bi) in before.iter().enumerate() {
-            let got = 2.0 * y.load(i) - if i + 1 < n { y.load(i + 1) } else { 0.0 };
-            assert!((got - bi).abs() < 1e-12, "col {i}: {got} vs {bi}");
-        }
-        assert_eq!(y.len(), n);
-    }
-
-    #[test]
     fn validate_accepts_built_matrices() {
         let a = laplacian_1d(8);
         a.validate().unwrap();
@@ -1405,69 +1142,6 @@ mod tests {
                     b.add(c % n, r % n, v);
                 }
                 prop_assert!(b.build().validate_symmetric().is_ok());
-            }
-        }
-    }
-
-    /// Interleaving stress for the wavefront primitives (PR 6 satellite):
-    /// 2–8 workers chain level computations through [`SharedF64`] with a
-    /// [`SpinBarrier`] between levels, while a per-worker schedule injects
-    /// `thread::yield_now` at the barrier boundaries. Whatever the OS
-    /// schedule does, the float pipeline must come out bitwise identical —
-    /// the determinism claim the level-scheduled IC(0) solves rely on.
-    #[test]
-    fn barrier_and_shared_f64_are_schedule_independent() {
-        const LEVELS: usize = 6;
-        const REPS: usize = 100;
-        // Bitwise reference per worker count (workers change the sums).
-        let mut reference: [Option<Vec<u64>>; 7] = Default::default();
-        for rep in 0..REPS {
-            let workers = 2 + rep % 7;
-            // Deterministic LCG so failures replay; different stream per rep.
-            let mut state = 0x9e37_79b9_7f4a_7c15u64.wrapping_add(rep as u64);
-            let mut lcg = || {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                state >> 16
-            };
-            let yield_bits: Vec<u64> = (0..workers).map(|_| lcg()).collect();
-            let shared = SharedF64::new(workers * (LEVELS + 1));
-            for w in 0..workers {
-                shared.store(w, 1.0 + w as f64);
-            }
-            let barrier = SpinBarrier::new(workers);
-            std::thread::scope(|s| {
-                for (w, &bits) in yield_bits.iter().enumerate() {
-                    let (shared, barrier) = (&shared, &barrier);
-                    s.spawn(move || {
-                        for level in 1..=LEVELS {
-                            // Reads of level-1 slots are ordered by the
-                            // previous barrier (or the scope spawn).
-                            let base = (level - 1) * workers;
-                            let mut acc = 0.0f64;
-                            for k in 0..workers {
-                                acc += shared.load(base + k) * (1.0 + 1e-9 * (k + 1) as f64);
-                            }
-                            shared.store(level * workers + w, acc * (1.0 + 1e-12 * w as f64));
-                            if bits >> (2 * level) & 1 == 1 {
-                                std::thread::yield_now();
-                            }
-                            barrier.wait();
-                            if bits >> (2 * level + 1) & 1 == 1 {
-                                std::thread::yield_now();
-                            }
-                        }
-                    });
-                }
-            });
-            let bits: Vec<u64> = (0..shared.len()).map(|i| shared.load(i).to_bits()).collect();
-            match &reference[workers - 2] {
-                None => reference[workers - 2] = Some(bits),
-                Some(expected) => assert_eq!(
-                    expected, &bits,
-                    "schedule changed the bits for {workers} workers at rep {rep}"
-                ),
             }
         }
     }

@@ -7,8 +7,8 @@ use vcsel_numerics::solver::{
 };
 use vcsel_numerics::{
     block_preconditioned_cg, golden_section_min, grid_argmin, BlockCgWorkspace, BlockVector,
-    CsrMatrix, IncompleteCholesky, Interp1d, Multigrid, MultigridConfig, Preconditioner,
-    PreconditionerKind, TripletBuilder,
+    CsrMatrix, Interp1d, Multigrid, MultigridConfig, Preconditioner, PreconditionerKind,
+    TripletBuilder,
 };
 
 /// Random SPD stencil matrix: a 2-D 5-point grid Laplacian with per-edge
@@ -281,44 +281,6 @@ proptest! {
             "V-cycle not symmetric: {} vs {}", dot(&u, &mv), dot(&v, &mu)
         );
         prop_assert!(dot(&u, &mu) > 0.0 && dot(&v, &mv) > 0.0, "V-cycle not positive definite");
-    }
-
-    #[test]
-    fn level_scheduled_ic0_apply_matches_serial_on_random_stencils(
-        nx in 3usize..8,
-        ny in 3usize..8,
-        nz in 2usize..6,
-        threads in 2usize..6,
-        seed in proptest::collection::vec(-2.0f64..2.0, 64),
-        rhs_seed in proptest::collection::vec(-5.0f64..5.0, 343),
-    ) {
-        // The wavefront (level-scheduled) IC(0) apply must reproduce the
-        // serial triangular solves on random 3-D 7-point SPD stencils,
-        // whatever the conductance draw. Pinning the worker count forces
-        // multi-level scheduling — and real thread spawning — even on one
-        // core and even below the size gate.
-        let a = random_spd_stencil_3d(nx, ny, nz, &seed);
-        let n = nx * ny * nz;
-        let r: Vec<f64> = rhs_seed.iter().take(n).cloned().collect();
-
-        let mut serial = IncompleteCholesky::new(&a).expect("factors")
-            .with_parallel_apply(false);
-        let mut wavefront = IncompleteCholesky::new(&a).expect("factors")
-            .with_apply_threads(threads);
-        prop_assert!(!serial.runs_parallel());
-        prop_assert!(wavefront.runs_parallel());
-
-        let mut z_serial = vec![0.0; n];
-        let mut z_wave = vec![0.0; n];
-        serial.apply(&r, &mut z_serial);
-        wavefront.apply(&r, &mut z_wave);
-        let scale = z_serial.iter().map(|v| v.abs()).fold(1.0f64, f64::max);
-        for (s, w) in z_serial.iter().zip(&z_wave) {
-            // 1e-15 relative: the two backward sweeps only differ in
-            // summation order (gather over Lᵀ vs scatter over L).
-            prop_assert!((s - w).abs() <= 1e-15 * scale,
-                "serial {s} vs level-scheduled {w} (scale {scale})");
-        }
     }
 
     #[test]

@@ -414,10 +414,6 @@ impl SolveContext {
     /// Re-factors with a different preconditioner (builder style; benches
     /// use this to ablate Jacobi vs SSOR vs IC(0) on identical systems).
     ///
-    /// Re-factoring replaces the whole preconditioner, including any
-    /// apply-knob state — call [`SolveContext::with_parallel_apply`] /
-    /// [`SolveContext::with_apply_threads`] *after* this, not before.
-    ///
     /// # Errors
     ///
     /// Propagates factorization failures for the requested kind.
@@ -425,35 +421,6 @@ impl SolveContext {
         self.ladder = SolveLadder::new(&self.matrix, &escalation_chain(kind), true)
             .map_err(ThermalError::from)?;
         Ok(self)
-    }
-
-    /// Enables/disables the level-scheduled parallel IC(0) triangular
-    /// solves on the cached factor (builder style; on by default, with the
-    /// usual size gate). No effect unless the active preconditioner is
-    /// IC(0) — multigrid threads through `MultigridConfig::parallel_sweeps`,
-    /// and SSOR is serial. The
-    /// `false` setting is the serial A/B baseline `perf_record` measures
-    /// the threaded apply against.
-    #[must_use]
-    pub fn with_parallel_apply(mut self, on: bool) -> Self {
-        self.set_parallel_apply(on);
-        self
-    }
-
-    /// In-place form of [`SolveContext::with_parallel_apply`]; returns
-    /// whether the knob landed on a cached IC(0) factor.
-    pub fn set_parallel_apply(&mut self, on: bool) -> bool {
-        self.ladder.set_parallel_apply(on)
-    }
-
-    /// Pins the IC(0) wavefront worker count (builder style), forcing the
-    /// level-scheduled apply past its size gate — so tests and benches can
-    /// exercise the threaded path deterministically on any machine. No
-    /// effect on non-IC(0) preconditioners.
-    #[must_use]
-    pub fn with_apply_threads(mut self, threads: usize) -> Self {
-        self.ladder.set_apply_threads(threads);
-        self
     }
 
     /// The assembled conduction operator. Shared, not owned: the same
@@ -1104,34 +1071,6 @@ mod tests {
         for (x, y) in a.temperatures().iter().zip(b.temperatures()) {
             assert!((x - y).abs() < 1e-6, "ic0 {x} vs multigrid {y}");
         }
-    }
-
-    #[test]
-    fn level_scheduled_apply_matches_serial_on_the_slab() {
-        // Forcing the wavefront worker count pushes the cached IC(0)
-        // factor onto the level-scheduled path even on one core and below
-        // the size gate; the solved field must match the serial engine.
-        let (design, spec) = grouped_slab();
-        let mut serial = SolveContext::new(&design, &spec).unwrap().with_parallel_apply(false);
-        let mut wavefront = SolveContext::new(&design, &spec).unwrap().with_apply_threads(3);
-        assert!(
-            wavefront.preconditioner().as_incomplete_cholesky().unwrap().runs_parallel(),
-            "pinned workers must force the level-scheduled apply"
-        );
-        let a = serial.solve().unwrap();
-        let b = wavefront.solve().unwrap();
-        for (x, y) in a.temperatures().iter().zip(b.temperatures()) {
-            assert!((x - y).abs() < 1e-6, "serial {x} vs level-scheduled {y}");
-        }
-        // Identical preconditioner arithmetic: identical CG trajectory.
-        assert_eq!(serial.last_iterations(), wavefront.last_iterations());
-        // The knob only lands on IC(0) engines.
-        assert!(serial.set_parallel_apply(true));
-        let mut jacobi = SolveContext::new(&design, &spec)
-            .unwrap()
-            .with_preconditioner(PreconditionerKind::Jacobi)
-            .unwrap();
-        assert!(!jacobi.set_parallel_apply(false));
     }
 
     #[test]

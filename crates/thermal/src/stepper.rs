@@ -20,9 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vcsel_numerics::solver::{CgWorkspace, SolveOptions};
-use vcsel_numerics::{
-    AnyPreconditioner, CsrMatrix, NumericsError, PreconditionerKind, SolveLadder, TripletBuilder,
-};
+use vcsel_numerics::{CsrMatrix, NumericsError, PreconditionerKind, SolveLadder, TripletBuilder};
 use vcsel_telemetry::{ArgValue, TelemetrySink};
 use vcsel_units::{Celsius, Meters};
 
@@ -188,11 +186,6 @@ impl TransientStepper {
     /// is IC(0); benches use this to reproduce the seed-era Jacobi path on
     /// an otherwise identical stepper.
     ///
-    /// Re-factoring replaces the whole preconditioner, including any
-    /// apply-knob state — call
-    /// [`TransientStepper::with_parallel_apply`] /
-    /// [`TransientStepper::with_apply_threads`] *after* this, not before.
-    ///
     /// # Errors
     ///
     /// Propagates factorization failures for the requested kind.
@@ -211,39 +204,9 @@ impl TransientStepper {
         self
     }
 
-    /// Enables/disables the level-scheduled parallel triangular solves of
-    /// the cached IC(0) factor that every step's CG applies (builder
-    /// style; on by default, with the usual size gate). No effect when a
-    /// non-IC(0) preconditioner was installed via
-    /// [`TransientStepper::with_preconditioner`]. The `false` setting is
-    /// the serial A/B baseline for the threaded-apply transient rows in
-    /// `BENCH_solvers.json`.
-    #[must_use]
-    pub fn with_parallel_apply(mut self, on: bool) -> Self {
-        self.ladder.set_parallel_apply(on);
-        self
-    }
-
-    /// Pins the IC(0) wavefront worker count (builder style), forcing the
-    /// level-scheduled apply past its size gate — so tests and benches can
-    /// exercise the threaded path deterministically on any machine. No
-    /// effect on non-IC(0) preconditioners.
-    #[must_use]
-    pub fn with_apply_threads(mut self, threads: usize) -> Self {
-        self.ladder.set_apply_threads(threads);
-        self
-    }
-
     /// The controllable group names, sorted.
     pub fn groups(&self) -> Vec<&str> {
         self.group_power.keys().map(String::as_str).collect()
-    }
-
-    /// The active per-step preconditioner, for inspection by benches and
-    /// tests (e.g. reading the IC(0) level-schedule statistics behind a
-    /// cached stepper).
-    pub fn preconditioner(&self) -> &AnyPreconditioner {
-        self.ladder.active_preconditioner()
     }
 
     /// Health report of the most recent step's solve: ladder attempts,
@@ -570,35 +533,6 @@ mod tests {
             seed.total_iterations()
         );
         assert!(engine.last_iterations() <= engine.total_iterations());
-    }
-
-    #[test]
-    fn level_scheduled_apply_reproduces_the_serial_trajectory() {
-        // The wavefront IC(0) apply inside every step's CG must not move
-        // the integrated trajectory: pin the worker count (forcing the
-        // threaded path even on one core) and compare against the serial
-        // A/B baseline over a power transient.
-        let (design, spec) = grouped_slab();
-        let probe = [mm(2.0), mm(2.0), mm(0.1)];
-        let mut serial = TransientStepper::new(&design, &spec, Celsius::new(40.0), 5e-3)
-            .unwrap()
-            .with_parallel_apply(false);
-        let mut wavefront = TransientStepper::new(&design, &spec, Celsius::new(40.0), 5e-3)
-            .unwrap()
-            .with_apply_threads(3);
-        for step in 0..30 {
-            let scale = if step < 15 { 1.5 } else { 0.25 };
-            serial.step(&[("src", scale)]).unwrap();
-            wavefront.step(&[("src", scale)]).unwrap();
-        }
-        let a = serial.temperature_at(probe).unwrap().value();
-        let b = wavefront.temperature_at(probe).unwrap().value();
-        assert!((a - b).abs() < 1e-9, "serial {a} vs level-scheduled {b}");
-        assert_eq!(
-            serial.total_iterations(),
-            wavefront.total_iterations(),
-            "identical preconditioner arithmetic must give identical CG trajectories"
-        );
     }
 
     #[test]

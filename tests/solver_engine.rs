@@ -5,7 +5,8 @@
 //! IC(0) preconditioner exists for. These tests pin the engine's two core
 //! claims on that system: preconditioning strength (IC(0)-CG needs at most
 //! half the iterations of Jacobi-CG) and answer invariance (every
-//! preconditioner and the warm-start path agree with the one-shot solver).
+//! preconditioner and the warm-start path agree with the one-shot solver,
+//! and IC(0) solves take the same iterations at every worker count).
 
 use vcsel_arch::{SccConfig, SccSystem};
 use vcsel_thermal::{PreconditionerKind, Simulator, SolveContext, TransientStepper};
@@ -62,35 +63,32 @@ fn cached_engine_matches_the_one_shot_simulator_on_the_scc_system() {
 
 #[test]
 fn threaded_and_serial_transient_steppers_agree_on_the_scc_mesh() {
-    // The 200-step transient of `BENCH_solvers.json` runs two IC(0)
-    // triangular solves inside every CG iteration; the level-scheduled
-    // (wavefront) parallel apply must not move the trajectory. Pinning the
-    // worker count forces the threaded path even on a single-core machine,
-    // so this pins serial-vs-parallel agreement on the real case-study
-    // system, not just on synthetic stencils.
+    // IC(0) applies its two triangular solves serially. The only threaded
+    // kernels left on this path are the SpMV and the Jacobi scaling, and
+    // each computes every entry exactly as its serial loop does. So any
+    // worker count must reproduce these iteration counts and field bits;
+    // CI runs this file under VCSEL_THREADS=1 and VCSEL_THREADS=2.
     let (system, spec) = tiny_system();
     let design = system.design();
+    let mut ctx = SolveContext::new(design, &spec).expect("context");
+    ctx.solve().expect("cold ic0 solve");
+    assert_eq!(ctx.last_iterations(), 220, "cold tiny-mesh IC(0) iterations");
+
     let groups: Vec<String> = design.group_names().iter().map(|g| g.to_string()).collect();
     let scales: Vec<(&str, f64)> = groups.iter().map(|g| (g.as_str(), 1.0)).collect();
-
-    let mut serial = TransientStepper::new(design, &spec, Celsius::new(40.0), 1e-2)
-        .expect("stepper builds")
-        .with_parallel_apply(false);
-    let mut wavefront = TransientStepper::new(design, &spec, Celsius::new(40.0), 1e-2)
-        .expect("stepper builds")
-        .with_apply_threads(4);
-    for _ in 0..10 {
-        serial.step(&scales).expect("serial step");
-        wavefront.step(&scales).expect("wavefront step");
+    let mut fields = Vec::new();
+    for _ in 0..2 {
+        let mut stepper =
+            TransientStepper::new(design, &spec, Celsius::new(40.0), 1e-2).expect("stepper builds");
+        for _ in 0..10 {
+            stepper.step(&scales).expect("transient step");
+        }
+        assert_eq!(stepper.total_iterations(), 999, "10-step transient IC(0) iterations");
+        fields.push(stepper.snapshot());
     }
-    let (hot_s, hot_w) =
-        (serial.snapshot().hottest().1.value(), wavefront.snapshot().hottest().1.value());
-    assert!((hot_s - hot_w).abs() < 1e-6, "serial {hot_s} vs level-scheduled {hot_w}");
-    assert_eq!(
-        serial.total_iterations(),
-        wavefront.total_iterations(),
-        "identical preconditioner arithmetic must give identical CG trajectories"
-    );
+    for (a, b) in fields[0].temperatures().iter().zip(fields[1].temperatures()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "stepper fields differ: {a} vs {b}");
+    }
 }
 
 #[test]
