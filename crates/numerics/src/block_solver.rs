@@ -5,7 +5,10 @@
 //! time re-reads the ~12 bytes/nonzero operator once per column per
 //! iteration; [`block_preconditioned_cg`] instead runs k *independent* CG
 //! recurrences in lockstep and serves every iteration's k matvecs from
-//! **one sweep** of the operator ([`CsrMatrix::multiply_block_into`]).
+//! **one sweep** of the operator ([`CsrMatrix::multiply_block_into`]) and
+//! its k preconditioner applies from one
+//! [`Preconditioner::apply_columns`] call — for IC(0), one pass over the
+//! factor.
 //!
 //! "Independent" is the load-bearing word: unlike classical block-CG, the
 //! columns share no Krylov space — each keeps its own direction, step and
@@ -106,6 +109,34 @@ impl BlockVector {
         self.data.fill(value);
     }
 
+    /// The `W` listed columns as slices, in list order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `list` has fewer than `W` entries or names a column out
+    /// of range.
+    pub(crate) fn listed<const W: usize>(&self, list: &[usize]) -> [&[f64]; W] {
+        std::array::from_fn(|c| self.column(list[c]))
+    }
+
+    /// The `W` listed columns as disjoint mutable slices, in list order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `list` names exactly `W` distinct in-range columns.
+    pub(crate) fn listed_mut<const W: usize>(&mut self, list: &[usize]) -> [&mut [f64]; W] {
+        assert_eq!(list.len(), W, "listed_mut needs exactly W columns");
+        let n = self.n;
+        let mut out: [&mut [f64]; W] = std::array::from_fn(|_| Default::default());
+        for (j, column) in self.data.chunks_exact_mut(n.max(1)).enumerate() {
+            if let Some(slot) = list.iter().position(|&c| c == j) {
+                out[slot] = column;
+            }
+        }
+        assert!(out.iter().all(|c| c.len() == n), "listed columns must be distinct and in range");
+        out
+    }
+
     /// The raw column-major storage (used by the threaded block SpMV to
     /// hand disjoint row bands of every column to workers).
     pub(crate) fn data_mut(&mut self) -> &mut [f64] {
@@ -170,9 +201,10 @@ impl BlockCgWorkspace {
     }
 
     /// Operator sweeps ([`CsrMatrix::multiply_block_into`] calls) the most
-    /// recent solve performed. This is the number of times the operator's
-    /// nonzeros were streamed from memory — the quantity one block sweep
-    /// amortizes over all active columns.
+    /// recent solve performed. With up to eight active columns this is the
+    /// number of times the operator's nonzeros were streamed from memory —
+    /// the quantity one block sweep amortizes over all active columns (a
+    /// wider block streams them once per eight columns).
     pub fn operator_sweeps(&self) -> u64 {
         self.operator_sweeps
     }
@@ -184,8 +216,12 @@ impl BlockCgWorkspace {
         self.column_sweeps
     }
 
-    /// Scalar preconditioner applications (one per active column per
-    /// iteration; the preconditioner is *not* amortized by blocking).
+    /// Preconditioner applications, counted per column: one per active
+    /// column per iteration, however many columns one
+    /// [`Preconditioner::apply_columns`] call serves. Whether blocking
+    /// amortizes them depends on the preconditioner: IC(0) reads its
+    /// factor once per call for the whole active set; the others apply
+    /// column by column.
     pub fn preconditioner_applies(&self) -> u64 {
         self.precond_applies
     }
@@ -240,9 +276,10 @@ fn deflate(
 /// count and residual are **bitwise identical** to the scalar solver. What
 /// the block form changes is purely the memory traffic: each iteration's k
 /// matvecs ride one sweep of the operator
-/// ([`CsrMatrix::multiply_block_into`]), and columns that stop (converged,
-/// stalled, diverged) are deflated out of the packed block so the
-/// remaining sweeps shrink. Because the columns share no Krylov space,
+/// ([`CsrMatrix::multiply_block_into`]), its k preconditioner applies one
+/// [`Preconditioner::apply_columns`] call, and columns that stop
+/// (converged, stalled, diverged) are deflated out of the packed block so
+/// the remaining sweeps shrink. Because the columns share no Krylov space,
 /// duplicate (rank-deficient) right-hand sides are harmless — each copy
 /// just traces the same recurrence.
 ///
@@ -395,11 +432,11 @@ pub fn block_preconditioned_cg<P: Preconditioner + ?Sized>(
         }
     }
 
-    // z = M⁻¹ r, p = z, rz = ⟨r, z⟩ — scalar setup, column at a time.
+    // z = M⁻¹ r for the whole active set, then p = z, rz = ⟨r, z⟩.
+    m.apply_columns(&ws.r, &mut ws.z, &ws.active);
+    ws.precond_applies += m0 as u64;
     for s in 0..m0 {
         let j = ws.active[s];
-        m.apply(ws.r.column(j), ws.z.column_mut(j));
-        ws.precond_applies += 1;
         ws.p.column_mut(s).copy_from_slice(ws.z.column(j));
         ws.rz[j] = dot(ws.r.column(j), ws.z.column(j));
     }
@@ -443,6 +480,9 @@ pub fn block_preconditioned_cg<P: Preconditioner + ?Sized>(
         ws.operator_sweeps += 1;
         ws.column_sweeps += width as u64;
 
+        // Step every active column, precondition them all in one call,
+        // then turn every direction. Each column keeps the scalar order of
+        // operations; only the interleaving across columns changes.
         for s in 0..width {
             let j = ws.active[s];
             let pap = dot(ws.p.column(s), ws.ap.column(s));
@@ -450,18 +490,19 @@ pub fn block_preconditioned_cg<P: Preconditioner + ?Sized>(
                 return Err(indefinite_matrix_error(pap));
             }
             let alpha = ws.rz[j] / pap;
-            {
-                let xj = x.column_mut(j);
-                let rj = ws.r.column_mut(j);
-                let ps = ws.p.column(s);
-                let aps = ws.ap.column(s);
-                for (i, xi) in xj.iter_mut().enumerate() {
-                    *xi += alpha * ps[i];
-                    rj[i] -= alpha * aps[i];
-                }
+            let xj = x.column_mut(j);
+            let rj = ws.r.column_mut(j);
+            let ps = ws.p.column(s);
+            let aps = ws.ap.column(s);
+            for (i, xi) in xj.iter_mut().enumerate() {
+                *xi += alpha * ps[i];
+                rj[i] -= alpha * aps[i];
             }
-            m.apply(ws.r.column(j), ws.z.column_mut(j));
-            ws.precond_applies += 1;
+        }
+        m.apply_columns(&ws.r, &mut ws.z, &ws.active);
+        ws.precond_applies += width as u64;
+        for s in 0..width {
+            let j = ws.active[s];
             let rz_next = dot(ws.r.column(j), ws.z.column(j));
             let beta = rz_next / ws.rz[j];
             ws.rz[j] = rz_next;
@@ -551,21 +592,71 @@ mod tests {
 
     #[test]
     fn block_spmv_matches_scalar_per_column() {
+        // k = 1..=9 crosses the chunk boundary at CsrMatrix::BLOCK_COLUMNS.
         let a = stencil_3d(5, 4, 3);
         let n = a.rows();
-        let cols: Vec<Vec<f64>> = (0..3).map(|s| pseudo_random(n, 7 + s)).collect();
-        let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
-        let x = BlockVector::from_columns(&refs).unwrap();
-        let mut y = BlockVector::zeros(n, 3);
-        a.multiply_block_into(&x, &mut y);
-        let mut y_threaded = BlockVector::zeros(n, 3);
-        a.mul_block_into_threaded(&x, &mut y_threaded, 3);
-        for (j, col) in cols.iter().enumerate() {
-            let mut scalar = vec![0.0; n];
-            a.mul_vec_into(col, &mut scalar);
-            assert_eq!(bits(y.column(j)), bits(&scalar), "column {j} serial");
-            assert_eq!(bits(y_threaded.column(j)), bits(&scalar), "column {j} threaded");
+        for k in 1..=9u64 {
+            let cols: Vec<Vec<f64>> = (0..k).map(|s| pseudo_random(n, 7 + s)).collect();
+            let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+            let x = BlockVector::from_columns(&refs).unwrap();
+            let mut y = BlockVector::zeros(n, refs.len());
+            a.mul_block_into(&x, &mut y);
+            let mut y_threaded = BlockVector::zeros(n, refs.len());
+            a.mul_block_into_threaded(&x, &mut y_threaded, 3);
+            for (j, col) in cols.iter().enumerate() {
+                let mut scalar = vec![0.0; n];
+                a.mul_vec_into(col, &mut scalar);
+                assert_eq!(bits(y.column(j)), bits(&scalar), "k={k} column {j} serial");
+                assert_eq!(bits(y_threaded.column(j)), bits(&scalar), "k={k} column {j} threaded");
+            }
         }
+    }
+
+    #[test]
+    fn staggered_ic0_block_matches_scalar_columns_bitwise() {
+        // Nine columns (one more than a preconditioner sweep serves) with
+        // warm starts of graded quality, so columns deflate mid-solve and
+        // the active set shrinks and reorders under the multi-column apply.
+        let a = stencil_3d(7, 6, 5);
+        let n = a.rows();
+        let opts = SolveOptions { tolerance: 1e-10, ..Default::default() };
+        let mut m = IncompleteCholesky::new(&a).unwrap();
+        let mut ws_scalar = CgWorkspace::new();
+        let rhs: Vec<Vec<f64>> = (0..9).map(|c| pseudo_random(n, 31 + c)).collect();
+        let guesses: Vec<Vec<f64>> = rhs
+            .iter()
+            .enumerate()
+            .map(|(c, b)| {
+                let mut guess = vec![0.0; n];
+                let head_start = SolveOptions { max_iterations: 3 * c, ..opts };
+                preconditioned_cg(&a, b, &mut guess, &mut m, &head_start, &mut ws_scalar).unwrap();
+                guess
+            })
+            .collect();
+
+        let rhs_refs: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
+        let guess_refs: Vec<&[f64]> = guesses.iter().map(Vec::as_slice).collect();
+        let blk = BlockVector::from_columns(&rhs_refs).unwrap();
+        let mut x = BlockVector::from_columns(&guess_refs).unwrap();
+        let mut ws = BlockCgWorkspace::new();
+        let block = block_preconditioned_cg(&a, &blk, &mut x, &mut m, &opts, &mut ws).unwrap();
+
+        let mut distinct = block.iter().map(|s| s.iterations).collect::<Vec<_>>();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() > 3, "warm starts must stagger the deflations: {block:?}");
+        for (c, summary) in block.iter().enumerate() {
+            let mut x_scalar = guesses[c].clone();
+            let scalar =
+                preconditioned_cg(&a, &rhs[c], &mut x_scalar, &mut m, &opts, &mut ws_scalar)
+                    .unwrap();
+            assert!(scalar.converged && summary.converged, "column {c}");
+            assert_eq!(scalar.iterations, summary.iterations, "column {c}");
+            assert_eq!(scalar.residual.to_bits(), summary.residual.to_bits(), "column {c}");
+            assert_eq!(bits(&x_scalar), bits(x.column(c)), "column {c}");
+        }
+        let total: u64 = block.iter().map(|s| s.iterations as u64).sum();
+        assert_eq!(ws.preconditioner_applies(), total + 9, "one apply per active column");
     }
 
     #[test]

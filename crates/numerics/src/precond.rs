@@ -13,7 +13,11 @@
 //!   the strongest *one-level* option and the default for cached transient
 //!   engines, because one factorization amortizes over many right-hand
 //!   sides. Its two triangular solves run serially, so IC(0) iteration
-//!   counts and fields are the same at every worker count,
+//!   counts and fields are the same at every worker count. They multiply
+//!   by each pivot's reciprocal, and one sweep kernel serves one column
+//!   ([`Preconditioner::apply`]) or several at once
+//!   ([`Preconditioner::apply_columns`], one pass over the factor for a
+//!   whole block),
 //! * [`Multigrid`] — a smoothed-aggregation algebraic
 //!   multigrid V-cycle (see [`crate::multigrid`]); the only option whose
 //!   iteration counts stay (nearly) mesh-independent, and the default for
@@ -24,6 +28,7 @@
 
 use std::sync::Arc;
 
+use crate::block_solver::BlockVector;
 use crate::multigrid::{Multigrid, MultigridConfig};
 use crate::sparse::hardware_threads;
 use crate::{CsrMatrix, NumericsError};
@@ -69,6 +74,25 @@ pub trait Preconditioner {
     ///
     /// Panics if `r` or `z` have the wrong length.
     fn apply(&mut self, r: &[f64], z: &mut [f64]);
+
+    /// Computes `z_j = M⁻¹ r_j` for every column `j` listed in `columns`
+    /// (distinct, in any order), leaving the other columns of `z` as they
+    /// are — the block-CG shape, where `columns` is the active set.
+    ///
+    /// The default makes one [`Preconditioner::apply`] per listed column.
+    /// Implementations that can serve several columns from one pass over
+    /// their data override it, and must give every column exactly the bits
+    /// of its own `apply`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` and `z` have the wrong row count or a listed column
+    /// is out of range.
+    fn apply_columns(&mut self, r: &BlockVector, z: &mut BlockVector, columns: &[usize]) {
+        for &j in columns {
+            self.apply(r.column(j), z.column_mut(j));
+        }
+    }
 
     /// Short identifier for benches and logs (`"jacobi"`, `"ic0"`, …).
     fn name(&self) -> &'static str;
@@ -172,6 +196,14 @@ impl Preconditioner for Jacobi {
 /// per-level barrier, and the serial apply keeps IC(0) solves bitwise
 /// thread-invariant: only the SpMV and Jacobi loops around it are
 /// threaded, and both compute each entry exactly as their serial loops do.
+///
+/// Each row computes its pivot's reciprocal once and multiplies by it, so
+/// the divide depends only on the factor and runs off the recurrence's
+/// dependency chain. One sweep kernel serves up to eight right-hand sides
+/// per pass: [`Preconditioner::apply`] is its one-column
+/// case, and [`Preconditioner::apply_columns`] reads the factor once per
+/// pass for a whole block, each column running its own scalar recurrence
+/// bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncompleteCholesky {
     /// CSR of `L`: lower triangular, diagonal stored last in each row,
@@ -276,26 +308,61 @@ impl IncompleteCholesky {
         Self { row_ptr, col_idx, values }
     }
 
-    /// The two triangular solves: gather forward, scatter backward in place.
-    fn apply_serial(&self, r: &[f64], z: &mut [f64]) {
+    /// Most right-hand sides one sweep serves: each row keeps one partial
+    /// sum per column in a stack array of at most this width.
+    const SWEEP_COLUMNS: usize = 8;
+
+    /// Runs [`Self::sweep`] on the listed columns (at most
+    /// [`Self::SWEEP_COLUMNS`]) at the matching const width.
+    fn sweep_listed(&self, r: &BlockVector, z: &mut BlockVector, chunk: &[usize]) {
+        match chunk.len() {
+            1 => self.sweep::<1>(r.listed(chunk), z.listed_mut(chunk)),
+            2 => self.sweep::<2>(r.listed(chunk), z.listed_mut(chunk)),
+            3 => self.sweep::<3>(r.listed(chunk), z.listed_mut(chunk)),
+            4 => self.sweep::<4>(r.listed(chunk), z.listed_mut(chunk)),
+            5 => self.sweep::<5>(r.listed(chunk), z.listed_mut(chunk)),
+            6 => self.sweep::<6>(r.listed(chunk), z.listed_mut(chunk)),
+            7 => self.sweep::<7>(r.listed(chunk), z.listed_mut(chunk)),
+            _ => self.sweep::<{ Self::SWEEP_COLUMNS }>(r.listed(chunk), z.listed_mut(chunk)),
+        }
+    }
+
+    /// The two triangular solves for `W` right-hand sides at once: gather
+    /// forward, scatter backward in place. Row by row, every column runs
+    /// its own scalar recurrence and shares the row's stored entries and
+    /// pivot reciprocal.
+    fn sweep<const W: usize>(&self, r: [&[f64]; W], mut z: [&mut [f64]; W]) {
         let n = self.row_ptr.len() - 1;
         // Forward solve L y = r (gather; y lands in z).
         for i in 0..n {
             let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            let mut s = r[i];
+            let inv = 1.0 / self.values[hi - 1];
+            let mut s: [f64; W] = std::array::from_fn(|c| r[c][i]);
             for k in lo..hi - 1 {
-                s -= self.values[k] * z[self.col_idx[k] as usize];
+                let (v, j) = (self.values[k], self.col_idx[k] as usize);
+                for (sc, zc) in s.iter_mut().zip(&z) {
+                    *sc -= v * zc[j];
+                }
             }
-            z[i] = s / self.values[hi - 1];
+            for (zc, sc) in z.iter_mut().zip(s) {
+                zc[i] = sc * inv;
+            }
         }
         // Backward solve Lᵀ x = y in place (scatter: once row i is final,
         // push its contribution into every earlier unknown).
         for i in (0..n).rev() {
             let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            z[i] /= self.values[hi - 1];
-            let xi = z[i];
+            let inv = 1.0 / self.values[hi - 1];
+            let mut xi = [0.0; W];
+            for (xc, zc) in xi.iter_mut().zip(z.iter_mut()) {
+                zc[i] *= inv;
+                *xc = zc[i];
+            }
             for k in lo..hi - 1 {
-                z[self.col_idx[k] as usize] -= self.values[k] * xi;
+                let (v, j) = (self.values[k], self.col_idx[k] as usize);
+                for (zc, xc) in z.iter_mut().zip(xi) {
+                    zc[j] -= v * xc;
+                }
             }
         }
     }
@@ -306,7 +373,16 @@ impl Preconditioner for IncompleteCholesky {
         let n = self.row_ptr.len() - 1;
         assert_eq!(r.len(), n);
         assert_eq!(z.len(), n);
-        self.apply_serial(r, z);
+        self.sweep([r], [z]);
+    }
+
+    fn apply_columns(&mut self, r: &BlockVector, z: &mut BlockVector, columns: &[usize]) {
+        let n = self.row_ptr.len() - 1;
+        assert_eq!(r.rows(), n);
+        assert_eq!(z.rows(), n);
+        for chunk in columns.chunks(Self::SWEEP_COLUMNS) {
+            self.sweep_listed(r, z, chunk);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -519,6 +595,15 @@ impl Preconditioner for AnyPreconditioner {
         }
     }
 
+    fn apply_columns(&mut self, r: &BlockVector, z: &mut BlockVector, columns: &[usize]) {
+        match self {
+            AnyPreconditioner::Jacobi(p) => p.apply_columns(r, z, columns),
+            AnyPreconditioner::IncompleteCholesky(p) => p.apply_columns(r, z, columns),
+            AnyPreconditioner::Ssor(p) => p.apply_columns(r, z, columns),
+            AnyPreconditioner::Multigrid(p) => p.apply_columns(r, z, columns),
+        }
+    }
+
     fn name(&self) -> &'static str {
         match self {
             AnyPreconditioner::Jacobi(p) => p.name(),
@@ -669,6 +754,67 @@ mod tests {
             let mut par = vec![0.0; n];
             p.apply_with_threads(&r, &mut par, threads);
             assert_eq!(par, serial, "mismatch with {threads} threads");
+        }
+    }
+
+    /// 3-D 7-point stencil with a diagonal shift, rows in lexicographic
+    /// order (the FVM mesh shape IC(0) serves).
+    fn stencil_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
+        let n = nx * ny * nz;
+        let idx = |i: usize, j: usize, l: usize| (l * ny + j) * nx + i;
+        let mut b = TripletBuilder::with_capacity(n, n, 7 * n);
+        for l in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx {
+                    let c = idx(i, j, l);
+                    let neighbours = [
+                        (i + 1 < nx).then(|| idx(i + 1, j, l)),
+                        (i > 0).then(|| idx(i - 1, j, l)),
+                        (j + 1 < ny).then(|| idx(i, j + 1, l)),
+                        (j > 0).then(|| idx(i, j - 1, l)),
+                        (l + 1 < nz).then(|| idx(i, j, l + 1)),
+                        (l > 0).then(|| idx(i, j, l - 1)),
+                    ];
+                    let mut diag = 0.05;
+                    for other in neighbours.into_iter().flatten() {
+                        b.add(c, other, -1.0);
+                        diag += 1.0;
+                    }
+                    b.add(c, c, diag);
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn ic0_apply_columns_is_bitwise_per_column_apply() {
+        let a = stencil_3d(6, 5, 4);
+        let n = a.rows();
+        let mut p = IncompleteCholesky::new(&a).unwrap();
+        let column = |c: usize| -> Vec<f64> {
+            (0..n).map(|i| ((i * (c + 2)) as f64 * 0.37).sin() + 0.1 * c as f64).collect()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // k = 9 spans two sweeps (SWEEP_COLUMNS = 8); [4, 0, 2] is an
+        // out-of-order subset that must leave columns 1 and 3 untouched.
+        for (k, listed) in
+            [(1, vec![0]), (5, (0..5).collect()), (9, (0..9).collect()), (5, vec![4, 0, 2])]
+        {
+            let cols: Vec<Vec<f64>> = (0..k).map(column).collect();
+            let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+            let r = BlockVector::from_columns(&refs).unwrap();
+            let mut z = BlockVector::zeros(n, k);
+            z.fill(7.0);
+            p.apply_columns(&r, &mut z, &listed);
+            for (c, col) in cols.iter().enumerate() {
+                if listed.contains(&c) {
+                    let want = apply_inverse(&mut p, col);
+                    assert_eq!(bits(z.column(c)), bits(&want), "k={k} {listed:?} column {c}");
+                } else {
+                    assert!(z.column(c).iter().all(|&v| v == 7.0), "column {c} must be untouched");
+                }
+            }
         }
     }
 

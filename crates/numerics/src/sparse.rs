@@ -384,9 +384,11 @@ impl CsrMatrix {
     }
 
     /// Computes `Y = A * X` for a k-column block in **one sweep** of the
-    /// operator: each row's nonzeros are read once and serve all k column
-    /// accumulations while still hot, instead of being re-streamed from
-    /// memory k times by k scalar [`CsrMatrix::multiply_into`] calls.
+    /// operator: each stored entry `(c, v)` is read once and adds
+    /// `v · x_j[c]` to one accumulator per column, instead of the matrix
+    /// being re-streamed from memory k times by k scalar
+    /// [`CsrMatrix::multiply_into`] calls. Blocks wider than eight columns
+    /// run in chunks of eight, one operator pass per chunk.
     ///
     /// Per column the accumulation order is exactly
     /// [`CsrMatrix::mul_vec_into`]'s, and the threaded path reuses the
@@ -407,8 +409,12 @@ impl CsrMatrix {
         }
     }
 
-    /// Serial block SpMV kernel: rows outer, columns inner, so each row's
-    /// values/indices stay in cache across the k column accumulations.
+    /// Most columns one block-SpMV pass serves: the row kernel keeps one
+    /// accumulator per column in a stack array of at most this width.
+    const BLOCK_COLUMNS: usize = 8;
+
+    /// Serial block SpMV: every row of every column through the shared row
+    /// kernel, up to eight columns per operator pass.
     ///
     /// # Panics
     ///
@@ -418,16 +424,9 @@ impl CsrMatrix {
         assert_eq!(x.rows(), self.cols);
         assert_eq!(y.rows(), self.rows);
         assert_eq!(y.columns(), k);
-        for r in 0..self.rows {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            for j in 0..k {
-                let xj = x.column(j);
-                let mut acc = 0.0;
-                for t in lo..hi {
-                    acc += self.values[t] * xj[self.col_idx[t] as usize];
-                }
-                y.column_mut(j)[r] = acc;
-            }
+        let mut columns = y.data_mut().chunks_exact_mut(self.rows.max(1));
+        for first in (0..k).step_by(Self::BLOCK_COLUMNS) {
+            self.block_chunk(0, x, first, &mut columns);
         }
     }
 
@@ -435,8 +434,9 @@ impl CsrMatrix {
     /// band `b` owns rows `bounds[b]..bounds[b+1]` of all k output
     /// columns, carved out of the column-major storage as disjoint
     /// `&mut` slices up front so the scoped workers need no further
-    /// synchronisation. Same bands as [`CsrMatrix::mul_vec_into_threaded`],
-    /// so per column the result is bitwise identical to the scalar path.
+    /// synchronisation. Same bands as [`CsrMatrix::mul_vec_into_threaded`]
+    /// and the same row kernel as [`CsrMatrix::mul_block_into`], so per
+    /// column the result is bitwise identical to the scalar path.
     ///
     /// # Panics
     ///
@@ -475,21 +475,65 @@ impl CsrMatrix {
                     continue;
                 }
                 scope.spawn(move || {
-                    for (j, band) in band_columns.into_iter().enumerate() {
-                        let xj = x.column(j);
-                        for (offset, yr) in band.iter_mut().enumerate() {
-                            let r = start + offset;
-                            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-                            let mut acc = 0.0;
-                            for t in lo..hi {
-                                acc += self.values[t] * xj[self.col_idx[t] as usize];
-                            }
-                            *yr = acc;
-                        }
+                    let mut columns = band_columns.into_iter();
+                    for first in (0..k).step_by(Self::BLOCK_COLUMNS) {
+                        self.block_chunk(start, x, first, &mut columns);
                     }
                 });
             }
         });
+    }
+
+    /// Runs [`Self::block_rows`] on columns `first..` of `x` — as many as
+    /// remain, at most [`Self::BLOCK_COLUMNS`] — at the matching const
+    /// width, taking that many output slices from `y`.
+    fn block_chunk<'y>(
+        &self,
+        start: usize,
+        x: &BlockVector,
+        first: usize,
+        y: &mut impl Iterator<Item = &'y mut [f64]>,
+    ) {
+        match (x.columns() - first).min(Self::BLOCK_COLUMNS) {
+            1 => self.block_rows::<1>(start, x, first, y),
+            2 => self.block_rows::<2>(start, x, first, y),
+            3 => self.block_rows::<3>(start, x, first, y),
+            4 => self.block_rows::<4>(start, x, first, y),
+            5 => self.block_rows::<5>(start, x, first, y),
+            6 => self.block_rows::<6>(start, x, first, y),
+            7 => self.block_rows::<7>(start, x, first, y),
+            _ => self.block_rows::<{ Self::BLOCK_COLUMNS }>(start, x, first, y),
+        }
+    }
+
+    /// The block-SpMV row kernel, shared by the serial and threaded paths:
+    /// the next `W` slices of `y` receive rows `start..` of `A · x_j` for
+    /// columns `j = first..first + W`. Each stored entry is read once and
+    /// feeds all `W` accumulators, and each accumulator sums in
+    /// [`CsrMatrix::mul_vec_into`]'s order.
+    fn block_rows<'y, const W: usize>(
+        &self,
+        start: usize,
+        x: &BlockVector,
+        first: usize,
+        y: &mut impl Iterator<Item = &'y mut [f64]>,
+    ) {
+        let x: [&[f64]; W] = std::array::from_fn(|j| x.column(first + j));
+        let mut y: [&mut [f64]; W] = std::array::from_fn(|_| y.next().unwrap_or_default());
+        for offset in 0..y[0].len() {
+            let r = start + offset;
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            let mut acc = [0.0; W];
+            for t in lo..hi {
+                let (v, c) = (self.values[t], self.col_idx[t] as usize);
+                for (a, xj) in acc.iter_mut().zip(&x) {
+                    *a += v * xj[c];
+                }
+            }
+            for (yj, a) in y.iter_mut().zip(acc) {
+                yj[offset] = a;
+            }
+        }
     }
 
     /// Returns the transpose `Aᵀ` (counting sort over columns, `O(nnz)`).

@@ -706,8 +706,9 @@ impl SolveContext {
     /// Assembles the telemetry [`SolveSample`] for one batched solve: the
     /// operator-sweep count stands in for `spmv` (each sweep streams the
     /// nonzeros once, however many columns it serves), while
-    /// preconditioner applies stay per column — blocking does not amortize
-    /// them. The caller stamps the timing fields.
+    /// preconditioner applies stay counted per column, even where one
+    /// IC(0) pass serves the whole active set. The caller stamps the
+    /// timing fields.
     fn batch_sample(&self, summaries: &[vcsel_numerics::solver::CgSummary]) -> SolveSample {
         let applies = self.block_ws.preconditioner_applies();
         let mut sample = SolveSample {

@@ -82,6 +82,43 @@ fn injected_breakdown_recovers_through_the_ladder_to_the_healthy_field() {
 }
 
 #[test]
+fn injected_breakdown_in_a_batch_recovers_per_column_to_the_healthy_maps() {
+    // The batched path: the corrupted rung must corrupt every column of a
+    // multi-column preconditioner apply, so no column converges on it and
+    // the per-column scalar fallback escalates past it.
+    let (design, _) = grouped_slab();
+    let spec = MeshSpec::uniform(mm(0.25));
+    let options = SolveOptions { tolerance: 1e-12, max_iterations: 100_000, relaxation: 1.6 };
+    let paintings: [&[(&str, f64)]; 4] = [&[("src", 1.0)], &[("src", 0.5)], &[("src", 2.0)], &[]];
+
+    let mut healthy = SolveContext::new(&design, &spec).expect("context").with_options(options);
+    let maps_h = healthy.solve_batch(&paintings).expect("healthy batch");
+    assert_eq!(healthy.preconditioner_name(), "ic0", "the healthy batch stays on IC(0)");
+
+    let mut faulted = SolveContext::new(&design, &spec).expect("context").with_options(options);
+    faulted.inject_solver_fault();
+    let maps_f = faulted.solve_batch(&paintings).expect("faulted batch must still succeed");
+    assert_eq!(
+        faulted.preconditioner_name(),
+        "jacobi",
+        "the per-column fallback must retire the corrupted IC(0) rung"
+    );
+
+    for (slot, (h, f)) in maps_h.iter().zip(&maps_f).enumerate() {
+        let h = h.as_ref().expect("healthy painting solves");
+        let f = f.as_ref().expect("faulted painting recovers");
+        let mut worst = 0.0f64;
+        for (a, b) in h.temperatures().iter().zip(f.temperatures()) {
+            worst = worst.max((a - b).abs() / a.abs().max(1.0));
+        }
+        assert!(
+            worst <= 1e-9,
+            "painting {slot}: maps must match to 1e-9 relative, worst {worst:.3e}"
+        );
+    }
+}
+
+#[test]
 fn exhausted_ladder_is_a_typed_error_with_the_field_rolled_back() {
     // A single-rung strict ladder with a starvation-level iteration cap:
     // the step must fail *loudly* and leave the trajectory untouched.
