@@ -1,9 +1,9 @@
 //! Ablation: solve-engine choice on a real FVM system from the case study.
 //!
-//! Compares the three CG preconditioners (Jacobi, IC(0), SSOR) in cold- and
+//! Compares the one-level CG preconditioners (Jacobi, IC(0)) in cold- and
 //! warm-start variants on the tiny-fidelity SCC system — the same matrix
-//! every run-time-management path solves — plus the legacy stationary/
-//! non-symmetric solvers on a small Laplacian cross-check.
+//! every run-time-management path solves — plus the one-shot Jacobi-CG
+//! entry point on a small Laplacian.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vcsel_arch::{SccConfig, SccSystem};
@@ -16,11 +16,8 @@ fn bench_solvers(c: &mut Criterion) {
     let system = SccSystem::build(&config).expect("builds");
     let spec = system.mesh_spec().expect("spec");
 
-    let kinds = [
-        ("jacobi", PreconditionerKind::Jacobi),
-        ("ic0", PreconditionerKind::IncompleteCholesky),
-        ("ssor", PreconditionerKind::Ssor { omega: 1.2 }),
-    ];
+    let kinds =
+        [("jacobi", PreconditionerKind::Jacobi), ("ic0", PreconditionerKind::IncompleteCholesky)];
 
     // One context per preconditioner, shared across cold and warm variants;
     // construction (assembly + factorization) happens outside the timers.
@@ -74,10 +71,8 @@ fn bench_solvers(c: &mut Criterion) {
     });
     group.finish();
 
-    // Cross-check SOR and BiCGSTAB agree with CG on a small Laplacian
-    // (running them on the full FVM system inside criterion would dominate
-    // the bench budget).
-    let opts = SolveOptions { tolerance: 1e-8, max_iterations: 200_000, relaxation: 1.85 };
+    // The one-shot Jacobi-CG entry point on a small shifted 1-D Laplacian.
+    let opts = SolveOptions { tolerance: 1e-8, max_iterations: 200_000 };
     let n = 2_000;
     let mut builder = vcsel_numerics::TripletBuilder::with_capacity(n, n, 3 * n);
     for i in 0..n {
@@ -91,27 +86,10 @@ fn bench_solvers(c: &mut Criterion) {
     }
     let a = builder.build();
     let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
-    let cg = solver::conjugate_gradient(&a, &rhs, &opts).expect("CG");
-    let gs = solver::sor(&a, &rhs, &opts).expect("SOR");
-    let bi = solver::bicgstab(&a, &rhs, &opts).expect("BiCGSTAB");
-    let diff =
-        |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-    println!(
-        "[solvers] 1-D Laplacian (n = {n}): CG {} iters, SOR {} iters, BiCGSTAB {} iters; \
-         max disagreement CG-SOR {:.2e}, CG-BiCGSTAB {:.2e}",
-        cg.iterations,
-        gs.iterations,
-        bi.iterations,
-        diff(&cg.solution, &gs.solution),
-        diff(&cg.solution, &bi.solution)
-    );
 
     let mut group = c.benchmark_group("krylov_kernels");
     group.bench_function("cg_laplacian_2k", |b| {
         b.iter(|| solver::conjugate_gradient(std::hint::black_box(&a), &rhs, &opts).unwrap())
-    });
-    group.bench_function("bicgstab_laplacian_2k", |b| {
-        b.iter(|| solver::bicgstab(std::hint::black_box(&a), &rhs, &opts).unwrap())
     });
     group.finish();
 }

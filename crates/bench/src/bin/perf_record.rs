@@ -6,7 +6,7 @@
 //! Three workloads on the SCC case-study system:
 //!
 //! 1. **Tiny steady solves** — one cold and one warm solve per
-//!    preconditioner (Jacobi / IC(0) / SSOR / multigrid) on the
+//!    preconditioner (Jacobi / IC(0) / multigrid) on the
 //!    tiny-fidelity mesh, recording setup and solve wall time plus CG
 //!    iterations.
 //! 2. **Fast steady solves** — the full-die `Fidelity::Fast` system
@@ -393,7 +393,6 @@ fn run() {
     let kinds = [
         ("jacobi", PreconditionerKind::Jacobi),
         ("ic0", PreconditionerKind::IncompleteCholesky),
-        ("ssor", PreconditionerKind::Ssor { omega: 1.2 }),
         ("multigrid", multigrid),
     ];
     let (unknowns, steady) = steady_section("tiny", design, &spec, &kinds, STEADY_REPS);

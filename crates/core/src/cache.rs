@@ -335,7 +335,7 @@ impl EngineCache {
         telemetry.counter("cache", "engine_cache_misses", misses as f64);
 
         if self.mode == CacheMode::ReadWrite {
-            // A non-cacheable engine state (escalated ladder, Jacobi/SSOR
+            // A non-cacheable engine state (escalated ladder, Jacobi
             // lead rung) yields no artifact; that is not an error.
             if let Some(bytes) = blueprint.engine_artifact(&ctx) {
                 let _store_span = telemetry.span("cache", "cache_store");

@@ -431,7 +431,7 @@ pub fn run_scenario_with(
     // 1e-8 on a ~Kelvin-scale field is far below any metric pin's
     // resolution and saves a third of the CG work per step.
     let mut stepper = TransientStepper::new(&design, &spec, config.ambient, scenario.dt_s)?
-        .with_options(SolveOptions { tolerance: 1e-8, max_iterations: 50_000, relaxation: 1.6 })
+        .with_options(SolveOptions { tolerance: 1e-8, max_iterations: 50_000 })
         .with_telemetry(sink.clone());
     drop(setup_span);
     let setup_ms = setup_timer.elapsed().as_secs_f64() * 1e3;

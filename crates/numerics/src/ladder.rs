@@ -132,7 +132,7 @@ pub struct SolveLadder {
 impl std::fmt::Debug for SolveLadder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolveLadder")
-            .field("rungs", &self.rungs.iter().map(|r| kind_label(&r.kind)).collect::<Vec<_>>())
+            .field("rungs", &self.rungs.iter().map(|r| r.kind.name()).collect::<Vec<_>>())
             .field("active", &self.active)
             .finish_non_exhaustive()
     }
@@ -214,7 +214,7 @@ impl SolveLadder {
                 reason: "solve ladder needs at least one preconditioner kind".into(),
             });
         }
-        let expected = kind_label(&kinds[0]);
+        let expected = kinds[0].name();
         if prebuilt.name() != expected {
             return Err(NumericsError::BadInput {
                 reason: format!(
@@ -242,7 +242,7 @@ impl SolveLadder {
 
     /// Name of the rung currently answering solves.
     pub fn active_name(&self) -> &'static str {
-        kind_label(&self.rungs[self.active].kind)
+        self.rungs[self.active].kind.name()
     }
 
     /// The active rung's preconditioner.
@@ -331,7 +331,7 @@ impl SolveLadder {
         let mut escalations = 0usize;
         loop {
             let rung = &mut self.rungs[self.active];
-            let label = kind_label(&rung.kind);
+            let label = rung.kind.name();
             let precond = rung.precond.as_mut().expect("active rung is always built");
             match solve_on_rung(a, b, x, precond, rung.faulted, opts, ws) {
                 Ok(stats) => {
@@ -416,7 +416,7 @@ impl SolveLadder {
     /// derived work counters — one SpMV per CG iteration plus the
     /// warm-start residual evaluation, one preconditioner apply per
     /// iteration plus the initial apply, V-cycles for multigrid rungs and
-    /// two triangular solves per IC(0)/SSOR apply. The caller owns the
+    /// two triangular solves per IC(0) apply. The caller owns the
     /// label, category, timing and system-size fields.
     pub fn telemetry_sample(&self, summary: &LadderSummary, ws: &CgWorkspace) -> SolveSample {
         let mut sample = SolveSample {
@@ -449,7 +449,7 @@ impl SolveLadder {
             sample.precond_applies += applies;
             match attempt.rung {
                 "multigrid" => sample.vcycles += applies,
-                "ic0" | "ssor" => sample.trisolves += 2 * applies,
+                "ic0" => sample.trisolves += 2 * applies,
                 _ => {}
             }
         }
@@ -514,7 +514,7 @@ impl SolveLadder {
             return Ok(());
         }
         let mut span = self.telemetry.span("solver", "rung_build");
-        span.arg("rung", vcsel_telemetry::ArgValue::Str(kind_label(&self.rungs[index].kind)));
+        span.arg("rung", vcsel_telemetry::ArgValue::Str(self.rungs[index].kind.name()));
         self.rungs[index].precond = Some(self.rungs[index].kind.build_shared(a)?);
         Ok(())
     }
@@ -523,13 +523,10 @@ impl SolveLadder {
         self.telemetry.instant(
             "solver",
             "rung_attempt",
-            &[
-                Arg::str("rung", kind_label(&self.rungs[index].kind)),
-                Arg::str("outcome", "build_failed"),
-            ],
+            &[Arg::str("rung", self.rungs[index].kind.name()), Arg::str("outcome", "build_failed")],
         );
         self.attempts.push(RungAttempt {
-            rung: kind_label(&self.rungs[index].kind),
+            rung: self.rungs[index].kind.name(),
             iterations: 0,
             residual: f64::INFINITY,
             outcome: RungOutcome::BuildFailed,
@@ -578,15 +575,6 @@ fn solve_on_rung(
         preconditioned_cg(a, b, x, &mut corrupted, opts, ws)
     } else {
         preconditioned_cg(a, b, x, precond, opts, ws)
-    }
-}
-
-fn kind_label(kind: &PreconditionerKind) -> &'static str {
-    match kind {
-        PreconditionerKind::Jacobi => "jacobi",
-        PreconditionerKind::IncompleteCholesky => "ic0",
-        PreconditionerKind::Ssor { .. } => "ssor",
-        PreconditionerKind::Multigrid { .. } => "multigrid",
     }
 }
 
@@ -699,7 +687,10 @@ mod tests {
     #[test]
     fn strict_ladder_propagates_rung_zero_build_errors() {
         let a = laplacian(10);
-        let bad = &[PreconditionerKind::Ssor { omega: 5.0 }, PreconditionerKind::Jacobi];
+        let unbuildable = PreconditionerKind::Multigrid {
+            config: crate::MultigridConfig { strength_threshold: -1.0, ..Default::default() },
+        };
+        let bad = &[unbuildable, PreconditionerKind::Jacobi];
         assert!(SolveLadder::new(&a, bad, true).is_err());
         // Non-strict falls through to Jacobi and records the failure.
         let ladder = SolveLadder::new(&a, bad, false).unwrap();

@@ -10,13 +10,12 @@
 //! * [`CsrMatrix`]: compressed-sparse-row matrices with a triplet builder
 //!   and a row-partitioned, nnz-balanced threaded SpMV for large systems,
 //! * [`solver`]: preconditioned conjugate gradient with warm starts and
-//!   caller-owned scratch buffers, plus SOR/Gauss-Seidel and BiCGSTAB
-//!   cross-check solvers,
-//! * [`precond`]: Jacobi, SSOR and IC(0) incomplete-Cholesky
-//!   preconditioners behind the [`Preconditioner`] trait. Engines that
-//!   own their matrix behind an [`std::sync::Arc`] build through
-//!   [`PreconditionerKind::build_shared`], so the operator-holding
-//!   preconditioners alias the caller's allocation instead of cloning it.
+//!   caller-owned workspace buffers,
+//! * [`precond`]: Jacobi and IC(0) incomplete-Cholesky preconditioners,
+//!   plus the multigrid V-cycle, behind the [`Preconditioner`] trait.
+//!   Engines that own their matrix behind an [`std::sync::Arc`] build
+//!   through [`PreconditionerKind::build_shared`], so the multigrid
+//!   hierarchy aliases the caller's allocation instead of cloning it.
 //!   IC(0) applies its two triangular solves serially, so IC(0) solves
 //!   give the same bits at every worker count,
 //! * [`block_solver`]: multi-RHS block CG — k independent recurrences in
@@ -78,7 +77,7 @@ pub use ladder::{LadderSummary, RungAttempt, RungOutcome, SolveLadder};
 pub use multigrid::{CycleKind, MgWorkspace, Multigrid, MultigridConfig, MultigridHierarchy};
 pub use optimize::{golden_section_min, grid_argmin, Minimum};
 pub use precond::{
-    AnyPreconditioner, IncompleteCholesky, Jacobi, Preconditioner, PreconditionerKind, Ssor,
+    AnyPreconditioner, IncompleteCholesky, Jacobi, Preconditioner, PreconditionerKind,
 };
 pub use sparse::{hardware_threads, CsrMatrix, TripletBuilder};
 pub use stats::Summary;

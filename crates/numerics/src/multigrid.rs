@@ -1,7 +1,7 @@
 //! Algebraic multigrid by smoothed aggregation — mesh-independent solves
 //! for the FVM conduction systems this workspace produces.
 //!
-//! One-level preconditioners (Jacobi, SSOR, IC(0)) all share a scaling
+//! One-level preconditioners (Jacobi, IC(0)) both share a scaling
 //! wall: their CG iteration counts grow with mesh resolution, because a
 //! point-local operator can only damp error components whose wavelength is
 //! comparable to a cell. The paper-fidelity meshes are ~40× larger than
@@ -852,11 +852,7 @@ fn validate_config(config: &MultigridConfig) -> Result<(), NumericsError> {
 fn iterative_coarse(a: &CsrMatrix) -> Result<CoarseSolver, NumericsError> {
     Ok(CoarseSolver::Iterative {
         m: Jacobi::new(a)?,
-        opts: SolveOptions {
-            tolerance: 1e-12,
-            max_iterations: a.rows().clamp(16, 500),
-            relaxation: 1.0,
-        },
+        opts: SolveOptions { tolerance: 1e-12, max_iterations: a.rows().clamp(16, 500) },
         ws: CgWorkspace::with_capacity(a.rows()),
     })
 }
@@ -1467,7 +1463,7 @@ mod tests {
         let mut h = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
         let mut ws = MgWorkspace::for_hierarchy(&h);
         let mut x = vec![0.0; a.rows()];
-        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 60, relaxation: 1.0 };
+        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 60 };
         let stats = h.solve(&b, &mut x, &opts, &mut ws).expect("stationary multigrid converges");
         // Measured: 44 cycles, a contraction of ~0.6 per V(1,1)-cycle with
         // degree-2 Chebyshev smoothing. Stationary cycling is not how the
@@ -1481,7 +1477,7 @@ mod tests {
     fn f_cycle_contracts_at_least_as_fast_as_v() {
         let a = poisson_2d(30, 30);
         let b = rhs(a.rows());
-        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 60, relaxation: 1.0 };
+        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 60 };
         let mut cycles = Vec::new();
         for kind in [CycleKind::V, CycleKind::F] {
             let config = MultigridConfig { cycle: kind, ..Default::default() };
@@ -1499,7 +1495,7 @@ mod tests {
     fn cycle_counts_are_mesh_independent() {
         // The multigrid promise: refining the mesh must not blow up the
         // cycle count. 16× more unknowns may cost at most ~1.5× cycles.
-        let opts = SolveOptions { tolerance: 1e-8, max_iterations: 80, relaxation: 1.0 };
+        let opts = SolveOptions { tolerance: 1e-8, max_iterations: 80 };
         let mut counts = Vec::new();
         for nx in [40usize, 160] {
             // Both sizes must traverse a genuine multi-level hierarchy (the
@@ -1606,7 +1602,7 @@ mod tests {
         // (at this size both also sit below the size gates).
         let a = poisson_2d(40, 40);
         let b = rhs(a.rows());
-        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 60, relaxation: 1.0 };
+        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 60 };
         let mut results = Vec::new();
         for parallel_sweeps in [true, false] {
             let config = MultigridConfig { parallel_sweeps, ..Default::default() };

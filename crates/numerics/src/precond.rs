@@ -4,11 +4,10 @@
 //! positive definite and diagonally dominant, but far from well-conditioned:
 //! the paper's meshes mix 5–60 µm cells over the optical network interfaces
 //! with millimetre cells over the package, so face conductances span four
-//! orders of magnitude. Four preconditioners are provided, in increasing
+//! orders of magnitude. Three preconditioners are provided, in increasing
 //! setup cost and decreasing iteration count:
 //!
 //! * [`Jacobi`] — `M = diag(A)`; free to build, the seed behaviour,
-//! * [`Ssor`] — symmetric SOR splitting; no factorization, uses `A` itself,
 //! * [`IncompleteCholesky`] — IC(0), a zero-fill `L·Lᵀ ≈ A` factorization;
 //!   the strongest *one-level* option and the default for cached transient
 //!   engines, because one factorization amortizes over many right-hand
@@ -57,8 +56,8 @@ use crate::{CsrMatrix, NumericsError};
 ///     if i + 1 < n { b.add(i, i + 1, -1.0); }
 /// }
 /// let a = b.build();
-/// let mut m = PreconditionerKind::Ssor { omega: 1.2 }.build(&a)?;
-/// assert_eq!(m.name(), "ssor");
+/// let mut m = PreconditionerKind::IncompleteCholesky.build(&a)?;
+/// assert_eq!(m.name(), "ic0");
 ///
 /// let rhs = vec![1.0; n];
 /// let mut x = vec![0.0; n];
@@ -390,93 +389,6 @@ impl Preconditioner for IncompleteCholesky {
     }
 }
 
-/// Symmetric SOR preconditioner,
-/// `M = (D + ωL) D⁻¹ (D + ωLᵀ) / (ω(2 − ω))`.
-///
-/// Needs no factorization — the two triangular solves run directly on `A`,
-/// held behind an [`Arc`] so a solve engine and this preconditioner can
-/// reference **one** copy of the operator — and sits between Jacobi and
-/// IC(0) in strength. The sweeps are sequential, so the apply is serial.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ssor {
-    a: Arc<CsrMatrix>,
-    diag: Vec<f64>,
-    omega: f64,
-}
-
-impl Ssor {
-    /// Builds the SSOR splitting of `a` with relaxation factor `omega`,
-    /// cloning the operator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::BadInput`] for `omega` outside `(0, 2)` and
-    /// [`NumericsError::BadMatrix`] for a non-square matrix or non-positive
-    /// diagonal.
-    pub fn new(a: &CsrMatrix, omega: f64) -> Result<Self, NumericsError> {
-        Self::shared(Arc::new(a.clone()), omega)
-    }
-
-    /// Like [`Ssor::new`] but sharing an already-owned operator instead of
-    /// cloning it — the form the cached solve engines use.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Ssor::new`].
-    pub fn shared(a: Arc<CsrMatrix>, omega: f64) -> Result<Self, NumericsError> {
-        if !(omega > 0.0 && omega < 2.0) {
-            return Err(NumericsError::BadInput {
-                reason: format!("SSOR relaxation factor must be in (0,2), got {omega}"),
-            });
-        }
-        if a.rows() != a.cols() {
-            return Err(NumericsError::BadMatrix {
-                reason: format!("matrix must be square, got {}x{}", a.rows(), a.cols()),
-            });
-        }
-        let diag = checked_diagonal(&a)?;
-        Ok(Self { a, diag, omega })
-    }
-}
-
-impl Preconditioner for Ssor {
-    fn apply(&mut self, r: &[f64], z: &mut [f64]) {
-        let n = self.diag.len();
-        assert_eq!(r.len(), n);
-        assert_eq!(z.len(), n);
-        let w = self.omega;
-        let c = w * (2.0 - w);
-        // (D + ωL) y = c·r (forward, y lands in z).
-        for i in 0..n {
-            let mut s = c * r[i];
-            for (j, v) in self.a.row(i) {
-                if j < i {
-                    s -= w * v * z[j];
-                }
-            }
-            z[i] = s / self.diag[i];
-        }
-        // w = D y.
-        for (zi, d) in z.iter_mut().zip(&self.diag) {
-            *zi *= d;
-        }
-        // (D + ωLᵀ) x = w (backward, in place).
-        for i in (0..n).rev() {
-            let mut s = z[i];
-            for (j, v) in self.a.row(i) {
-                if j > i {
-                    s -= w * v * z[j];
-                }
-            }
-            z[i] = s / self.diag[i];
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "ssor"
-    }
-}
-
 /// Selects which preconditioner a solve engine should build.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PreconditionerKind {
@@ -485,11 +397,6 @@ pub enum PreconditionerKind {
     /// Zero-fill incomplete Cholesky — strongest, default for cached
     /// engines where one factorization serves many right-hand sides.
     IncompleteCholesky,
-    /// Symmetric SOR with the given relaxation factor in `(0, 2)`.
-    Ssor {
-        /// Over-relaxation factor ω.
-        omega: f64,
-    },
     /// Smoothed-aggregation algebraic multigrid (one V-cycle per
     /// application) — mesh-independent iteration counts at `O(n)` setup,
     /// the default for large steady solves. See [`crate::multigrid`].
@@ -507,24 +414,33 @@ pub enum AnyPreconditioner {
     Jacobi(Jacobi),
     /// IC(0) factorization.
     IncompleteCholesky(IncompleteCholesky),
-    /// SSOR splitting.
-    Ssor(Ssor),
     /// Smoothed-aggregation multigrid V-cycle (boxed — the hierarchy is
     /// far larger than the one-level variants).
     Multigrid(Box<Multigrid>),
 }
 
 impl PreconditionerKind {
+    /// The [`Preconditioner::name`] of the preconditioner this kind builds
+    /// (`"jacobi"`, `"ic0"`, `"multigrid"`), known before building it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            PreconditionerKind::Jacobi => "jacobi",
+            PreconditionerKind::IncompleteCholesky => "ic0",
+            PreconditionerKind::Multigrid { .. } => "multigrid",
+        }
+    }
+
     /// Builds the selected preconditioner for `a`.
     ///
-    /// The operator-holding variants (SSOR, multigrid) clone `a` here;
+    /// The operator-holding multigrid variant clones `a` here;
     /// engines that already own the matrix behind an [`Arc`] should use
     /// [`PreconditionerKind::build_shared`] so one copy serves both.
     ///
     /// # Errors
     ///
     /// Propagates the constructor errors of the selected implementation
-    /// (non-square matrix, bad diagonal, IC(0) breakdown, ω out of range).
+    /// (non-square matrix, bad diagonal, IC(0) breakdown, bad multigrid
+    /// configuration).
     pub fn build(&self, a: &CsrMatrix) -> Result<AnyPreconditioner, NumericsError> {
         match *self {
             // Jacobi and IC(0) derive their own compact data and never
@@ -537,8 +453,8 @@ impl PreconditionerKind {
     }
 
     /// Like [`PreconditionerKind::build`] but referencing a shared
-    /// operator instead of cloning it: the SSOR splitting and every
-    /// multigrid fine level alias `a`, so a cached solve engine and its
+    /// operator instead of cloning it: the multigrid fine level aliases
+    /// `a`, so a cached solve engine and its
     /// preconditioner hold **one** copy of the (potentially
     /// hundreds-of-MB) matrix.
     ///
@@ -559,10 +475,6 @@ impl PreconditionerKind {
             PreconditionerKind::IncompleteCholesky => {
                 AnyPreconditioner::IncompleteCholesky(IncompleteCholesky::new(a)?)
             }
-            PreconditionerKind::Ssor { omega } => AnyPreconditioner::Ssor(Ssor::shared(
-                shared.expect("operator-holding kinds receive the shared handle"),
-                omega,
-            )?),
             PreconditionerKind::Multigrid { config } => {
                 AnyPreconditioner::Multigrid(Box::new(Multigrid::new_shared(
                     shared.expect("operator-holding kinds receive the shared handle"),
@@ -590,7 +502,6 @@ impl Preconditioner for AnyPreconditioner {
         match self {
             AnyPreconditioner::Jacobi(p) => p.apply(r, z),
             AnyPreconditioner::IncompleteCholesky(p) => p.apply(r, z),
-            AnyPreconditioner::Ssor(p) => p.apply(r, z),
             AnyPreconditioner::Multigrid(p) => p.apply(r, z),
         }
     }
@@ -599,7 +510,6 @@ impl Preconditioner for AnyPreconditioner {
         match self {
             AnyPreconditioner::Jacobi(p) => p.apply_columns(r, z, columns),
             AnyPreconditioner::IncompleteCholesky(p) => p.apply_columns(r, z, columns),
-            AnyPreconditioner::Ssor(p) => p.apply_columns(r, z, columns),
             AnyPreconditioner::Multigrid(p) => p.apply_columns(r, z, columns),
         }
     }
@@ -608,7 +518,6 @@ impl Preconditioner for AnyPreconditioner {
         match self {
             AnyPreconditioner::Jacobi(p) => p.name(),
             AnyPreconditioner::IncompleteCholesky(p) => p.name(),
-            AnyPreconditioner::Ssor(p) => p.name(),
             AnyPreconditioner::Multigrid(p) => p.name(),
         }
     }
@@ -693,36 +602,11 @@ mod tests {
     }
 
     #[test]
-    fn ssor_application_is_spd() {
-        // M⁻¹ of an SPD splitting must itself be SPD: check xᵀM⁻¹x > 0 on a
-        // few vectors and symmetry ⟨M⁻¹u, v⟩ = ⟨u, M⁻¹v⟩.
-        let a = laplacian_1d(12);
-        let mut p = Ssor::new(&a, 1.3).unwrap();
-        let u: Vec<f64> = (0..12).map(|i| ((i * 7 % 5) as f64) - 2.0).collect();
-        let v: Vec<f64> = (0..12).map(|i| ((i * 3 % 7) as f64) - 3.0).collect();
-        let mu = apply_inverse(&mut p, &u);
-        let mv = apply_inverse(&mut p, &v);
-        let dot = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(a, b)| a * b).sum::<f64>();
-        assert!(dot(&u, &mu) > 0.0);
-        assert!((dot(&mu, &v) - dot(&u, &mv)).abs() < 1e-9, "M⁻¹ must stay symmetric");
-        assert_eq!(p.name(), "ssor");
-    }
-
-    #[test]
-    fn ssor_validates_omega() {
-        let a = laplacian_1d(3);
-        assert!(Ssor::new(&a, 0.0).is_err());
-        assert!(Ssor::new(&a, 2.0).is_err());
-        assert!(Ssor::new(&a, 1.0).is_ok());
-    }
-
-    #[test]
     fn kind_builds_every_variant() {
         let a = laplacian_1d(5);
         for (kind, name) in [
             (PreconditionerKind::Jacobi, "jacobi"),
             (PreconditionerKind::IncompleteCholesky, "ic0"),
-            (PreconditionerKind::Ssor { omega: 1.5 }, "ssor"),
             (
                 PreconditionerKind::Multigrid { config: crate::MultigridConfig::default() },
                 "multigrid",
@@ -730,6 +614,7 @@ mod tests {
         ] {
             let mut p = kind.build(&a).unwrap();
             assert_eq!(p.name(), name);
+            assert_eq!(kind.name(), name, "the kind names what it builds");
             // All must act as approximate inverses: z ≈ A⁻¹r at least in
             // direction (positive alignment with the true solution).
             let r = vec![1.0; 5];
@@ -819,13 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_ssor_aliases_the_operator() {
-        let a = std::sync::Arc::new(laplacian_1d(10));
-        let _s = Ssor::shared(std::sync::Arc::clone(&a), 1.0).unwrap();
-        assert_eq!(std::sync::Arc::strong_count(&a), 2);
-    }
-
-    #[test]
     fn non_square_rejected_everywhere() {
         let mut b = TripletBuilder::new(2, 3);
         b.add(0, 0, 1.0);
@@ -833,6 +711,5 @@ mod tests {
         let a = b.build();
         assert!(Jacobi::new(&a).is_err());
         assert!(IncompleteCholesky::new(&a).is_err());
-        assert!(Ssor::new(&a, 1.0).is_err());
     }
 }

@@ -4,26 +4,21 @@
 //! pluggable [`Preconditioner`], a warm-start initial
 //! guess, and caller-owned scratch buffers ([`CgWorkspace`]) so the
 //! iteration loop performs **zero allocations** — the shape repeated
-//! transient stepping and multi-right-hand-side calibration need. Around it:
-//!
-//! * [`conjugate_gradient`] — the legacy cold-start Jacobi-CG entry point,
-//!   now a thin wrapper over [`preconditioned_cg`],
-//! * [`sor`] — successive over-relaxation (ω = 1 gives Gauss-Seidel); slower
-//!   but simple, used as a cross-check and in ablation benchmarks,
-//! * [`bicgstab`] — for mildly non-symmetric systems (e.g. upwinded
-//!   convection terms if a user extends the solver).
+//! transient stepping and multi-right-hand-side calibration need.
+//! [`conjugate_gradient`] is the one-shot cold-start Jacobi-CG entry point
+//! over it, for small systems solved once (the lumped RC plant).
 
 use crate::precond::{Jacobi, Preconditioner};
 use crate::{CsrMatrix, NumericsError};
 
-/// Convergence controls for the iterative solvers.
+/// Convergence controls for conjugate gradient.
 ///
 /// # Example
 ///
 /// ```
 /// use vcsel_numerics::solver::SolveOptions;
 ///
-/// let opts = SolveOptions { tolerance: 1e-10, max_iterations: 20_000, ..Default::default() };
+/// let opts = SolveOptions { tolerance: 1e-10, max_iterations: 20_000 };
 /// assert!(opts.tolerance < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,18 +27,15 @@ pub struct SolveOptions {
     pub tolerance: f64,
     /// Hard iteration cap.
     pub max_iterations: usize,
-    /// Over-relaxation factor for [`sor`] (ignored by the Krylov methods).
-    /// Must lie in `(0, 2)`.
-    pub relaxation: f64,
 }
 
 impl Default for SolveOptions {
     fn default() -> Self {
-        Self { tolerance: 1e-9, max_iterations: 10_000, relaxation: 1.6 }
+        Self { tolerance: 1e-9, max_iterations: 10_000 }
     }
 }
 
-/// Outcome of a successful iterative solve.
+/// Outcome of a successful [`conjugate_gradient`] solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// The computed solution vector.
@@ -52,11 +44,11 @@ pub struct Solution {
     pub iterations: usize,
     /// Final relative residual norm.
     pub residual: f64,
-    /// Whether the residual met the requested tolerance. The one-shot
-    /// drivers ([`conjugate_gradient`], [`sor`], [`bicgstab`]) error on
-    /// non-convergence, so their `Ok` solutions always carry `true`; the
-    /// field exists so callers that forward a [`Solution`] never have to
-    /// re-derive convergence from `residual` themselves.
+    /// Whether the residual met the requested tolerance.
+    /// [`conjugate_gradient`] errors on non-convergence, so its `Ok`
+    /// solutions always carry `true`; the field exists so callers that
+    /// forward a [`Solution`] never have to re-derive convergence from
+    /// `residual` themselves.
     pub converged: bool,
 }
 
@@ -446,183 +438,6 @@ pub fn conjugate_gradient(
     })
 }
 
-/// Solves `A x = b` with successive over-relaxation.
-///
-/// With `opts.relaxation == 1.0` this is plain Gauss-Seidel. Used as a
-/// slower cross-check of the CG solver and in the solver-ablation bench.
-///
-/// # Errors
-///
-/// Same contract as [`conjugate_gradient`]; additionally rejects a
-/// relaxation factor outside `(0, 2)`.
-pub fn sor(a: &CsrMatrix, b: &[f64], opts: &SolveOptions) -> Result<Solution, NumericsError> {
-    validate_system(a, b)?;
-    if !(opts.relaxation > 0.0 && opts.relaxation < 2.0) {
-        return Err(NumericsError::BadInput {
-            reason: format!("SOR relaxation factor must be in (0,2), got {}", opts.relaxation),
-        });
-    }
-    let n = a.rows();
-    let diag = a.diagonal();
-    if let Some(i) = diag.iter().position(|&d| d == 0.0 || !d.is_finite()) {
-        return Err(NumericsError::BadMatrix {
-            reason: format!("zero or non-finite diagonal entry at row {i}"),
-        });
-    }
-
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        return Ok(Solution {
-            solution: vec![0.0; n],
-            iterations: 0,
-            residual: 0.0,
-            converged: true,
-        });
-    }
-
-    let mut x = vec![0.0; n];
-    let mut residual_buf = vec![0.0; n];
-    for iteration in 0..opts.max_iterations {
-        for i in 0..n {
-            let mut sigma = 0.0;
-            for (c, v) in a.row(i) {
-                if c != i {
-                    sigma += v * x[c];
-                }
-            }
-            let gs = (b[i] - sigma) / diag[i];
-            x[i] += opts.relaxation * (gs - x[i]);
-        }
-        // Check convergence every few sweeps to amortize the extra matvec.
-        if iteration % 4 == 3 || iteration + 1 == opts.max_iterations {
-            a.mul_vec_into(&x, &mut residual_buf);
-            for i in 0..n {
-                residual_buf[i] = b[i] - residual_buf[i];
-            }
-            let res = norm2(&residual_buf) / b_norm;
-            if res <= opts.tolerance {
-                return Ok(Solution {
-                    solution: x,
-                    iterations: iteration + 1,
-                    residual: res,
-                    converged: true,
-                });
-            }
-        }
-    }
-    a.mul_vec_into(&x, &mut residual_buf);
-    for i in 0..n {
-        residual_buf[i] = b[i] - residual_buf[i];
-    }
-    let res = norm2(&residual_buf) / b_norm;
-    Err(NumericsError::NoConvergence {
-        iterations: opts.max_iterations,
-        residual: res,
-        tolerance: opts.tolerance,
-    })
-}
-
-/// Solves `A x = b` with BiCGSTAB (Jacobi-preconditioned).
-///
-/// Handles non-symmetric systems; provided for extensions (e.g. adding
-/// convective transport terms) and as an independent cross-check.
-///
-/// # Errors
-///
-/// Same contract as [`conjugate_gradient`], plus breakdown detection
-/// (`rho == 0`) which reports as [`NumericsError::BadMatrix`].
-pub fn bicgstab(a: &CsrMatrix, b: &[f64], opts: &SolveOptions) -> Result<Solution, NumericsError> {
-    validate_system(a, b)?;
-    let n = a.rows();
-    let diag = a.diagonal();
-    if let Some(i) = diag.iter().position(|&d| d == 0.0 || !d.is_finite()) {
-        return Err(NumericsError::BadMatrix {
-            reason: format!("zero or non-finite diagonal entry at row {i}"),
-        });
-    }
-    let inv_diag: Vec<f64> = diag.iter().map(|&d| 1.0 / d).collect();
-
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        return Ok(Solution {
-            solution: vec![0.0; n],
-            iterations: 0,
-            residual: 0.0,
-            converged: true,
-        });
-    }
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let r_hat = r.clone();
-    let mut rho = 1.0;
-    let mut alpha = 1.0;
-    let mut omega = 1.0;
-    let mut v = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut s = vec![0.0; n];
-    let mut t = vec![0.0; n];
-    let mut y = vec![0.0; n];
-    let mut z = vec![0.0; n];
-
-    for iteration in 0..opts.max_iterations {
-        let res = norm2(&r) / b_norm;
-        if res <= opts.tolerance {
-            return Ok(Solution {
-                solution: x,
-                iterations: iteration,
-                residual: res,
-                converged: true,
-            });
-        }
-        let rho_next = dot(&r_hat, &r);
-        if rho_next == 0.0 {
-            return Err(NumericsError::BadMatrix { reason: "BiCGSTAB breakdown (rho = 0)".into() });
-        }
-        let beta = (rho_next / rho) * (alpha / omega);
-        rho = rho_next;
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        for i in 0..n {
-            y[i] = p[i] * inv_diag[i];
-        }
-        a.mul_vec_into(&y, &mut v);
-        alpha = rho / dot(&r_hat, &v);
-        for i in 0..n {
-            s[i] = r[i] - alpha * v[i];
-        }
-        for i in 0..n {
-            z[i] = s[i] * inv_diag[i];
-        }
-        a.mul_vec_into(&z, &mut t);
-        let tt = dot(&t, &t);
-        omega = if tt == 0.0 { 0.0 } else { dot(&t, &s) / tt };
-        for i in 0..n {
-            x[i] += alpha * y[i] + omega * z[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        if omega == 0.0 {
-            break;
-        }
-    }
-
-    let res = norm2(&r) / b_norm;
-    if res <= opts.tolerance {
-        return Ok(Solution {
-            solution: x,
-            iterations: opts.max_iterations,
-            residual: res,
-            converged: true,
-        });
-    }
-    Err(NumericsError::NoConvergence {
-        iterations: opts.max_iterations,
-        residual: res,
-        tolerance: opts.tolerance,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,35 +472,6 @@ mod tests {
         let s = conjugate_gradient(&a, &b, &SolveOptions::default()).unwrap();
         check_residual(&a, &b, &s.solution, 1e-9);
         assert!(s.iterations <= n + 1, "CG must converge in at most n iterations");
-    }
-
-    #[test]
-    fn sor_matches_cg() {
-        let n = 30;
-        let a = laplacian_1d(n);
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
-        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 100_000, relaxation: 1.8 };
-        let cg = conjugate_gradient(&a, &b, &opts).unwrap();
-        let gs = sor(&a, &b, &opts).unwrap();
-        for (x, y) in cg.solution.iter().zip(&gs.solution) {
-            assert!((x - y).abs() < 1e-6, "solver mismatch: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn bicgstab_solves_nonsymmetric() {
-        // Upper-triangular-ish non-symmetric but well-conditioned system.
-        let mut b = TripletBuilder::new(3, 3);
-        b.add(0, 0, 4.0);
-        b.add(0, 1, 1.0);
-        b.add(1, 1, 5.0);
-        b.add(1, 2, 2.0);
-        b.add(2, 0, 0.5);
-        b.add(2, 2, 6.0);
-        let a = b.build();
-        let rhs = [5.0, 7.0, 6.5];
-        let s = bicgstab(&a, &rhs, &SolveOptions::default()).unwrap();
-        check_residual(&a, &rhs, &s.solution, 1e-9);
     }
 
     #[test]
@@ -736,7 +522,7 @@ mod tests {
     fn no_convergence_reports_residual() {
         let a = laplacian_1d(40);
         let b = vec![1.0; 40];
-        let opts = SolveOptions { tolerance: 1e-14, max_iterations: 2, ..Default::default() };
+        let opts = SolveOptions { tolerance: 1e-14, max_iterations: 2 };
         match conjugate_gradient(&a, &b, &opts) {
             Err(NumericsError::NoConvergence { iterations, residual, .. }) => {
                 assert_eq!(iterations, 2);
@@ -744,13 +530,6 @@ mod tests {
             }
             other => panic!("expected NoConvergence, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sor_validates_relaxation() {
-        let a = laplacian_1d(3);
-        let opts = SolveOptions { relaxation: 2.5, ..Default::default() };
-        assert!(sor(&a, &[1.0; 3], &opts).is_err());
     }
 
     #[test]
@@ -843,7 +622,7 @@ mod tests {
         }
         let a = tb.build();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).sin() + 1.5).collect();
-        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 100_000, relaxation: 1.6 };
+        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 100_000 };
 
         let mut jac = crate::Jacobi::new(&a).unwrap();
         let mut ic = crate::IncompleteCholesky::new(&a).unwrap();
@@ -891,24 +670,5 @@ mod tests {
             preconditioned_cg(&a, &[0.0; 4], &mut x, &mut m, &Default::default(), &mut ws).unwrap();
         assert_eq!(x, vec![0.0; 4]);
         assert_eq!(s.iterations, 0);
-    }
-
-    #[test]
-    fn ssor_cg_agrees_with_jacobi_cg() {
-        let n = 50;
-        let a = laplacian_1d(n);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let opts = SolveOptions { tolerance: 1e-11, max_iterations: 10_000, relaxation: 1.6 };
-        let mut jac = crate::Jacobi::new(&a).unwrap();
-        let mut ss = crate::Ssor::new(&a, 1.4).unwrap();
-        let mut ws = CgWorkspace::new();
-        let mut xj = vec![0.0; n];
-        preconditioned_cg(&a, &b, &mut xj, &mut jac, &opts, &mut ws).unwrap();
-        let mut xs = vec![0.0; n];
-        let stats = preconditioned_cg(&a, &b, &mut xs, &mut ss, &opts, &mut ws).unwrap();
-        for (p, q) in xj.iter().zip(&xs) {
-            assert!((p - q).abs() < 1e-6, "{p} vs {q}");
-        }
-        assert!(stats.residual <= opts.tolerance);
     }
 }

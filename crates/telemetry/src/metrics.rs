@@ -67,7 +67,7 @@ pub struct SolveSample {
     /// Multigrid V-/F-cycles consumed (preconditioner applies of the
     /// multigrid rungs; zero when no multigrid rung ran).
     pub vcycles: u64,
-    /// Sparse triangular solves consumed (two per IC(0)/SSOR apply; zero
+    /// Sparse triangular solves consumed (two per IC(0) apply; zero
     /// for Jacobi/multigrid rungs).
     pub trisolves: u64,
 }

@@ -36,8 +36,6 @@ pub(crate) struct BoundaryFace {
 pub(crate) struct Discretization {
     pub matrix: CsrMatrix,
     pub rhs: Vec<f64>,
-    /// Per-cell injected power in watts.
-    pub cell_power: Vec<f64>,
     /// Boundary couplings for energy-balance checks.
     pub boundary_faces: Vec<BoundaryFace>,
 }
@@ -95,13 +93,12 @@ pub(crate) fn assemble(design: &Design, mesh: &Mesh) -> Result<Discretization, T
     }
 
     let k = paint_conductivity(design, mesh);
-    let q = paint_power(design, mesh)?;
+    let mut rhs = paint_power(design, mesh)?;
 
     let (nx, ny, nz) = mesh.shape();
     let n = mesh.cell_count();
     // 7-point stencil: diagonal + up to 6 neighbors.
     let mut builder = TripletBuilder::with_capacity(n, n, 7 * n);
-    let mut rhs = q.clone();
     let mut boundary_faces = Vec::new();
 
     for kz in 0..nz {
@@ -191,7 +188,7 @@ pub(crate) fn assemble(design: &Design, mesh: &Mesh) -> Result<Discretization, T
         "FVM assembly produced an invalid operator: {:?}",
         matrix.validate_symmetric().err()
     );
-    Ok(Discretization { matrix, rhs, cell_power: q, boundary_faces })
+    Ok(Discretization { matrix, rhs, boundary_faces })
 }
 
 fn mesh_index_checked(mesh: &Mesh, i: usize, j: usize, k: usize, _axis: usize) -> Option<usize> {

@@ -122,17 +122,6 @@ fn shape(reason: String) -> RestoreError {
     RestoreError::Shape { reason }
 }
 
-/// The display name the engine's first ladder rung will carry for `kind`
-/// (matches [`vcsel_numerics::Preconditioner::name`]).
-fn kind_name(kind: PreconditionerKind) -> &'static str {
-    match kind {
-        PreconditionerKind::Jacobi => "jacobi",
-        PreconditionerKind::IncompleteCholesky => "ic0",
-        PreconditionerKind::Ssor { .. } => "ssor",
-        PreconditionerKind::Multigrid { .. } => "multigrid",
-    }
-}
-
 /// A serializable description of how to construct one solve engine — the
 /// `(design, mesh, preconditioner kind)` triple plus the content hash that
 /// names the resulting operator. See the module-level docs above for the
@@ -256,14 +245,14 @@ impl EngineBlueprint {
     ///
     /// Returns `None` when the engine is not in a cacheable state: its
     /// active preconditioner is not the blueprint's lead kind (the ladder
-    /// escalated, or a non-cacheable kind like Jacobi/SSOR leads), or the
+    /// escalated, or the non-cacheable Jacobi kind leads), or the
     /// preconditioner does not alias the engine's operator.
     pub fn engine_artifact(&self, ctx: &SolveContext) -> Option<Vec<u8>> {
         let n = self.mesh.cell_count();
         if ctx.shared_operator().rows() != n {
             return None;
         }
-        if ctx.preconditioner().name() != kind_name(self.kind) {
+        if ctx.preconditioner().name() != self.kind.name() {
             return None;
         }
         let mut w = ArtifactWriter::new(ENGINE_ARTIFACT_KIND);

@@ -35,25 +35,8 @@ use vcsel_telemetry::{ArgValue, SolveSample, TelemetrySink};
 use vcsel_units::{Celsius, Meters};
 
 use crate::assembly::{self, BoundaryFace};
+use crate::schedule::check_scales;
 use crate::{Design, Mesh, MeshSpec, SolveHealth, ThermalError, ThermalMap};
-
-/// Factors the preferred preconditioner for an SPD FVM system, falling back
-/// to Jacobi if the requested factorization breaks down (IC(0) cannot fail
-/// on the M-matrices our assembly produces, but a fallback keeps the engine
-/// total for exotic user matrices). The one-shot [`TransientSimulator`]
-/// (crate::TransientSimulator) still uses this directly; the cached engines
-/// get the same behaviour — plus runtime escalation — from their
-/// [`SolveLadder`].
-pub(crate) fn factor_preconditioner(
-    a: &CsrMatrix,
-    kind: PreconditionerKind,
-) -> Result<AnyPreconditioner, NumericsError> {
-    match kind.build(a) {
-        Ok(p) => Ok(p),
-        Err(_) if kind != PreconditionerKind::Jacobi => PreconditionerKind::Jacobi.build(a),
-        Err(e) => Err(e),
-    }
-}
 
 /// The escalation chain a ladder-backed engine runs for a preferred
 /// preconditioner `kind`: the kind itself, then progressively cheaper,
@@ -65,9 +48,7 @@ pub(crate) fn escalation_chain(kind: PreconditionerKind) -> Vec<PreconditionerKi
         PreconditionerKind::Multigrid { .. } => {
             vec![kind, PreconditionerKind::IncompleteCholesky, PreconditionerKind::Jacobi]
         }
-        PreconditionerKind::IncompleteCholesky | PreconditionerKind::Ssor { .. } => {
-            vec![kind, PreconditionerKind::Jacobi]
-        }
+        PreconditionerKind::IncompleteCholesky => vec![kind, PreconditionerKind::Jacobi],
         PreconditionerKind::Jacobi => vec![kind],
     }
 }
@@ -118,16 +99,7 @@ fn paint_rhs(
     default_scale: f64,
     rhs: &mut [f64],
 ) -> Result<f64, ThermalError> {
-    for &(name, s) in scales {
-        if !group_power.iter().any(|(g, _)| g == name) {
-            return Err(ThermalError::UnknownGroup { group: name.to_string() });
-        }
-        if !s.is_finite() || s < 0.0 {
-            return Err(ThermalError::BadParameter {
-                reason: format!("scale for group '{name}' must be non-negative, got {s}"),
-            });
-        }
-    }
+    check_scales(scales, |name| group_power.iter().any(|(g, _)| g == name))?;
     for ((ri, bi), si) in rhs.iter_mut().zip(boundary_rhs).zip(static_power) {
         *ri = bi + si;
     }
@@ -210,8 +182,8 @@ pub(crate) struct EngineParts {
 pub struct SolveContext {
     mesh: Mesh,
     /// The assembled conduction operator, shared (never cloned) with the
-    /// operator-holding preconditioners — the fine level of a multigrid
-    /// hierarchy and the SSOR splitting alias this same allocation.
+    /// multigrid preconditioner — the hierarchy's fine level aliases this
+    /// same allocation.
     matrix: Arc<CsrMatrix>,
     /// Boundary-condition contribution to the RHS (no sources).
     boundary_rhs: Vec<f64>,
@@ -316,7 +288,7 @@ impl SolveContext {
             boundaries: parts.boundaries,
             ladder: parts.ladder,
             health: SolveHealth::default(),
-            options: SolveOptions { tolerance: 1e-9, max_iterations: 50_000, relaxation: 1.6 },
+            options: SolveOptions { tolerance: 1e-9, max_iterations: 50_000 },
             temps: vec![0.0; n],
             rhs: vec![0.0; n],
             ws: CgWorkspace::with_capacity(n),
@@ -412,7 +384,8 @@ impl SolveContext {
     }
 
     /// Re-factors with a different preconditioner (builder style; benches
-    /// use this to ablate Jacobi vs SSOR vs IC(0) on identical systems).
+    /// use this to ablate Jacobi vs IC(0) vs multigrid on identical
+    /// systems).
     ///
     /// # Errors
     ///
@@ -424,8 +397,8 @@ impl SolveContext {
     }
 
     /// The assembled conduction operator. Shared, not owned: the same
-    /// allocation backs the multigrid hierarchy's finest level (or the
-    /// SSOR splitting), which the engine tests pin with [`Arc::ptr_eq`].
+    /// allocation backs the multigrid hierarchy's finest level, which the
+    /// engine tests pin with [`Arc::ptr_eq`].
     pub fn shared_operator(&self) -> &Arc<CsrMatrix> {
         &self.matrix
     }
@@ -502,7 +475,7 @@ impl SolveContext {
         self.total_iterations
     }
 
-    /// Name of the active preconditioner (`"ic0"`, `"jacobi"`, `"ssor"`,
+    /// Name of the active preconditioner (`"ic0"`, `"jacobi"`,
     /// `"multigrid"`).
     pub fn preconditioner_name(&self) -> &'static str {
         self.ladder.active_name()
@@ -533,8 +506,8 @@ impl SolveContext {
     /// # Errors
     ///
     /// [`ThermalError::UnknownGroup`] for an unknown name,
-    /// [`ThermalError::BadParameter`] for negative or non-finite scales,
-    /// plus solver failures.
+    /// [`ThermalError::BadParameter`] for a negative or non-finite scale
+    /// or a group named twice, plus solver failures.
     pub fn solve_scaled(&mut self, scales: &[(&str, f64)]) -> Result<ThermalMap, ThermalError> {
         let injected = self.solve_field(scales)?;
         Ok(self.snapshot(injected))
@@ -726,7 +699,7 @@ impl SolveContext {
         };
         match sample.solver {
             "multigrid" => sample.vcycles = applies,
-            "ic0" | "ssor" => sample.trisolves = 2 * applies,
+            "ic0" => sample.trisolves = 2 * applies,
             _ => {}
         }
         sample
@@ -1044,16 +1017,6 @@ mod tests {
             Arc::ptr_eq(ctx.shared_operator(), mg.hierarchy().fine_operator()),
             "hierarchy must alias the engine's operator, not clone it"
         );
-
-        // Same story for the SSOR splitting (it used to clone the matrix).
-        let ssor = SolveContext::new_preconditioned(
-            &design,
-            &spec,
-            PreconditionerKind::Ssor { omega: 1.2 },
-        )
-        .unwrap();
-        // Engine handle + SSOR handle = 2 strong counts, 1 allocation.
-        assert_eq!(Arc::strong_count(ssor.shared_operator()), 2);
     }
 
     #[test]
@@ -1114,6 +1077,44 @@ mod tests {
         assert!(matches!(maps[1], Err(ThermalError::UnknownGroup { .. })));
         assert!(matches!(maps[2], Err(ThermalError::BadParameter { .. })));
         assert!(maps[3].is_ok());
+    }
+
+    #[test]
+    fn every_engine_rejects_the_same_bad_paintings() {
+        // One painting rule behind the steady context (scalar and batched),
+        // the transient stepper and the superposed basis: a bad painting
+        // gets the same error variant from each, and the stepper does not
+        // advance on it.
+        let (design, spec) = grouped_slab();
+        let mut ctx = SolveContext::new(&design, &spec).unwrap();
+        let mut stepper =
+            crate::TransientStepper::new(&design, &spec, Celsius::new(40.0), 1e-2).unwrap();
+        let basis = crate::ResponseBasis::build_on(&mut SolveContext::new(&design, &spec).unwrap())
+            .unwrap();
+        let unknown = ThermalError::UnknownGroup { group: String::new() };
+        let bad = ThermalError::BadParameter { reason: String::new() };
+        let cases: [(&[(&str, f64)], &ThermalError); 4] = [
+            (&[("ghost", 1.0)], &unknown),
+            (&[("src", -1.0)], &bad),
+            (&[("src", f64::NAN)], &bad),
+            (&[("src", 1.0), ("src", 1.0)], &bad),
+        ];
+        for (painting, expected) in cases {
+            let errors = [
+                ("context", ctx.solve_scaled(painting).unwrap_err()),
+                ("batch", ctx.solve_batch(&[painting]).unwrap().remove(0).unwrap_err()),
+                ("stepper", stepper.step(painting).unwrap_err()),
+                ("basis", basis.compose(painting).unwrap_err()),
+            ];
+            for (engine, err) in &errors {
+                assert_eq!(
+                    std::mem::discriminant(err),
+                    std::mem::discriminant(expected),
+                    "{engine} on {painting:?}: got {err:?}"
+                );
+            }
+        }
+        assert_eq!(stepper.steps(), 0);
     }
 
     #[test]

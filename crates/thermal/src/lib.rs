@@ -20,7 +20,7 @@
 //! workload follows the mesh → assembly → [`SolveContext`] →
 //! preconditioner-selection pipeline, where the context assembles the SPD
 //! operator once, holds it behind a shared handle (the multigrid
-//! hierarchy and SSOR splitting alias it rather than clone it), picks
+//! hierarchy aliases it rather than cloning it), picks
 //! IC(0) below [`SolveContext::MULTIGRID_CELL_THRESHOLD`] unknowns and
 //! the smoothed-aggregation multigrid hierarchy above it, and serves any
 //! number of warm-started right-hand sides. Engine construction itself is
@@ -89,7 +89,6 @@ mod schedule;
 mod simulator;
 mod stepper;
 mod superposition;
-mod transient;
 
 pub use blueprint::{EngineBlueprint, RestoreError, ENGINE_ARTIFACT_KIND};
 pub use boundary::{Boundary, BoundaryCondition, BoundarySet};
@@ -107,7 +106,6 @@ pub use schedule::{PowerEvent, PowerSchedule};
 pub use simulator::Simulator;
 pub use stepper::TransientStepper;
 pub use superposition::ResponseBasis;
-pub use transient::{TransientSimulator, TransientTrace};
 /// Re-exported so downstream crates can pick a solve-engine preconditioner
 /// (including the multigrid hierarchy and its tuning knobs) without
 /// depending on `vcsel_numerics` directly.

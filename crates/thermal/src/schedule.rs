@@ -64,16 +64,9 @@ impl PowerSchedule {
     /// Returns [`ThermalError::BadParameter`] for a negative or non-finite
     /// scale or timestamp, or a duplicated group in `initial`.
     pub fn new(initial: &[(&str, f64)], mut events: Vec<PowerEvent>) -> Result<Self, ThermalError> {
-        let mut seen: Vec<&str> = Vec::with_capacity(initial.len());
-        for &(group, scale) in initial {
-            if seen.contains(&group) {
-                return Err(ThermalError::BadParameter {
-                    reason: format!("group '{group}' appears twice in the initial scales"),
-                });
-            }
-            seen.push(group);
-            validate_scale(group, scale)?;
-        }
+        // A schedule does not know the engine's groups; the engine checks
+        // names when it replays the scales.
+        check_scales(initial, |_| true)?;
         for e in &events {
             validate_scale(&e.group, e.scale)?;
             if !e.at_s.is_finite() || e.at_s < 0.0 {
@@ -114,6 +107,34 @@ impl PowerSchedule {
     pub fn horizon_s(&self) -> f64 {
         self.events.last().map_or(0.0, |e| e.at_s)
     }
+}
+
+/// Checks a group-scale painting — the `&[(group, scale)]` argument every
+/// engine takes (steady solves, transient steps, basis composition) and a
+/// schedule's initial scales — so all of them accept and reject exactly
+/// the same paintings:
+///
+/// * a group `is_group` does not know is [`ThermalError::UnknownGroup`],
+/// * a negative or non-finite scale is [`ThermalError::BadParameter`],
+/// * a group named twice is [`ThermalError::BadParameter`].
+///
+/// It only validates; callers keep their own painting arithmetic.
+pub(crate) fn check_scales(
+    scales: &[(&str, f64)],
+    is_group: impl Fn(&str) -> bool,
+) -> Result<(), ThermalError> {
+    for (i, &(name, s)) in scales.iter().enumerate() {
+        if !is_group(name) {
+            return Err(ThermalError::UnknownGroup { group: name.to_string() });
+        }
+        validate_scale(name, s)?;
+        if scales[..i].iter().any(|&(seen, _)| seen == name) {
+            return Err(ThermalError::BadParameter {
+                reason: format!("group '{name}' appears twice in the scales"),
+            });
+        }
+    }
+    Ok(())
 }
 
 fn validate_scale(group: &str, scale: f64) -> Result<(), ThermalError> {

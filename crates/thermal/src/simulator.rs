@@ -50,7 +50,7 @@ pub struct Simulator {
 impl Simulator {
     /// Simulator with default solver options (CG, 1e-9 relative residual).
     pub fn new() -> Self {
-        Self { options: SolveOptions { tolerance: 1e-9, max_iterations: 50_000, relaxation: 1.6 } }
+        Self { options: SolveOptions { tolerance: 1e-9, max_iterations: 50_000 } }
     }
 
     /// Overrides the linear-solver options (builder style).
@@ -227,11 +227,8 @@ mod tests {
             d.add_block(Block::heat_source("s", src, Material::COPPER, Watts::new(p)));
             d
         };
-        let sim = Simulator::new().with_options(SolveOptions {
-            tolerance: 1e-12,
-            max_iterations: 50_000,
-            relaxation: 1.6,
-        });
+        let sim = Simulator::new()
+            .with_options(SolveOptions { tolerance: 1e-12, max_iterations: 50_000 });
         let spec = MeshSpec::uniform(mm(0.5));
         let m1 = sim.solve(&build(1.0), &spec).unwrap();
         let m2 = sim.solve(&build(2.0), &spec).unwrap();

@@ -12,6 +12,7 @@
 //! vector arithmetic — with results identical to re-solving, which the
 //! tests verify.
 
+use crate::schedule::check_scales;
 use crate::{Design, MeshSpec, Simulator, SolveContext, ThermalError, ThermalMap};
 
 /// Pre-solved unit responses for the power groups of a design.
@@ -164,13 +165,10 @@ impl ResponseBasis {
     /// # Errors
     ///
     /// Returns [`ThermalError::UnknownGroup`] for a scale entry whose group
-    /// does not exist.
+    /// does not exist, and [`ThermalError::BadParameter`] for a negative
+    /// or non-finite scale or a group named twice.
     pub fn compose(&self, scales: &[(&str, f64)]) -> Result<ThermalMap, ThermalError> {
-        for (g, _) in scales {
-            if !self.responses.iter().any(|(name, _, _)| name == g) {
-                return Err(ThermalError::UnknownGroup { group: (*g).to_string() });
-            }
-        }
+        check_scales(scales, |g| self.responses.iter().any(|(name, _, _)| name == g))?;
         let (mesh, base_temps, faces, base_power) = self.baseline.parts();
         let mut temps = base_temps.to_vec();
         let mut power = base_power;

@@ -36,11 +36,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1e-6 relative residual = micro-kelvin error; saves ~25 % of the CG
     // iterations over this 45-solve campaign.
-    let simulator = Simulator::new().with_options(SolveOptions {
-        tolerance: 1e-6,
-        max_iterations: 50_000,
-        relaxation: 1.6,
-    });
+    let simulator =
+        Simulator::new().with_options(SolveOptions { tolerance: 1e-6, max_iterations: 50_000 });
     let flow = DesignFlow::paper().with_simulator(simulator);
     eprintln!(
         "running 9 thermal studies (3 activities x 3 placements) at {} fidelity ...",

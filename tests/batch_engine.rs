@@ -14,7 +14,7 @@ use vcsel_units::Watts;
 /// agreement bar; at the default 1e-9 their different warm-start chains
 /// disagree at exactly tolerance level.
 fn tight() -> SolveOptions {
-    SolveOptions { tolerance: 1e-12, max_iterations: 50_000, relaxation: 1.6 }
+    SolveOptions { tolerance: 1e-12, max_iterations: 50_000 }
 }
 
 fn tiny_system() -> (SccSystem, vcsel_thermal::MeshSpec) {

@@ -53,7 +53,7 @@ fn injected_breakdown_recovers_through_the_ladder_to_the_healthy_field() {
 
     // Solve well below the 1e-9 acceptance bar so the healthy/faulted
     // comparison measures the ladder, not the CG stopping criterion.
-    let options = SolveOptions { tolerance: 1e-12, max_iterations: 100_000, relaxation: 1.6 };
+    let options = SolveOptions { tolerance: 1e-12, max_iterations: 100_000 };
 
     let mut healthy =
         SolveContext::new(system.design(), &spec).expect("context").with_options(options);
@@ -88,7 +88,7 @@ fn injected_breakdown_in_a_batch_recovers_per_column_to_the_healthy_maps() {
     // the per-column scalar fallback escalates past it.
     let (design, _) = grouped_slab();
     let spec = MeshSpec::uniform(mm(0.25));
-    let options = SolveOptions { tolerance: 1e-12, max_iterations: 100_000, relaxation: 1.6 };
+    let options = SolveOptions { tolerance: 1e-12, max_iterations: 100_000 };
     let paintings: [&[(&str, f64)]; 4] = [&[("src", 1.0)], &[("src", 0.5)], &[("src", 2.0)], &[]];
 
     let mut healthy = SolveContext::new(&design, &spec).expect("context").with_options(options);
@@ -119,6 +119,48 @@ fn injected_breakdown_in_a_batch_recovers_per_column_to_the_healthy_maps() {
 }
 
 #[test]
+fn injected_breakdown_in_a_transient_step_recovers_to_the_healthy_trajectory() {
+    // The transient path: the stepper is the only backward-Euler
+    // integrator, so its per-step solves must self-heal through the same
+    // ladder. The faulted step escalates past the corrupted IC(0) rung and
+    // the trajectory must stay on the healthy one, step after step.
+    let (design, spec) = grouped_slab();
+    let options = SolveOptions { tolerance: 1e-12, max_iterations: 100_000 };
+    let new_stepper = || {
+        TransientStepper::new(&design, &spec, Celsius::new(40.0), 1e-2)
+            .expect("stepper builds")
+            .with_options(options)
+    };
+    let mut healthy = new_stepper();
+    let mut faulted = new_stepper();
+    faulted.inject_solver_fault();
+
+    for (step, scale) in [1.0, 1.0, 2.5, 0.0, 1.0].into_iter().enumerate() {
+        healthy.step(&[("src", scale)]).expect("healthy step");
+        faulted.step(&[("src", scale)]).expect("faulted step must still succeed");
+        assert!(healthy.health().is_clean(), "step {step}: healthy stepper must not escalate");
+        let health = faulted.health();
+        assert!(health.converged, "step {step}: recovered step must be converged");
+        if step == 0 {
+            assert!(health.recovered, "the faulted step must be flagged as recovered");
+            assert!(health.escalations >= 1, "the faulted step must escalate");
+        }
+
+        let mut worst = 0.0f64;
+        for (a, b) in
+            healthy.snapshot().temperatures().iter().zip(faulted.snapshot().temperatures())
+        {
+            worst = worst.max((a - b).abs() / a.abs().max(1.0));
+        }
+        assert!(
+            worst <= 1e-9,
+            "step {step}: fields must match to 1e-9 relative, worst {worst:.3e}"
+        );
+    }
+    assert_eq!(faulted.steps(), healthy.steps());
+}
+
+#[test]
 fn exhausted_ladder_is_a_typed_error_with_the_field_rolled_back() {
     // A single-rung strict ladder with a starvation-level iteration cap:
     // the step must fail *loudly* and leave the trajectory untouched.
@@ -128,7 +170,7 @@ fn exhausted_ladder_is_a_typed_error_with_the_field_rolled_back() {
         .expect("stepper builds")
         .with_preconditioner(PreconditionerKind::Jacobi)
         .expect("jacobi rung")
-        .with_options(SolveOptions { tolerance: 1e-12, max_iterations: 2, relaxation: 1.6 });
+        .with_options(SolveOptions { tolerance: 1e-12, max_iterations: 2 });
 
     let err = stepper.step(&[("src", 1.0)]).expect_err("starved solve must fail");
     assert!(
@@ -144,11 +186,8 @@ fn exhausted_ladder_is_a_typed_error_with_the_field_rolled_back() {
     assert!(!stepper.health().converged, "health must flag the failure");
 
     // The same stepper recovers once the cap is realistic.
-    let mut stepper = stepper.with_options(SolveOptions {
-        tolerance: 1e-9,
-        max_iterations: 10_000,
-        relaxation: 1.6,
-    });
+    let mut stepper =
+        stepper.with_options(SolveOptions { tolerance: 1e-9, max_iterations: 10_000 });
     stepper.step(&[("src", 1.0)]).expect("healthy cap converges");
     assert_eq!(stepper.steps(), 1);
 }

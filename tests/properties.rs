@@ -192,7 +192,7 @@ proptest! {
         let columns: Vec<Vec<f64>> = (0..k)
             .map(|j| (0..n).map(|i| rhs_seed[(j * n + i) % rhs_seed.len()]).collect())
             .collect();
-        let opts = SolveOptions { tolerance: 1e-12, max_iterations: 50_000, relaxation: 1.5 };
+        let opts = SolveOptions { tolerance: 1e-12, max_iterations: 50_000 };
         let mut pc = PreconditionerKind::Jacobi.build(&a).unwrap();
 
         let mut scalars = Vec::with_capacity(k);

@@ -90,24 +90,3 @@ fn threaded_and_serial_transient_steppers_agree_on_the_scc_mesh() {
         assert_eq!(a.to_bits(), b.to_bits(), "stepper fields differ: {a} vs {b}");
     }
 }
-
-#[test]
-fn ssor_agrees_with_ic0_on_the_scc_system() {
-    let (system, spec) = tiny_system();
-    let mut ssor = SolveContext::new(system.design(), &spec)
-        .expect("context")
-        .with_preconditioner(PreconditionerKind::Ssor { omega: 1.2 })
-        .expect("ssor");
-    let mut ic0 = SolveContext::new(system.design(), &spec).expect("context");
-    let map_s = ssor.solve().expect("ssor solves");
-    let map_i = ic0.solve().expect("ic0 solves");
-    for (a, b) in map_s.temperatures().iter().zip(map_i.temperatures()) {
-        assert!((a - b).abs() < 1e-6, "SSOR {a} vs IC(0) {b}");
-    }
-    assert!(
-        ssor.last_iterations() < 2 * ic0.last_iterations().max(1) * 10,
-        "sanity: SSOR iteration count {} not runaway vs IC(0) {}",
-        ssor.last_iterations(),
-        ic0.last_iterations()
-    );
-}

@@ -244,7 +244,7 @@ fn mesh_refinement_converges() {
 /// cross-crate system (SCC reduced geometry).
 #[test]
 fn transient_reaches_steady_on_scc() {
-    use vcsel_onoc::thermal::TransientSimulator;
+    use vcsel_onoc::thermal::TransientStepper;
 
     let config = SccConfig { p_vcsel: Watts::from_milliwatts(2.0), ..SccConfig::tiny_test() };
     let system = SccSystem::build(&config).unwrap();
@@ -259,12 +259,17 @@ fn transient_reaches_steady_on_scc() {
     // is ~1.5 s (measured: 4 s of simulation still leaves a 6.5 % residual,
     // outside the 5 % tolerance below). Implicit Euler's fixed point is the
     // steady solution regardless of step size, so a larger step buys
-    // settling time without extra solves.
-    let trace = TransientSimulator::new(Celsius::new(40.0))
-        .simulate(system.design(), &spec, 150e-3, 80, &[probe])
-        .unwrap();
+    // settling time without extra solves. Every group at scale 1 is the
+    // design as built, which the steady solve sees.
+    let scales: Vec<(&str, f64)> =
+        system.design().group_names().into_iter().map(|g| (g, 1.0)).collect();
+    let mut stepper =
+        TransientStepper::new(system.design(), &spec, Celsius::new(40.0), 150e-3).unwrap();
+    for _ in 0..80 {
+        stepper.step(&scales).unwrap();
+    }
     let t_steady = steady.temperature_at(probe).unwrap().value();
-    let t_final = trace.final_probe(0).value();
+    let t_final = stepper.temperature_at(probe).unwrap().value();
     assert!(
         (t_final - t_steady).abs() < 0.05 * (t_steady - 40.0).max(0.1),
         "transient {t_final} vs steady {t_steady}"
