@@ -31,12 +31,12 @@ use std::sync::Arc;
 
 use crate::multigrid::{Multigrid, MultigridConfig, MultigridHierarchy};
 use crate::precond::IncompleteCholesky;
-use crate::{CsrMatrix, CycleKind, NumericsError};
+use crate::{CsrMatrix, NumericsError};
 
 /// Format version written into (and required from) every artifact envelope.
 /// Version 3: an IC(0) payload is `n` plus the three factor arrays and
-/// nothing else.
-pub const ARTIFACT_VERSION: u32 = 3;
+/// nothing else. Version 4: a multigrid config carries no cycle-shape tag.
+pub const ARTIFACT_VERSION: u32 = 4;
 
 /// Envelope magic: "VCsel Artifact Format".
 const MAGIC: [u8; 4] = *b"VCAF";
@@ -743,10 +743,6 @@ fn write_config(w: &mut ArtifactWriter, c: &MultigridConfig) {
     w.put_u64(c.post_sweeps as u64);
     w.put_u64(c.max_levels as u64);
     w.put_u64(c.direct_cells as u64);
-    w.put_u8(match c.cycle {
-        CycleKind::V => 0,
-        CycleKind::F => 1,
-    });
     w.put_bool(c.parallel_sweeps);
 }
 
@@ -757,11 +753,6 @@ fn read_config(r: &mut ArtifactReader<'_>) -> Result<MultigridConfig, ArtifactEr
     let post_sweeps = r.get_usize()?;
     let max_levels = r.get_usize()?;
     let direct_cells = r.get_usize()?;
-    let cycle = match r.get_u8()? {
-        0 => CycleKind::V,
-        1 => CycleKind::F,
-        t => return Err(bad(format!("unknown cycle tag {t}"))),
-    };
     let parallel_sweeps = r.get_bool()?;
     Ok(MultigridConfig {
         strength_threshold,
@@ -770,7 +761,6 @@ fn read_config(r: &mut ArtifactReader<'_>) -> Result<MultigridConfig, ArtifactEr
         post_sweeps,
         max_levels,
         direct_cells,
-        cycle,
         parallel_sweeps,
     })
 }
@@ -1038,8 +1028,8 @@ mod tests {
         let mut restored = restored;
         let mut ws1 = crate::MgWorkspace::for_hierarchy(&h);
         let mut ws2 = crate::MgWorkspace::for_hierarchy(&restored);
-        h.cycle(CycleKind::V, &b, &mut x1, &mut ws1);
-        restored.cycle(CycleKind::V, &b, &mut x2, &mut ws2);
+        h.cycle(&b, &mut x1, &mut ws1);
+        restored.cycle(&b, &mut x2, &mut ws2);
         assert_eq!(x1, x2, "restored V-cycle must be bitwise identical");
     }
 

@@ -1,35 +1,22 @@
-//! Block (multi-right-hand-side) conjugate gradient.
+//! Column blocks for the multi-right-hand-side CG kernel.
 //!
 //! Design-space sweeps ask the same operator many questions at once: one
-//! assembled FVM matrix, k power paintings. Solving the k systems one at a
-//! time re-reads the ~12 bytes/nonzero operator once per column per
-//! iteration; [`block_preconditioned_cg`] instead runs k *independent* CG
-//! recurrences in lockstep and serves every iteration's k matvecs from
-//! **one sweep** of the operator ([`CsrMatrix::multiply_block_into`]) and
-//! its k preconditioner applies from one
-//! [`Preconditioner::apply_columns`] call — for IC(0), one pass over the
-//! factor.
-//!
-//! "Independent" is the load-bearing word: unlike classical block-CG, the
-//! columns share no Krylov space — each keeps its own direction, step and
-//! residual, so a rank-deficient block (duplicate right-hand sides) cannot
-//! break the iteration down, and every column reproduces its scalar
-//! [`preconditioned_cg`](crate::solver::preconditioned_cg) run *bitwise*
-//! (same dot products, same update order, same stall/divergence policy).
-//! Columns that converge, stall or diverge are **deflated**: swapped out of
-//! the packed active block so later sweeps do no work for them, with a
-//! per-column [`CgSummary`] recording how each one stopped.
+//! assembled FVM matrix, k power paintings.
+//! [`preconditioned_cg`](crate::solver::preconditioned_cg) runs their k
+//! independent recurrences in lockstep and keeps its per-column state in
+//! [`BlockVector`]s, so every iteration's k matvecs come from **one
+//! sweep** of the operator
+//! ([`CsrMatrix::multiply_block_into`](crate::CsrMatrix::multiply_block_into))
+//! and its k preconditioner applies from one
+//! [`Preconditioner::apply_columns`](crate::Preconditioner::apply_columns)
+//! call — for IC(0), one pass over the factor.
 
-use crate::precond::Preconditioner;
-use crate::solver::{
-    dot, indefinite_matrix_error, norm2, CgStop, CgSummary, SolveOptions, DIVERGENCE_LIMIT,
-    STALL_IMPROVEMENT, STALL_WINDOW,
-};
-use crate::{CsrMatrix, NumericsError};
+use crate::NumericsError;
 
 /// A dense column block: k vectors of n entries in column-major storage,
-/// so every column is one contiguous `&[f64]` (what the scalar
-/// [`Preconditioner`] applies and the deflation swaps need).
+/// so every column is one contiguous `&[f64]` (what a one-column
+/// [`Preconditioner::apply`](crate::Preconditioner::apply) and the
+/// deflation swaps need).
 ///
 /// # Example
 ///
@@ -162,7 +149,7 @@ impl BlockVector {
     }
 
     /// Resizes to n×k without preserving contents.
-    fn reset(&mut self, n: usize, k: usize) {
+    pub(crate) fn reset(&mut self, n: usize, k: usize) {
         self.data.clear();
         self.data.resize(n * k, 0.0);
         self.n = n;
@@ -170,371 +157,12 @@ impl BlockVector {
     }
 }
 
-/// Caller-owned scratch for [`block_preconditioned_cg`]: the four block
-/// buffers plus the per-column recurrence state, resized once per shape and
-/// reused across solves so the iteration loop allocates nothing.
-///
-/// After a solve, the workspace's counters report how much operator work
-/// the block actually did — the quantities the deflation tests pin and the
-/// batch telemetry records.
-#[derive(Debug, Clone, Default)]
-pub struct BlockCgWorkspace {
-    r: BlockVector,
-    z: BlockVector,
-    p: BlockVector,
-    ap: BlockVector,
-    /// Packed active set: slot `s` of `p`/`ap` carries column `active[s]`.
-    active: Vec<usize>,
-    rz: Vec<f64>,
-    b_norm: Vec<f64>,
-    best: Vec<f64>,
-    since_best: Vec<usize>,
-    operator_sweeps: u64,
-    column_sweeps: u64,
-    precond_applies: u64,
-}
-
-impl BlockCgWorkspace {
-    /// An empty workspace; buffers are sized lazily by the solver.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Operator sweeps ([`CsrMatrix::multiply_block_into`] calls) the most
-    /// recent solve performed. With up to eight active columns this is the
-    /// number of times the operator's nonzeros were streamed from memory —
-    /// the quantity one block sweep amortizes over all active columns (a
-    /// wider block streams them once per eight columns).
-    pub fn operator_sweeps(&self) -> u64 {
-        self.operator_sweeps
-    }
-
-    /// Per-column matvec work of the most recent solve: the sum over
-    /// operator sweeps of the active column count. A deflated column stops
-    /// contributing here — the counter the deflation tests pin.
-    pub fn column_sweeps(&self) -> u64 {
-        self.column_sweeps
-    }
-
-    /// Preconditioner applications, counted per column: one per active
-    /// column per iteration, however many columns one
-    /// [`Preconditioner::apply_columns`] call serves. Whether blocking
-    /// amortizes them depends on the preconditioner: IC(0) reads its
-    /// factor once per call for the whole active set; the others apply
-    /// column by column.
-    pub fn preconditioner_applies(&self) -> u64 {
-        self.precond_applies
-    }
-
-    fn reset(&mut self, n: usize, k: usize) {
-        self.r.reset(n, k);
-        self.z.reset(n, k);
-        self.p.reset(n, k);
-        self.ap.reset(n, k);
-        self.active.clear();
-        self.rz.clear();
-        self.rz.resize(k, 0.0);
-        self.b_norm.clear();
-        self.b_norm.resize(k, 0.0);
-        self.best.clear();
-        self.best.resize(k, f64::INFINITY);
-        self.since_best.clear();
-        self.since_best.resize(k, 0);
-        self.operator_sweeps = 0;
-        self.column_sweeps = 0;
-        self.precond_applies = 0;
-    }
-}
-
-/// Deflates packed slot `s`: records the column's summary, swaps the slot
-/// with the last active one and shrinks the packed block width by one.
-fn deflate(
-    ws: &mut BlockCgWorkspace,
-    summaries: &mut [CgSummary],
-    s: usize,
-    iterations: usize,
-    residual: f64,
-    converged: bool,
-    stop: CgStop,
-) {
-    summaries[ws.active[s]] = CgSummary { iterations, residual, converged, stop };
-    let last = ws.active.len() - 1;
-    ws.active.swap(s, last);
-    ws.p.swap_columns(s, last);
-    ws.active.pop();
-    ws.p.truncate_columns(last);
-    ws.ap.truncate_columns(last);
-}
-
-/// Solves `A X = B` for k right-hand-side columns with preconditioned
-/// conjugate gradient, warm-starting each column from the incoming `x`.
-///
-/// Every column runs the exact scalar
-/// [`preconditioned_cg`](crate::solver::preconditioned_cg) recurrence —
-/// same operation order, same stall ([`STALL_WINDOW`]) and divergence
-/// ([`DIVERGENCE_LIMIT`]) policy, so with `k = 1` the solution, iteration
-/// count and residual are **bitwise identical** to the scalar solver. What
-/// the block form changes is purely the memory traffic: each iteration's k
-/// matvecs ride one sweep of the operator
-/// ([`CsrMatrix::multiply_block_into`]), its k preconditioner applies one
-/// [`Preconditioner::apply_columns`] call, and columns that stop
-/// (converged, stalled, diverged) are deflated out of the packed block so
-/// the remaining sweeps shrink. Because the columns share no Krylov space,
-/// duplicate (rank-deficient) right-hand sides are harmless — each copy
-/// just traces the same recurrence.
-///
-/// Per column the outcome lands in its [`CgSummary`] slot of the returned
-/// vector; non-convergence is a typed per-column outcome, not an error.
-/// After a [`CgStop::Diverged`] stop that column of `x` holds a runaway
-/// iterate and must not be used.
-///
-/// # Errors
-///
-/// * [`NumericsError::BadMatrix`] if `A` is not square or indefiniteness
-///   is detected (`pᵀAp ≤ 0` on any column),
-/// * [`NumericsError::DimensionMismatch`] if `b` or `x` have the wrong
-///   shape,
-/// * [`NumericsError::BadInput`] for non-finite entries in `b` or `x`.
-///
-/// # Example
-///
-/// ```
-/// use vcsel_numerics::solver::SolveOptions;
-/// use vcsel_numerics::{
-///     block_preconditioned_cg, BlockCgWorkspace, BlockVector, Jacobi, TripletBuilder,
-/// };
-///
-/// let mut t = TripletBuilder::new(2, 2);
-/// t.add(0, 0, 4.0);
-/// t.add(1, 1, 9.0);
-/// let a = t.build();
-/// let b = BlockVector::from_columns(&[&[8.0, 27.0], &[4.0, 0.0]])?;
-/// let mut x = BlockVector::zeros(2, 2);
-/// let mut m = Jacobi::new(&a)?;
-/// let mut ws = BlockCgWorkspace::new();
-/// let summaries =
-///     block_preconditioned_cg(&a, &b, &mut x, &mut m, &SolveOptions::default(), &mut ws)?;
-/// assert!(summaries.iter().all(|s| s.converged));
-/// assert!((x.column(0)[0] - 2.0).abs() < 1e-9 && (x.column(0)[1] - 3.0).abs() < 1e-9);
-/// assert!((x.column(1)[0] - 1.0).abs() < 1e-9 && x.column(1)[1].abs() < 1e-9);
-/// # Ok::<(), vcsel_numerics::NumericsError>(())
-/// ```
-pub fn block_preconditioned_cg<P: Preconditioner + ?Sized>(
-    a: &CsrMatrix,
-    b: &BlockVector,
-    x: &mut BlockVector,
-    m: &mut P,
-    opts: &SolveOptions,
-    ws: &mut BlockCgWorkspace,
-) -> Result<Vec<CgSummary>, NumericsError> {
-    if a.rows() != a.cols() {
-        return Err(NumericsError::BadMatrix {
-            reason: format!("matrix must be square, got {}x{}", a.rows(), a.cols()),
-        });
-    }
-    let n = a.rows();
-    if b.rows() != n {
-        return Err(NumericsError::DimensionMismatch {
-            what: "right-hand-side block rows",
-            expected: n,
-            got: b.rows(),
-        });
-    }
-    let k = b.columns();
-    if x.rows() != n {
-        return Err(NumericsError::DimensionMismatch {
-            what: "initial guess block rows",
-            expected: n,
-            got: x.rows(),
-        });
-    }
-    if x.columns() != k {
-        return Err(NumericsError::DimensionMismatch {
-            what: "initial guess block columns",
-            expected: k,
-            got: x.columns(),
-        });
-    }
-    for j in 0..k {
-        if b.column(j).iter().any(|v| !v.is_finite()) {
-            return Err(NumericsError::BadInput {
-                reason: format!("right-hand-side column {j} contains non-finite values"),
-            });
-        }
-        if x.column(j).iter().any(|v| !v.is_finite()) {
-            return Err(NumericsError::BadInput {
-                reason: format!("initial guess column {j} contains non-finite values"),
-            });
-        }
-    }
-
-    ws.reset(n, k);
-    // Placeholder summaries: every slot is overwritten before return (at
-    // the zero-RHS fast path, a deflation, or the iteration-cap tail).
-    let mut summaries = vec![
-        CgSummary {
-            iterations: 0,
-            residual: f64::INFINITY,
-            converged: false,
-            stop: CgStop::IterationCap,
-        };
-        k
-    ];
-
-    // Zero right-hand sides converge to x = 0 before the iteration, the
-    // scalar fast path applied per column.
-    for (j, summary) in summaries.iter_mut().enumerate() {
-        let bn = norm2(b.column(j));
-        ws.b_norm[j] = bn;
-        if bn == 0.0 {
-            x.column_mut(j).fill(0.0);
-            *summary = CgSummary {
-                iterations: 0,
-                residual: 0.0,
-                converged: true,
-                stop: CgStop::Converged,
-            };
-        } else {
-            ws.active.push(j);
-        }
-    }
-    let m0 = ws.active.len();
-    ws.p.truncate_columns(m0);
-    ws.ap.truncate_columns(m0);
-    if m0 == 0 {
-        return Ok(summaries);
-    }
-
-    // r = b − A·x, skipping the operator sweep when every guess is zero
-    // (the scalar warm-start fast path). In a mixed batch the all-zero
-    // columns ride the sweep: A·0 is exactly 0.0 and b − 0.0 is bitwise b,
-    // so the shortcut and the sweep agree to the last bit.
-    let any_warm = ws.active.iter().any(|&j| x.column(j).iter().any(|&v| v != 0.0));
-    if any_warm {
-        for s in 0..m0 {
-            let j = ws.active[s];
-            ws.p.column_mut(s).copy_from_slice(x.column(j));
-        }
-        a.multiply_block_into(&ws.p, &mut ws.ap);
-        ws.operator_sweeps += 1;
-        ws.column_sweeps += m0 as u64;
-        for s in 0..m0 {
-            let j = ws.active[s];
-            let rj = ws.r.column_mut(j);
-            for (i, ri) in rj.iter_mut().enumerate() {
-                *ri = b.column(j)[i] - ws.ap.column(s)[i];
-            }
-        }
-    } else {
-        for s in 0..m0 {
-            let j = ws.active[s];
-            ws.r.column_mut(j).copy_from_slice(b.column(j));
-        }
-    }
-
-    // z = M⁻¹ r for the whole active set, then p = z, rz = ⟨r, z⟩.
-    m.apply_columns(&ws.r, &mut ws.z, &ws.active);
-    ws.precond_applies += m0 as u64;
-    for s in 0..m0 {
-        let j = ws.active[s];
-        ws.p.column_mut(s).copy_from_slice(ws.z.column(j));
-        ws.rz[j] = dot(ws.r.column(j), ws.z.column(j));
-    }
-
-    for iteration in 0..opts.max_iterations {
-        // Residual checks in scalar order (tolerance → divergence →
-        // stall), deflating finished columns out of the packed block. Not
-        // advancing `s` after a deflation re-examines the swapped-in
-        // column, so every active column is checked exactly once.
-        let mut s = 0;
-        while s < ws.active.len() {
-            let j = ws.active[s];
-            let res = norm2(ws.r.column(j)) / ws.b_norm[j];
-            if res <= opts.tolerance {
-                deflate(ws, &mut summaries, s, iteration, res, true, CgStop::Converged);
-                continue;
-            }
-            if !res.is_finite() || res > DIVERGENCE_LIMIT {
-                deflate(ws, &mut summaries, s, iteration, res, false, CgStop::Diverged);
-                continue;
-            }
-            if res < ws.best[j] * (1.0 - STALL_IMPROVEMENT) {
-                ws.best[j] = res;
-                ws.since_best[j] = 0;
-            } else {
-                ws.since_best[j] += 1;
-                if ws.since_best[j] >= STALL_WINDOW {
-                    deflate(ws, &mut summaries, s, iteration, res, false, CgStop::Stalled);
-                    continue;
-                }
-            }
-            s += 1;
-        }
-        let width = ws.active.len();
-        if width == 0 {
-            return Ok(summaries);
-        }
-
-        // One operator sweep serves every still-active column's matvec.
-        a.multiply_block_into(&ws.p, &mut ws.ap);
-        ws.operator_sweeps += 1;
-        ws.column_sweeps += width as u64;
-
-        // Step every active column, precondition them all in one call,
-        // then turn every direction. Each column keeps the scalar order of
-        // operations; only the interleaving across columns changes.
-        for s in 0..width {
-            let j = ws.active[s];
-            let pap = dot(ws.p.column(s), ws.ap.column(s));
-            if pap <= 0.0 {
-                return Err(indefinite_matrix_error(pap));
-            }
-            let alpha = ws.rz[j] / pap;
-            let xj = x.column_mut(j);
-            let rj = ws.r.column_mut(j);
-            let ps = ws.p.column(s);
-            let aps = ws.ap.column(s);
-            for (i, xi) in xj.iter_mut().enumerate() {
-                *xi += alpha * ps[i];
-                rj[i] -= alpha * aps[i];
-            }
-        }
-        m.apply_columns(&ws.r, &mut ws.z, &ws.active);
-        ws.precond_applies += width as u64;
-        for s in 0..width {
-            let j = ws.active[s];
-            let rz_next = dot(ws.r.column(j), ws.z.column(j));
-            let beta = rz_next / ws.rz[j];
-            ws.rz[j] = rz_next;
-            let ps = ws.p.column_mut(s);
-            let zj = ws.z.column(j);
-            for (i, pi) in ps.iter_mut().enumerate() {
-                *pi = zj[i] + beta * *pi;
-            }
-        }
-    }
-
-    // Iteration cap: the scalar tail, per remaining column.
-    for s in 0..ws.active.len() {
-        let j = ws.active[s];
-        let res = norm2(ws.r.column(j)) / ws.b_norm[j];
-        let converged = res <= opts.tolerance;
-        summaries[j] = CgSummary {
-            iterations: opts.max_iterations,
-            residual: res,
-            converged,
-            stop: if converged { CgStop::Converged } else { CgStop::IterationCap },
-        };
-    }
-    Ok(summaries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::precond::{IncompleteCholesky, Jacobi};
-    use crate::solver::{preconditioned_cg, CgWorkspace};
-    use crate::TripletBuilder;
+    use crate::solver::{preconditioned_cg, CgWorkspace, SolveOptions};
+    use crate::{CsrMatrix, TripletBuilder};
 
     /// 3-D 7-point SPD stencil with a small Robin-like diagonal shift.
     fn stencil_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
@@ -617,11 +245,13 @@ mod tests {
         // Nine columns (one more than a preconditioner sweep serves) with
         // warm starts of graded quality, so columns deflate mid-solve and
         // the active set shrinks and reorders under the multi-column apply.
+        // Every column must come out bitwise as a one-column call of the
+        // same kernel leaves it.
         let a = stencil_3d(7, 6, 5);
         let n = a.rows();
         let opts = SolveOptions { tolerance: 1e-10, ..Default::default() };
         let mut m = IncompleteCholesky::new(&a).unwrap();
-        let mut ws_scalar = CgWorkspace::new();
+        let mut ws = CgWorkspace::new();
         let rhs: Vec<Vec<f64>> = (0..9).map(|c| pseudo_random(n, 31 + c)).collect();
         let guesses: Vec<Vec<f64>> = rhs
             .iter()
@@ -629,97 +259,30 @@ mod tests {
             .map(|(c, b)| {
                 let mut guess = vec![0.0; n];
                 let head_start = SolveOptions { max_iterations: 3 * c, ..opts };
-                preconditioned_cg(&a, b, &mut guess, &mut m, &head_start, &mut ws_scalar).unwrap();
+                preconditioned_cg(&a, b, &mut guess, &mut m, &head_start, &mut ws).unwrap();
                 guess
             })
             .collect();
 
-        let rhs_refs: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
-        let guess_refs: Vec<&[f64]> = guesses.iter().map(Vec::as_slice).collect();
-        let blk = BlockVector::from_columns(&rhs_refs).unwrap();
-        let mut x = BlockVector::from_columns(&guess_refs).unwrap();
-        let mut ws = BlockCgWorkspace::new();
-        let block = block_preconditioned_cg(&a, &blk, &mut x, &mut m, &opts, &mut ws).unwrap();
+        let mut x = guesses.concat();
+        preconditioned_cg(&a, &rhs.concat(), &mut x, &mut m, &opts, &mut ws).unwrap();
+        let block = ws.summaries().to_vec();
+        let applies = ws.preconditioner_applies();
 
         let mut distinct = block.iter().map(|s| s.iterations).collect::<Vec<_>>();
         distinct.sort_unstable();
         distinct.dedup();
         assert!(distinct.len() > 3, "warm starts must stagger the deflations: {block:?}");
         for (c, summary) in block.iter().enumerate() {
-            let mut x_scalar = guesses[c].clone();
-            let scalar =
-                preconditioned_cg(&a, &rhs[c], &mut x_scalar, &mut m, &opts, &mut ws_scalar)
-                    .unwrap();
-            assert!(scalar.converged && summary.converged, "column {c}");
-            assert_eq!(scalar.iterations, summary.iterations, "column {c}");
-            assert_eq!(scalar.residual.to_bits(), summary.residual.to_bits(), "column {c}");
-            assert_eq!(bits(&x_scalar), bits(x.column(c)), "column {c}");
+            let mut x_one = guesses[c].clone();
+            let one = preconditioned_cg(&a, &rhs[c], &mut x_one, &mut m, &opts, &mut ws).unwrap();
+            assert!(one.converged && summary.converged, "column {c}");
+            assert_eq!(one.iterations, summary.iterations, "column {c}");
+            assert_eq!(one.residual.to_bits(), summary.residual.to_bits(), "column {c}");
+            assert_eq!(bits(&x_one), bits(&x[c * n..(c + 1) * n]), "column {c}");
         }
         let total: u64 = block.iter().map(|s| s.iterations as u64).sum();
-        assert_eq!(ws.preconditioner_applies(), total + 9, "one apply per active column");
-    }
-
-    #[test]
-    fn k1_degenerates_to_scalar_cg_bitwise() {
-        let a = stencil_3d(6, 5, 4);
-        let n = a.rows();
-        let rhs = pseudo_random(n, 42);
-        let opts = SolveOptions { tolerance: 1e-11, ..Default::default() };
-
-        for ic0 in [false, true] {
-            let mut x_scalar = vec![0.0; n];
-            let mut ws_scalar = CgWorkspace::new();
-            let mut x_block = BlockVector::zeros(n, 1);
-            let mut ws_block = BlockCgWorkspace::new();
-            let (scalar, block) = if ic0 {
-                let mut m = IncompleteCholesky::new(&a).unwrap();
-                let s = preconditioned_cg(&a, &rhs, &mut x_scalar, &mut m, &opts, &mut ws_scalar)
-                    .unwrap();
-                let blk = BlockVector::from_columns(&[&rhs]).unwrap();
-                let b =
-                    block_preconditioned_cg(&a, &blk, &mut x_block, &mut m, &opts, &mut ws_block)
-                        .unwrap();
-                (s, b)
-            } else {
-                let mut m = Jacobi::new(&a).unwrap();
-                let s = preconditioned_cg(&a, &rhs, &mut x_scalar, &mut m, &opts, &mut ws_scalar)
-                    .unwrap();
-                let blk = BlockVector::from_columns(&[&rhs]).unwrap();
-                let b =
-                    block_preconditioned_cg(&a, &blk, &mut x_block, &mut m, &opts, &mut ws_block)
-                        .unwrap();
-                (s, b)
-            };
-            assert_eq!(block.len(), 1);
-            assert!(scalar.converged && block[0].converged);
-            assert_eq!(scalar.iterations, block[0].iterations, "ic0={ic0}");
-            assert_eq!(scalar.residual.to_bits(), block[0].residual.to_bits(), "ic0={ic0}");
-            assert_eq!(bits(&x_scalar), bits(x_block.column(0)), "ic0={ic0}");
-        }
-    }
-
-    #[test]
-    fn k1_warm_start_also_bitwise() {
-        let a = stencil_3d(5, 5, 3);
-        let n = a.rows();
-        let rhs = pseudo_random(n, 3);
-        let guess = pseudo_random(n, 9);
-        let opts = SolveOptions::default();
-        let mut m = Jacobi::new(&a).unwrap();
-
-        let mut x_scalar = guess.clone();
-        let mut ws_scalar = CgWorkspace::new();
-        let scalar =
-            preconditioned_cg(&a, &rhs, &mut x_scalar, &mut m, &opts, &mut ws_scalar).unwrap();
-
-        let blk = BlockVector::from_columns(&[&rhs]).unwrap();
-        let mut x_block = BlockVector::from_columns(&[&guess]).unwrap();
-        let mut ws_block = BlockCgWorkspace::new();
-        let block =
-            block_preconditioned_cg(&a, &blk, &mut x_block, &mut m, &opts, &mut ws_block).unwrap();
-
-        assert_eq!(scalar.iterations, block[0].iterations);
-        assert_eq!(bits(&x_scalar), bits(x_block.column(0)));
+        assert_eq!(applies, total + 9, "one apply per active column");
     }
 
     #[test]
@@ -730,16 +293,17 @@ mod tests {
         let scaled: Vec<f64> = base.iter().map(|v| 2.0 * v).collect();
         let other = pseudo_random(n, 12);
         // Rank-deficient block: col1 duplicates col0, col2 is a multiple.
-        let blk = BlockVector::from_columns(&[&base, &base, &scaled, &other]).unwrap();
-        let mut x = BlockVector::zeros(n, 4);
+        let b = [base.as_slice(), &base, &scaled, &other].concat();
+        let mut x = vec![0.0; 4 * n];
         let mut m = IncompleteCholesky::new(&a).unwrap();
-        let mut ws = BlockCgWorkspace::new();
+        let mut ws = CgWorkspace::new();
         let opts = SolveOptions::default();
-        let summaries = block_preconditioned_cg(&a, &blk, &mut x, &mut m, &opts, &mut ws).unwrap();
+        preconditioned_cg(&a, &b, &mut x, &mut m, &opts, &mut ws).unwrap();
+        let summaries = ws.summaries();
         assert!(summaries.iter().all(|s| s.converged), "{summaries:?}");
         // Identical recurrences: the duplicate column's trajectory is the
         // original's, bit for bit.
-        assert_eq!(bits(x.column(0)), bits(x.column(1)));
+        assert_eq!(bits(&x[..n]), bits(&x[n..2 * n]));
         assert_eq!(summaries[0].iterations, summaries[1].iterations);
         assert!(summaries[3].residual <= opts.tolerance);
     }
@@ -751,20 +315,18 @@ mod tests {
         let rhs = pseudo_random(n, 21);
         let opts = SolveOptions::default();
         let mut m = Jacobi::new(&a).unwrap();
+        let mut ws = CgWorkspace::new();
 
         // Column 1 warm-starts at the exact solution and deflates at the
         // iteration-0 residual check; column 0 runs cold to convergence.
         let mut solution = vec![0.0; n];
-        let mut ws_scalar = CgWorkspace::new();
-        let cold =
-            preconditioned_cg(&a, &rhs, &mut solution, &mut m, &opts, &mut ws_scalar).unwrap();
+        let cold = preconditioned_cg(&a, &rhs, &mut solution, &mut m, &opts, &mut ws).unwrap();
         assert!(cold.converged && cold.iterations > 0);
 
-        let blk = BlockVector::from_columns(&[&rhs, &rhs]).unwrap();
-        let zero = vec![0.0; n];
-        let mut x = BlockVector::from_columns(&[&zero, &solution]).unwrap();
-        let mut ws = BlockCgWorkspace::new();
-        let summaries = block_preconditioned_cg(&a, &blk, &mut x, &mut m, &opts, &mut ws).unwrap();
+        let b = [rhs.as_slice(), &rhs].concat();
+        let mut x = [vec![0.0; n], solution].concat();
+        preconditioned_cg(&a, &b, &mut x, &mut m, &opts, &mut ws).unwrap();
+        let summaries = ws.summaries();
         assert!(summaries[0].converged && summaries[1].converged);
         assert_eq!(summaries[1].iterations, 0, "warm column deflates before any sweep");
 
@@ -782,18 +344,15 @@ mod tests {
     fn zero_rhs_column_converges_at_zero_without_work() {
         let a = stencil_3d(4, 4, 2);
         let n = a.rows();
-        let rhs = pseudo_random(n, 5);
-        let zeros = vec![0.0; n];
-        let blk = BlockVector::from_columns(&[&zeros, &rhs]).unwrap();
-        let mut x = BlockVector::zeros(n, 2);
-        x.column_mut(0).fill(3.0); // garbage guess: the fast path must clear it
+        let b = [vec![0.0; n], pseudo_random(n, 5)].concat();
+        let mut x = vec![0.0; 2 * n];
+        x[..n].fill(3.0); // garbage guess: the fast path must clear it
         let mut m = Jacobi::new(&a).unwrap();
-        let mut ws = BlockCgWorkspace::new();
-        let summaries =
-            block_preconditioned_cg(&a, &blk, &mut x, &mut m, &SolveOptions::default(), &mut ws)
-                .unwrap();
+        let mut ws = CgWorkspace::new();
+        preconditioned_cg(&a, &b, &mut x, &mut m, &SolveOptions::default(), &mut ws).unwrap();
+        let summaries = ws.summaries();
         assert!(summaries[0].converged && summaries[0].iterations == 0);
-        assert!(x.column(0).iter().all(|&v| v == 0.0));
+        assert!(x[..n].iter().all(|&v| v == 0.0));
         assert!(summaries[1].converged);
     }
 
@@ -802,29 +361,34 @@ mod tests {
         let a = stencil_3d(3, 3, 2);
         let n = a.rows();
         let mut m = Jacobi::new(&a).unwrap();
-        let mut ws = BlockCgWorkspace::new();
+        let mut ws = CgWorkspace::new();
         let opts = SolveOptions::default();
 
-        let short = BlockVector::zeros(n - 1, 2);
-        let mut x = BlockVector::zeros(n, 2);
+        // Not a whole number of columns.
+        let ragged = vec![1.0; 2 * n - 1];
+        let mut x = vec![0.0; 2 * n - 1];
         assert!(matches!(
-            block_preconditioned_cg(&a, &short, &mut x, &mut m, &opts, &mut ws),
+            preconditioned_cg(&a, &ragged, &mut x, &mut m, &opts, &mut ws),
             Err(NumericsError::DimensionMismatch { .. })
         ));
 
-        let b = BlockVector::zeros(n, 2);
-        let mut narrow = BlockVector::zeros(n, 1);
+        // A guess narrower than the right-hand side.
+        let b = vec![1.0; 2 * n];
+        let mut narrow = vec![0.0; n];
         assert!(matches!(
-            block_preconditioned_cg(&a, &b, &mut narrow, &mut m, &opts, &mut ws),
+            preconditioned_cg(&a, &b, &mut narrow, &mut m, &opts, &mut ws),
             Err(NumericsError::DimensionMismatch { .. })
         ));
 
-        let bad = BlockVector::from_columns(&[&vec![f64::NAN; n]]).unwrap();
-        let mut x1 = BlockVector::zeros(n, 1);
-        assert!(matches!(
-            block_preconditioned_cg(&a, &bad, &mut x1, &mut m, &opts, &mut ws),
-            Err(NumericsError::BadInput { .. })
-        ));
+        let mut bad = b.clone();
+        bad[n + 2] = f64::NAN;
+        let mut x2 = vec![0.0; 2 * n];
+        match preconditioned_cg(&a, &bad, &mut x2, &mut m, &opts, &mut ws) {
+            Err(NumericsError::BadInput { reason }) => {
+                assert!(reason.contains("column 1"), "{reason}")
+            }
+            other => panic!("expected BadInput, got {other:?}"),
+        }
 
         assert!(matches!(
             BlockVector::from_columns(&[&[1.0, 2.0][..], &[1.0][..]]),
@@ -835,14 +399,11 @@ mod tests {
     #[test]
     fn empty_block_returns_no_summaries() {
         let a = stencil_3d(3, 3, 2);
-        let n = a.rows();
-        let b = BlockVector::zeros(n, 0);
-        let mut x = BlockVector::zeros(n, 0);
         let mut m = Jacobi::new(&a).unwrap();
-        let mut ws = BlockCgWorkspace::new();
-        let summaries =
-            block_preconditioned_cg(&a, &b, &mut x, &mut m, &SolveOptions::default(), &mut ws)
-                .unwrap();
-        assert!(summaries.is_empty());
+        let mut ws = CgWorkspace::new();
+        let summary =
+            preconditioned_cg(&a, &[], &mut [], &mut m, &SolveOptions::default(), &mut ws).unwrap();
+        assert!(ws.summaries().is_empty());
+        assert!(summary.converged && summary.iterations == 0);
     }
 }

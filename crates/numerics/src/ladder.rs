@@ -8,12 +8,14 @@
 //! fault-injection hooks simulate one) silently destroys CG's search
 //! directions instead of erroring. A [`SolveLadder`] turns both failure
 //! shapes into *recovery*: it runs [`preconditioned_cg`] on the active
-//! rung, and when the solve stalls, diverges, hits its iteration cap, or
-//! the preconditioner cannot even be built, it restores the caller's
-//! initial guess and escalates to the next (weaker but sturdier) rung —
-//! typically `Multigrid → IC(0) → Jacobi`. Jacobi only requires a positive
-//! diagonal, which FVM assembly guarantees, so the last rung is always
-//! buildable and the ladder degrades gracefully instead of panicking.
+//! rung — one call for every right-hand-side column — and when columns
+//! stall, diverge, hit the iteration cap, or the preconditioner breaks
+//! down or cannot even be built, it restores those columns' initial
+//! guesses and escalates to the next (weaker but sturdier) rung —
+//! typically `Multigrid → IC(0) → Jacobi`. Columns that converged are
+//! never solved again. Jacobi only requires a positive diagonal, which FVM
+//! assembly guarantees, so the last rung is always buildable and the
+//! ladder degrades gracefully instead of panicking.
 //!
 //! Every attempt is recorded as a [`RungAttempt`] so callers can surface
 //! *why* a solve was slow or degraded (the thermal layer forwards them in
@@ -25,7 +27,6 @@ use std::sync::Arc;
 
 use vcsel_telemetry::{Arg, AttemptSample, SolveSample, TelemetrySink};
 
-use crate::block_solver::{block_preconditioned_cg, BlockCgWorkspace, BlockVector};
 use crate::precond::{AnyPreconditioner, Preconditioner, PreconditionerKind};
 use crate::solver::{preconditioned_cg, CgStop, CgSummary, CgWorkspace, SolveOptions};
 use crate::{CsrMatrix, NumericsError};
@@ -72,11 +73,14 @@ impl RungOutcome {
 pub struct RungAttempt {
     /// Preconditioner name of the rung (`"multigrid"`, `"ic0"`, …).
     pub rung: &'static str,
-    /// CG iterations the attempt consumed (0 for build failures).
+    /// CG iterations the attempt ran — the most any of its columns took
+    /// (0 for breakdowns and build failures).
     pub iterations: usize,
-    /// Relative residual when the attempt ended (∞ for build failures).
+    /// Relative residual when the attempt ended — its worst column's
+    /// (∞ for breakdowns and build failures).
     pub residual: f64,
-    /// How the attempt ended.
+    /// How the attempt ended: converged only if every column did,
+    /// otherwise how its first failing column stopped.
     pub outcome: RungOutcome,
     /// Human-readable failure detail, when the rung produced one.
     pub detail: Option<String>,
@@ -87,13 +91,14 @@ pub struct RungAttempt {
 pub struct LadderSummary {
     /// Iterations of the final (deciding) attempt.
     pub iterations: usize,
-    /// Iterations across every attempt of this call, including failed
-    /// rungs — the honest cost of the solve.
+    /// Iterations across every column of every attempt of this call,
+    /// including failed rungs — the honest cost of the solve.
     pub total_iterations: usize,
     /// Relative residual of the final attempt.
     pub residual: f64,
-    /// Whether the final attempt met the tolerance. `false` means even
-    /// the last rung failed; the caller's `x` holds that rung's final
+    /// Whether every column met the tolerance. `false` means even the
+    /// last rung failed some columns; those columns of the caller's `x`
+    /// ([`SolveLadder::unconverged_columns`]) hold that rung's final
     /// iterate and should be treated as unconverged.
     pub converged: bool,
     /// Rungs retired during this call.
@@ -112,6 +117,33 @@ struct Rung {
     faulted: bool,
 }
 
+/// Operator work measured over every attempt of one
+/// [`SolveLadder::solve`] call, from the kernel workspace's counters.
+#[derive(Debug, Clone, Copy, Default)]
+struct Work {
+    spmv: u64,
+    precond_applies: u64,
+    vcycles: u64,
+    trisolves: u64,
+}
+
+impl Work {
+    /// Adds the counters of the attempt that just ran on `rung`: its
+    /// operator sweeps and per-column preconditioner applies, which are
+    /// V-cycles on a multigrid rung and pairs of triangular solves on an
+    /// IC(0) rung.
+    fn add(&mut self, rung: &str, ws: &CgWorkspace) {
+        let applies = ws.preconditioner_applies();
+        self.spmv += ws.operator_sweeps();
+        self.precond_applies += applies;
+        match rung {
+            "multigrid" => self.vcycles += applies,
+            "ic0" => self.trisolves += 2 * applies,
+            _ => {}
+        }
+    }
+}
+
 /// A prioritized chain of preconditioners with automatic escalation.
 ///
 /// See the [module docs](self) for semantics. Construction builds only the
@@ -123,6 +155,11 @@ pub struct SolveLadder {
     active: usize,
     saved_guess: Vec<f64>,
     attempts: Vec<RungAttempt>,
+    /// Columns of the current (or most recent) solve still unconverged.
+    pending: Vec<usize>,
+    /// Rows per column of the most recent solve.
+    unknowns: usize,
+    work: Work,
     /// Telemetry handle: rung-build spans, per-attempt and escalation
     /// events. Defaults to the process-wide sink; engines and tests
     /// inject their own via [`SolveLadder::set_telemetry`].
@@ -168,6 +205,9 @@ impl SolveLadder {
             active: 0,
             saved_guess: Vec::new(),
             attempts: Vec::new(),
+            pending: Vec::new(),
+            unknowns: 0,
+            work: Work::default(),
             telemetry: vcsel_telemetry::global().clone(),
         };
         // Activate the first buildable rung now so construction-time
@@ -231,6 +271,9 @@ impl SolveLadder {
             active: 0,
             saved_guess: Vec::new(),
             attempts: Vec::new(),
+            pending: Vec::new(),
+            unknowns: 0,
+            work: Work::default(),
             telemetry: vcsel_telemetry::global().clone(),
         })
     }
@@ -268,10 +311,16 @@ impl SolveLadder {
     }
 
     /// The initial guess captured at the start of the most recent solve —
-    /// what `x` held before any rung touched it. Steppers use it to roll
-    /// their state back when even the last rung fails.
+    /// what `x` held before any rung touched it, every column. Steppers use
+    /// it to roll their state back when even the last rung fails.
     pub fn saved_guess(&self) -> &[f64] {
         &self.saved_guess
+    }
+
+    /// The columns of the most recent [`solve`](SolveLadder::solve) that
+    /// no rung converged, in column order — empty after a converged solve.
+    pub fn unconverged_columns(&self) -> &[usize] {
+        &self.pending
     }
 
     /// Corrupts the active rung's preconditioner apply (an
@@ -291,13 +340,19 @@ impl SolveLadder {
         }
     }
 
-    /// Solves `A x = b` through the ladder, escalating on failure.
+    /// Solves `A X = B` through the ladder for k ≥ 1 right-hand-side
+    /// columns, laid out back to back as [`preconditioned_cg`] takes them,
+    /// escalating on failure.
     ///
-    /// On a converged return, `x` holds the solution of the rung that
-    /// succeeded. On an `Ok` with [`LadderSummary::converged`] `false`,
-    /// every remaining rung failed; `x` holds the last rung's final
-    /// iterate and the per-rung story is in
-    /// [`attempts`](SolveLadder::attempts). Escalations persist across
+    /// Every column runs on the active rung in one kernel call. Columns
+    /// that stop unconverged — every column of the attempt, when the rung
+    /// breaks down — restart on the next rung from their own saved initial
+    /// guesses; a column that converged is never solved again. On a
+    /// converged return every column of `x` holds its solution. On an `Ok`
+    /// with [`LadderSummary::converged`] `false`, every remaining rung
+    /// failed: the [`unconverged_columns`](SolveLadder::unconverged_columns)
+    /// of `x` hold the last rung's final iterates and the per-rung story is
+    /// in [`attempts`](SolveLadder::attempts). Escalations persist across
     /// calls: the next solve starts on the rung that last worked.
     ///
     /// # Errors
@@ -315,9 +370,15 @@ impl SolveLadder {
         opts: &SolveOptions,
         ws: &mut CgWorkspace,
     ) -> Result<LadderSummary, NumericsError> {
+        let n = a.rows();
+        let k = b.len().checked_div(n).unwrap_or(0);
         self.attempts.clear();
-        self.saved_guess.resize(x.len(), 0.0);
-        self.saved_guess.copy_from_slice(x);
+        self.work = Work::default();
+        self.unknowns = n;
+        self.saved_guess.clear();
+        self.saved_guess.extend_from_slice(x);
+        self.pending.clear();
+        self.pending.extend(0..k);
 
         // Telemetry full mode captures per-iteration residuals. The CG
         // loop only pushes into the history, so reserve the worst case
@@ -332,10 +393,24 @@ impl SolveLadder {
         loop {
             let rung = &mut self.rungs[self.active];
             let label = rung.kind.name();
+            let faulted = rung.faulted;
             let precond = rung.precond.as_mut().expect("active rung is always built");
-            match solve_on_rung(a, b, x, precond, rung.faulted, opts, ws) {
+            let mut corrupted;
+            let m: &mut dyn Preconditioner = if faulted {
+                corrupted = CorruptApply(precond);
+                &mut corrupted
+            } else {
+                precond
+            };
+            let result = if self.pending.len() == k {
+                preconditioned_cg(a, b, x, m, opts, ws)
+            } else {
+                solve_columns(a, b, x, &self.pending, m, opts, ws)
+            };
+            self.work.add(label, ws);
+            match result {
                 Ok(stats) => {
-                    total_iterations += stats.iterations;
+                    total_iterations += ws.summaries().iter().map(|s| s.iterations).sum::<usize>();
                     let outcome = match stats.stop {
                         CgStop::Converged => RungOutcome::Converged,
                         CgStop::IterationCap => RungOutcome::IterationCap,
@@ -359,6 +434,9 @@ impl SolveLadder {
                         outcome,
                         detail: None,
                     });
+                    // Converged columns are done for good.
+                    let mut column = ws.summaries().iter();
+                    self.pending.retain(|_| !column.next().is_some_and(|s| s.converged));
                     if stats.converged {
                         return Ok(LadderSummary {
                             iterations: stats.iterations,
@@ -403,91 +481,50 @@ impl SolveLadder {
                 "escalation",
                 &[Arg::str("from", failed_rung), Arg::str("to", self.active_name())],
             );
-            // A failed rung may have scrambled x (a diverged iterate is
-            // poison as a warm start); restart the next rung from the
-            // caller's original guess.
-            x.copy_from_slice(&self.saved_guess);
+            // A failed rung may have scrambled its columns of x (a diverged
+            // iterate is poison as a warm start); restart them from the
+            // caller's original guesses.
+            for &j in &self.pending {
+                x[j * n..(j + 1) * n].copy_from_slice(&self.saved_guess[j * n..(j + 1) * n]);
+            }
         }
     }
 
     /// Assembles a telemetry [`SolveSample`] for the most recent
     /// [`solve`](SolveLadder::solve) call: rung attempts, warm-start
-    /// quality, the residual history (when captured into `ws`) and the
-    /// derived work counters — one SpMV per CG iteration plus the
-    /// warm-start residual evaluation, one preconditioner apply per
-    /// iteration plus the initial apply, V-cycles for multigrid rungs and
-    /// two triangular solves per IC(0) apply. The caller owns the
-    /// label, category, timing and system-size fields.
+    /// quality and the residual history (when captured into `ws`, which
+    /// single-column solves do), plus the work the kernel measured over
+    /// every attempt — operator sweeps, per-column preconditioner applies,
+    /// V-cycles on multigrid rungs and two triangular solves per IC(0)
+    /// apply. The caller owns the label, category and timing fields.
     pub fn telemetry_sample(&self, summary: &LadderSummary, ws: &CgWorkspace) -> SolveSample {
         let mut sample = SolveSample {
             solver: self.active_name(),
-            unknowns: self.saved_guess.len() as u64,
+            unknowns: self.unknowns as u64,
             iterations: summary.iterations as u64,
             total_iterations: summary.total_iterations as u64,
             escalations: summary.escalations as u64,
             converged: summary.converged,
             residual: summary.residual,
             initial_residual: ws.residual_history.first().copied().unwrap_or(f64::NAN),
+            spmv: self.work.spmv,
+            precond_applies: self.work.precond_applies,
+            vcycles: self.work.vcycles,
+            trisolves: self.work.trisolves,
             ..SolveSample::default()
         };
         if ws.log_residuals {
             sample.residual_history = ws.residual_history.clone();
         }
         for attempt in &self.attempts {
-            let iterations = attempt.iterations as u64;
             sample.attempts.push(AttemptSample {
                 rung: attempt.rung,
-                iterations,
+                iterations: attempt.iterations as u64,
                 residual: attempt.residual,
                 outcome: attempt.outcome.label(),
             });
-            if matches!(attempt.outcome, RungOutcome::BuildFailed) {
-                continue;
-            }
-            let applies = iterations + 1;
-            sample.spmv += iterations + 1;
-            sample.precond_applies += applies;
-            match attempt.rung {
-                "multigrid" => sample.vcycles += applies,
-                "ic0" => sample.trisolves += 2 * applies,
-                _ => {}
-            }
         }
         sample
-    }
-
-    /// Solves `A X = B` for a block of right-hand sides on the **active
-    /// rung** with [`block_preconditioned_cg`], honouring an injected
-    /// apply fault exactly like the scalar path (the block runs against
-    /// the same `CorruptApply` wrapper, so fault scenarios see the same
-    /// stall/divergence behaviour batched as sequential).
-    ///
-    /// Unlike [`solve`](SolveLadder::solve) there is **no escalation**:
-    /// per-column failures come back as typed [`CgSummary`] outcomes and
-    /// the caller decides which columns to re-solve through the scalar
-    /// ladder. This keeps batched throughput predictable — one rung, one
-    /// pass — while the self-healing story stays available per column.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`block_preconditioned_cg`]'s shape/definiteness errors.
-    pub fn solve_block(
-        &mut self,
-        a: &CsrMatrix,
-        b: &BlockVector,
-        x: &mut BlockVector,
-        opts: &SolveOptions,
-        ws: &mut BlockCgWorkspace,
-    ) -> Result<Vec<CgSummary>, NumericsError> {
-        let faulted = self.rungs[self.active].faulted;
-        let precond =
-            self.rungs[self.active].precond.as_mut().expect("active rung is always built");
-        if faulted {
-            let mut corrupted = CorruptApply(precond);
-            block_preconditioned_cg(a, b, x, &mut corrupted, opts, ws)
-        } else {
-            block_preconditioned_cg(a, b, x, precond, opts, ws)
-        }
     }
 
     /// Retires the active rung and activates the next buildable one.
@@ -558,24 +595,31 @@ impl Preconditioner for CorruptApply<'_> {
     }
 }
 
-/// Runs one rung's CG attempt. Registered as a hot path (lint.toml): it
-/// sits between the stepper loop and [`preconditioned_cg`], so it must not
-/// allocate — all diagnostics recording happens in the caller.
-fn solve_on_rung(
+/// Solves only the `pending` columns of `b`/`x`: gathers them into a
+/// block of their own, runs the kernel and scatters the iterates back.
+/// This is the cold path of an escalation that some columns survived, so
+/// it may allocate.
+#[cold]
+fn solve_columns(
     a: &CsrMatrix,
     b: &[f64],
     x: &mut [f64],
-    precond: &mut AnyPreconditioner,
-    faulted: bool,
+    pending: &[usize],
+    m: &mut dyn Preconditioner,
     opts: &SolveOptions,
     ws: &mut CgWorkspace,
 ) -> Result<CgSummary, NumericsError> {
-    if faulted {
-        let mut corrupted = CorruptApply(precond);
-        preconditioned_cg(a, b, x, &mut corrupted, opts, ws)
-    } else {
-        preconditioned_cg(a, b, x, precond, opts, ws)
+    let n = a.rows();
+    let gather = |v: &[f64]| -> Vec<f64> {
+        pending.iter().flat_map(|&j| &v[j * n..(j + 1) * n]).copied().collect()
+    };
+    let sub_b = gather(b);
+    let mut sub_x = gather(x);
+    let result = preconditioned_cg(a, &sub_b, &mut sub_x, m, opts, ws);
+    for (&j, column) in pending.iter().zip(sub_x.chunks_exact(n)) {
+        x[j * n..(j + 1) * n].copy_from_slice(column);
     }
+    result
 }
 
 #[cfg(test)]
@@ -665,6 +709,59 @@ mod tests {
         assert_eq!(summary.escalations, 0);
         assert_eq!(ladder.active_name(), "jacobi");
         assert_eq!(ladder.attempts().len(), 1);
+    }
+
+    #[test]
+    fn faulted_block_escalates_only_its_failed_columns() {
+        // Three columns on a corrupted IC(0) rung. Column 1 warm-starts at
+        // a converged solution, so it converges at the iteration-0 check,
+        // before the corrupted apply can matter, and is never solved
+        // again; the two cold columns fail on IC(0) and recover on Jacobi.
+        let n = 50;
+        let a = laplacian(n);
+        let b: Vec<f64> = (0..3 * n).map(|i| 1.0 + (i % 7) as f64).collect();
+        let opts = SolveOptions::default();
+        let mut ws = CgWorkspace::new();
+
+        let mut healthy = vec![0.0; 3 * n];
+        let mut ladder = SolveLadder::new(&a, CHAIN, true).unwrap();
+        assert!(ladder.solve(&a, &b, &mut healthy, &opts, &mut ws).unwrap().converged);
+
+        let mut x = vec![0.0; 3 * n];
+        x[n..2 * n].copy_from_slice(&healthy[n..2 * n]);
+        let warm_bits: Vec<u64> = x[n..2 * n].iter().map(|v| v.to_bits()).collect();
+        let mut ladder = SolveLadder::new(&a, CHAIN, true).unwrap();
+        ladder.inject_apply_fault();
+        let summary = ladder.solve(&a, &b, &mut x, &opts, &mut ws).unwrap();
+        assert!(summary.converged, "the failed columns must recover on Jacobi");
+        assert_eq!(summary.escalations, 1);
+        assert_eq!(ladder.active_name(), "jacobi");
+        assert!(ladder.unconverged_columns().is_empty());
+        let attempts = ladder.attempts();
+        assert_eq!(attempts.len(), 2, "{attempts:?}");
+        assert!(
+            matches!(attempts[0].outcome, RungOutcome::Stalled | RungOutcome::Diverged),
+            "corrupted apply must fail the cold columns, got {:?}",
+            attempts[0].outcome
+        );
+        assert_eq!(attempts[1].outcome, RungOutcome::Converged);
+        assert_eq!(ws.summaries().len(), 2, "only the two failed columns ran on Jacobi");
+
+        let x_bits: Vec<u64> = x[n..2 * n].iter().map(|v| v.to_bits()).collect();
+        assert_eq!(x_bits, warm_bits, "the warm column's field must not move");
+        for c in [0, 2] {
+            for (h, f) in healthy[c * n..(c + 1) * n].iter().zip(&x[c * n..(c + 1) * n]) {
+                assert!((h - f).abs() <= 1e-9 * h.abs().max(1.0), "column {c}: {h} vs {f}");
+            }
+        }
+
+        // Escalation is sticky for blocks too.
+        ladder.clear_apply_faults();
+        let mut again = vec![0.0; 3 * n];
+        let summary = ladder.solve(&a, &b, &mut again, &opts, &mut ws).unwrap();
+        assert!(summary.converged);
+        assert_eq!(summary.escalations, 0);
+        assert_eq!(ladder.active_name(), "jacobi");
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! * [`CsrMatrix`]: compressed-sparse-row matrices with a triplet builder
 //!   and a row-partitioned, nnz-balanced threaded SpMV for large systems,
 //! * [`solver`]: preconditioned conjugate gradient with warm starts and
-//!   caller-owned workspace buffers,
+//!   caller-owned workspace buffers — one kernel for k ≥ 1 right-hand
+//!   sides, whose k independent recurrences run in lockstep, share one
+//!   operator stream per iteration and deflate converged columns from the
+//!   sweep (a plain vector is k = 1; a column block drives batched
+//!   design-space sweeps),
 //! * [`precond`]: Jacobi and IC(0) incomplete-Cholesky preconditioners,
 //!   plus the multigrid V-cycle, behind the [`Preconditioner`] trait.
 //!   Engines that own their matrix behind an [`std::sync::Arc`] build
@@ -18,15 +22,15 @@
 //!   hierarchy aliases the caller's allocation instead of cloning it.
 //!   IC(0) applies its two triangular solves serially, so IC(0) solves
 //!   give the same bits at every worker count,
-//! * [`block_solver`]: multi-RHS block CG — k independent recurrences in
-//!   lockstep over a [`BlockVector`] bundle, one operator stream per
-//!   iteration shared by every active column, converged columns deflated
-//!   from the sweep — the engine behind batched design-space sweeps,
+//! * [`block_solver`]: the [`BlockVector`] column blocks that kernel keeps
+//!   its per-column state in,
+//! * [`ladder`]: the self-healing [`SolveLadder`] every engine solve runs
+//!   through, escalating failed columns to sturdier preconditioners,
 //! * [`multigrid`]: a smoothed-aggregation algebraic multigrid hierarchy
-//!   (V-/F-cycles, Galerkin coarse operators, dense coarsest solve,
+//!   (V-cycles, Galerkin coarse operators, dense coarsest solve,
 //!   Chebyshev smoothers and transfers threaded behind the size gates
-//!   with bitwise-identical results) usable standalone or as a
-//!   mesh-independent CG preconditioner,
+//!   with bitwise-identical results) used as a mesh-independent CG
+//!   preconditioner,
 //! * [`artifact`]: a dependency-free, versioned, checksummed binary codec
 //!   for solver-engine state — `to_artifact`/`from_artifact` on
 //!   [`CsrMatrix`], [`IncompleteCholesky`] and [`MultigridHierarchy`] —
@@ -70,11 +74,11 @@ pub mod special;
 mod stats;
 
 pub use artifact::{content_hash, ArtifactError, ArtifactReader, ArtifactWriter, ContentHasher};
-pub use block_solver::{block_preconditioned_cg, BlockCgWorkspace, BlockVector};
+pub use block_solver::BlockVector;
 pub use error::NumericsError;
 pub use interp::{Interp1d, Interp2d};
 pub use ladder::{LadderSummary, RungAttempt, RungOutcome, SolveLadder};
-pub use multigrid::{CycleKind, MgWorkspace, Multigrid, MultigridConfig, MultigridHierarchy};
+pub use multigrid::{MgWorkspace, Multigrid, MultigridConfig, MultigridHierarchy};
 pub use optimize::{golden_section_min, grid_argmin, Minimum};
 pub use precond::{
     AnyPreconditioner, IncompleteCholesky, Jacobi, Preconditioner, PreconditionerKind,

@@ -59,15 +59,13 @@
 //!
 //! # Drivers
 //!
-//! [`MultigridHierarchy::cycle`] runs one V- or F-cycle against
-//! caller-owned, allocation-free [`MgWorkspace`] buffers;
-//! [`MultigridHierarchy::solve`] iterates cycles as a standalone solver.
-//! The usual entry point, though, is [`Multigrid`]: one V-cycle per
-//! application behind the [`Preconditioner`] trait, selected via
+//! [`MultigridHierarchy::cycle`] runs one V-cycle against caller-owned,
+//! allocation-free [`MgWorkspace`] buffers. The entry point the engines
+//! use is [`Multigrid`]: one V-cycle per application behind the
+//! [`Preconditioner`] trait, selected via
 //! [`PreconditionerKind::Multigrid`](crate::PreconditionerKind::Multigrid)
-//! so it drops into
-//! [`preconditioned_cg`] and every
-//! cached solve engine unchanged.
+//! so it drops into [`preconditioned_cg`] and every cached solve engine
+//! unchanged.
 
 use std::sync::Arc;
 
@@ -87,22 +85,6 @@ const LANCZOS_STEPS: usize = 12;
 /// Safety factor on the largest Ritz value, which approaches `ρ(D⁻¹A)`
 /// from below.
 const LAMBDA_SAFETY: f64 = 1.1;
-
-/// Cycle shape of one hierarchy traversal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CycleKind {
-    /// One coarse-grid correction per level — the standard symmetric
-    /// preconditioner cycle.
-    V,
-    /// An F-cycle: after the first coarse correction each level re-solves
-    /// the remaining residual with a V-cycle. Roughly twice the work of a
-    /// V-cycle for a visibly better single-cycle contraction — but **not a
-    /// symmetric operator** (the two coarse corrections are not
-    /// palindromic), so it is only used by the standalone
-    /// [`MultigridHierarchy::solve`] driver; [`Multigrid`] always
-    /// preconditions CG with V-cycles.
-    F,
-}
 
 /// Construction and cycling parameters of a [`MultigridHierarchy`].
 ///
@@ -129,11 +111,6 @@ pub struct MultigridConfig {
     /// Coarsen until an operator has at most this many unknowns, then
     /// factor it densely.
     pub direct_cells: usize,
-    /// Cycle shape used by the standalone [`MultigridHierarchy::solve`]
-    /// driver. The [`Preconditioner`] path ignores this and always runs
-    /// V-cycles: an F-cycle is not symmetric, and CG requires an SPD
-    /// preconditioner.
-    pub cycle: CycleKind,
     /// Thread the cycle hot paths on levels large enough to amortize
     /// spawn cost: smoother, residual and transfer SpMVs row-partition
     /// across workers above [`CsrMatrix::PARALLEL_NNZ_THRESHOLD`] stored
@@ -156,7 +133,6 @@ impl Default for MultigridConfig {
             post_sweeps: 1,
             max_levels: 16,
             direct_cells: 500,
-            cycle: CycleKind::V,
             parallel_sweeps: true,
         }
     }
@@ -287,7 +263,7 @@ enum CoarseSolver {
     Direct(DenseCholesky),
     /// Jacobi-CG fallback for a coarsest operator that is still large
     /// (coarsening stalled) or resists the dense factorization.
-    Iterative { m: Jacobi, opts: SolveOptions, ws: CgWorkspace },
+    Iterative { m: Jacobi, opts: SolveOptions, ws: Box<CgWorkspace> },
 }
 
 /// Per-level scratch vectors for [`MultigridHierarchy::cycle`].
@@ -342,8 +318,7 @@ impl MgWorkspace {
 /// A smoothed-aggregation multigrid hierarchy over one SPD operator.
 ///
 /// Build once per matrix with [`MultigridHierarchy::build`], then run
-/// [`cycle`](MultigridHierarchy::cycle) /
-/// [`solve`](MultigridHierarchy::solve) against a caller-owned
+/// [`cycle`](MultigridHierarchy::cycle) against a caller-owned
 /// [`MgWorkspace`]. For use inside CG, wrap it in [`Multigrid`] (or select
 /// [`PreconditionerKind::Multigrid`](crate::PreconditionerKind::Multigrid)).
 #[derive(Debug, Clone, PartialEq)]
@@ -379,7 +354,6 @@ impl MultigridHierarchy {
     /// # Example
     ///
     /// ```
-    /// use vcsel_numerics::solver::SolveOptions;
     /// use vcsel_numerics::{MgWorkspace, MultigridConfig, MultigridHierarchy, TripletBuilder};
     ///
     /// // 1-D Poisson chain with a Robin-like shift: SPD and coarsenable.
@@ -394,11 +368,22 @@ impl MultigridHierarchy {
     /// let mut h = MultigridHierarchy::build(&a, &MultigridConfig::default())?;
     /// assert!(h.level_count() >= 2, "1200 unknowns must coarsen");
     ///
+    /// // Stationary V-cycling from zero: each cycle improves `x` in place.
     /// let rhs = vec![1.0; n];
     /// let mut x = vec![0.0; n];
     /// let mut ws = MgWorkspace::for_hierarchy(&h);
-    /// let stats = h.solve(&rhs, &mut x, &SolveOptions::default(), &mut ws)?;
-    /// assert!(stats.residual <= 1e-9);
+    /// // ‖b − Ax‖ / ‖b‖, with ‖b‖ = √n for the all-ones right-hand side.
+    /// let rel_residual = |x: &[f64]| {
+    ///     let ax = a.mul_vec(x).unwrap();
+    ///     let r2: f64 = ax.iter().zip(&rhs).map(|(p, q)| (p - q) * (p - q)).sum();
+    ///     (r2 / n as f64).sqrt()
+    /// };
+    /// let mut cycles = 0;
+    /// while rel_residual(&x) > 1e-9 {
+    ///     h.cycle(&rhs, &mut x, &mut ws);
+    ///     cycles += 1;
+    ///     assert!(cycles <= 100, "V-cycles must contract");
+    /// }
     /// # Ok::<(), vcsel_numerics::NumericsError>(())
     /// ```
     pub fn build(a: &CsrMatrix, config: &MultigridConfig) -> Result<Self, NumericsError> {
@@ -677,94 +662,26 @@ impl MultigridHierarchy {
         Ok(Self { fine, levels, coarse_a, coarse, config })
     }
 
-    /// Runs one multigrid cycle on `A x = b`, improving `x` in place from
-    /// its incoming value (pass zeros for a pure preconditioner
-    /// application).
+    /// Runs one V-cycle on `A x = b`, improving `x` in place from its
+    /// incoming value (pass zeros for a pure preconditioner application).
     ///
     /// # Panics
     ///
     /// Panics if `b` or `x` have the wrong length.
-    pub fn cycle(&mut self, kind: CycleKind, b: &[f64], x: &mut [f64], ws: &mut MgWorkspace) {
+    pub fn cycle(&mut self, b: &[f64], x: &mut [f64], ws: &mut MgWorkspace) {
         let n = self.fine_unknowns();
         assert_eq!(b.len(), n, "right-hand side length");
         assert_eq!(x.len(), n, "solution length");
         ws.ensure(self);
         ws.levels[0].b.copy_from_slice(b);
         ws.levels[0].x.copy_from_slice(x);
-        self.cycle_rec(0, &mut ws.levels, kind);
+        self.cycle_rec(0, &mut ws.levels);
         x.copy_from_slice(&ws.levels[0].x);
-    }
-
-    /// Iterates cycles until the relative residual drops below
-    /// `opts.tolerance` — the standalone stationary-solver driver.
-    /// Warm-starts from the incoming `x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::NoConvergence`] when `opts.max_iterations`
-    /// cycles do not reach the tolerance, and
-    /// [`NumericsError::DimensionMismatch`] for wrong buffer lengths.
-    pub fn solve(
-        &mut self,
-        b: &[f64],
-        x: &mut [f64],
-        opts: &SolveOptions,
-        ws: &mut MgWorkspace,
-    ) -> Result<crate::solver::CgSummary, NumericsError> {
-        let n = self.fine_unknowns();
-        if b.len() != n || x.len() != n {
-            return Err(NumericsError::DimensionMismatch {
-                what: "multigrid solve operand",
-                expected: n,
-                got: if b.len() != n { b.len() } else { x.len() },
-            });
-        }
-        let b_norm = norm2(b);
-        if b_norm == 0.0 {
-            x.fill(0.0);
-            return Ok(crate::solver::CgSummary {
-                iterations: 0,
-                residual: 0.0,
-                converged: true,
-                stop: crate::solver::CgStop::Converged,
-            });
-        }
-        ws.ensure(self);
-        let kind = self.config.cycle;
-        let mut residual = f64::INFINITY;
-        for cycles in 0..=opts.max_iterations {
-            // Residual check against the fine operator, which `self.fine`
-            // aliases explicitly whether or not the hierarchy coarsened.
-            {
-                let bufs = &mut ws.levels[0];
-                spmv(self.config.parallel_sweeps, &self.fine, x, &mut bufs.r);
-                residual =
-                    bufs.r.iter().zip(b).map(|(ax, bi)| (bi - ax) * (bi - ax)).sum::<f64>().sqrt()
-                        / b_norm;
-            }
-            if residual <= opts.tolerance {
-                return Ok(crate::solver::CgSummary {
-                    iterations: cycles,
-                    residual,
-                    converged: true,
-                    stop: crate::solver::CgStop::Converged,
-                });
-            }
-            if cycles == opts.max_iterations {
-                break;
-            }
-            self.cycle(kind, b, x, ws);
-        }
-        Err(NumericsError::NoConvergence {
-            iterations: opts.max_iterations,
-            residual,
-            tolerance: opts.tolerance,
-        })
     }
 
     /// One recursion step: `bufs[0]` holds this level's `b`/`x` (in/out)
     /// and scratch; `bufs[1..]` belong to the coarser levels.
-    fn cycle_rec(&mut self, level: usize, bufs: &mut [LevelBufs], kind: CycleKind) {
+    fn cycle_rec(&mut self, level: usize, bufs: &mut [LevelBufs]) {
         if level == self.levels.len() {
             self.solve_coarsest_into(&mut bufs[0]);
             return;
@@ -779,18 +696,8 @@ impl MultigridHierarchy {
         residual_into(parallel, &self.levels[level].a, cur);
         spmv(parallel, &self.levels[level].r, &cur.r, &mut rest[0].b);
         rest[0].x.fill(0.0);
-        self.cycle_rec(level + 1, rest, kind);
+        self.cycle_rec(level + 1, rest);
         prolong_correct(parallel, &self.levels[level].p, &rest[0].x, cur);
-
-        if kind == CycleKind::F {
-            // F-cycle: after the first correction, polish what remains
-            // with one V-cycle before post-smoothing.
-            residual_into(parallel, &self.levels[level].a, cur);
-            spmv(parallel, &self.levels[level].r, &cur.r, &mut rest[0].b);
-            rest[0].x.fill(0.0);
-            self.cycle_rec(level + 1, rest, CycleKind::V);
-            prolong_correct(parallel, &self.levels[level].p, &rest[0].x, cur);
-        }
 
         for _ in 0..self.config.post_sweeps {
             chebyshev_smooth(parallel, &self.levels[level], cur);
@@ -853,7 +760,7 @@ fn iterative_coarse(a: &CsrMatrix) -> Result<CoarseSolver, NumericsError> {
     Ok(CoarseSolver::Iterative {
         m: Jacobi::new(a)?,
         opts: SolveOptions { tolerance: 1e-12, max_iterations: a.rows().clamp(16, 500) },
-        ws: CgWorkspace::with_capacity(a.rows()),
+        ws: Box::new(CgWorkspace::with_capacity(a.rows())),
     })
 }
 
@@ -1386,10 +1293,7 @@ fn require_symmetric_sweeps(config: &MultigridConfig) -> Result<(), NumericsErro
 impl Preconditioner for Multigrid {
     fn apply(&mut self, r: &[f64], z: &mut [f64]) {
         z.fill(0.0);
-        // Always a V-cycle, whatever `config.cycle` says: with symmetric
-        // smoothers and equal pre-/post-sweeps the V-cycle is an SPD
-        // operator, which CG requires; the F-cycle is not.
-        self.hierarchy.cycle(CycleKind::V, r, z, &mut self.ws);
+        self.hierarchy.cycle(r, z, &mut self.ws);
     }
 
     fn name(&self) -> &'static str {
@@ -1442,6 +1346,29 @@ mod tests {
         num / norm2(b)
     }
 
+    /// Stationary V-cycling on `A x = b` from the incoming `x` until the
+    /// relative residual reaches `tol`: the number of cycles it took, or
+    /// `None` if `max_cycles` were not enough.
+    fn v_cycles_to(
+        h: &mut MultigridHierarchy,
+        b: &[f64],
+        x: &mut [f64],
+        tol: f64,
+        max_cycles: usize,
+    ) -> Option<usize> {
+        let a = Arc::clone(h.fine_operator());
+        let mut ws = MgWorkspace::for_hierarchy(h);
+        for cycles in 0..=max_cycles {
+            if rel_residual(&a, x, b) <= tol {
+                return Some(cycles);
+            }
+            if cycles < max_cycles {
+                h.cycle(b, x, &mut ws);
+            }
+        }
+        None
+    }
+
     #[test]
     fn hierarchy_coarsens_poisson() {
         let a = poisson_2d(40, 40);
@@ -1461,41 +1388,20 @@ mod tests {
         let a = poisson_2d(30, 30);
         let b = rhs(a.rows());
         let mut h = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
-        let mut ws = MgWorkspace::for_hierarchy(&h);
         let mut x = vec![0.0; a.rows()];
-        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 60 };
-        let stats = h.solve(&b, &mut x, &opts, &mut ws).expect("stationary multigrid converges");
+        let cycles = v_cycles_to(&mut h, &b, &mut x, 1e-10, 60).expect("V-cycles converge");
         // Measured: 44 cycles, a contraction of ~0.6 per V(1,1)-cycle with
         // degree-2 Chebyshev smoothing. Stationary cycling is not how the
         // engines use the hierarchy (CG accelerates it), so the bar only
         // guards against a broken cycle, with ~15 % headroom.
-        assert!(stats.iterations <= 50, "took {} cycles", stats.iterations);
+        assert!(cycles <= 50, "took {cycles} cycles");
         assert!(rel_residual(&a, &x, &b) < 1e-9);
-    }
-
-    #[test]
-    fn f_cycle_contracts_at_least_as_fast_as_v() {
-        let a = poisson_2d(30, 30);
-        let b = rhs(a.rows());
-        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 60 };
-        let mut cycles = Vec::new();
-        for kind in [CycleKind::V, CycleKind::F] {
-            let config = MultigridConfig { cycle: kind, ..Default::default() };
-            let mut h = MultigridHierarchy::build(&a, &config).unwrap();
-            let mut ws = MgWorkspace::for_hierarchy(&h);
-            let mut x = vec![0.0; a.rows()];
-            let stats = h.solve(&b, &mut x, &opts, &mut ws).expect("converges");
-            assert!(rel_residual(&a, &x, &b) < 1e-9);
-            cycles.push(stats.iterations);
-        }
-        assert!(cycles[1] <= cycles[0], "F {} vs V {} cycles", cycles[1], cycles[0]);
     }
 
     #[test]
     fn cycle_counts_are_mesh_independent() {
         // The multigrid promise: refining the mesh must not blow up the
         // cycle count. 16× more unknowns may cost at most ~1.5× cycles.
-        let opts = SolveOptions { tolerance: 1e-8, max_iterations: 80 };
         let mut counts = Vec::new();
         for nx in [40usize, 160] {
             // Both sizes must traverse a genuine multi-level hierarchy (the
@@ -1504,10 +1410,9 @@ mod tests {
             let b = rhs(a.rows());
             let mut h = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
             assert!(h.level_count() >= 2);
-            let mut ws = MgWorkspace::for_hierarchy(&h);
             let mut x = vec![0.0; a.rows()];
-            let stats = h.solve(&b, &mut x, &opts, &mut ws).expect("converges");
-            counts.push(stats.iterations.max(1));
+            let cycles = v_cycles_to(&mut h, &b, &mut x, 1e-8, 80).expect("converges");
+            counts.push(cycles.max(1));
         }
         assert!(
             (counts[1] as f64) <= 1.5 * counts[0] as f64,
@@ -1602,15 +1507,13 @@ mod tests {
         // (at this size both also sit below the size gates).
         let a = poisson_2d(40, 40);
         let b = rhs(a.rows());
-        let opts = SolveOptions { tolerance: 1e-10, max_iterations: 60 };
         let mut results = Vec::new();
         for parallel_sweeps in [true, false] {
             let config = MultigridConfig { parallel_sweeps, ..Default::default() };
             let mut h = MultigridHierarchy::build(&a, &config).unwrap();
-            let mut ws = MgWorkspace::for_hierarchy(&h);
             let mut x = vec![0.0; a.rows()];
-            let stats = h.solve(&b, &mut x, &opts, &mut ws).expect("converges");
-            results.push((stats.iterations, x));
+            let cycles = v_cycles_to(&mut h, &b, &mut x, 1e-10, 60).expect("converges");
+            results.push((cycles, x));
         }
         assert_eq!(results[0].0, results[1].0, "cycle counts must match");
         assert_eq!(results[0].1, results[1].1, "fields must be bitwise identical");
@@ -1635,19 +1538,5 @@ mod tests {
             outputs.push(cur);
         }
         assert_eq!(outputs[0], outputs[1]);
-    }
-
-    #[test]
-    fn solve_validates_and_handles_zero_rhs() {
-        let a = poisson_2d(6, 6);
-        let mut h = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
-        let mut ws = MgWorkspace::new();
-        let mut x = vec![1.0; 36];
-        let opts = SolveOptions::default();
-        let stats = h.solve(&[0.0; 36], &mut x, &opts, &mut ws).unwrap();
-        assert_eq!(stats.iterations, 0);
-        assert_eq!(x, vec![0.0; 36]);
-        let mut short = vec![0.0; 5];
-        assert!(h.solve(&[0.0; 36], &mut short, &opts, &mut ws).is_err());
     }
 }

@@ -1,13 +1,17 @@
 //! Iterative solvers for the sparse SPD systems produced by FVM assembly.
 //!
 //! The workhorse is [`preconditioned_cg`]: conjugate gradient with a
-//! pluggable [`Preconditioner`], a warm-start initial
-//! guess, and caller-owned scratch buffers ([`CgWorkspace`]) so the
-//! iteration loop performs **zero allocations** — the shape repeated
-//! transient stepping and multi-right-hand-side calibration need.
+//! pluggable [`Preconditioner`], warm-start initial guesses, and
+//! caller-owned scratch buffers ([`CgWorkspace`]) so the iteration loop
+//! performs **zero allocations** — the shape repeated transient stepping
+//! and multi-right-hand-side sweeps need. It solves k ≥ 1 right-hand sides
+//! per call: one vector for a steady solve or a transient step, a column
+//! block for a batch of power paintings, whose independent recurrences
+//! share each iteration's operator sweep and preconditioner pass.
 //! [`conjugate_gradient`] is the one-shot cold-start Jacobi-CG entry point
 //! over it, for small systems solved once (the lumped RC plant).
 
+use crate::block_solver::BlockVector;
 use crate::precond::{Jacobi, Preconditioner};
 use crate::{CsrMatrix, NumericsError};
 
@@ -52,56 +56,51 @@ pub struct Solution {
     pub converged: bool,
 }
 
-pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
+fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-pub(crate) fn norm2(a: &[f64]) -> f64 {
+fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-fn validate_system(a: &CsrMatrix, b: &[f64]) -> Result<(), NumericsError> {
-    if a.rows() != a.cols() {
-        return Err(NumericsError::BadMatrix {
-            reason: format!("matrix must be square, got {}x{}", a.rows(), a.cols()),
-        });
-    }
-    if b.len() != a.rows() {
-        return Err(NumericsError::DimensionMismatch {
-            what: "right-hand side",
-            expected: a.rows(),
-            got: b.len(),
-        });
-    }
-    if b.iter().any(|v| !v.is_finite()) {
-        return Err(NumericsError::BadInput {
-            reason: "right-hand side contains non-finite values".into(),
-        });
-    }
-    Ok(())
-}
-
-/// Caller-owned scratch vectors for [`preconditioned_cg`].
+/// Caller-owned scratch for [`preconditioned_cg`]: the four column blocks
+/// of the recurrence (residual, preconditioned residual, direction and
+/// operator times direction), the per-column recurrence state and the
+/// per-column outcomes.
 ///
 /// Holding one workspace per solve engine keeps the CG iteration loop free
-/// of allocations across repeated solves: the four direction/residual
-/// vectors are resized once on first use and reused afterwards.
+/// of allocations across repeated solves: the buffers are resized once per
+/// shape and reused afterwards. After a solve the workspace reports each
+/// column's [`CgSummary`] and how much operator work the call did — the
+/// quantities the deflation tests pin and the solve telemetry records.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CgWorkspace {
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-    /// Relative residual per iteration of the most recent
+    r: BlockVector,
+    z: BlockVector,
+    p: BlockVector,
+    ap: BlockVector,
+    /// Packed active set: slot `s` of `p`/`ap` carries column `active[s]`.
+    active: Vec<usize>,
+    rz: Vec<f64>,
+    b_norm: Vec<f64>,
+    best: Vec<f64>,
+    since_best: Vec<usize>,
+    summaries: Vec<CgSummary>,
+    operator_sweeps: u64,
+    column_sweeps: u64,
+    precond_applies: u64,
+    /// Relative residual per iteration of the most recent single-column
     /// [`preconditioned_cg`] run, index 0 holding the pre-iteration
     /// (warm-start) residual. Cleared by every solve; filled only while
-    /// [`log_residuals`](CgWorkspace::log_residuals) is set. The solver
-    /// only ever `clear`s and `push`es — callers that enable logging
-    /// should `reserve` for `max_iterations + 2` entries up front so the
-    /// CG loop itself never reallocates (the `SolveLadder` does).
+    /// [`log_residuals`](CgWorkspace::log_residuals) is set and the solve
+    /// has one column. The solver only ever `clear`s and `push`es —
+    /// callers that enable logging should `reserve` for
+    /// `max_iterations + 2` entries up front so the CG loop itself never
+    /// reallocates (the `SolveLadder` does).
     pub residual_history: Vec<f64>,
-    /// Telemetry switch: when `true`, [`preconditioned_cg`] records its
-    /// per-iteration residuals into
+    /// Telemetry switch: when `true`, single-column [`preconditioned_cg`]
+    /// runs record their per-iteration residuals into
     /// [`residual_history`](CgWorkspace::residual_history). Capturing
     /// never feeds back into the iteration, so enabling it cannot change
     /// a single bit of the solution.
@@ -114,25 +113,102 @@ impl CgWorkspace {
         Self::default()
     }
 
-    /// Pre-sizes every buffer for systems of `n` unknowns.
+    /// Pre-sizes the column buffers for one column of `n` unknowns. They
+    /// are allocated zeroed, so their pages stay untouched (and out of the
+    /// resident set) until the first solve writes them.
     pub fn with_capacity(n: usize) -> Self {
         Self {
-            r: vec![0.0; n],
-            z: vec![0.0; n],
-            p: vec![0.0; n],
-            ap: vec![0.0; n],
-            residual_history: Vec::new(),
-            log_residuals: false,
+            r: BlockVector::zeros(n, 1),
+            z: BlockVector::zeros(n, 1),
+            p: BlockVector::zeros(n, 1),
+            ap: BlockVector::zeros(n, 1),
+            ..Self::default()
         }
     }
 
-    fn ensure(&mut self, n: usize) {
-        if self.r.len() != n {
-            self.r.resize(n, 0.0);
-            self.z.resize(n, 0.0);
-            self.p.resize(n, 0.0);
-            self.ap.resize(n, 0.0);
-        }
+    /// Per-column outcomes of the most recent solve, in column order.
+    pub fn summaries(&self) -> &[CgSummary] {
+        &self.summaries
+    }
+
+    /// Operator sweeps ([`CsrMatrix::multiply_block_into`] calls) the most
+    /// recent solve performed. With up to eight active columns this is the
+    /// number of times the operator's nonzeros were streamed from memory —
+    /// the quantity one block sweep amortizes over all active columns (a
+    /// wider block streams them once per eight columns).
+    pub fn operator_sweeps(&self) -> u64 {
+        self.operator_sweeps
+    }
+
+    /// Per-column matvec work of the most recent solve: the sum over
+    /// operator sweeps of the active column count. A deflated column stops
+    /// contributing here — the counter the deflation tests pin.
+    pub fn column_sweeps(&self) -> u64 {
+        self.column_sweeps
+    }
+
+    /// Preconditioner applications, counted per column: one per active
+    /// column per iteration plus the initial one, however many columns one
+    /// [`Preconditioner::apply_columns`] call serves. Whether blocking
+    /// amortizes them depends on the preconditioner: IC(0) reads its
+    /// factor once per call for the whole active set; the others apply
+    /// column by column.
+    pub fn preconditioner_applies(&self) -> u64 {
+        self.precond_applies
+    }
+
+    /// Resizes for `k` columns of `n` unknowns and clears the recurrence
+    /// state and counters (capacity is kept).
+    fn reset(&mut self, n: usize, k: usize) {
+        self.r.reset(n, k);
+        self.z.reset(n, k);
+        self.p.reset(n, k);
+        self.ap.reset(n, k);
+        self.active.clear();
+        self.rz.clear();
+        self.rz.resize(k, 0.0);
+        self.b_norm.clear();
+        self.b_norm.resize(k, 0.0);
+        self.best.clear();
+        self.best.resize(k, f64::INFINITY);
+        self.since_best.clear();
+        self.since_best.resize(k, 0);
+        // Placeholders: every slot is overwritten before a solve returns
+        // `Ok` (at the zero-RHS fast path, a deflation, or the
+        // iteration-cap tail).
+        self.summaries.clear();
+        self.summaries.resize(
+            k,
+            CgSummary {
+                iterations: 0,
+                residual: f64::INFINITY,
+                converged: false,
+                stop: CgStop::IterationCap,
+            },
+        );
+        self.operator_sweeps = 0;
+        self.column_sweeps = 0;
+        self.precond_applies = 0;
+    }
+
+    /// Deflates packed slot `s`: records the column's summary, swaps the
+    /// slot with the last active one and shrinks the packed block width by
+    /// one.
+    fn deflate(
+        &mut self,
+        s: usize,
+        iterations: usize,
+        residual: f64,
+        converged: bool,
+        stop: CgStop,
+    ) {
+        self.summaries[self.active[s]] = CgSummary { iterations, residual, converged, stop };
+        let last = self.active.len() - 1;
+        self.active.swap(s, last);
+        self.p.swap_columns(s, last);
+        self.active.pop();
+        self.p.truncate_columns(last);
+        self.ap.truncate_columns(last);
     }
 }
 
@@ -148,7 +224,7 @@ pub const STALL_WINDOW: usize = 500;
 
 /// Minimum relative best-residual improvement that counts as progress for
 /// the [`STALL_WINDOW`] stall detector.
-pub(crate) const STALL_IMPROVEMENT: f64 = 1e-6;
+const STALL_IMPROVEMENT: f64 = 1e-6;
 
 /// Relative residual beyond which [`preconditioned_cg`] declares
 /// divergence. A cold start begins at a relative residual of 1 and a warm
@@ -210,36 +286,85 @@ impl CgSummary {
     }
 }
 
-/// Solves `A x = b` with preconditioned conjugate gradient, warm-starting
-/// from the incoming contents of `x`.
+/// The summary of a whole multi-column call: the most iterations any
+/// column ran, the largest final residual (NaN if any column's is NaN),
+/// and convergence only if every column converged, with the first failing
+/// column's stop reason. For one column it is that column's summary.
+fn block_summary(columns: &[CgSummary]) -> CgSummary {
+    let mut total =
+        CgSummary { iterations: 0, residual: 0.0, converged: true, stop: CgStop::Converged };
+    for s in columns {
+        total.iterations = total.iterations.max(s.iterations);
+        if s.residual.is_nan() || s.residual > total.residual {
+            total.residual = s.residual;
+        }
+        if total.converged && !s.converged {
+            total.converged = false;
+            total.stop = s.stop;
+        }
+    }
+    total
+}
+
+/// Column `j` of a column-major block of `n`-entry columns.
+fn column(v: &[f64], n: usize, j: usize) -> &[f64] {
+    &v[j * n..(j + 1) * n]
+}
+
+/// Mutable column `j` of a column-major block of `n`-entry columns.
+fn column_mut(v: &mut [f64], n: usize, j: usize) -> &mut [f64] {
+    &mut v[j * n..(j + 1) * n]
+}
+
+/// Solves `A X = B` for k ≥ 1 right-hand-side columns with preconditioned
+/// conjugate gradient, warm-starting each column from the incoming `x`.
 ///
-/// `x` is **in/out**: on entry it is the initial guess (pass zeros for a
-/// cold start; the previous time step or the previous right-hand side's
-/// solution for a warm start), on successful return it holds the solution.
-/// Scratch vectors come from `ws`, so the iteration loop allocates nothing;
-/// one workspace can serve many solves of the same (or different) sizes.
+/// `b` and `x` hold the k columns back to back (column-major, each column
+/// `A.rows()` long), so a plain n-vector is the k = 1 case. `x` is
+/// **in/out**: on entry it is the initial guess (zeros for a cold start;
+/// the previous time step or the previous right-hand side's solution for a
+/// warm start), on return it holds the solution. Scratch comes from `ws`,
+/// so the iteration loop allocates nothing; one workspace can serve many
+/// solves of the same (or different) shapes.
 ///
-/// `A` must be symmetric positive definite — which the FVM conduction matrix
-/// always is (harmonic-mean conductances plus a positive Robin boundary
-/// term). Convergence is declared on the *relative* residual, so a warm
-/// start that already satisfies the tolerance returns after zero iterations.
+/// `A` must be symmetric positive definite — which the FVM conduction
+/// matrix always is (harmonic-mean conductances plus a positive Robin
+/// boundary term). Convergence is declared per column on the *relative*
+/// residual, so a warm start that already satisfies the tolerance stops
+/// after zero iterations.
+///
+/// The columns run k *independent* CG recurrences in lockstep: each keeps
+/// its own direction, step and residual, so a rank-deficient block
+/// (duplicate right-hand sides) cannot break the iteration down, and a
+/// column's iterates, iteration count and residual do not depend on which
+/// other columns share the call — a column solved inside a block is
+/// **bitwise** the same as that column solved alone. What the block shares
+/// is memory traffic: each iteration's matvecs ride one sweep of the
+/// operator ([`CsrMatrix::multiply_block_into`]) and its preconditioner
+/// applies one [`Preconditioner::apply_columns`] call. Columns that stop
+/// (converged, stalled, diverged) are **deflated** out of the packed block
+/// so later sweeps do no work for them.
 ///
 /// Failure to converge is a **typed outcome**, not an error: hitting the
 /// iteration cap, stalling ([`STALL_WINDOW`] iterations without progress)
-/// or diverging (residual past [`DIVERGENCE_LIMIT`] or non-finite) returns
-/// `Ok` with [`CgSummary::converged`] `false` and the reason in
-/// [`CgSummary::stop`]. Callers must check the flag — `x` holds the last
-/// iterate, which after a [`CgStop::Diverged`] stop must not be used.
-/// Callers without a recovery path can use
+/// or diverging (residual past [`DIVERGENCE_LIMIT`] or non-finite) ends a
+/// column with [`CgSummary::converged`] `false` and the reason in
+/// [`CgSummary::stop`]. Each column's summary lands in
+/// [`CgWorkspace::summaries`]; the returned summary covers the whole call
+/// (the most iterations any column ran, the largest residual, and
+/// convergence only if every column converged) and for k = 1 is the
+/// column's own. Callers must check the flag — an unconverged column of
+/// `x` holds its last iterate, which after a [`CgStop::Diverged`] stop
+/// must not be used. Callers without a recovery path can use
 /// [`CgSummary::require_converged`]; callers with fallback preconditioners
 /// should use a [`SolveLadder`](crate::SolveLadder).
 ///
 /// # Errors
 ///
 /// * [`NumericsError::BadMatrix`] if `A` is not square or indefiniteness is
-///   detected (`pᵀAp ≤ 0`),
-/// * [`NumericsError::DimensionMismatch`] if `b` or `x` have the wrong
-///   length,
+///   detected (`pᵀAp ≤ 0` on any column),
+/// * [`NumericsError::DimensionMismatch`] if `b` is not a whole number of
+///   columns or `x` differs from `b` in length,
 /// * [`NumericsError::BadInput`] for non-finite entries in `b` or `x`.
 ///
 /// # Example
@@ -259,6 +384,13 @@ impl CgSummary {
 /// // Warm restart from the solution: converged before the first iteration.
 /// let again = preconditioned_cg(&a, &[8.0, 27.0], &mut x, &mut m, &Default::default(), &mut ws)?;
 /// assert_eq!(again.iterations, 0);
+///
+/// // Two right-hand sides in one call, back to back.
+/// let mut xs = vec![0.0; 4];
+/// let opts = SolveOptions::default();
+/// let both = preconditioned_cg(&a, &[8.0, 27.0, 4.0, 0.0], &mut xs, &mut m, &opts, &mut ws)?;
+/// assert!(both.converged && ws.summaries().len() == 2);
+/// assert!((xs[2] - 1.0).abs() < 1e-9 && xs[3].abs() < 1e-9);
 /// # Ok::<(), vcsel_numerics::NumericsError>(())
 /// ```
 pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
@@ -269,117 +401,187 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
     opts: &SolveOptions,
     ws: &mut CgWorkspace,
 ) -> Result<CgSummary, NumericsError> {
-    validate_system(a, b)?;
     let n = a.rows();
-    if x.len() != n {
+    let k = b.len().checked_div(n).unwrap_or(0);
+    // A stale history or counter from the previous solve must never be
+    // read as this one's, even when validation fails; resetting keeps the
+    // buffers' capacity (no allocation).
+    ws.residual_history.clear();
+    ws.reset(n, k);
+    if a.rows() != a.cols() {
+        return Err(non_square_error(a));
+    }
+    if b.len() != k * n {
+        return Err(NumericsError::DimensionMismatch {
+            what: "right-hand side (whole columns)",
+            expected: (k + 1) * n,
+            got: b.len(),
+        });
+    }
+    if x.len() != b.len() {
         return Err(NumericsError::DimensionMismatch {
             what: "initial guess",
-            expected: n,
+            expected: b.len(),
             got: x.len(),
         });
     }
-    if x.iter().any(|v| !v.is_finite()) {
-        return Err(NumericsError::BadInput {
-            reason: "initial guess contains non-finite values".into(),
-        });
+    if let Some(i) = b.iter().position(|v| !v.is_finite()) {
+        return Err(non_finite_error("right-hand side", i / n));
     }
-    // A stale history from the previous solve must never be read as this
-    // solve's; clearing keeps the buffer's capacity (no allocation).
-    ws.residual_history.clear();
-
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        x.fill(0.0);
-        return Ok(CgSummary {
-            iterations: 0,
-            residual: 0.0,
-            converged: true,
-            stop: CgStop::Converged,
-        });
+    if let Some(i) = x.iter().position(|v| !v.is_finite()) {
+        return Err(non_finite_error("initial guess", i / n));
     }
+    let log = ws.log_residuals && k == 1;
 
-    ws.ensure(n);
-    // r = b − A·x (skip the matvec for an all-zero guess).
-    if x.iter().all(|&v| v == 0.0) {
-        ws.r.copy_from_slice(b);
-    } else {
-        a.multiply_into(x, &mut ws.ap);
-        for (ri, (bi, ai)) in ws.r.iter_mut().zip(b.iter().zip(&ws.ap)) {
-            *ri = bi - ai;
-        }
-    }
-    m.apply(&ws.r, &mut ws.z);
-    ws.p.copy_from_slice(&ws.z);
-    let mut rz = dot(&ws.r, &ws.z);
-
-    let mut best_res = f64::INFINITY;
-    let mut since_best = 0usize;
-    for iteration in 0..opts.max_iterations {
-        let res = norm2(&ws.r) / b_norm;
-        if ws.log_residuals {
-            ws.residual_history.push(res);
-        }
-        if res <= opts.tolerance {
-            return Ok(CgSummary {
-                iterations: iteration,
-                residual: res,
+    // Zero right-hand sides converge to x = 0 before the iteration.
+    for j in 0..k {
+        let bn = norm2(column(b, n, j));
+        ws.b_norm[j] = bn;
+        if bn == 0.0 {
+            column_mut(x, n, j).fill(0.0);
+            ws.summaries[j] = CgSummary {
+                iterations: 0,
+                residual: 0.0,
                 converged: true,
                 stop: CgStop::Converged,
-            });
-        }
-        if !res.is_finite() || res > DIVERGENCE_LIMIT {
-            return Ok(CgSummary {
-                iterations: iteration,
-                residual: res,
-                converged: false,
-                stop: CgStop::Diverged,
-            });
-        }
-        if res < best_res * (1.0 - STALL_IMPROVEMENT) {
-            best_res = res;
-            since_best = 0;
+            };
         } else {
-            since_best += 1;
-            if since_best >= STALL_WINDOW {
-                return Ok(CgSummary {
-                    iterations: iteration,
-                    residual: res,
-                    converged: false,
-                    stop: CgStop::Stalled,
-                });
+            ws.active.push(j);
+        }
+    }
+    let m0 = ws.active.len();
+    ws.p.truncate_columns(m0);
+    ws.ap.truncate_columns(m0);
+    if m0 == 0 {
+        return Ok(block_summary(&ws.summaries));
+    }
+
+    // r = b − A·x, skipping the operator sweep when every guess is zero.
+    // In a mixed block the all-zero columns ride the sweep: A·0 is exactly
+    // 0.0 and b − 0.0 is bitwise b, so the shortcut and the sweep agree to
+    // the last bit.
+    let any_warm = ws.active.iter().any(|&j| column(x, n, j).iter().any(|&v| v != 0.0));
+    if any_warm {
+        for s in 0..m0 {
+            ws.p.column_mut(s).copy_from_slice(column(x, n, ws.active[s]));
+        }
+        a.multiply_block_into(&ws.p, &mut ws.ap);
+        ws.operator_sweeps += 1;
+        ws.column_sweeps += m0 as u64;
+        for s in 0..m0 {
+            let j = ws.active[s];
+            let rj = ws.r.column_mut(j);
+            for ((ri, bi), ai) in rj.iter_mut().zip(column(b, n, j)).zip(ws.ap.column(s)) {
+                *ri = bi - ai;
             }
         }
-
-        a.multiply_into(&ws.p, &mut ws.ap);
-        let pap = dot(&ws.p, &ws.ap);
-        if pap <= 0.0 {
-            return Err(indefinite_matrix_error(pap));
-        }
-        let alpha = rz / pap;
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi += alpha * ws.p[i];
-            ws.r[i] -= alpha * ws.ap[i];
-        }
-        m.apply(&ws.r, &mut ws.z);
-        let rz_next = dot(&ws.r, &ws.z);
-        let beta = rz_next / rz;
-        rz = rz_next;
-        for i in 0..n {
-            ws.p[i] = ws.z[i] + beta * ws.p[i];
+    } else {
+        for &j in &ws.active {
+            ws.r.column_mut(j).copy_from_slice(column(b, n, j));
         }
     }
 
-    let res = norm2(&ws.r) / b_norm;
-    if ws.log_residuals {
-        ws.residual_history.push(res);
+    // z = M⁻¹ r for the whole active set, then p = z, rz = ⟨r, z⟩.
+    m.apply_columns(&ws.r, &mut ws.z, &ws.active);
+    ws.precond_applies += m0 as u64;
+    for s in 0..m0 {
+        let j = ws.active[s];
+        ws.p.column_mut(s).copy_from_slice(ws.z.column(j));
+        ws.rz[j] = dot(ws.r.column(j), ws.z.column(j));
     }
-    let converged = res <= opts.tolerance;
-    Ok(CgSummary {
-        iterations: opts.max_iterations,
-        residual: res,
-        converged,
-        stop: if converged { CgStop::Converged } else { CgStop::IterationCap },
-    })
+
+    for iteration in 0..opts.max_iterations {
+        // Residual checks (tolerance → divergence → stall), deflating
+        // finished columns out of the packed block. Not advancing `s`
+        // after a deflation re-examines the swapped-in column, so every
+        // active column is checked exactly once.
+        let mut s = 0;
+        while s < ws.active.len() {
+            let j = ws.active[s];
+            let res = norm2(ws.r.column(j)) / ws.b_norm[j];
+            if log {
+                ws.residual_history.push(res);
+            }
+            if res <= opts.tolerance {
+                ws.deflate(s, iteration, res, true, CgStop::Converged);
+                continue;
+            }
+            if !res.is_finite() || res > DIVERGENCE_LIMIT {
+                ws.deflate(s, iteration, res, false, CgStop::Diverged);
+                continue;
+            }
+            if res < ws.best[j] * (1.0 - STALL_IMPROVEMENT) {
+                ws.best[j] = res;
+                ws.since_best[j] = 0;
+            } else {
+                ws.since_best[j] += 1;
+                if ws.since_best[j] >= STALL_WINDOW {
+                    ws.deflate(s, iteration, res, false, CgStop::Stalled);
+                    continue;
+                }
+            }
+            s += 1;
+        }
+        let width = ws.active.len();
+        if width == 0 {
+            break;
+        }
+
+        // One operator sweep serves every still-active column's matvec.
+        a.multiply_block_into(&ws.p, &mut ws.ap);
+        ws.operator_sweeps += 1;
+        ws.column_sweeps += width as u64;
+
+        // Step every active column, precondition them all in one call,
+        // then turn every direction. Each column keeps its own order of
+        // operations; only the interleaving across columns changes.
+        for s in 0..width {
+            let j = ws.active[s];
+            let pap = dot(ws.p.column(s), ws.ap.column(s));
+            if pap <= 0.0 {
+                return Err(indefinite_matrix_error(pap));
+            }
+            let alpha = ws.rz[j] / pap;
+            let xj = column_mut(x, n, j);
+            let rj = ws.r.column_mut(j);
+            let ps = ws.p.column(s);
+            let aps = ws.ap.column(s);
+            for (i, xi) in xj.iter_mut().enumerate() {
+                *xi += alpha * ps[i];
+                rj[i] -= alpha * aps[i];
+            }
+        }
+        m.apply_columns(&ws.r, &mut ws.z, &ws.active);
+        ws.precond_applies += width as u64;
+        for s in 0..width {
+            let j = ws.active[s];
+            let rz_next = dot(ws.r.column(j), ws.z.column(j));
+            let beta = rz_next / ws.rz[j];
+            ws.rz[j] = rz_next;
+            let ps = ws.p.column_mut(s);
+            let zj = ws.z.column(j);
+            for (i, pi) in ps.iter_mut().enumerate() {
+                *pi = zj[i] + beta * *pi;
+            }
+        }
+    }
+
+    // Iteration cap: the final residual of every column still active.
+    for s in 0..ws.active.len() {
+        let j = ws.active[s];
+        let res = norm2(ws.r.column(j)) / ws.b_norm[j];
+        if log {
+            ws.residual_history.push(res);
+        }
+        let converged = res <= opts.tolerance;
+        ws.summaries[j] = CgSummary {
+            iterations: opts.max_iterations,
+            residual: res,
+            converged,
+            stop: if converged { CgStop::Converged } else { CgStop::IterationCap },
+        };
+    }
+    Ok(block_summary(&ws.summaries))
 }
 
 /// Builds the indefinite-matrix error outside the CG iteration loop: the
@@ -387,10 +589,28 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
 /// allocation-free, while this failure path may format freely.
 #[cold]
 #[inline(never)]
-pub(crate) fn indefinite_matrix_error(pap: f64) -> NumericsError {
+fn indefinite_matrix_error(pap: f64) -> NumericsError {
     NumericsError::BadMatrix {
         reason: format!("matrix is not positive definite (pᵀAp = {pap:.3e})"),
     }
+}
+
+/// The non-square-operator error, built off the hot path (see
+/// [`indefinite_matrix_error`]).
+#[cold]
+#[inline(never)]
+fn non_square_error(a: &CsrMatrix) -> NumericsError {
+    NumericsError::BadMatrix {
+        reason: format!("matrix must be square, got {}x{}", a.rows(), a.cols()),
+    }
+}
+
+/// The non-finite-input error for column `column` of `what`, built off the
+/// hot path (see [`indefinite_matrix_error`]).
+#[cold]
+#[inline(never)]
+fn non_finite_error(what: &str, column: usize) -> NumericsError {
+    NumericsError::BadInput { reason: format!("{what} column {column} contains non-finite values") }
 }
 
 /// Solves `A x = b` with Jacobi-preconditioned conjugate gradient from a
@@ -425,7 +645,15 @@ pub fn conjugate_gradient(
     b: &[f64],
     opts: &SolveOptions,
 ) -> Result<Solution, NumericsError> {
-    validate_system(a, b)?;
+    // The kernel validates everything else; a one-shot solve takes
+    // exactly one column.
+    if b.len() != a.rows() {
+        return Err(NumericsError::DimensionMismatch {
+            what: "right-hand side",
+            expected: a.rows(),
+            got: b.len(),
+        });
+    }
     let mut m = Jacobi::new(a)?;
     let mut x = vec![0.0; a.rows()];
     let mut ws = CgWorkspace::new();

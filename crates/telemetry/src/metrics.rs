@@ -2,7 +2,7 @@
 //!
 //! Spans answer *where the wall-clock went*; a [`SolveSample`] answers
 //! *where the iterations went* for one linear solve: which rung answered,
-//! how many CG iterations (and derived SpMV / preconditioner-apply /
+//! how many CG iterations (and measured SpMV / preconditioner-apply /
 //! V-cycle / triangular-solve counts) it burned, how good the warm start
 //! was, and — in full trace mode — the entire per-iteration residual
 //! history. Samples are recorded once per solve on the cold path, so they
@@ -58,13 +58,16 @@ pub struct SolveSample {
     pub residual_history: Vec<f64>,
     /// Every rung attempt of the solve, in order.
     pub attempts: Vec<AttemptSample>,
-    /// Sparse matrix-vector products consumed (derived: one per CG
-    /// iteration plus one warm-start residual evaluation per attempt).
+    /// Operator sweeps performed, summed over attempts as the CG kernel
+    /// measured them: one per iteration, plus one for the warm-start
+    /// residual unless every guess was zero. A multi-column solve's sweep
+    /// serves up to eight columns at once.
     pub spmv: u64,
-    /// Preconditioner applications consumed (derived: one per CG iteration
-    /// plus the initial apply, per attempt).
+    /// Preconditioner applications performed, counted per column and
+    /// summed over attempts: one per active column per iteration plus the
+    /// initial apply.
     pub precond_applies: u64,
-    /// Multigrid V-/F-cycles consumed (preconditioner applies of the
+    /// Multigrid V-cycles consumed (preconditioner applies of the
     /// multigrid rungs; zero when no multigrid rung ran).
     pub vcycles: u64,
     /// Sparse triangular solves consumed (two per IC(0) apply; zero

@@ -12,6 +12,9 @@
 //! **once**, and then serves any number of right-hand sides with
 //! warm-started, allocation-free conjugate gradient — each solve reuses the
 //! previous solution as its initial guess and the same scratch buffers.
+//! One painting solves as a single column; a batch of paintings solves as
+//! one column block in one call of the same kernel, through the same
+//! self-healing [`SolveLadder`].
 //!
 //! The default preconditioner scales with the system: small meshes get the
 //! IC(0) factorization, while systems at or above
@@ -28,10 +31,9 @@ use std::sync::Arc;
 
 use vcsel_numerics::solver::{CgWorkspace, SolveOptions};
 use vcsel_numerics::{
-    AnyPreconditioner, BlockCgWorkspace, BlockVector, CsrMatrix, MultigridConfig, NumericsError,
-    PreconditionerKind, SolveLadder,
+    AnyPreconditioner, CsrMatrix, MultigridConfig, NumericsError, PreconditionerKind, SolveLadder,
 };
-use vcsel_telemetry::{ArgValue, SolveSample, TelemetrySink};
+use vcsel_telemetry::{ArgValue, TelemetrySink};
 use vcsel_units::{Celsius, Meters};
 
 use crate::assembly::{self, BoundaryFace};
@@ -208,9 +210,6 @@ pub struct SolveContext {
     temps: Vec<f64>,
     rhs: Vec<f64>,
     ws: CgWorkspace,
-    /// Block scratch for [`SolveContext::solve_batch`], sized lazily on the
-    /// first batched call and reused after that.
-    block_ws: BlockCgWorkspace,
     last_iterations: usize,
     total_iterations: usize,
 }
@@ -292,7 +291,6 @@ impl SolveContext {
             temps: vec![0.0; n],
             rhs: vec![0.0; n],
             ws: CgWorkspace::with_capacity(n),
-            block_ws: BlockCgWorkspace::new(),
             last_iterations: 0,
             total_iterations: 0,
         }
@@ -518,17 +516,20 @@ impl SolveContext {
     /// shape, where many `(group, scale)` combinations interrogate the same
     /// silicon. Each painting follows [`SolveContext::solve_scaled`]
     /// semantics (omitted groups contribute zero; ungrouped blocks always
-    /// dissipate), but the right-hand sides solve **together**: one
-    /// [`BlockVector`] runs through the ladder's block conjugate-gradient
-    /// path, so every operator sweep streams the matrix nonzeros from
-    /// memory once and serves every still-active column.
+    /// dissipate), but the right-hand sides solve **together**: one column
+    /// block runs through the ladder in one conjugate-gradient call, so
+    /// every operator sweep streams the matrix nonzeros from memory once
+    /// and serves every still-active column. Every column warm-starts from
+    /// the engine's current field.
     ///
     /// Failure is per slot, not wholesale: a poisoned painting (unknown
     /// group, negative scale) gets its own `Err` while the remaining
-    /// columns still solve; a column the active rung cannot converge
-    /// re-solves through the full scalar ladder (escalation included).
-    /// The outer `Err` is reserved for systemic failures — a broken
-    /// operator fails every painting identically.
+    /// columns still solve; columns the active rung cannot converge
+    /// escalate through the ladder, and only a column no rung converges
+    /// ends as a [`NumericsError::NoConvergence`] error. The outer `Err`
+    /// is reserved for systemic failures — a broken operator fails every
+    /// painting identically. [`SolveContext::health`] describes the whole
+    /// batch afterwards.
     ///
     /// The warm-start field after a batch is the last successful column,
     /// exactly where a sequential sweep of the same paintings would have
@@ -536,10 +537,10 @@ impl SolveContext {
     ///
     /// # Errors
     ///
-    /// Outer: shape/definiteness failures from the block solver. Inner,
-    /// per painting: [`ThermalError::UnknownGroup`],
-    /// [`ThermalError::BadParameter`], and solver failures that survive
-    /// the scalar-ladder fallback.
+    /// Outer: shape failures from the solver. Inner, per painting:
+    /// [`ThermalError::UnknownGroup`], [`ThermalError::BadParameter`], and
+    /// [`ThermalError::Solver`] for a column no rung of the ladder
+    /// converges.
     ///
     /// # Example
     ///
@@ -592,117 +593,85 @@ impl SolveContext {
                 })
             })
             .collect();
-        // Validate and paint every right-hand side up front; a poisoned
-        // painting fails its own slot and drops out of the block.
-        let mut columns: Vec<Vec<f64>> = Vec::new();
+        // Validate and paint every right-hand side up front, back to back
+        // into one column-major block; a poisoned painting fails its own
+        // slot and drops out of the block.
+        let mut b: Vec<f64> = Vec::with_capacity(paintings.len() * n);
         let mut injected: Vec<f64> = Vec::new();
         let mut slots: Vec<usize> = Vec::new();
         for (slot, scales) in paintings.iter().enumerate() {
-            let mut rhs = vec![0.0; n];
+            let start = b.len();
+            b.resize(start + n, 0.0);
             match paint_rhs(
                 &self.boundary_rhs,
                 &self.static_power,
                 &self.group_power,
                 scales,
                 0.0,
-                &mut rhs,
+                &mut b[start..],
             ) {
                 Ok(w) => {
-                    columns.push(rhs);
                     injected.push(w);
                     slots.push(slot);
                 }
-                Err(e) => results[slot] = Err(e),
+                Err(e) => {
+                    b.truncate(start);
+                    results[slot] = Err(e);
+                }
             }
         }
-        if columns.is_empty() {
+        if slots.is_empty() {
             return Ok(results);
         }
 
-        let refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-        let b = BlockVector::from_columns(&refs).map_err(ThermalError::from)?;
-        let mut x = BlockVector::zeros(n, columns.len());
-        for c in 0..columns.len() {
-            x.column_mut(c).copy_from_slice(&self.temps);
-        }
+        let mut x = self.temps.repeat(slots.len());
         let sink = self.ladder.telemetry().clone();
         let start_ns = vcsel_telemetry::now_ns();
         let timer = std::time::Instant::now();
-        let summaries = {
+        let summary = {
             let mut span = sink.span("thermal", "batch_solve");
             span.arg("unknowns", ArgValue::U64(n as u64));
             span.arg("points", ArgValue::U64(paintings.len() as u64));
-            span.arg("columns", ArgValue::U64(columns.len() as u64));
-            self.ladder
-                .solve_block(&self.matrix, &b, &mut x, &self.options, &mut self.block_ws)
-                .map_err(ThermalError::from)?
+            span.arg("columns", ArgValue::U64(slots.len() as u64));
+            self.ladder.solve(&self.matrix, &b, &mut x, &self.options, &mut self.ws)?
         };
         if sink.is_enabled() {
-            let mut sample = self.batch_sample(&summaries);
+            let mut sample = self.ladder.telemetry_sample(&summary, &self.ws);
+            sample.label = String::from("batch_solve");
+            sample.cat = "thermal";
             sample.start_ns = start_ns;
             sample.dur_ns = u64::try_from(timer.elapsed().as_nanos()).unwrap_or(u64::MAX);
             sink.record_sample(sample);
         }
+        self.last_iterations = summary.iterations;
+        self.total_iterations += summary.total_iterations;
+        self.health = SolveHealth::from_ladder(summary, self.ladder.attempts());
 
         // Snapshot the converged columns; the last one becomes the next
         // warm start, exactly where a sequential sweep would have parked.
+        let failed = self.ladder.unconverged_columns();
         let mut last_good = None;
-        let mut block_iterations = 0;
-        for (c, summary) in summaries.iter().enumerate() {
-            self.total_iterations += summary.iterations;
-            if summary.converged {
-                block_iterations = block_iterations.max(summary.iterations);
-                results[slots[c]] = Ok(ThermalMap::new(
+        for (c, column) in x.chunks_exact(n).enumerate() {
+            results[slots[c]] = if failed.contains(&c) {
+                Err(ThermalError::Solver(NumericsError::NoConvergence {
+                    iterations: summary.iterations,
+                    residual: summary.residual,
+                    tolerance: self.options.tolerance,
+                }))
+            } else {
+                last_good = Some(column);
+                Ok(ThermalMap::new(
                     self.mesh.clone(),
-                    x.column(c).to_vec(),
+                    column.to_vec(),
                     self.boundary_faces.clone(),
                     injected[c],
-                ));
-                last_good = Some(c);
-            }
+                ))
+            };
         }
-        if let Some(c) = last_good {
-            self.last_iterations = block_iterations;
-            self.temps.copy_from_slice(x.column(c));
-        }
-        // Columns the active rung could not converge re-solve through the
-        // full scalar ladder — escalation and self-healing included — so a
-        // batch degrades per column, never wholesale.
-        for (c, summary) in summaries.iter().enumerate() {
-            if !summary.converged {
-                results[slots[c]] = self.solve_scaled(paintings[slots[c]]);
-            }
+        if let Some(column) = last_good {
+            self.temps.copy_from_slice(column);
         }
         Ok(results)
-    }
-
-    /// Assembles the telemetry [`SolveSample`] for one batched solve: the
-    /// operator-sweep count stands in for `spmv` (each sweep streams the
-    /// nonzeros once, however many columns it serves), while
-    /// preconditioner applies stay counted per column, even where one
-    /// IC(0) pass serves the whole active set. The caller stamps the
-    /// timing fields.
-    fn batch_sample(&self, summaries: &[vcsel_numerics::solver::CgSummary]) -> SolveSample {
-        let applies = self.block_ws.preconditioner_applies();
-        let mut sample = SolveSample {
-            label: String::from("batch_solve"),
-            cat: "thermal",
-            solver: self.ladder.active_name(),
-            unknowns: self.temps.len() as u64,
-            iterations: summaries.iter().map(|s| s.iterations as u64).max().unwrap_or(0),
-            total_iterations: summaries.iter().map(|s| s.iterations as u64).sum(),
-            converged: summaries.iter().all(|s| s.converged),
-            residual: summaries.iter().map(|s| s.residual).fold(0.0, f64::max),
-            spmv: self.block_ws.operator_sweeps(),
-            precond_applies: applies,
-            ..SolveSample::default()
-        };
-        match sample.solver {
-            "multigrid" => sample.vcycles = applies,
-            "ic0" => sample.trisolves = 2 * applies,
-            _ => {}
-        }
-        sample
     }
 
     /// Solves like [`SolveContext::solve_scaled`] but returns only the
@@ -1115,6 +1084,41 @@ mod tests {
             }
         }
         assert_eq!(stepper.steps(), 0);
+    }
+
+    #[test]
+    fn faulted_batch_reports_its_recovery_in_health() {
+        // One ladder call serves the whole batch, so the health report
+        // describes the batch: the corrupted IC(0) rung fails every column
+        // and the escalation to Jacobi recovers them.
+        let (design, spec) = grouped_slab();
+        let mut ctx = SolveContext::new(&design, &spec).unwrap();
+        ctx.inject_solver_fault();
+        let maps = ctx.solve_batch(&[&[("src", 1.0)], &[("src", 0.5)], &[("src", 2.0)]]).unwrap();
+        assert!(maps.iter().all(Result::is_ok));
+        let health = ctx.health();
+        assert!(health.recovered, "{health:?}");
+        assert_eq!(health.escalations, 1);
+        assert_eq!(ctx.preconditioner_name(), "jacobi");
+    }
+
+    #[test]
+    fn solve_samples_count_the_measured_operator_work() {
+        // A cold solve starts from a zero guess and skips the initial
+        // residual product; a warm one pays for it. The telemetry sample
+        // counts what the kernel did, not what its iterations imply.
+        let (design, spec) = grouped_slab();
+        let sink = TelemetrySink::new(vcsel_telemetry::TraceMode::Full);
+        let mut ctx = SolveContext::new(&design, &spec).unwrap().with_telemetry(sink.clone());
+        ctx.solve().unwrap();
+        ctx.solve_scaled(&[("src", 1.5)]).unwrap();
+        let samples = sink.drain().samples;
+        let (cold, warm) = (&samples[0], &samples[1]);
+        assert!(cold.iterations > 0 && warm.iterations > 0);
+        assert_eq!(cold.spmv, cold.iterations);
+        assert_eq!(cold.precond_applies, cold.iterations + 1);
+        assert_eq!(warm.spmv, warm.iterations + 1);
+        assert_eq!(warm.precond_applies, warm.iterations + 1);
     }
 
     #[test]

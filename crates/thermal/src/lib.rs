@@ -109,7 +109,7 @@ pub use superposition::ResponseBasis;
 /// Re-exported so downstream crates can pick a solve-engine preconditioner
 /// (including the multigrid hierarchy and its tuning knobs) without
 /// depending on `vcsel_numerics` directly.
-pub use vcsel_numerics::{CycleKind, MultigridConfig, PreconditionerKind};
+pub use vcsel_numerics::{MultigridConfig, PreconditionerKind};
 /// Re-exported so downstream crates can read the per-rung story inside a
 /// [`SolveHealth`] report without depending on `vcsel_numerics` directly.
 pub use vcsel_numerics::{RungAttempt, RungOutcome};

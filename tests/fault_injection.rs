@@ -85,7 +85,7 @@ fn injected_breakdown_recovers_through_the_ladder_to_the_healthy_field() {
 fn injected_breakdown_in_a_batch_recovers_per_column_to_the_healthy_maps() {
     // The batched path: the corrupted rung must corrupt every column of a
     // multi-column preconditioner apply, so no column converges on it and
-    // the per-column scalar fallback escalates past it.
+    // the ladder escalates the whole block past it.
     let (design, _) = grouped_slab();
     let spec = MeshSpec::uniform(mm(0.25));
     let options = SolveOptions { tolerance: 1e-12, max_iterations: 100_000 };
