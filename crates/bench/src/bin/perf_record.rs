@@ -15,25 +15,18 @@
 //!    subsystem: its cold-solve iteration count must be at most **half**
 //!    of IC(0)'s. Control with `PERF_RECORD_FAST=all|mg|off` (CI's smoke
 //!    job runs `mg` to exercise hierarchy construction on every push).
-//! 3. **Multigrid threading A/B** — on the fast-fidelity system, one cold
-//!    multigrid-CG solve with `parallel_sweeps` off (every cycle kernel
-//!    serial) and one with it on (threaded Chebyshev smoother, residual and
-//!    transfers), recording iterations and solve wall time. The two must
-//!    take identical iteration counts on every run, CI smoke included;
-//!    on full runs with at least two hardware threads the threaded solve
-//!    must also be no slower end to end.
-//! 4. **200-step transient** — the paper's runtime-management shape — run
+//! 3. **200-step transient** — the paper's runtime-management shape — run
 //!    on the seed-era path (cold-start Jacobi-CG every step) and on the
 //!    engine path (IC(0) factored once + warm starts), recording
 //!    steps/second and the wall-clock speedup.
-//! 5. **Engine-cache cold/warm** — on the same fast-fidelity system, one
+//! 4. **Engine-cache cold/warm** — on the same fast-fidelity system, one
 //!    cold engine construction through the persistent cache (fresh build
 //!    plus artifact store under `reports/cache/`) and one warm
 //!    construction (artifact restore with zero factorizations), recording
 //!    both setup times and the restore speedup. The warm probe must hit,
 //!    and with at least two hardware threads the restore must be ≥ 2×
 //!    faster than the fresh build.
-//! 6. **Batched DSE sweep** — a 100-point power sweep on the tiny system
+//! 5. **Batched DSE sweep** — a 100-point power sweep on the tiny system
 //!    evaluated two ways: the sequential path (one warm-started
 //!    `solve_scaled` per point) vs the batched path (a
 //!    `ResponseBasis::build_on_batched` block solve, then one `compose`
@@ -45,7 +38,10 @@
 //! Every threaded section stamps the worker count it ran with (`threads`,
 //! respecting the `VCSEL_THREADS` override); on a single-core machine the
 //! wall-clock speedup bars are skipped with an explicit note, so a 1-core
-//! record can never read as a threading regression.
+//! record can never read as a threading regression. `VCSEL_THREADS=1` is
+//! the serial baseline: a run under it against a default run measures what
+//! the threaded kernels pay (iteration counts and fields do not depend on
+//! the worker count).
 //!
 //! Setting `PERF_RECORD_PAPER=1` additionally runs one full-die
 //! `Fidelity::Paper` steady solve (~2.6 M unknowns) through the multigrid
@@ -158,68 +154,6 @@ struct PaperRecord {
     fine_operator_mb: f64,
     /// Process peak RSS (VmHWM) after the solve, when the OS exposes it.
     peak_rss_mb: Option<f64>,
-}
-
-struct MgThreadsRecord {
-    unknowns: usize,
-    threads: usize,
-    serial_iterations: usize,
-    threaded_iterations: usize,
-    serial_solve_ms: f64,
-    threaded_solve_ms: f64,
-    speedup: f64,
-}
-
-/// Peak resident set size of this process in MB (Linux `/proc` only).
-fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024.0)
-}
-
-/// Times a cold multigrid-CG solve of the system with every cycle kernel
-/// serial (`parallel_sweeps = false`) and with the threaded kernels (best
-/// of `reps` each), recording both iteration counts.
-fn mg_threads_section(design: &Design, spec: &MeshSpec, reps: usize) -> MgThreadsRecord {
-    let mut unknowns = 0;
-    let mut rows = [(0usize, 0.0f64); 2];
-    for (slot, parallel_sweeps) in [(0, false), (1, true)] {
-        let config = MultigridConfig { parallel_sweeps, ..Default::default() };
-        let mut ctx = SolveContext::new_preconditioned(
-            design,
-            spec,
-            PreconditionerKind::Multigrid { config },
-        )
-        .expect("multigrid context builds");
-        unknowns = ctx.unknowns();
-        let (best, _) = time_best(reps, || {
-            ctx.reset_guess();
-            ctx.solve().expect("cold multigrid solve")
-        });
-        rows[slot] = (ctx.last_iterations(), best * 1e3);
-    }
-    let record = MgThreadsRecord {
-        unknowns,
-        threads: hardware_threads(),
-        serial_iterations: rows[0].0,
-        threaded_iterations: rows[1].0,
-        serial_solve_ms: rows[0].1,
-        threaded_solve_ms: rows[1].1,
-        speedup: rows[0].1 / rows[1].1,
-    };
-    println!(
-        "[mg_threads/fast] {} unknowns, {} threads: serial {:.0} ms / {} iters, \
-         threaded {:.0} ms / {} iters ({:.2}x)",
-        record.unknowns,
-        record.threads,
-        record.serial_solve_ms,
-        record.serial_iterations,
-        record.threaded_solve_ms,
-        record.threaded_iterations,
-        record.speedup
-    );
-    record
 }
 
 /// Cold-then-warm engine construction through the real persistent cache
@@ -378,10 +312,6 @@ fn run() {
     let mut phases: Vec<(&'static str, f64)> = Vec::new();
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_solvers.json".to_string());
     let multigrid = PreconditionerKind::Multigrid { config: MultigridConfig::default() };
-    // CI's reduced smoke run is identified by its PERF_RECORD_STEPS
-    // override; wall-clock bars measured on a contended shared runner are
-    // only recorded there, while the deterministic bars assert everywhere.
-    let full_run = std::env::var_os("PERF_RECORD_STEPS").is_none();
 
     // ---- Tiny steady solves per preconditioner -------------------------
     let phase_t = Instant::now();
@@ -407,8 +337,8 @@ fn run() {
         "all" => &[("ic0", PreconditionerKind::IncompleteCholesky), ("multigrid", multigrid)],
         other => panic!("PERF_RECORD_FAST must be all|mg|off, got '{other}'"),
     };
-    let (fast_unknowns, fast_steady, mg_threads, engine_cache) = if fast_kinds.is_empty() {
-        (0, Vec::new(), None, None)
+    let (fast_unknowns, fast_steady, engine_cache) = if fast_kinds.is_empty() {
+        (0, Vec::new(), None)
     } else {
         let phase_t = Instant::now();
         let phase_span = sink.span("perf", "steady_fast");
@@ -424,17 +354,11 @@ fn run() {
         phases.push(("steady_fast", phase_t.elapsed().as_secs_f64() * 1e3));
 
         let phase_t = Instant::now();
-        let phase_span = sink.span("perf", "mg_threads_ab");
-        let mg_threads = mg_threads_section(system.design(), &spec, if full_run { 3 } else { 1 });
-        drop(phase_span);
-        phases.push(("mg_threads_ab", phase_t.elapsed().as_secs_f64() * 1e3));
-
-        let phase_t = Instant::now();
         let phase_span = sink.span("perf", "engine_cache");
         let engine_cache = engine_cache_section(&config, &system, &spec);
         drop(phase_span);
         phases.push(("engine_cache", phase_t.elapsed().as_secs_f64() * 1e3));
-        (unknowns, records, Some(mg_threads), Some(engine_cache))
+        (unknowns, records, Some(engine_cache))
     };
 
     // ---- Optional full-paper-fidelity multigrid solve ------------------
@@ -487,7 +411,7 @@ fn run() {
             hottest_c: map.hottest().1.value(),
             restore_s,
             fine_operator_mb,
-            peak_rss_mb: peak_rss_mb(),
+            peak_rss_mb: vcsel_telemetry::peak_rss_mb(),
         };
         println!(
             "[paper] multigrid: {} unknowns, setup {:.1} s, cold solve {:.1} s / {} iters, \
@@ -660,29 +584,6 @@ fn run() {
             "\"skipped: single core\""
         }
     };
-    let mg_threads_json = mg_threads
-        .as_ref()
-        .map(|m| {
-            let note = if m.threads >= 2 && !full_run {
-                "\"skipped: smoke run\""
-            } else {
-                speedup_note(m.threads)
-            };
-            format!(
-                ",\n  \"mg_threads_fast\": {{ \"unknowns\": {}, \"threads\": {}, \
-                 \"serial_iterations\": {}, \"threaded_iterations\": {}, \
-                 \"serial_solve_ms\": {:.1}, \"threaded_solve_ms\": {:.1}, \
-                 \"speedup\": {:.3}, \"speedup_assertion\": {note} }}",
-                m.unknowns,
-                m.threads,
-                m.serial_iterations,
-                m.threaded_iterations,
-                m.serial_solve_ms,
-                m.threaded_solve_ms,
-                m.speedup,
-            )
-        })
-        .unwrap_or_default();
     // Per-phase wall clock (since v5): the same section boundaries the trace
     // spans use, so a record and a Perfetto trace line up by name.
     let phases_json = {
@@ -746,10 +647,10 @@ fn run() {
         })
         .unwrap_or_default();
     let json = format!(
-        "{{\n  \"schema\": \"bench_solvers_v9\",\n  \"generated_by\": \"perf_record\",\n  \
+        "{{\n  \"schema\": \"bench_solvers_v10\",\n  \"generated_by\": \"perf_record\",\n  \
          \"workload\": \"SccConfig tiny_test + full-die Fast, p_vcsel = 4 mW\",\n  \
          \"unknowns\": {unknowns},\n  \
-         \"steady\": [\n{}\n  ]{fast_json}{fast_ratio}{mg_threads_json}{engine_cache_json}{dse_json}{paper_json}\
+         \"steady\": [\n{}\n  ]{fast_json}{fast_ratio}{engine_cache_json}{dse_json}{paper_json}\
          {phases_json},\n  \
          \"transient\": {{\n    \
          \"steps\": {steps},\n    \"dt_s\": {TRANSIENT_DT_S},\n    \
@@ -790,30 +691,6 @@ fn run() {
             mg.cold_iterations,
             ic.cold_iterations
         );
-    }
-    // The multigrid threading bars: the threaded kernels compute every
-    // entry exactly as the serial ones do, so the iteration counts must
-    // match on every run (deterministic, smoke included). The wall-clock
-    // bar — threading must not make the cold solve slower — only binds
-    // where threads exist to win with, and only on dedicated full runs.
-    if let Some(m) = &mg_threads {
-        assert_eq!(
-            m.serial_iterations, m.threaded_iterations,
-            "multigrid iterations depend on threading: serial {} vs threaded {}",
-            m.serial_iterations, m.threaded_iterations
-        );
-        if m.threads >= 2 && full_run {
-            assert!(
-                m.threaded_solve_ms <= m.serial_solve_ms,
-                "threaded cold multigrid solve {:.0} ms is slower than serial {:.0} ms on {} \
-                 threads",
-                m.threaded_solve_ms,
-                m.serial_solve_ms,
-                m.threads
-            );
-        } else if m.threads < 2 {
-            println!("[mg_threads/fast] single-core: speedup assertion skipped");
-        }
     }
     // The engine-cache bars: the warm probe must restore (a miss means the
     // artifact pipeline regressed — deterministic, asserted everywhere),

@@ -36,7 +36,9 @@ use crate::{CsrMatrix, NumericsError};
 /// Format version written into (and required from) every artifact envelope.
 /// Version 3: an IC(0) payload is `n` plus the three factor arrays and
 /// nothing else. Version 4: a multigrid config carries no cycle-shape tag.
-pub const ARTIFACT_VERSION: u32 = 4;
+/// Version 5: nor does it carry sweep counts or a threading flag (the
+/// cycle is a fixed V(1,1) and threads behind size gates).
+pub const ARTIFACT_VERSION: u32 = 5;
 
 /// Envelope magic: "VCsel Artifact Format".
 const MAGIC: [u8; 4] = *b"VCAF";
@@ -739,30 +741,16 @@ impl IncompleteCholesky {
 fn write_config(w: &mut ArtifactWriter, c: &MultigridConfig) {
     w.put_f64(c.strength_threshold);
     w.put_f64(c.prolongation_damping);
-    w.put_u64(c.pre_sweeps as u64);
-    w.put_u64(c.post_sweeps as u64);
     w.put_u64(c.max_levels as u64);
     w.put_u64(c.direct_cells as u64);
-    w.put_bool(c.parallel_sweeps);
 }
 
 fn read_config(r: &mut ArtifactReader<'_>) -> Result<MultigridConfig, ArtifactError> {
     let strength_threshold = r.get_f64()?;
     let prolongation_damping = r.get_f64()?;
-    let pre_sweeps = r.get_usize()?;
-    let post_sweeps = r.get_usize()?;
     let max_levels = r.get_usize()?;
     let direct_cells = r.get_usize()?;
-    let parallel_sweeps = r.get_bool()?;
-    Ok(MultigridConfig {
-        strength_threshold,
-        prolongation_damping,
-        pre_sweeps,
-        post_sweeps,
-        max_levels,
-        direct_cells,
-        parallel_sweeps,
-    })
+    Ok(MultigridConfig { strength_threshold, prolongation_damping, max_levels, direct_cells })
 }
 
 impl MultigridHierarchy {
@@ -856,13 +844,9 @@ impl Multigrid {
     ///
     /// # Errors
     ///
-    /// Any [`ArtifactError`] from [`MultigridHierarchy::from_artifact`],
-    /// plus [`ArtifactError::BadStructure`] when the stored sweep
-    /// configuration is not a valid CG preconditioner (see
-    /// [`Multigrid::from_hierarchy`]).
+    /// Any [`ArtifactError`] from [`MultigridHierarchy::from_artifact`].
     pub fn from_artifact(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let h = MultigridHierarchy::from_artifact(bytes)?;
-        Ok(Self::from_hierarchy(h)?)
+        Ok(Self::from_hierarchy(MultigridHierarchy::from_artifact(bytes)?))
     }
 }
 

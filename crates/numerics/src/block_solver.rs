@@ -6,7 +6,8 @@
 //! independent recurrences in lockstep and keeps its per-column state in
 //! [`BlockVector`]s, so every iteration's k matvecs come from **one
 //! sweep** of the operator
-//! ([`CsrMatrix::multiply_block_into`](crate::CsrMatrix::multiply_block_into))
+//! ([`CsrMatrix::multiply_into`](crate::CsrMatrix::multiply_into) on the
+//! block's storage, up to eight columns per pass over `A`)
 //! and its k preconditioner applies from one
 //! [`Preconditioner::apply_columns`](crate::Preconditioner::apply_columns)
 //! call — for IC(0), one pass over the factor.
@@ -124,8 +125,14 @@ impl BlockVector {
         out
     }
 
-    /// The raw column-major storage (used by the threaded block SpMV to
-    /// hand disjoint row bands of every column to workers).
+    /// The columns back to back: the layout
+    /// [`CsrMatrix::multiply_into`](crate::CsrMatrix::multiply_into)
+    /// multiplies in one call.
+    pub(crate) fn data(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Mutable form of [`BlockVector::data`].
     pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
@@ -220,22 +227,26 @@ mod tests {
 
     #[test]
     fn block_spmv_matches_scalar_per_column() {
-        // k = 1..=9 crosses the chunk boundary at CsrMatrix::BLOCK_COLUMNS.
+        // The packed storage CG multiplies: k = 1..=9 crosses the
+        // eight-column pass boundary, at several worker counts.
         let a = stencil_3d(5, 4, 3);
         let n = a.rows();
         for k in 1..=9u64 {
             let cols: Vec<Vec<f64>> = (0..k).map(|s| pseudo_random(n, 7 + s)).collect();
             let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
             let x = BlockVector::from_columns(&refs).unwrap();
-            let mut y = BlockVector::zeros(n, refs.len());
-            a.mul_block_into(&x, &mut y);
-            let mut y_threaded = BlockVector::zeros(n, refs.len());
-            a.mul_block_into_threaded(&x, &mut y_threaded, 3);
-            for (j, col) in cols.iter().enumerate() {
-                let mut scalar = vec![0.0; n];
-                a.mul_vec_into(col, &mut scalar);
-                assert_eq!(bits(y.column(j)), bits(&scalar), "k={k} column {j} serial");
-                assert_eq!(bits(y_threaded.column(j)), bits(&scalar), "k={k} column {j} threaded");
+            for threads in [1, 2, 3, 7] {
+                let mut y = BlockVector::zeros(n, refs.len());
+                a.multiply_with_threads(x.data(), y.data_mut(), threads);
+                for (j, col) in cols.iter().enumerate() {
+                    let mut scalar = vec![0.0; n];
+                    a.multiply_with_threads(col, &mut scalar, 1);
+                    assert_eq!(
+                        bits(y.column(j)),
+                        bits(&scalar),
+                        "k={k} column {j}, {threads} workers"
+                    );
+                }
             }
         }
     }

@@ -8,7 +8,8 @@
 //! linear-algebra dependency:
 //!
 //! * [`CsrMatrix`]: compressed-sparse-row matrices with a triplet builder
-//!   and a row-partitioned, nnz-balanced threaded SpMV for large systems,
+//!   and one SpMV for k ≥ 1 columns ([`CsrMatrix::multiply_into`]),
+//!   threaded in nnz-balanced row bands for large systems,
 //! * [`solver`]: preconditioned conjugate gradient with warm starts and
 //!   caller-owned workspace buffers — one kernel for k ≥ 1 right-hand
 //!   sides, whose k independent recurrences run in lockstep, share one
@@ -27,9 +28,9 @@
 //! * [`ladder`]: the self-healing [`SolveLadder`] every engine solve runs
 //!   through, escalating failed columns to sturdier preconditioners,
 //! * [`multigrid`]: a smoothed-aggregation algebraic multigrid hierarchy
-//!   (V-cycles, Galerkin coarse operators, dense coarsest solve,
-//!   Chebyshev smoothers and transfers threaded behind the size gates
-//!   with bitwise-identical results) used as a mesh-independent CG
+//!   (fixed V(1,1) cycles, Galerkin coarse operators, dense coarsest
+//!   solve, Chebyshev smoothers and transfers threaded behind the size
+//!   gates with bitwise-identical results) used as a mesh-independent CG
 //!   preconditioner,
 //! * [`artifact`]: a dependency-free, versioned, checksummed binary codec
 //!   for solver-engine state — `to_artifact`/`from_artifact` on

@@ -52,10 +52,15 @@
 //! it): it is 1.1 × the largest Ritz value of a 12-step Lanczos run from
 //! a pseudo-random start, capped by the level's Gershgorin bound,
 //! computed once at build and stored in the hierarchy artifact. The
-//! polynomial is a symmetric
-//! operator in `D⁻¹A`, and the V-cycle runs equal pre-/post-sweeps over
-//! a Galerkin hierarchy, so the cycle is itself a symmetric
-//! positive-definite operator — a legal CG preconditioner.
+//! polynomial is a symmetric operator in `D⁻¹A`, and the cycle is a fixed
+//! V(1,1) — one smoothing pass before restricting, one after
+//! prolongating — over a Galerkin hierarchy, so it is itself a symmetric
+//! positive-definite operator: a legal CG preconditioner.
+//!
+//! Every cycle kernel — smoother, residual and transfer SpMVs through
+//! [`CsrMatrix::multiply_into`], the Chebyshev vector update — threads
+//! behind its own size gate and computes each entry exactly as its serial
+//! loop does. `VCSEL_THREADS=1` is the serial baseline.
 //!
 //! # Drivers
 //!
@@ -100,28 +105,11 @@ pub struct MultigridConfig {
     /// estimated spectral radius of `D_F⁻¹ A_F`). The classical smoothed-
     /// aggregation choice is `4/3`.
     pub prolongation_damping: f64,
-    /// Chebyshev smoothing passes before restricting.
-    pub pre_sweeps: usize,
-    /// Chebyshev smoothing passes after prolongating. Keep equal to
-    /// [`MultigridConfig::pre_sweeps`] when the hierarchy serves as a CG
-    /// preconditioner, so the cycle stays symmetric.
-    pub post_sweeps: usize,
     /// Hard cap on hierarchy depth (including the coarsest level).
     pub max_levels: usize,
     /// Coarsen until an operator has at most this many unknowns, then
     /// factor it densely.
     pub direct_cells: usize,
-    /// Thread the cycle hot paths on levels large enough to amortize
-    /// spawn cost: smoother, residual and transfer SpMVs row-partition
-    /// across workers above [`CsrMatrix::PARALLEL_NNZ_THRESHOLD`] stored
-    /// non-zeros, and the Chebyshev vector update splits into chunks above
-    /// [`Jacobi::PARALLEL_LEN_THRESHOLD`] unknowns. Every threaded kernel
-    /// computes each entry exactly as its serial form does, so this flag
-    /// changes wall time only — iteration counts and fields are bitwise
-    /// identical either way. Set `false` to force the serial path
-    /// everywhere — the A/B baseline `perf_record` measures the threading
-    /// win against.
-    pub parallel_sweeps: bool,
 }
 
 impl Default for MultigridConfig {
@@ -129,11 +117,8 @@ impl Default for MultigridConfig {
         Self {
             strength_threshold: 0.08,
             prolongation_damping: 4.0 / 3.0,
-            pre_sweeps: 1,
-            post_sweeps: 1,
             max_levels: 16,
             direct_cells: 500,
-            parallel_sweeps: true,
         }
     }
 }
@@ -297,21 +282,27 @@ impl MgWorkspace {
         ws
     }
 
+    /// Sizes the buffers for `h` unless they already fit — checked on
+    /// every cycle without allocating.
     fn ensure(&mut self, h: &MultigridHierarchy) {
-        let sizes = h.level_sizes();
-        if self.levels.len() != sizes.len()
-            || self.levels.iter().zip(&sizes).any(|(l, &n)| l.b.len() != n)
-        {
-            self.levels = sizes
-                .iter()
-                .map(|&n| LevelBufs {
-                    b: vec![0.0; n],
-                    x: vec![0.0; n],
-                    r: vec![0.0; n],
-                    z: vec![0.0; n],
-                })
-                .collect();
+        let fits = self.levels.len() == h.level_count()
+            && self.levels.iter().zip(h.sizes()).all(|(l, n)| l.b.len() == n);
+        if !fits {
+            self.resize(h);
         }
+    }
+
+    #[cold]
+    fn resize(&mut self, h: &MultigridHierarchy) {
+        self.levels = h
+            .sizes()
+            .map(|n| LevelBufs {
+                b: vec![0.0; n],
+                x: vec![0.0; n],
+                r: vec![0.0; n],
+                z: vec![0.0; n],
+            })
+            .collect();
     }
 }
 
@@ -471,7 +462,7 @@ impl MultigridHierarchy {
             }
             let r = p.transpose();
             let inv_diag = inverse_diagonal(&current)?;
-            let lambda_max = chebyshev_upper_bound(config.parallel_sweeps, &current, &inv_diag);
+            let lambda_max = chebyshev_upper_bound(&current, &inv_diag);
             levels.push(MgLevel { a: current, inv_diag, lambda_max, p, r });
             current = Arc::new(coarse);
         }
@@ -514,7 +505,7 @@ impl MultigridHierarchy {
             // complexity Σ level nnz / fine nnz: the aggregation-health
             // numbers the module docs quote (1.2–1.6 is healthy).
             let fine_cells = built.fine_unknowns().max(1);
-            let grid_cells: usize = built.level_sizes().iter().sum();
+            let grid_cells: usize = built.sizes().sum();
             build_span.arg("levels", ArgValue::U64(built.level_count() as u64));
             build_span.arg("cells", ArgValue::U64(built.fine_unknowns() as u64));
             build_span.arg("grid_complexity", ArgValue::F64(grid_cells as f64 / fine_cells as f64));
@@ -534,9 +525,12 @@ impl MultigridHierarchy {
 
     /// Unknowns per level, fine to coarse.
     pub fn level_sizes(&self) -> Vec<usize> {
-        let mut sizes: Vec<usize> = self.levels.iter().map(|l| l.a.rows()).collect();
-        sizes.push(self.coarse_a.rows());
-        sizes
+        self.sizes().collect()
+    }
+
+    /// [`MultigridHierarchy::level_sizes`] without the allocation.
+    fn sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.levels.iter().map(|l| l.a.rows()).chain(std::iter::once(self.coarse_a.rows()))
     }
 
     /// Unknowns of the finest operator.
@@ -686,22 +680,16 @@ impl MultigridHierarchy {
             self.solve_coarsest_into(&mut bufs[0]);
             return;
         }
-        let parallel = self.config.parallel_sweeps;
         let (cur, rest) = bufs.split_at_mut(1);
         let cur = &mut cur[0];
 
-        for _ in 0..self.config.pre_sweeps {
-            chebyshev_smooth(parallel, &self.levels[level], cur);
-        }
-        residual_into(parallel, &self.levels[level].a, cur);
-        spmv(parallel, &self.levels[level].r, &cur.r, &mut rest[0].b);
+        chebyshev_smooth(&self.levels[level], cur);
+        residual_into(&self.levels[level].a, cur);
+        self.levels[level].r.multiply_into(&cur.r, &mut rest[0].b);
         rest[0].x.fill(0.0);
         self.cycle_rec(level + 1, rest);
-        prolong_correct(parallel, &self.levels[level].p, &rest[0].x, cur);
-
-        for _ in 0..self.config.post_sweeps {
-            chebyshev_smooth(parallel, &self.levels[level], cur);
-        }
+        prolong_correct(&self.levels[level].p, &rest[0].x, cur);
+        chebyshev_smooth(&self.levels[level], cur);
     }
 
     fn solve_coarsest_into(&mut self, bufs: &mut LevelBufs) {
@@ -768,20 +756,9 @@ fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
-/// `y = M · x`, auto-threading above the SpMV size gate when `parallel`
-/// and always serial otherwise — the one dispatch point every cycle-path
-/// matrix product goes through.
-fn spmv(parallel: bool, m: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-    if parallel {
-        m.multiply_into(x, y);
-    } else {
-        m.mul_vec_into(x, y);
-    }
-}
-
 /// `cur.r = cur.b − A · cur.x`.
-fn residual_into(parallel: bool, a: &CsrMatrix, cur: &mut LevelBufs) {
-    spmv(parallel, a, &cur.x, &mut cur.r);
+fn residual_into(a: &CsrMatrix, cur: &mut LevelBufs) {
+    a.multiply_into(&cur.x, &mut cur.r);
     for (r, b) in cur.r.iter_mut().zip(&cur.b) {
         *r = b - *r;
     }
@@ -792,7 +769,14 @@ fn residual_into(parallel: bool, a: &CsrMatrix, cur: &mut LevelBufs) {
 /// *Iterative Methods for Sparse Linear Systems*, Alg. 12.1). Each step
 /// is one SpMV into `cur.r` and one fused update; the search direction
 /// lives in `cur.z`, which is scratch between passes.
-fn chebyshev_smooth(parallel: bool, level: &MgLevel, cur: &mut LevelBufs) {
+/// The update runs chunked across threads above
+/// [`Jacobi::PARALLEL_LEN_THRESHOLD`] unknowns.
+fn chebyshev_smooth(level: &MgLevel, cur: &mut LevelBufs) {
+    let threads = if cur.x.len() < Jacobi::PARALLEL_LEN_THRESHOLD {
+        1
+    } else {
+        hardware_threads().min(CsrMatrix::MAX_SPMV_THREADS)
+    };
     let upper = level.lambda_max;
     let lower = upper / CHEBYSHEV_RATIO;
     let (theta, delta) = (0.5 * (upper + lower), 0.5 * (upper - lower));
@@ -805,30 +789,24 @@ fn chebyshev_smooth(parallel: bool, level: &MgLevel, cur: &mut LevelBufs) {
             (c1, c2) = (next * rho, 2.0 * next / delta);
             rho = next;
         }
-        spmv(parallel, &level.a, &cur.x, &mut cur.r);
-        chebyshev_update(parallel, &level.inv_diag, cur, c1, c2);
+        level.a.multiply_into(&cur.x, &mut cur.r);
+        chebyshev_update(&level.inv_diag, cur, c1, c2, threads);
     }
 }
 
 /// The fused element-wise Chebyshev step `d = c₁d + c₂·D⁻¹(b − Ax);
 /// x += d` on a level's buffers (`Ax` in `cur.r`, `d` in `cur.z`;
-/// `c₁ = 0` starts a new direction without reading the stale one).
-/// Chunked across threads above [`Jacobi::PARALLEL_LEN_THRESHOLD`]
-/// unknowns when `parallel`; every entry is computed exactly as in the
-/// serial loop, so the result is bitwise identical for any worker count.
-fn chebyshev_update(parallel: bool, inv_diag: &[f64], cur: &mut LevelBufs, c1: f64, c2: f64) {
+/// `c₁ = 0` starts a new direction without reading the stale one), with
+/// an explicit worker count (1 = in place). Every entry is computed
+/// exactly as in the serial loop, so the result is bitwise identical for
+/// any worker count.
+fn chebyshev_update(inv_diag: &[f64], cur: &mut LevelBufs, c1: f64, c2: f64, threads: usize) {
     let LevelBufs { b, x, r: ax, z: d } = cur;
-    let n = x.len();
-    let threads = if parallel && n >= Jacobi::PARALLEL_LEN_THRESHOLD {
-        hardware_threads().min(CsrMatrix::MAX_SPMV_THREADS)
-    } else {
-        1
-    };
     if threads < 2 {
         chebyshev_chunk(inv_diag, b, ax, d, x, c1, c2);
         return;
     }
-    let chunk = n.div_ceil(threads);
+    let chunk = x.len().div_ceil(threads);
     std::thread::scope(|scope| {
         for ((((d, x), inv_diag), b), ax) in d
             .chunks_mut(chunk)
@@ -860,8 +838,8 @@ fn chebyshev_chunk(
 }
 
 /// `cur.x += P · coarse_x` (uses `cur.z` as the fine-size scratch).
-fn prolong_correct(parallel: bool, p: &CsrMatrix, coarse_x: &[f64], cur: &mut LevelBufs) {
-    spmv(parallel, p, coarse_x, &mut cur.z);
+fn prolong_correct(p: &CsrMatrix, coarse_x: &[f64], cur: &mut LevelBufs) {
+    p.multiply_into(coarse_x, &mut cur.z);
     for (x, z) in cur.x.iter_mut().zip(&cur.z) {
         *x += z;
     }
@@ -895,7 +873,7 @@ fn gershgorin_bound(a: &CsrMatrix, inv_diag: &[f64]) -> f64 {
 /// first step; a smooth start misses the oscillatory modes, and a pure
 /// sign pattern can cancel a mode localised on a pair of strongly coupled
 /// cells. Deterministic, and bitwise identical at any thread count.
-fn chebyshev_upper_bound(parallel: bool, a: &CsrMatrix, inv_diag: &[f64]) -> f64 {
+fn chebyshev_upper_bound(a: &CsrMatrix, inv_diag: &[f64]) -> f64 {
     let gershgorin = gershgorin_bound(a, inv_diag);
     let n = a.rows();
     let diag: Vec<f64> = inv_diag.iter().map(|s| 1.0 / s).collect();
@@ -907,7 +885,7 @@ fn chebyshev_upper_bound(parallel: bool, a: &CsrMatrix, inv_diag: &[f64]) -> f64
     let (mut alpha, mut beta) = (Vec::new(), Vec::new());
     let mut beta_prev = 0.0;
     for _ in 0..LANCZOS_STEPS.min(n) {
-        spmv(parallel, a, &v, &mut w);
+        a.multiply_into(&v, &mut w);
         // α = ⟨D⁻¹Av, v⟩_D = (Av)·v, taken before the scaling.
         let mut alpha_j = 0.0;
         for ((wi, vi), s) in w.iter_mut().zip(&v).zip(inv_diag) {
@@ -1227,12 +1205,7 @@ impl Multigrid {
     ///
     /// # Errors
     ///
-    /// Propagates [`MultigridHierarchy::build`] failures, and additionally
-    /// rejects sweep configurations that would make the V-cycle an invalid
-    /// CG preconditioner: `pre_sweeps` must equal `post_sweeps` (symmetry)
-    /// and be at least 1 (a smoother-free cycle is rank-deficient). The
-    /// standalone [`MultigridHierarchy`] drivers accept asymmetric sweeps;
-    /// only the [`Preconditioner`] wrapper enforces the SPD contract.
+    /// Propagates [`MultigridHierarchy::build`] failures.
     pub fn new(a: &CsrMatrix, config: &MultigridConfig) -> Result<Self, NumericsError> {
         Self::new_shared(Arc::new(a.clone()), config)
     }
@@ -1247,25 +1220,15 @@ impl Multigrid {
     ///
     /// Same contract as [`Multigrid::new`].
     pub fn new_shared(a: Arc<CsrMatrix>, config: &MultigridConfig) -> Result<Self, NumericsError> {
-        require_symmetric_sweeps(config)?;
-        let hierarchy = MultigridHierarchy::build_shared(a, config)?;
-        let ws = MgWorkspace::for_hierarchy(&hierarchy);
-        Ok(Self { hierarchy, ws })
+        Ok(Self::from_hierarchy(MultigridHierarchy::build_shared(a, config)?))
     }
 
     /// Wraps an already-built (typically artifact-restored) hierarchy as a
     /// CG preconditioner, paying only the workspace sizing — the
     /// zero-factorization path of the engine cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::BadInput`] when the hierarchy's sweep
-    /// configuration violates the SPD contract (`pre_sweeps` must equal
-    /// `post_sweeps` and be at least 1), same as [`Multigrid::new`].
-    pub fn from_hierarchy(hierarchy: MultigridHierarchy) -> Result<Self, NumericsError> {
-        require_symmetric_sweeps(hierarchy.config())?;
+    pub fn from_hierarchy(hierarchy: MultigridHierarchy) -> Self {
         let ws = MgWorkspace::for_hierarchy(&hierarchy);
-        Ok(Self { hierarchy, ws })
+        Self { hierarchy, ws }
     }
 
     /// The underlying hierarchy (level counts, complexity — for benches
@@ -1273,21 +1236,6 @@ impl Multigrid {
     pub fn hierarchy(&self) -> &MultigridHierarchy {
         &self.hierarchy
     }
-}
-
-/// The SPD-preconditioner sweep contract [`Multigrid`] enforces on both
-/// its build and restore constructors.
-fn require_symmetric_sweeps(config: &MultigridConfig) -> Result<(), NumericsError> {
-    if config.pre_sweeps != config.post_sweeps || config.pre_sweeps == 0 {
-        return Err(NumericsError::BadInput {
-            reason: format!(
-                "a CG-preconditioning V-cycle needs equal, non-zero pre/post sweeps \
-                 (got {}/{}): asymmetry breaks M's symmetry, zero sweeps its rank",
-                config.pre_sweeps, config.post_sweeps
-            ),
-        });
-    }
-    Ok(())
 }
 
 impl Preconditioner for Multigrid {
@@ -1501,42 +1449,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_sweep_configs_agree() {
-        // Every threaded cycle kernel computes each entry exactly as its
-        // serial form does, so the two configurations must agree bitwise
-        // (at this size both also sit below the size gates).
-        let a = poisson_2d(40, 40);
-        let b = rhs(a.rows());
-        let mut results = Vec::new();
-        for parallel_sweeps in [true, false] {
-            let config = MultigridConfig { parallel_sweeps, ..Default::default() };
-            let mut h = MultigridHierarchy::build(&a, &config).unwrap();
-            let mut x = vec![0.0; a.rows()];
-            let cycles = v_cycles_to(&mut h, &b, &mut x, 1e-10, 60).expect("converges");
-            results.push((cycles, x));
-        }
-        assert_eq!(results[0].0, results[1].0, "cycle counts must match");
-        assert_eq!(results[0].1, results[1].1, "fields must be bitwise identical");
-    }
-
-    #[test]
     fn chunked_chebyshev_update_is_bitwise_serial() {
-        // Large enough to cross the length gate, so machines with two or
-        // more threads run the chunked path against the serial one.
-        let n = Jacobi::PARALLEL_LEN_THRESHOLD + 1037;
+        // Uneven chunks at every worker count; the count is explicit, so
+        // the chunked path runs whatever the machine or `VCSEL_THREADS`.
+        let n = 10_037;
         let inv_diag: Vec<f64> = (0..n).map(|i| 0.25 + (i as f64 * 0.37).sin().abs()).collect();
         let mut outputs = Vec::new();
-        for parallel in [false, true] {
+        for threads in [1, 2, 3, 7] {
             let mut cur = LevelBufs {
                 b: (0..n).map(|i| (i as f64 * 0.11).cos()).collect(),
                 x: (0..n).map(|i| (i as f64 * 0.021).cos()).collect(),
                 r: (0..n).map(|i| (i as f64 * 0.05).sin() * 0.7).collect(),
                 z: (0..n).map(|i| (i as f64 * 0.013).sin()).collect(),
             };
-            chebyshev_update(parallel, &inv_diag, &mut cur, 0.0, 1.3);
-            chebyshev_update(parallel, &inv_diag, &mut cur, 0.4, 0.9);
+            chebyshev_update(&inv_diag, &mut cur, 0.0, 1.3, threads);
+            chebyshev_update(&inv_diag, &mut cur, 0.4, 0.9, threads);
             outputs.push(cur);
         }
-        assert_eq!(outputs[0], outputs[1]);
+        for (threads, out) in [2, 3, 7].iter().zip(&outputs[1..]) {
+            assert_eq!(out, &outputs[0], "{threads} workers differ from serial");
+        }
     }
 }

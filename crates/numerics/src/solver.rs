@@ -131,11 +131,12 @@ impl CgWorkspace {
         &self.summaries
     }
 
-    /// Operator sweeps ([`CsrMatrix::multiply_block_into`] calls) the most
-    /// recent solve performed. With up to eight active columns this is the
-    /// number of times the operator's nonzeros were streamed from memory —
-    /// the quantity one block sweep amortizes over all active columns (a
-    /// wider block streams them once per eight columns).
+    /// Operator sweeps ([`CsrMatrix::multiply_into`] calls on the packed
+    /// active block) the most recent solve performed. With up to eight
+    /// active columns this is the number of times the operator's nonzeros
+    /// were streamed from memory — the quantity one block sweep amortizes
+    /// over all active columns (a wider block streams them once per eight
+    /// columns).
     pub fn operator_sweeps(&self) -> u64 {
         self.operator_sweeps
     }
@@ -339,11 +340,11 @@ fn column_mut(v: &mut [f64], n: usize, j: usize) -> &mut [f64] {
 /// column's iterates, iteration count and residual do not depend on which
 /// other columns share the call — a column solved inside a block is
 /// **bitwise** the same as that column solved alone. What the block shares
-/// is memory traffic: each iteration's matvecs ride one sweep of the
-/// operator ([`CsrMatrix::multiply_block_into`]) and its preconditioner
-/// applies one [`Preconditioner::apply_columns`] call. Columns that stop
-/// (converged, stalled, diverged) are **deflated** out of the packed block
-/// so later sweeps do no work for them.
+/// is memory traffic: each iteration's matvecs ride one
+/// [`CsrMatrix::multiply_into`] call on the packed block and its
+/// preconditioner applies one [`Preconditioner::apply_columns`] call.
+/// Columns that stop (converged, stalled, diverged) are **deflated** out
+/// of the packed block so later sweeps do no work for them.
 ///
 /// Failure to converge is a **typed outcome**, not an error: hitting the
 /// iteration cap, stalling ([`STALL_WINDOW`] iterations without progress)
@@ -465,7 +466,7 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
         for s in 0..m0 {
             ws.p.column_mut(s).copy_from_slice(column(x, n, ws.active[s]));
         }
-        a.multiply_block_into(&ws.p, &mut ws.ap);
+        a.multiply_into(ws.p.data(), ws.ap.data_mut());
         ws.operator_sweeps += 1;
         ws.column_sweeps += m0 as u64;
         for s in 0..m0 {
@@ -528,7 +529,7 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
         }
 
         // One operator sweep serves every still-active column's matvec.
-        a.multiply_block_into(&ws.p, &mut ws.ap);
+        a.multiply_into(ws.p.data(), ws.ap.data_mut());
         ws.operator_sweeps += 1;
         ws.column_sweeps += width as u64;
 

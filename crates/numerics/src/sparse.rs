@@ -4,10 +4,18 @@
 //! stencils, i.e. ~7 non-zeros per row. CSR with a triplet-based builder is
 //! the standard representation; duplicate triplets are summed, which matches
 //! how FVM assembly naturally emits one contribution per face.
+//!
+//! [`CsrMatrix::multiply_into`] is the one sparse matrix–vector product:
+//! it takes k ≥ 1 columns back to back (a plain vector is k = 1), reads
+//! each stored entry once per pass of up to eight columns, and above a
+//! size gate splits the rows into nnz-balanced bands across scoped
+//! workers. One row kernel serves both paths, so every column comes out
+//! bitwise equal to its one-column serial product at any worker count —
+//! the property multigrid's thread invariance and block CG's per-column
+//! equivalence rest on.
 
 use std::sync::OnceLock;
 
-use crate::block_solver::BlockVector;
 use crate::NumericsError;
 
 /// Parses a `VCSEL_THREADS`-style override: `Some(n.max(1))` for a parsable
@@ -250,7 +258,8 @@ impl CsrMatrix {
         (0..self.rows.min(self.cols)).map(|i| self.get(i, i)).collect()
     }
 
-    /// Computes `y = A * x`.
+    /// Computes `y = A * x` into a new vector: the checked, allocating
+    /// form of [`CsrMatrix::multiply_into`].
     ///
     /// # Errors
     ///
@@ -264,48 +273,39 @@ impl CsrMatrix {
             });
         }
         let mut y = vec![0.0; self.rows];
-        self.mul_vec_into(x, &mut y);
+        self.multiply_into(x, &mut y);
         Ok(y)
     }
 
-    /// Computes `y = A * x` into a caller-provided buffer (no allocation;
-    /// used in solver inner loops).
+    /// Computes `Y = A · X` into a caller-provided buffer, the one SpMV
+    /// every solver inner loop uses (no allocation). `x` holds k ≥ 1
+    /// columns of `cols` entries back to back and `y` receives the k
+    /// products of `rows` entries in the same order, so a plain vector is
+    /// the k = 1 case — the layout
+    /// [`preconditioned_cg`](crate::solver::preconditioned_cg) packs its
+    /// right-hand sides in.
+    ///
+    /// Each stored entry is read once per pass and feeds one accumulator
+    /// per column, up to eight columns per pass; wider blocks take one
+    /// pass per eight columns. Below [`Self::PARALLEL_NNZ_THRESHOLD`]
+    /// stored non-zeros (where thread spawn cost would dominate the
+    /// kernel) the pass is serial; above it the rows split into
+    /// nnz-balanced bands, one scoped worker each. Every row sums its
+    /// entries in storage order whatever the band it lands in and however
+    /// many columns share the pass, so each column of `y` is bitwise the
+    /// one-column serial product at every worker count.
     ///
     /// # Panics
     ///
-    /// Panics if buffer sizes are wrong.
-    pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        for (r, yr) in y.iter_mut().enumerate() {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            *yr = acc;
-        }
-    }
-
-    /// Computes `y = A * x`, transparently parallelising across rows for
-    /// large systems.
-    ///
-    /// This is the entry point solver inner loops should use: below
-    /// [`Self::PARALLEL_NNZ_THRESHOLD`] stored non-zeros (where thread
-    /// spawn overhead would dominate the ~µs serial kernel) it runs
-    /// [`CsrMatrix::mul_vec_into`], above it a row-partitioned
-    /// [`CsrMatrix::mul_vec_into_threaded`] over the available cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer sizes are wrong.
+    /// Panics if `x` is not a whole number of columns or `y` does not hold
+    /// one output column per input column.
     pub fn multiply_into(&self, x: &[f64], y: &mut [f64]) {
-        let threads = hardware_threads().min(Self::MAX_SPMV_THREADS);
-        if threads < 2 || self.nnz() < Self::PARALLEL_NNZ_THRESHOLD {
-            self.mul_vec_into(x, y);
+        let threads = if self.nnz() < Self::PARALLEL_NNZ_THRESHOLD {
+            1
         } else {
-            self.mul_vec_into_threaded(x, y, threads);
-        }
+            hardware_threads().min(Self::MAX_SPMV_THREADS)
+        };
+        self.multiply_with_threads(x, y, threads);
     }
 
     /// Stored non-zeros below which [`CsrMatrix::multiply_into`] stays
@@ -317,210 +317,110 @@ impl CsrMatrix {
     /// so more threads than memory channels only add spawn overhead.
     pub const MAX_SPMV_THREADS: usize = 8;
 
-    /// Computes `y = A * x` with `threads` scoped workers, each owning a
-    /// contiguous, nnz-balanced band of rows (disjoint slices of `y`, so
-    /// no synchronisation is needed beyond the scope join).
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer sizes are wrong or `threads` is zero.
-    pub fn mul_vec_into_threaded(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        assert_eq!(x.len(), self.cols);
-        assert_eq!(y.len(), self.rows);
-        assert!(threads > 0, "need at least one worker thread");
-        let threads = threads.min(self.rows.max(1));
-        if threads == 1 {
-            self.mul_vec_into(x, y);
-            return;
-        }
-
-        let bounds = self.nnz_balanced_rows(threads);
-
-        std::thread::scope(|scope| {
-            let mut rest = y;
-            for pair in bounds.windows(2) {
-                let (start, end) = (pair[0], pair[1]);
-                let (band, tail) = rest.split_at_mut(end - start);
-                rest = tail;
-                if band.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    for (offset, yr) in band.iter_mut().enumerate() {
-                        let r = start + offset;
-                        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-                        let mut acc = 0.0;
-                        for k in lo..hi {
-                            acc += self.values[k] * x[self.col_idx[k] as usize];
-                        }
-                        *yr = acc;
-                    }
-                });
-            }
-        });
-    }
-
-    /// Splits the rows into `bands` contiguous bands carrying roughly
-    /// equal stored-non-zero counts, returned as `bands + 1` ascending row
-    /// boundaries (first `0`, last `rows`). Uniform row partitions would
-    /// let a dense band straggle; this is the partition behind
-    /// [`CsrMatrix::mul_vec_into_threaded`] and its block form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bands` is zero.
-    pub fn nnz_balanced_rows(&self, bands: usize) -> Vec<usize> {
-        assert!(bands > 0, "need at least one band");
-        let total = self.nnz();
-        let mut bounds = Vec::with_capacity(bands + 1);
-        bounds.push(0usize);
-        for t in 1..bands {
-            let target = total * t / bands;
-            let row = self.row_ptr.partition_point(|&p| p < target).min(self.rows);
-            bounds.push(row.max(*bounds.last().expect("non-empty")));
-        }
-        bounds.push(self.rows);
-        bounds
-    }
-
-    /// Computes `Y = A * X` for a k-column block in **one sweep** of the
-    /// operator: each stored entry `(c, v)` is read once and adds
-    /// `v · x_j[c]` to one accumulator per column, instead of the matrix
-    /// being re-streamed from memory k times by k scalar
-    /// [`CsrMatrix::multiply_into`] calls. Blocks wider than eight columns
-    /// run in chunks of eight, one operator pass per chunk.
-    ///
-    /// Per column the accumulation order is exactly
-    /// [`CsrMatrix::mul_vec_into`]'s, and the threaded path reuses the
-    /// same nnz-balanced row partition with the same gate, so every column
-    /// of the result is bitwise identical to its scalar product — the
-    /// property the block-CG degeneracy tests pin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` and `y` disagree in shape with the operator or each
-    /// other.
-    pub fn multiply_block_into(&self, x: &BlockVector, y: &mut BlockVector) {
-        let threads = hardware_threads().min(Self::MAX_SPMV_THREADS);
-        if threads < 2 || self.nnz() < Self::PARALLEL_NNZ_THRESHOLD {
-            self.mul_block_into(x, y);
-        } else {
-            self.mul_block_into_threaded(x, y, threads);
-        }
-    }
-
-    /// Most columns one block-SpMV pass serves: the row kernel keeps one
+    /// Most columns one operator pass serves: the row kernel keeps one
     /// accumulator per column in a stack array of at most this width.
     const BLOCK_COLUMNS: usize = 8;
 
-    /// Serial block SpMV: every row of every column through the shared row
-    /// kernel, up to eight columns per operator pass.
+    /// [`CsrMatrix::multiply_into`] with an explicit worker count (tests
+    /// pin it; 1 runs in place), minus the size gate. Per pass of
+    /// up to [`Self::BLOCK_COLUMNS`] columns it splits each output column
+    /// into the same nnz-balanced row bands in place and hands every band
+    /// to [`Self::block_chunk`] on its own scoped worker; the bands are
+    /// disjoint slices, so the scope join is the only synchronisation.
     ///
     /// # Panics
     ///
-    /// Panics if buffer shapes are wrong.
-    pub fn mul_block_into(&self, x: &BlockVector, y: &mut BlockVector) {
-        let k = x.columns();
-        assert_eq!(x.rows(), self.cols);
-        assert_eq!(y.rows(), self.rows);
-        assert_eq!(y.columns(), k);
-        let mut columns = y.data_mut().chunks_exact_mut(self.rows.max(1));
+    /// Panics on the shape errors [`CsrMatrix::multiply_into`] documents.
+    pub(crate) fn multiply_with_threads(&self, x: &[f64], y: &mut [f64], threads: usize) {
+        let k = x.len() / self.cols.max(1);
+        assert_eq!(x.len(), k * self.cols, "x must hold whole columns of the operator's width");
+        assert_eq!(y.len(), k * self.rows, "y must hold one output column per column of x");
+        let bands = threads.clamp(1, self.rows.max(1));
+        let mut x_columns = x.chunks_exact(self.cols.max(1));
+        let mut y_columns = y.chunks_exact_mut(self.rows.max(1));
         for first in (0..k).step_by(Self::BLOCK_COLUMNS) {
-            self.block_chunk(0, x, first, &mut columns);
-        }
-    }
-
-    /// Hands each worker one nnz-balanced row band of **every** column:
-    /// band `b` owns rows `bounds[b]..bounds[b+1]` of all k output
-    /// columns, carved out of the column-major storage as disjoint
-    /// `&mut` slices up front so the scoped workers need no further
-    /// synchronisation. Same bands as [`CsrMatrix::mul_vec_into_threaded`]
-    /// and the same row kernel as [`CsrMatrix::mul_block_into`], so per
-    /// column the result is bitwise identical to the scalar path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer shapes are wrong or `threads` is zero.
-    pub fn mul_block_into_threaded(&self, x: &BlockVector, y: &mut BlockVector, threads: usize) {
-        let k = x.columns();
-        assert_eq!(x.rows(), self.cols);
-        assert_eq!(y.rows(), self.rows);
-        assert_eq!(y.columns(), k);
-        assert!(threads > 0, "need at least one worker thread");
-        let threads = threads.min(self.rows.max(1));
-        if threads == 1 {
-            self.mul_block_into(x, y);
-            return;
-        }
-
-        let bounds = self.nnz_balanced_rows(threads);
-        let rows = self.rows;
-
-        // bands[b][j] = rows bounds[b]..bounds[b+1] of output column j.
-        let mut bands: Vec<Vec<&mut [f64]>> =
-            (1..bounds.len()).map(|_| Vec::with_capacity(k)).collect();
-        for column in y.data_mut().chunks_mut(rows) {
-            let mut rest = column;
-            for (b, pair) in bounds.windows(2).enumerate() {
-                let (head, tail) = rest.split_at_mut(pair[1] - pair[0]);
-                rest = tail;
-                bands[b].push(head);
+            let width = (k - first).min(Self::BLOCK_COLUMNS);
+            let mut xs: [&[f64]; Self::BLOCK_COLUMNS] = Default::default();
+            let mut rest: [&mut [f64]; Self::BLOCK_COLUMNS] = Default::default();
+            for (xj, column) in xs.iter_mut().zip(x_columns.by_ref().take(width)) {
+                *xj = column;
             }
-        }
-
-        std::thread::scope(|scope| {
-            for (b, band_columns) in bands.into_iter().enumerate() {
-                let start = bounds[b];
-                if bounds[b + 1] == start {
-                    continue;
-                }
-                scope.spawn(move || {
-                    let mut columns = band_columns.into_iter();
-                    for first in (0..k).step_by(Self::BLOCK_COLUMNS) {
-                        self.block_chunk(start, x, first, &mut columns);
+            for (yj, column) in rest.iter_mut().zip(y_columns.by_ref().take(width)) {
+                *yj = column;
+            }
+            if bands == 1 {
+                self.block_chunk(0, width, &xs, rest);
+                continue;
+            }
+            std::thread::scope(|scope| {
+                let mut start = 0;
+                for band in 1..=bands {
+                    let end = self.band_boundary(band, bands);
+                    let mut ys: [&mut [f64]; Self::BLOCK_COLUMNS] = Default::default();
+                    for (yj, column) in ys.iter_mut().zip(&mut rest[..width]) {
+                        let (head, tail) = std::mem::take(column).split_at_mut(end - start);
+                        (*yj, *column) = (head, tail);
                     }
-                });
-            }
-        });
-    }
-
-    /// Runs [`Self::block_rows`] on columns `first..` of `x` — as many as
-    /// remain, at most [`Self::BLOCK_COLUMNS`] — at the matching const
-    /// width, taking that many output slices from `y`.
-    fn block_chunk<'y>(
-        &self,
-        start: usize,
-        x: &BlockVector,
-        first: usize,
-        y: &mut impl Iterator<Item = &'y mut [f64]>,
-    ) {
-        match (x.columns() - first).min(Self::BLOCK_COLUMNS) {
-            1 => self.block_rows::<1>(start, x, first, y),
-            2 => self.block_rows::<2>(start, x, first, y),
-            3 => self.block_rows::<3>(start, x, first, y),
-            4 => self.block_rows::<4>(start, x, first, y),
-            5 => self.block_rows::<5>(start, x, first, y),
-            6 => self.block_rows::<6>(start, x, first, y),
-            7 => self.block_rows::<7>(start, x, first, y),
-            _ => self.block_rows::<{ Self::BLOCK_COLUMNS }>(start, x, first, y),
+                    if end > start {
+                        scope.spawn(move || self.block_chunk(start, width, &xs, ys));
+                    }
+                    start = end;
+                }
+            });
         }
     }
 
-    /// The block-SpMV row kernel, shared by the serial and threaded paths:
-    /// the next `W` slices of `y` receive rows `start..` of `A · x_j` for
-    /// columns `j = first..first + W`. Each stored entry is read once and
-    /// feeds all `W` accumulators, and each accumulator sums in
-    /// [`CsrMatrix::mul_vec_into`]'s order.
-    fn block_rows<'y, const W: usize>(
+    /// The first row past band `band` of `bands` contiguous row bands
+    /// carrying roughly equal stored-non-zero counts (`rows` for the last
+    /// band). Uniform row partitions would let a dense band straggle.
+    fn band_boundary(&self, band: usize, bands: usize) -> usize {
+        if band >= bands {
+            return self.rows;
+        }
+        let target = self.nnz() * band / bands;
+        self.row_ptr.partition_point(|&p| p < target).min(self.rows)
+    }
+
+    /// Runs [`Self::block_rows`] at the const width `width` (1 to
+    /// [`Self::BLOCK_COLUMNS`]) on the first `width` slots of `x` and `y`.
+    fn block_chunk(
         &self,
         start: usize,
-        x: &BlockVector,
-        first: usize,
-        y: &mut impl Iterator<Item = &'y mut [f64]>,
+        width: usize,
+        x: &[&[f64]; Self::BLOCK_COLUMNS],
+        y: [&mut [f64]; Self::BLOCK_COLUMNS],
     ) {
-        let x: [&[f64]; W] = std::array::from_fn(|j| x.column(first + j));
-        let mut y: [&mut [f64]; W] = std::array::from_fn(|_| y.next().unwrap_or_default());
-        for offset in 0..y[0].len() {
+        match width {
+            1 => self.block_rows::<1>(start, x, y),
+            2 => self.block_rows::<2>(start, x, y),
+            3 => self.block_rows::<3>(start, x, y),
+            4 => self.block_rows::<4>(start, x, y),
+            5 => self.block_rows::<5>(start, x, y),
+            6 => self.block_rows::<6>(start, x, y),
+            7 => self.block_rows::<7>(start, x, y),
+            _ => self.block_rows::<{ Self::BLOCK_COLUMNS }>(start, x, y),
+        }
+    }
+
+    /// The one SpMV row kernel: `y[j]` receives rows `start..` of
+    /// `A · x[j]` for `j < W`. Each stored entry is read once and feeds
+    /// all `W` accumulators, and each accumulator sums its row in storage
+    /// order.
+    fn block_rows<const W: usize>(
+        &self,
+        start: usize,
+        x: &[&[f64]; Self::BLOCK_COLUMNS],
+        y: [&mut [f64]; Self::BLOCK_COLUMNS],
+    ) {
+        // One shared length per side lets the compiler fold a row's W
+        // bounds checks into one; without it a five-column pass measured
+        // ~40 % slower on a 2-thread Xeon.
+        let rows = y[0].len();
+        let x: [&[f64]; W] = std::array::from_fn(|j| &x[j][..self.cols]);
+        let mut y = y.into_iter();
+        let mut y: [&mut [f64]; W] =
+            std::array::from_fn(|_| &mut y.next().unwrap_or_default()[..rows]);
+        for offset in 0..rows {
             let r = start + offset;
             let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
             let mut acc = [0.0; W];
@@ -941,17 +841,31 @@ mod tests {
             }
         }
         let m = b.build();
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
-        let mut serial = vec![0.0; n];
-        m.mul_vec_into(&x, &mut serial);
-        for threads in [1, 2, 3, 7, 64] {
-            let mut par = vec![0.0; n];
-            m.mul_vec_into_threaded(&x, &mut par, threads);
-            assert_eq!(par, serial, "mismatch with {threads} threads");
+        let columns: Vec<Vec<f64>> =
+            (0..9).map(|j| (0..n).map(|i| (i as f64 * 0.13 + j as f64).sin()).collect()).collect();
+        let serial: Vec<Vec<f64>> = columns
+            .iter()
+            .map(|x| {
+                let mut y = vec![0.0; n];
+                m.multiply_with_threads(x, &mut y, 1);
+                y
+            })
+            .collect();
+        // k = 9 takes a second operator pass after the first eight columns.
+        for k in 1..=9 {
+            let x = columns[..k].concat();
+            for threads in [1, 2, 3, 7] {
+                let mut y = vec![0.0; k * n];
+                m.multiply_with_threads(&x, &mut y, threads);
+                for (j, (got, want)) in y.chunks(n).zip(&serial).enumerate() {
+                    let same = got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits());
+                    assert!(same, "k={k}, column {j}, {threads} workers");
+                }
+            }
         }
         let mut auto = vec![0.0; n];
-        m.multiply_into(&x, &mut auto);
-        assert_eq!(auto, serial);
+        m.multiply_into(&columns[0], &mut auto);
+        assert_eq!(auto, serial[0]);
     }
 
     #[test]
@@ -1037,7 +951,7 @@ mod tests {
     fn threaded_matvec_handles_more_threads_than_rows() {
         let m = laplacian_1d(3);
         let mut y = vec![0.0; 3];
-        m.mul_vec_into_threaded(&[1.0, 1.0, 1.0], &mut y, 16);
+        m.multiply_with_threads(&[1.0, 1.0, 1.0], &mut y, 16);
         assert_eq!(y, vec![1.0, 0.0, 1.0]);
     }
 

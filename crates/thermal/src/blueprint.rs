@@ -316,7 +316,7 @@ impl EngineBlueprint {
             0 => {
                 let h = MultigridHierarchy::from_artifact(r.get_bytes()?)?;
                 let matrix = Arc::clone(h.fine_operator());
-                let mg = Multigrid::from_hierarchy(h)?;
+                let mg = Multigrid::from_hierarchy(h);
                 (matrix, AnyPreconditioner::Multigrid(Box::new(mg)))
             }
             1 => {
