@@ -5,13 +5,15 @@
 //!
 //! Three workloads on the SCC case-study system:
 //!
-//! 1. **Tiny steady solves** — one cold and one warm solve per
+//! 1. **Tiny steady solves** — five cold and five warm solves per
 //!    preconditioner (Jacobi / IC(0) / multigrid) on the
-//!    tiny-fidelity mesh, recording setup and solve wall time plus CG
-//!    iterations.
+//!    tiny-fidelity mesh, recording setup time, the fastest and slowest
+//!    solve wall time and the CG iterations.
 //! 2. **Fast steady solves** — the full-die `Fidelity::Fast` system
 //!    (~400 k unknowns), IC(0) vs the smoothed-aggregation multigrid
-//!    hierarchy. This is the acceptance workload for the multigrid
+//!    hierarchy, three cold and three warm solves each, recorded like the
+//!    tiny rows: the min/max spread tells a 10–20 % change from noise.
+//!    This is the acceptance workload for the multigrid
 //!    subsystem: its cold-solve iteration count must be at most **half**
 //!    of IC(0)'s. Control with `PERF_RECORD_FAST=all|mg|off` (CI's smoke
 //!    job runs `mg` to exercise hierarchy construction on every push).
@@ -74,6 +76,9 @@ use vcsel_units::{Celsius, Watts};
 
 const TRANSIENT_DT_S: f64 = 1e-2;
 const STEADY_REPS: usize = 5;
+/// Cold and warm solves per full-die `Fidelity::Fast` row (several
+/// seconds each).
+const FAST_REPS: usize = 3;
 
 /// Transient step count: 200 by default (the acceptance workload); CI's
 /// smoke job shrinks it via `PERF_RECORD_STEPS` to stay within its budget.
@@ -109,12 +114,16 @@ struct DseBatchRecord {
     throughput_ratio: f64,
 }
 
+/// One preconditioner's steady row: solve times are the fastest and the
+/// slowest of the repetitions.
 struct SteadyRecord {
     name: &'static str,
     setup_ms: f64,
     cold_ms: f64,
+    cold_max_ms: f64,
     cold_iterations: usize,
     warm_ms: f64,
+    warm_max_ms: f64,
     warm_iterations: usize,
 }
 
@@ -206,16 +215,16 @@ fn engine_cache_section(
     record
 }
 
-fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
+/// Runs `f` `reps` times: the fastest and the slowest wall time, seconds.
+fn time_spread(reps: usize, mut f: impl FnMut()) -> (f64, f64) {
+    let (mut best, mut worst) = (f64::INFINITY, 0.0f64);
     for _ in 0..reps {
         let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        last = Some(r);
+        f();
+        let s = t.elapsed().as_secs_f64();
+        (best, worst) = (best.min(s), worst.max(s));
     }
-    (best, last.expect("at least one rep"))
+    (best, worst)
 }
 
 /// Runs the cold/warm steady workload for each preconditioner on one
@@ -234,9 +243,9 @@ fn steady_section(
         let mut ctx = SolveContext::new_preconditioned(design, spec, kind).expect("context builds");
         let setup_ms = setup.elapsed().as_secs_f64() * 1e3;
         unknowns = ctx.unknowns();
-        let (cold_ms, _) = time_best(reps, || {
+        let (cold_s, cold_max_s) = time_spread(reps, || {
             ctx.reset_guess();
-            ctx.solve().expect("steady solve")
+            ctx.solve().expect("steady solve");
         });
         let cold_iterations = ctx.last_iterations();
         // Warm variant: hop between two nearby VCSEL operating points from
@@ -244,27 +253,29 @@ fn steady_section(
         // access pattern. Alternating keeps every rep doing real work
         // instead of re-solving an identical RHS for free.
         let mut flip = false;
-        let (warm_ms, _) = time_best(reps, || {
+        let (warm_s, warm_max_s) = time_spread(reps, || {
             flip = !flip;
             let s = if flip { 1.02 } else { 1.01 };
-            ctx.solve_scaled(&[("chip", 1.0), ("vcsel", s), ("driver", 1.0)]).expect("warm solve")
+            ctx.solve_scaled(&[("chip", 1.0), ("vcsel", s), ("driver", 1.0)]).expect("warm solve");
         });
         let warm_iterations = ctx.last_iterations();
-        println!(
-            "[steady/{label}] {name:>9}: setup {setup_ms:>8.1} ms, \
-             cold {:>8.1} ms / {cold_iterations:>4} iters, \
-             warm {:>8.1} ms / {warm_iterations:>4} iters",
-            cold_ms * 1e3,
-            warm_ms * 1e3,
-        );
-        records.push(SteadyRecord {
+        let record = SteadyRecord {
             name,
             setup_ms,
-            cold_ms: cold_ms * 1e3,
+            cold_ms: cold_s * 1e3,
+            cold_max_ms: cold_max_s * 1e3,
             cold_iterations,
-            warm_ms: warm_ms * 1e3,
+            warm_ms: warm_s * 1e3,
+            warm_max_ms: warm_max_s * 1e3,
             warm_iterations,
-        });
+        };
+        println!(
+            "[steady/{label}] {name:>9}: setup {setup_ms:>8.1} ms, \
+             cold {:>8.1}–{:.1} ms / {cold_iterations:>4} iters, \
+             warm {:>8.1}–{:.1} ms / {warm_iterations:>4} iters",
+            record.cold_ms, record.cold_max_ms, record.warm_ms, record.warm_max_ms,
+        );
+        records.push(record);
     }
     (unknowns, records)
 }
@@ -289,8 +300,16 @@ fn steady_json(records: &[SteadyRecord], indent: &str) -> String {
         .map(|s| {
             format!(
                 "{indent}{{ \"preconditioner\": \"{}\", \"setup_ms\": {:.3}, \"cold_ms\": {:.3}, \
-                 \"cold_iterations\": {}, \"warm_ms\": {:.3}, \"warm_iterations\": {} }}",
-                s.name, s.setup_ms, s.cold_ms, s.cold_iterations, s.warm_ms, s.warm_iterations
+                 \"cold_max_ms\": {:.3}, \"cold_iterations\": {}, \"warm_ms\": {:.3}, \
+                 \"warm_max_ms\": {:.3}, \"warm_iterations\": {} }}",
+                s.name,
+                s.setup_ms,
+                s.cold_ms,
+                s.cold_max_ms,
+                s.cold_iterations,
+                s.warm_ms,
+                s.warm_max_ms,
+                s.warm_iterations
             )
         })
         .collect();
@@ -349,7 +368,8 @@ fn run() {
         };
         let system = SccSystem::build(&config).expect("fast SCC builds");
         let spec = system.mesh_spec().expect("mesh spec");
-        let (unknowns, records) = steady_section("fast", system.design(), &spec, fast_kinds, 1);
+        let (unknowns, records) =
+            steady_section("fast", system.design(), &spec, fast_kinds, FAST_REPS);
         drop(phase_span);
         phases.push(("steady_fast", phase_t.elapsed().as_secs_f64() * 1e3));
 
@@ -647,7 +667,7 @@ fn run() {
         })
         .unwrap_or_default();
     let json = format!(
-        "{{\n  \"schema\": \"bench_solvers_v10\",\n  \"generated_by\": \"perf_record\",\n  \
+        "{{\n  \"schema\": \"bench_solvers_v11\",\n  \"generated_by\": \"perf_record\",\n  \
          \"workload\": \"SccConfig tiny_test + full-die Fast, p_vcsel = 4 mW\",\n  \
          \"unknowns\": {unknowns},\n  \
          \"steady\": [\n{}\n  ]{fast_json}{fast_ratio}{engine_cache_json}{dse_json}{paper_json}\

@@ -4,20 +4,21 @@
 //! assembled FVM matrix, k power paintings.
 //! [`preconditioned_cg`](crate::solver::preconditioned_cg) runs their k
 //! independent recurrences in lockstep and keeps its per-column state in
-//! [`BlockVector`]s, so every iteration's k matvecs come from **one
-//! sweep** of the operator
+//! three [`BlockVector`]s packed in active-column order, so every
+//! iteration's k matvecs come from **one sweep** of the operator
 //! ([`CsrMatrix::multiply_into`](crate::CsrMatrix::multiply_into) on the
 //! block's storage, up to eight columns per pass over `A`)
 //! and its k preconditioner applies from one
-//! [`Preconditioner::apply_columns`](crate::Preconditioner::apply_columns)
-//! call — for IC(0), one pass over the factor.
+//! [`Preconditioner::apply`](crate::Preconditioner::apply) call on the
+//! same storage — for IC(0), one pass over the factor per eight columns;
+//! for multigrid, one V-cycle pass over every level per three columns.
 
 use crate::NumericsError;
 
 /// A dense column block: k vectors of n entries in column-major storage,
-/// so every column is one contiguous `&[f64]` (what a one-column
-/// [`Preconditioner::apply`](crate::Preconditioner::apply) and the
-/// deflation swaps need).
+/// so every column is one contiguous `&[f64]` and the whole block is the
+/// back-to-back layout [`Preconditioner::apply`](crate::Preconditioner::apply)
+/// and the deflation swaps need.
 ///
 /// # Example
 ///
@@ -97,34 +98,6 @@ impl BlockVector {
         self.data.fill(value);
     }
 
-    /// The `W` listed columns as slices, in list order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `list` has fewer than `W` entries or names a column out
-    /// of range.
-    pub(crate) fn listed<const W: usize>(&self, list: &[usize]) -> [&[f64]; W] {
-        std::array::from_fn(|c| self.column(list[c]))
-    }
-
-    /// The `W` listed columns as disjoint mutable slices, in list order.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `list` names exactly `W` distinct in-range columns.
-    pub(crate) fn listed_mut<const W: usize>(&mut self, list: &[usize]) -> [&mut [f64]; W] {
-        assert_eq!(list.len(), W, "listed_mut needs exactly W columns");
-        let n = self.n;
-        let mut out: [&mut [f64]; W] = std::array::from_fn(|_| Default::default());
-        for (j, column) in self.data.chunks_exact_mut(n.max(1)).enumerate() {
-            if let Some(slot) = list.iter().position(|&c| c == j) {
-                out[slot] = column;
-            }
-        }
-        assert!(out.iter().all(|c| c.len() == n), "listed columns must be distinct and in range");
-        out
-    }
-
     /// The columns back to back: the layout
     /// [`CsrMatrix::multiply_into`](crate::CsrMatrix::multiply_into)
     /// multiplies in one call.
@@ -162,14 +135,20 @@ impl BlockVector {
         self.n = n;
         self.k = k;
     }
+
+    /// Entries the storage holds without reallocating.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{IncompleteCholesky, Jacobi};
+    use crate::precond::{IncompleteCholesky, Jacobi, Preconditioner};
     use crate::solver::{preconditioned_cg, CgWorkspace, SolveOptions};
-    use crate::{CsrMatrix, TripletBuilder};
+    use crate::{CsrMatrix, Multigrid, MultigridConfig, TripletBuilder};
 
     /// 3-D 7-point SPD stencil with a small Robin-like diagonal shift.
     fn stencil_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
@@ -253,47 +232,59 @@ mod tests {
 
     #[test]
     fn staggered_ic0_block_matches_scalar_columns_bitwise() {
-        // Nine columns (one more than a preconditioner sweep serves) with
-        // warm starts of graded quality, so columns deflate mid-solve and
-        // the active set shrinks and reorders under the multi-column apply.
-        // Every column must come out bitwise as a one-column call of the
-        // same kernel leaves it.
+        // Nine columns (one more than an IC(0) sweep serves, three block
+        // V-cycle passes) with warm starts of graded quality, so columns
+        // deflate mid-solve and the active set shrinks and reorders under
+        // the multi-column apply. Every column must come out bitwise as a
+        // one-column call of the same kernel leaves it, with IC(0) and
+        // with a multigrid V-cycle as the preconditioner.
         let a = stencil_3d(7, 6, 5);
         let n = a.rows();
+        let multigrid =
+            Multigrid::new(&a, &MultigridConfig { direct_cells: 20, ..Default::default() })
+                .unwrap();
+        assert!(multigrid.hierarchy().level_count() >= 2, "the V-cycle must coarsen");
+        // Head starts of `stride · c` iterations for column c: multigrid
+        // converges in a third of IC(0)'s iterations.
+        let preconditioners: [(Box<dyn Preconditioner>, usize); 2] =
+            [(Box::new(IncompleteCholesky::new(&a).unwrap()), 3), (Box::new(multigrid), 1)];
         let opts = SolveOptions { tolerance: 1e-10, ..Default::default() };
-        let mut m = IncompleteCholesky::new(&a).unwrap();
-        let mut ws = CgWorkspace::new();
-        let rhs: Vec<Vec<f64>> = (0..9).map(|c| pseudo_random(n, 31 + c)).collect();
-        let guesses: Vec<Vec<f64>> = rhs
-            .iter()
-            .enumerate()
-            .map(|(c, b)| {
-                let mut guess = vec![0.0; n];
-                let head_start = SolveOptions { max_iterations: 3 * c, ..opts };
-                preconditioned_cg(&a, b, &mut guess, &mut m, &head_start, &mut ws).unwrap();
-                guess
-            })
-            .collect();
+        for (mut m, stride) in preconditioners {
+            let mut ws = CgWorkspace::new();
+            let rhs: Vec<Vec<f64>> = (0..9).map(|c| pseudo_random(n, 31 + c)).collect();
+            let guesses: Vec<Vec<f64>> = rhs
+                .iter()
+                .enumerate()
+                .map(|(c, b)| {
+                    let mut guess = vec![0.0; n];
+                    let head_start = SolveOptions { max_iterations: stride * c, ..opts };
+                    preconditioned_cg(&a, b, &mut guess, m.as_mut(), &head_start, &mut ws).unwrap();
+                    guess
+                })
+                .collect();
 
-        let mut x = guesses.concat();
-        preconditioned_cg(&a, &rhs.concat(), &mut x, &mut m, &opts, &mut ws).unwrap();
-        let block = ws.summaries().to_vec();
-        let applies = ws.preconditioner_applies();
+            let mut x = guesses.concat();
+            preconditioned_cg(&a, &rhs.concat(), &mut x, m.as_mut(), &opts, &mut ws).unwrap();
+            let block = ws.summaries().to_vec();
+            let applies = ws.preconditioner_applies();
+            let name = m.name();
 
-        let mut distinct = block.iter().map(|s| s.iterations).collect::<Vec<_>>();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert!(distinct.len() > 3, "warm starts must stagger the deflations: {block:?}");
-        for (c, summary) in block.iter().enumerate() {
-            let mut x_one = guesses[c].clone();
-            let one = preconditioned_cg(&a, &rhs[c], &mut x_one, &mut m, &opts, &mut ws).unwrap();
-            assert!(one.converged && summary.converged, "column {c}");
-            assert_eq!(one.iterations, summary.iterations, "column {c}");
-            assert_eq!(one.residual.to_bits(), summary.residual.to_bits(), "column {c}");
-            assert_eq!(bits(&x_one), bits(&x[c * n..(c + 1) * n]), "column {c}");
+            let mut distinct = block.iter().map(|s| s.iterations).collect::<Vec<_>>();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert!(distinct.len() > 3, "{name}: warm starts must stagger deflations: {block:?}");
+            for (c, summary) in block.iter().enumerate() {
+                let mut x_one = guesses[c].clone();
+                let one =
+                    preconditioned_cg(&a, &rhs[c], &mut x_one, m.as_mut(), &opts, &mut ws).unwrap();
+                assert!(one.converged && summary.converged, "{name} column {c}");
+                assert_eq!(one.iterations, summary.iterations, "{name} column {c}");
+                assert_eq!(one.residual.to_bits(), summary.residual.to_bits(), "{name} column {c}");
+                assert_eq!(bits(&x_one), bits(&x[c * n..(c + 1) * n]), "{name} column {c}");
+            }
+            let total: u64 = block.iter().map(|s| s.iterations as u64).sum();
+            assert_eq!(applies, total + 9, "{name}: one apply per active column");
         }
-        let total: u64 = block.iter().map(|s| s.iterations as u64).sum();
-        assert_eq!(applies, total + 9, "one apply per active column");
     }
 
     #[test]

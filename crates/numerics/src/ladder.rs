@@ -397,7 +397,7 @@ impl SolveLadder {
             let precond = rung.precond.as_mut().expect("active rung is always built");
             let mut corrupted;
             let m: &mut dyn Preconditioner = if faulted {
-                corrupted = CorruptApply(precond);
+                corrupted = CorruptApply { inner: precond, n: a.rows() };
                 &mut corrupted
             } else {
                 precond
@@ -572,21 +572,27 @@ impl SolveLadder {
     }
 }
 
-/// Wrapper that models a corrupted preconditioner apply: the healthy
-/// result is reversed and every other entry sign-flipped, so the effective
-/// `M⁻¹` is neither symmetric nor definite. (A uniform sign flip would not
-/// do — CG is invariant under `M → cM`, the flipped `α` and `p` cancel.)
-/// CG's search directions lose conjugacy and the residual stalls or runs
-/// away — a real failure for the stall/divergence detectors to catch, not
-/// a mock.
-struct CorruptApply<'a>(&'a mut AnyPreconditioner);
+/// Wrapper that models a corrupted preconditioner apply: each column's
+/// healthy result is reversed and every other entry sign-flipped, so the
+/// effective `M⁻¹` is neither symmetric nor definite. (A uniform sign flip
+/// would not do — CG is invariant under `M → cM`, the flipped `α` and `p`
+/// cancel.) CG's search directions lose conjugacy and the residual stalls
+/// or runs away — a real failure for the stall/divergence detectors to
+/// catch, not a mock.
+struct CorruptApply<'a> {
+    inner: &'a mut AnyPreconditioner,
+    /// Entries per column of the k-column applies CG makes.
+    n: usize,
+}
 
 impl Preconditioner for CorruptApply<'_> {
     fn apply(&mut self, r: &[f64], z: &mut [f64]) {
-        self.0.apply(r, z);
-        z.reverse();
-        for zi in z.iter_mut().skip(1).step_by(2) {
-            *zi = -*zi;
+        self.inner.apply(r, z);
+        for column in z.chunks_exact_mut(self.n.max(1)) {
+            column.reverse();
+            for zi in column.iter_mut().skip(1).step_by(2) {
+                *zi = -*zi;
+            }
         }
     }
 

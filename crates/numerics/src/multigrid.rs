@@ -64,19 +64,43 @@
 //!
 //! # Drivers
 //!
-//! [`MultigridHierarchy::cycle`] runs one V-cycle against caller-owned,
+//! [`MultigridHierarchy::cycle`] runs one stationary V-cycle on one
+//! column, improving the incoming `x`, against caller-owned,
 //! allocation-free [`MgWorkspace`] buffers. The entry point the engines
-//! use is [`Multigrid`]: one V-cycle per application behind the
-//! [`Preconditioner`] trait, selected via
+//! use is [`Multigrid`]: one V-cycle per column and application behind
+//! the [`Preconditioner`] trait, selected via
 //! [`PreconditionerKind::Multigrid`](crate::PreconditionerKind::Multigrid)
 //! so it drops into [`preconditioned_cg`] and every cached solve engine
 //! unchanged.
+//!
+//! An apply on k columns is a **block V-cycle**: the columns run in
+//! chunks of at most three (`CYCLE_COLUMNS`), and on each level the
+//! smoother and residual SpMVs, the restriction and the prolongation are
+//! one [`CsrMatrix::multiply_into`] call over the whole chunk, so every
+//! level operator and transfer streams from memory once per pass instead
+//! of once per column — the cycle is memory-bandwidth bound, and CG's
+//! block solves of a response basis hand it several columns per
+//! iteration. The Chebyshev update and the dense coarse solve run column
+//! by column, and every column is bitwise its own one-column cycle.
+//!
+//! A preconditioner apply starts from `x = 0`, and so does every coarser
+//! level's correction. The first pre-smoothing step on each level
+//! therefore skips the SpMV `A·0` and writes the bits the full step would
+//! (see `chebyshev_smooth`), and no level zero-fills its iterate first.
+//! The finest level borrows the caller's buffers: it reads `b` from CG's
+//! residual block and builds `x` in CG's `z`, with no copy in or out.
+//!
+//! Three columns per pass is what the memory budget buys: the wider
+//! level buffers cost about what CG saves by sharing storage between `z`
+//! and `A·p`, so the multigrid engines' peak resident set stays flat. A
+//! five-column pass was faster still but raised the `figures_fast` peak
+//! by 7.9 % (the measurements are documented at `CYCLE_COLUMNS`).
 
 use std::sync::Arc;
 
 use vcsel_telemetry::{Arg, ArgValue, TelemetrySink};
 
-use crate::precond::{checked_diagonal, Jacobi, Preconditioner};
+use crate::precond::{assert_columns, checked_diagonal, Jacobi, Preconditioner};
 use crate::solver::{preconditioned_cg, CgWorkspace, SolveOptions};
 use crate::{hardware_threads, CsrMatrix, NumericsError};
 
@@ -251,11 +275,37 @@ enum CoarseSolver {
     Iterative { m: Jacobi, opts: SolveOptions, ws: Box<CgWorkspace> },
 }
 
-/// Per-level scratch vectors for [`MultigridHierarchy::cycle`].
+/// Most columns one block V-cycle serves: every level operator,
+/// restriction and prolongation is streamed once per pass for up to this
+/// many columns, and a [`Multigrid`] apply on more columns runs them in
+/// chunks of this width.
+///
+/// Three is what the memory budget buys. Each column of the pass needs
+/// its own column of every level buffer in [`MgWorkspace`]: three columns
+/// add about 16.2 MB over a one-column workspace on the full-die
+/// `Fidelity::Fast` hierarchy (407 400 / 111 886 / 26 723 / 8 539 / 3 900
+/// / 72 unknowns), which the CG workspace pays back by letting `z` share
+/// storage with `A·p` (16.3 MB on its five-column basis), so the peak
+/// resident set stays flat. In a prototype on a 2-thread Xeon, a
+/// five-column pass ran the `figures_fast` benchmark in 7.36–7.67 s
+/// against 8.1–9.0 s for three columns, but at a 299.3 MiB peak, 7.9 %
+/// above the 277–278 MiB the three-column pass holds.
+/// Fused SpMV epilogues (folding the Chebyshev, residual and prolongation
+/// updates into the row kernel) would drop one scratch vector per level
+/// and let a wider pass fit.
+const CYCLE_COLUMNS: usize = 3;
+
+/// Per-level scratch vectors for [`MultigridHierarchy::cycle`] and the
+/// block V-cycle behind [`Multigrid`].
 ///
 /// Owned by the caller (or by a [`Multigrid`] preconditioner) so repeated
 /// cycles allocate nothing: the buffers are sized once against a hierarchy
-/// and reused for every subsequent cycle.
+/// and reused for every subsequent cycle. Every level holds two scratch
+/// vectors and every coarser level its own right-hand side and iterate,
+/// each for three columns back to back (the widest block V-cycle pass,
+/// `CYCLE_COLUMNS`); the finest level borrows the caller's right-hand
+/// side and iterate instead. The buffers are allocated zeroed, so a
+/// one-column cycle never touches the pages of the other columns.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MgWorkspace {
     levels: Vec<LevelBufs>,
@@ -263,9 +313,19 @@ pub struct MgWorkspace {
 
 #[derive(Debug, Clone, Default, PartialEq)]
 struct LevelBufs {
+    /// Right-hand sides, empty on the finest level.
     b: Vec<f64>,
+    /// Iterates, empty on the finest level.
     x: Vec<f64>,
+    scratch: Scratch,
+}
+
+/// A level's two scratch vectors, [`CYCLE_COLUMNS`] columns each.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Scratch {
+    /// `A·x`, then the residual `b − A·x`.
     r: Vec<f64>,
+    /// The Chebyshev direction, then `P · x_coarse`.
     z: Vec<f64>,
 }
 
@@ -286,7 +346,11 @@ impl MgWorkspace {
     /// every cycle without allocating.
     fn ensure(&mut self, h: &MultigridHierarchy) {
         let fits = self.levels.len() == h.level_count()
-            && self.levels.iter().zip(h.sizes()).all(|(l, n)| l.b.len() == n);
+            && self
+                .levels
+                .iter()
+                .zip(h.sizes())
+                .all(|(l, n)| l.scratch.r.len() == CYCLE_COLUMNS * n);
         if !fits {
             self.resize(h);
         }
@@ -296,11 +360,17 @@ impl MgWorkspace {
     fn resize(&mut self, h: &MultigridHierarchy) {
         self.levels = h
             .sizes()
-            .map(|n| LevelBufs {
-                b: vec![0.0; n],
-                x: vec![0.0; n],
-                r: vec![0.0; n],
-                z: vec![0.0; n],
+            .enumerate()
+            .map(|(level, n)| {
+                let own = if level == 0 { 0 } else { CYCLE_COLUMNS * n };
+                LevelBufs {
+                    b: vec![0.0; own],
+                    x: vec![0.0; own],
+                    scratch: Scratch {
+                        r: vec![0.0; CYCLE_COLUMNS * n],
+                        z: vec![0.0; CYCLE_COLUMNS * n],
+                    },
+                }
             })
             .collect();
     }
@@ -657,7 +727,8 @@ impl MultigridHierarchy {
     }
 
     /// Runs one V-cycle on `A x = b`, improving `x` in place from its
-    /// incoming value (pass zeros for a pure preconditioner application).
+    /// incoming value — the stationary one-column cycle. A preconditioner
+    /// application starts from zero instead; [`Multigrid`] runs that form.
     ///
     /// # Panics
     ///
@@ -667,41 +738,72 @@ impl MultigridHierarchy {
         assert_eq!(b.len(), n, "right-hand side length");
         assert_eq!(x.len(), n, "solution length");
         ws.ensure(self);
-        ws.levels[0].b.copy_from_slice(b);
-        ws.levels[0].x.copy_from_slice(x);
-        self.cycle_rec(0, &mut ws.levels);
-        x.copy_from_slice(&ws.levels[0].x);
+        self.cycle_columns(b, x, false, ws);
     }
 
-    /// One recursion step: `bufs[0]` holds this level's `b`/`x` (in/out)
-    /// and scratch; `bufs[1..]` belong to the coarser levels.
-    fn cycle_rec(&mut self, level: usize, bufs: &mut [LevelBufs]) {
+    /// One block V-cycle on the 1 to [`CYCLE_COLUMNS`] columns held back
+    /// to back in `b` and `x`, against a workspace [`MgWorkspace::ensure`]
+    /// has sized. The finest level works in `b` and `x` themselves. With
+    /// `from_zero` the cycle starts from `x = 0` and never reads `x`'s
+    /// incoming contents.
+    fn cycle_columns(&mut self, b: &[f64], x: &mut [f64], from_zero: bool, ws: &mut MgWorkspace) {
+        let (finest, coarser) = ws.levels.split_at_mut(1);
+        self.cycle_rec(0, b, x, from_zero, &mut finest[0].scratch, coarser);
+    }
+
+    /// One recursion step on `level`'s k columns: `b`/`x` hold its
+    /// right-hand sides and iterates (`x` in/out; with `from_zero` its
+    /// incoming contents are ignored), `scratch` its scratch vectors and
+    /// `coarser` the buffers of every coarser level. Each operator pass —
+    /// smoother and residual SpMVs, restriction, prolongation — serves all
+    /// k columns at once; the Chebyshev update and the coarse solve run
+    /// column by column.
+    fn cycle_rec(
+        &mut self,
+        level: usize,
+        b: &[f64],
+        x: &mut [f64],
+        from_zero: bool,
+        scratch: &mut Scratch,
+        coarser: &mut [LevelBufs],
+    ) {
         if level == self.levels.len() {
-            self.solve_coarsest_into(&mut bufs[0]);
+            self.solve_coarsest(b, x);
             return;
         }
-        let (cur, rest) = bufs.split_at_mut(1);
-        let cur = &mut cur[0];
+        let len = b.len();
+        let (r, z) = (&mut scratch.r[..len], &mut scratch.z[..len]);
+        let (next, rest) = coarser.split_at_mut(1);
+        let LevelBufs { b: next_b, x: next_x, scratch: next_scratch } = &mut next[0];
+        let current = &self.levels[level];
+        let coarse_len = len / current.a.rows() * current.p.cols();
+        let (next_b, next_x) = (&mut next_b[..coarse_len], &mut next_x[..coarse_len]);
 
-        chebyshev_smooth(&self.levels[level], cur);
-        residual_into(&self.levels[level].a, cur);
-        self.levels[level].r.multiply_into(&cur.r, &mut rest[0].b);
-        rest[0].x.fill(0.0);
-        self.cycle_rec(level + 1, rest);
-        prolong_correct(&self.levels[level].p, &rest[0].x, cur);
-        chebyshev_smooth(&self.levels[level], cur);
+        chebyshev_smooth(current, b, x, from_zero, r, z);
+        residual_into(&current.a, b, x, r);
+        current.r.multiply_into(r, next_b);
+        self.cycle_rec(level + 1, next_b, next_x, true, next_scratch, rest);
+        let current = &self.levels[level];
+        prolong_correct(&current.p, next_x, x, z);
+        chebyshev_smooth(current, b, x, false, r, z);
     }
 
-    fn solve_coarsest_into(&mut self, bufs: &mut LevelBufs) {
+    /// The coarsest-level solve, column by column. Both solvers ignore the
+    /// incoming `x`: the dense solve writes every entry, the Jacobi-CG
+    /// fallback starts each column from zero.
+    fn solve_coarsest(&mut self, b: &[f64], x: &mut [f64]) {
         let Self { coarse_a, coarse, .. } = self;
-        match coarse {
-            CoarseSolver::Direct(ch) => ch.solve(&bufs.b, &mut bufs.x),
-            CoarseSolver::Iterative { m, opts, ws } => {
-                bufs.x.fill(0.0);
-                // An inexact coarse solve only weakens the cycle, so a
-                // convergence failure here is deliberately non-fatal: CG
-                // leaves its best iterate in `x`.
-                let _ = preconditioned_cg(coarse_a, &bufs.b, &mut bufs.x, m, opts, ws);
+        let n = coarse_a.rows().max(1);
+        for (bc, xc) in b.chunks_exact(n).zip(x.chunks_exact_mut(n)) {
+            match coarse {
+                CoarseSolver::Direct(ch) => ch.solve(bc, xc),
+                CoarseSolver::Iterative { m, opts, ws } => {
+                    xc.fill(0.0);
+                    // An inexact coarse solve only weakens the cycle, so a
+                    // convergence failure here is deliberately non-fatal:
+                    // CG leaves its best iterate in `x`.
+                    let _ = preconditioned_cg(coarse_a, bc, xc, m, opts, ws);
+                }
             }
         }
     }
@@ -756,23 +858,37 @@ fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
-/// `cur.r = cur.b − A · cur.x`.
-fn residual_into(a: &CsrMatrix, cur: &mut LevelBufs) {
-    a.multiply_into(&cur.x, &mut cur.r);
-    for (r, b) in cur.r.iter_mut().zip(&cur.b) {
-        *r = b - *r;
+/// `r = b − A·x` on k columns, one operator pass for all of them.
+fn residual_into(a: &CsrMatrix, b: &[f64], x: &[f64], r: &mut [f64]) {
+    a.multiply_into(x, r);
+    for (ri, bi) in r.iter_mut().zip(b) {
+        *ri = bi - *ri;
     }
 }
 
-/// One Chebyshev smoothing pass on `A x = b`: the degree-2 polynomial in
-/// `D⁻¹A` over `[λmax/30, λmax]` (the three-term recurrence of Saad,
-/// *Iterative Methods for Sparse Linear Systems*, Alg. 12.1). Each step
-/// is one SpMV into `cur.r` and one fused update; the search direction
-/// lives in `cur.z`, which is scratch between passes.
-/// The update runs chunked across threads above
+/// One Chebyshev smoothing pass on `A x = b` for k columns: the degree-2
+/// polynomial in `D⁻¹A` over `[λmax/30, λmax]` (the three-term recurrence
+/// of Saad, *Iterative Methods for Sparse Linear Systems*, Alg. 12.1).
+/// Each step is one SpMV into `ax` serving all k columns and one fused
+/// update per column; the search directions live in `d`, which is
+/// scratch between passes. The update runs chunked across threads above
 /// [`Jacobi::PARALLEL_LEN_THRESHOLD`] unknowns.
-fn chebyshev_smooth(level: &MgLevel, cur: &mut LevelBufs) {
-    let threads = if cur.x.len() < Jacobi::PARALLEL_LEN_THRESHOLD {
+///
+/// With `from_zero` the pass starts from `x = 0` without reading `x`: the
+/// first step skips the SpMV (`A·0` is exactly `+0.0` and `b − 0.0` is
+/// bitwise `b`) and writes `d = 0.0 + c₂·D⁻¹b` and `x = d`, the bits the
+/// full step gives in both vectors from a zeroed `x`, signed zeros
+/// included.
+fn chebyshev_smooth(
+    level: &MgLevel,
+    b: &[f64],
+    x: &mut [f64],
+    from_zero: bool,
+    ax: &mut [f64],
+    d: &mut [f64],
+) {
+    let n = level.inv_diag.len();
+    let threads = if n < Jacobi::PARALLEL_LEN_THRESHOLD {
         1
     } else {
         hardware_threads().min(CsrMatrix::MAX_SPMV_THREADS)
@@ -789,32 +905,51 @@ fn chebyshev_smooth(level: &MgLevel, cur: &mut LevelBufs) {
             (c1, c2) = (next * rho, 2.0 * next / delta);
             rho = next;
         }
-        level.a.multiply_into(&cur.x, &mut cur.r);
-        chebyshev_update(&level.inv_diag, cur, c1, c2, threads);
+        let skip_spmv = from_zero && step == 0;
+        if !skip_spmv {
+            level.a.multiply_into(x, ax);
+        }
+        for (((bj, axj), dj), xj) in b
+            .chunks_exact(n)
+            .zip(ax.chunks_exact(n))
+            .zip(d.chunks_exact_mut(n))
+            .zip(x.chunks_exact_mut(n))
+        {
+            let axj = (!skip_spmv).then_some(axj);
+            chebyshev_update(&level.inv_diag, bj, axj, dj, xj, (c1, c2), threads);
+        }
     }
 }
 
 /// The fused element-wise Chebyshev step `d = c₁d + c₂·D⁻¹(b − Ax);
-/// x += d` on a level's buffers (`Ax` in `cur.r`, `d` in `cur.z`;
-/// `c₁ = 0` starts a new direction without reading the stale one), with
-/// an explicit worker count (1 = in place). Every entry is computed
-/// exactly as in the serial loop, so the result is bitwise identical for
-/// any worker count.
-fn chebyshev_update(inv_diag: &[f64], cur: &mut LevelBufs, c1: f64, c2: f64, threads: usize) {
-    let LevelBufs { b, x, r: ax, z: d } = cur;
+/// x += d` on one column (`c₁ = 0` starts a new direction without reading
+/// the stale one; `ax = None` is the first step from `x = 0`, see
+/// [`chebyshev_smooth`]), with an explicit worker count (1 = in place).
+/// Every entry is computed exactly as in the serial loop, so the result is
+/// bitwise identical for any worker count.
+fn chebyshev_update(
+    inv_diag: &[f64],
+    b: &[f64],
+    ax: Option<&[f64]>,
+    d: &mut [f64],
+    x: &mut [f64],
+    (c1, c2): (f64, f64),
+    threads: usize,
+) {
     if threads < 2 {
         chebyshev_chunk(inv_diag, b, ax, d, x, c1, c2);
         return;
     }
     let chunk = x.len().div_ceil(threads);
     std::thread::scope(|scope| {
-        for ((((d, x), inv_diag), b), ax) in d
+        for (c, (((d, x), inv_diag), b)) in d
             .chunks_mut(chunk)
             .zip(x.chunks_mut(chunk))
             .zip(inv_diag.chunks(chunk))
             .zip(b.chunks(chunk))
-            .zip(ax.chunks(chunk))
+            .enumerate()
         {
+            let ax = ax.map(|ax| &ax[c * chunk..c * chunk + b.len()]);
             scope.spawn(move || chebyshev_chunk(inv_diag, b, ax, d, x, c1, c2));
         }
     });
@@ -824,12 +959,21 @@ fn chebyshev_update(inv_diag: &[f64], cur: &mut LevelBufs, c1: f64, c2: f64, thr
 fn chebyshev_chunk(
     inv_diag: &[f64],
     b: &[f64],
-    ax: &[f64],
+    ax: Option<&[f64]>,
     d: &mut [f64],
     x: &mut [f64],
     c1: f64,
     c2: f64,
 ) {
+    let Some(ax) = ax else {
+        for (((di, xi), s), bi) in d.iter_mut().zip(x.iter_mut()).zip(inv_diag).zip(b) {
+            // `0.0 +` turns a `-0.0` product into `+0.0`, as the full step
+            // does; `x = 0.0 + d` would then be `d` bit for bit.
+            *di = 0.0 + c2 * (s * bi);
+            *xi = *di;
+        }
+        return;
+    };
     for ((((di, xi), s), bi), axi) in d.iter_mut().zip(x.iter_mut()).zip(inv_diag).zip(b).zip(ax) {
         let prev = if c1 == 0.0 { 0.0 } else { c1 * *di };
         *di = prev + c2 * (s * (bi - axi));
@@ -837,11 +981,12 @@ fn chebyshev_chunk(
     }
 }
 
-/// `cur.x += P · coarse_x` (uses `cur.z` as the fine-size scratch).
-fn prolong_correct(p: &CsrMatrix, coarse_x: &[f64], cur: &mut LevelBufs) {
-    p.multiply_into(coarse_x, &mut cur.z);
-    for (x, z) in cur.x.iter_mut().zip(&cur.z) {
-        *x += z;
+/// `x += P · coarse_x` on k columns, one prolongation pass for all of
+/// them (`z` is the fine-size scratch).
+fn prolong_correct(p: &CsrMatrix, coarse_x: &[f64], x: &mut [f64], z: &mut [f64]) {
+    p.multiply_into(coarse_x, z);
+    for (xi, zi) in x.iter_mut().zip(z.iter()) {
+        *xi += zi;
     }
 }
 
@@ -1193,7 +1338,10 @@ fn estimate_spectral_radius(s: &CsrMatrix, iterations: usize) -> f64 {
 /// consume via [`PreconditionerKind::Multigrid`](crate::PreconditionerKind::Multigrid).
 ///
 /// Owns its hierarchy and workspace, so every application is
-/// allocation-free after construction.
+/// allocation-free after construction. An apply on k columns runs one
+/// block V-cycle per three columns (`CYCLE_COLUMNS`) from `z = 0`,
+/// reading the right-hand sides straight from `r` and building the
+/// iterates in `z`; every column is bitwise its own one-column cycle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Multigrid {
     hierarchy: MultigridHierarchy,
@@ -1240,8 +1388,12 @@ impl Multigrid {
 
 impl Preconditioner for Multigrid {
     fn apply(&mut self, r: &[f64], z: &mut [f64]) {
-        z.fill(0.0);
-        self.hierarchy.cycle(r, z, &mut self.ws);
+        let n = self.hierarchy.fine_unknowns();
+        assert_columns(r, z, n);
+        let chunk = (CYCLE_COLUMNS * n).max(1);
+        for (rc, zc) in r.chunks(chunk).zip(z.chunks_mut(chunk)) {
+            self.hierarchy.cycle_columns(rc, zc, true, &mut self.ws);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -1448,26 +1600,120 @@ mod tests {
         assert!(!Arc::ptr_eq(owned.fine_operator(), &a));
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn chunked_chebyshev_update_is_bitwise_serial() {
         // Uneven chunks at every worker count; the count is explicit, so
         // the chunked path runs whatever the machine or `VCSEL_THREADS`.
         let n = 10_037;
         let inv_diag: Vec<f64> = (0..n).map(|i| 0.25 + (i as f64 * 0.37).sin().abs()).collect();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
+        let ax: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).sin() * 0.7).collect();
         let mut outputs = Vec::new();
         for threads in [1, 2, 3, 7] {
-            let mut cur = LevelBufs {
-                b: (0..n).map(|i| (i as f64 * 0.11).cos()).collect(),
-                x: (0..n).map(|i| (i as f64 * 0.021).cos()).collect(),
-                r: (0..n).map(|i| (i as f64 * 0.05).sin() * 0.7).collect(),
-                z: (0..n).map(|i| (i as f64 * 0.013).sin()).collect(),
-            };
-            chebyshev_update(&inv_diag, &mut cur, 0.0, 1.3, threads);
-            chebyshev_update(&inv_diag, &mut cur, 0.4, 0.9, threads);
-            outputs.push(cur);
+            let mut x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.021).cos()).collect();
+            let mut d: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin()).collect();
+            chebyshev_update(&inv_diag, &b, Some(&ax), &mut d, &mut x, (0.0, 1.3), threads);
+            chebyshev_update(&inv_diag, &b, Some(&ax), &mut d, &mut x, (0.4, 0.9), threads);
+            outputs.push((bits(&d), bits(&x)));
         }
         for (threads, out) in [2, 3, 7].iter().zip(&outputs[1..]) {
             assert_eq!(out, &outputs[0], "{threads} workers differ from serial");
         }
+    }
+
+    #[test]
+    fn zero_start_chebyshev_step_is_the_full_step_from_zero() {
+        // The skipped first step against the full step on a zeroed `x`
+        // (`A·0` is all `+0.0`), signed-zero right-hand sides included,
+        // then one ordinary step on both, at every worker count. The
+        // zero-start iterate and direction begin as NaN: neither may be
+        // read.
+        let n = 10_037;
+        let inv_diag: Vec<f64> = (0..n).map(|i| 0.25 + (i as f64 * 0.37).sin().abs()).collect();
+        let b: Vec<f64> = (0..n)
+            .map(|i| match i % 7 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => (i as f64 * 0.11).cos(),
+            })
+            .collect();
+        let ax: Vec<f64> = (0..n).map(|i| if i % 5 == 0 { 0.0 } else { b[i] * 0.5 }).collect();
+        let zeros = vec![0.0; n];
+        for threads in [1, 2, 3, 7] {
+            let step = |ax: Option<&[f64]>, d: &mut [f64], x: &mut [f64], c| {
+                chebyshev_update(&inv_diag, &b, ax, d, x, c, threads);
+            };
+            let (mut x_full, mut d_full) = (vec![0.0; n], vec![3.0; n]);
+            step(Some(&zeros), &mut d_full, &mut x_full, (0.0, 1.3));
+            let (mut x_zero, mut d_zero) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            step(None, &mut d_zero, &mut x_zero, (0.0, 1.3));
+            assert_eq!(bits(&x_zero), bits(&x_full), "first step x, {threads} workers");
+            assert_eq!(bits(&d_zero), bits(&d_full), "first step d, {threads} workers");
+            step(Some(&ax), &mut d_full, &mut x_full, (0.4, 0.9));
+            step(Some(&ax), &mut d_zero, &mut x_zero, (0.4, 0.9));
+            assert_eq!(bits(&x_zero), bits(&x_full), "second step x, {threads} workers");
+        }
+    }
+
+    /// A hierarchy of at least three levels over a 1 600-unknown Poisson
+    /// problem.
+    fn three_level_poisson() -> (CsrMatrix, MultigridConfig) {
+        let a = poisson_2d(40, 40);
+        let config = MultigridConfig { direct_cells: 20, ..Default::default() };
+        (a, config)
+    }
+
+    #[test]
+    fn block_apply_is_bitwise_one_column_applies() {
+        // k = 1..=7 crosses the three-column chunk boundary twice; `z`
+        // enters as NaN, so an apply that read it would show.
+        let (a, config) = three_level_poisson();
+        let n = a.rows();
+        let mut m = Multigrid::new(&a, &config).unwrap();
+        assert!(m.hierarchy().level_count() >= 3, "{:?}", m.hierarchy().level_sizes());
+        let column = |c: usize| -> Vec<f64> {
+            (0..n).map(|i| ((i * (c + 3)) as f64 * 0.29).sin() + 0.2 * c as f64).collect()
+        };
+        for k in 1..=7 {
+            let cols: Vec<Vec<f64>> = (0..k).map(column).collect();
+            let mut z = vec![f64::NAN; k * n];
+            m.apply(&cols.concat(), &mut z);
+            for (c, col) in cols.iter().enumerate() {
+                let mut one = vec![f64::NAN; n];
+                m.apply(col, &mut one);
+                assert_eq!(bits(&z[c * n..(c + 1) * n]), bits(&one), "k={k} column {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_column_apply_is_the_cycle_from_zero() {
+        // The apply's zero-start smoothing and borrowed finest-level
+        // buffers against the stationary cycle on a zeroed `x`, with
+        // signed-zero right-hand-side entries.
+        let (a, config) = three_level_poisson();
+        let n = a.rows();
+        let mut h = MultigridHierarchy::build(&a, &config).unwrap();
+        assert!(h.level_count() >= 3, "{:?}", h.level_sizes());
+        let mut m = Multigrid::from_hierarchy(h.clone());
+        let b: Vec<f64> = rhs(n)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| match i % 9 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => v,
+            })
+            .collect();
+        let mut ws = MgWorkspace::for_hierarchy(&h);
+        let mut x = vec![0.0; n];
+        h.cycle(&b, &mut x, &mut ws);
+        let mut z = vec![f64::NAN; n];
+        m.apply(&b, &mut z);
+        assert_eq!(bits(&z), bits(&x));
     }
 }

@@ -13,26 +13,37 @@
 //!   engines, because one factorization amortizes over many right-hand
 //!   sides. Its two triangular solves run serially, so IC(0) iteration
 //!   counts and fields are the same at every worker count. They multiply
-//!   by each pivot's reciprocal, and one sweep kernel serves one column
-//!   ([`Preconditioner::apply`]) or several at once
-//!   ([`Preconditioner::apply_columns`], one pass over the factor for a
-//!   whole block),
+//!   by each pivot's reciprocal, and one sweep kernel serves up to eight
+//!   columns per pass over the factor,
 //! * [`Multigrid`] — a smoothed-aggregation algebraic
 //!   multigrid V-cycle (see [`crate::multigrid`]); the only option whose
 //!   iteration counts stay (nearly) mesh-independent, and the default for
-//!   large steady solves.
+//!   large steady solves. One block V-cycle serves up to three columns per
+//!   pass over every level.
 //!
-//! All applications are allocation-free so they can sit inside the CG
-//! iteration loop.
+//! One entry point, [`Preconditioner::apply`], serves k ≥ 1 columns held
+//! back to back, the layout CG packs its active residuals in; every
+//! column comes out bitwise as its own one-column apply. All applications
+//! are allocation-free so they can sit inside the CG iteration loop.
 
 use std::sync::Arc;
 
-use crate::block_solver::BlockVector;
 use crate::multigrid::{Multigrid, MultigridConfig};
 use crate::sparse::hardware_threads;
 use crate::{CsrMatrix, NumericsError};
 
-/// Applies `z = M⁻¹ r` for some SPD approximation `M ≈ A`.
+/// Applies `z = M⁻¹ r` for some SPD approximation `M ≈ A`, to k ≥ 1
+/// columns at once.
+///
+/// `r` and `z` hold k columns of `A.rows()` entries back to back — the
+/// layout [`CsrMatrix::multiply_into`] and
+/// [`preconditioned_cg`](crate::solver::preconditioned_cg) use — so a
+/// plain vector is the k = 1 case. Every column of `z` must be bitwise the
+/// column's own one-column apply, whichever columns share the call: that
+/// keeps a column solved inside a CG block bitwise equal to the column
+/// solved alone. Implementations that can serve several columns from one
+/// pass over their data (IC(0), multigrid) do; Jacobi scales column by
+/// column.
 ///
 /// Implementations must be allocation-free in [`Preconditioner::apply`] so
 /// the solver's inner loop stays allocation-free; `&mut self` exists for
@@ -67,34 +78,24 @@ use crate::{CsrMatrix, NumericsError};
 /// # Ok::<(), vcsel_numerics::NumericsError>(())
 /// ```
 pub trait Preconditioner {
-    /// Computes `z = M⁻¹ r`.
+    /// Computes `z_j = M⁻¹ r_j` for every column `j` of `r`.
     ///
     /// # Panics
     ///
-    /// Panics if `r` or `z` have the wrong length.
+    /// Panics unless `r` holds a whole number of columns and `z` is as
+    /// long as `r`.
     fn apply(&mut self, r: &[f64], z: &mut [f64]);
-
-    /// Computes `z_j = M⁻¹ r_j` for every column `j` listed in `columns`
-    /// (distinct, in any order), leaving the other columns of `z` as they
-    /// are — the block-CG shape, where `columns` is the active set.
-    ///
-    /// The default makes one [`Preconditioner::apply`] per listed column.
-    /// Implementations that can serve several columns from one pass over
-    /// their data override it, and must give every column exactly the bits
-    /// of its own `apply`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` and `z` have the wrong row count or a listed column
-    /// is out of range.
-    fn apply_columns(&mut self, r: &BlockVector, z: &mut BlockVector, columns: &[usize]) {
-        for &j in columns {
-            self.apply(r.column(j), z.column_mut(j));
-        }
-    }
 
     /// Short identifier for benches and logs (`"jacobi"`, `"ic0"`, …).
     fn name(&self) -> &'static str;
+}
+
+/// Panics on the [`Preconditioner::apply`] shapes its contract rules out
+/// for `n`-entry columns.
+pub(crate) fn assert_columns(r: &[f64], z: &[f64], n: usize) {
+    let k = r.len().checked_div(n).unwrap_or(0);
+    assert_eq!(r.len(), k * n, "r must hold whole columns of the operator's size");
+    assert_eq!(z.len(), r.len(), "z must hold one column per column of r");
 }
 
 pub(crate) fn checked_diagonal(a: &CsrMatrix) -> Result<Vec<f64>, NumericsError> {
@@ -168,12 +169,16 @@ impl Jacobi {
 
 impl Preconditioner for Jacobi {
     fn apply(&mut self, r: &[f64], z: &mut [f64]) {
-        let threads = if self.inv_diag.len() < Self::PARALLEL_LEN_THRESHOLD {
+        let n = self.inv_diag.len();
+        assert_columns(r, z, n);
+        let threads = if n < Self::PARALLEL_LEN_THRESHOLD {
             1
         } else {
             hardware_threads().min(CsrMatrix::MAX_SPMV_THREADS)
         };
-        self.apply_with_threads(r, z, threads);
+        for (rc, zc) in r.chunks_exact(n.max(1)).zip(z.chunks_exact_mut(n.max(1))) {
+            self.apply_with_threads(rc, zc, threads);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -199,10 +204,9 @@ impl Preconditioner for Jacobi {
 /// Each row computes its pivot's reciprocal once and multiplies by it, so
 /// the divide depends only on the factor and runs off the recurrence's
 /// dependency chain. One sweep kernel serves up to eight right-hand sides
-/// per pass: [`Preconditioner::apply`] is its one-column
-/// case, and [`Preconditioner::apply_columns`] reads the factor once per
-/// pass for a whole block, each column running its own scalar recurrence
-/// bit for bit.
+/// per pass: [`Preconditioner::apply`] reads the factor once per eight
+/// columns, each column running its own scalar recurrence bit for bit, and
+/// a one-column apply is the kernel's width-1 case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncompleteCholesky {
     /// CSR of `L`: lower triangular, diagonal stored last in each row,
@@ -311,18 +315,19 @@ impl IncompleteCholesky {
     /// sum per column in a stack array of at most this width.
     const SWEEP_COLUMNS: usize = 8;
 
-    /// Runs [`Self::sweep`] on the listed columns (at most
-    /// [`Self::SWEEP_COLUMNS`]) at the matching const width.
-    fn sweep_listed(&self, r: &BlockVector, z: &mut BlockVector, chunk: &[usize]) {
-        match chunk.len() {
-            1 => self.sweep::<1>(r.listed(chunk), z.listed_mut(chunk)),
-            2 => self.sweep::<2>(r.listed(chunk), z.listed_mut(chunk)),
-            3 => self.sweep::<3>(r.listed(chunk), z.listed_mut(chunk)),
-            4 => self.sweep::<4>(r.listed(chunk), z.listed_mut(chunk)),
-            5 => self.sweep::<5>(r.listed(chunk), z.listed_mut(chunk)),
-            6 => self.sweep::<6>(r.listed(chunk), z.listed_mut(chunk)),
-            7 => self.sweep::<7>(r.listed(chunk), z.listed_mut(chunk)),
-            _ => self.sweep::<{ Self::SWEEP_COLUMNS }>(r.listed(chunk), z.listed_mut(chunk)),
+    /// Runs [`Self::sweep`] on the 1 to [`Self::SWEEP_COLUMNS`] columns of
+    /// `n` entries held back to back in `r` and `z`, at the matching const
+    /// width.
+    fn sweep_columns(&self, n: usize, r: &[f64], z: &mut [f64]) {
+        match r.len() / n {
+            1 => self.sweep::<1>(columns(r, n), columns_mut(z, n)),
+            2 => self.sweep::<2>(columns(r, n), columns_mut(z, n)),
+            3 => self.sweep::<3>(columns(r, n), columns_mut(z, n)),
+            4 => self.sweep::<4>(columns(r, n), columns_mut(z, n)),
+            5 => self.sweep::<5>(columns(r, n), columns_mut(z, n)),
+            6 => self.sweep::<6>(columns(r, n), columns_mut(z, n)),
+            7 => self.sweep::<7>(columns(r, n), columns_mut(z, n)),
+            _ => self.sweep::<{ Self::SWEEP_COLUMNS }>(columns(r, n), columns_mut(z, n)),
         }
     }
 
@@ -367,20 +372,24 @@ impl IncompleteCholesky {
     }
 }
 
+/// The first `W` of the `n`-entry columns held back to back in `v`.
+fn columns<const W: usize>(v: &[f64], n: usize) -> [&[f64]; W] {
+    std::array::from_fn(|c| &v[c * n..(c + 1) * n])
+}
+
+/// Mutable form of [`columns`]: `W` disjoint `n`-entry slices.
+fn columns_mut<const W: usize>(v: &mut [f64], n: usize) -> [&mut [f64]; W] {
+    let mut split = v.chunks_exact_mut(n);
+    std::array::from_fn(|_| split.next().unwrap_or_default())
+}
+
 impl Preconditioner for IncompleteCholesky {
     fn apply(&mut self, r: &[f64], z: &mut [f64]) {
         let n = self.row_ptr.len() - 1;
-        assert_eq!(r.len(), n);
-        assert_eq!(z.len(), n);
-        self.sweep([r], [z]);
-    }
-
-    fn apply_columns(&mut self, r: &BlockVector, z: &mut BlockVector, columns: &[usize]) {
-        let n = self.row_ptr.len() - 1;
-        assert_eq!(r.rows(), n);
-        assert_eq!(z.rows(), n);
-        for chunk in columns.chunks(Self::SWEEP_COLUMNS) {
-            self.sweep_listed(r, z, chunk);
+        assert_columns(r, z, n);
+        let chunk = (Self::SWEEP_COLUMNS * n).max(1);
+        for (rc, zc) in r.chunks(chunk).zip(z.chunks_mut(chunk)) {
+            self.sweep_columns(n, rc, zc);
         }
     }
 
@@ -503,14 +512,6 @@ impl Preconditioner for AnyPreconditioner {
             AnyPreconditioner::Jacobi(p) => p.apply(r, z),
             AnyPreconditioner::IncompleteCholesky(p) => p.apply(r, z),
             AnyPreconditioner::Multigrid(p) => p.apply(r, z),
-        }
-    }
-
-    fn apply_columns(&mut self, r: &BlockVector, z: &mut BlockVector, columns: &[usize]) {
-        match self {
-            AnyPreconditioner::Jacobi(p) => p.apply_columns(r, z, columns),
-            AnyPreconditioner::IncompleteCholesky(p) => p.apply_columns(r, z, columns),
-            AnyPreconditioner::Multigrid(p) => p.apply_columns(r, z, columns),
         }
     }
 
@@ -673,31 +674,29 @@ mod tests {
     }
 
     #[test]
-    fn ic0_apply_columns_is_bitwise_per_column_apply() {
+    fn k_column_apply_is_bitwise_per_column_apply() {
         let a = stencil_3d(6, 5, 4);
         let n = a.rows();
-        let mut p = IncompleteCholesky::new(&a).unwrap();
         let column = |c: usize| -> Vec<f64> {
             (0..n).map(|i| ((i * (c + 2)) as f64 * 0.37).sin() + 0.1 * c as f64).collect()
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // k = 9 spans two sweeps (SWEEP_COLUMNS = 8); [4, 0, 2] is an
-        // out-of-order subset that must leave columns 1 and 3 untouched.
-        for (k, listed) in
-            [(1, vec![0]), (5, (0..5).collect()), (9, (0..9).collect()), (5, vec![4, 0, 2])]
-        {
-            let cols: Vec<Vec<f64>> = (0..k).map(column).collect();
-            let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
-            let r = BlockVector::from_columns(&refs).unwrap();
-            let mut z = BlockVector::zeros(n, k);
-            z.fill(7.0);
-            p.apply_columns(&r, &mut z, &listed);
-            for (c, col) in cols.iter().enumerate() {
-                if listed.contains(&c) {
-                    let want = apply_inverse(&mut p, col);
-                    assert_eq!(bits(z.column(c)), bits(&want), "k={k} {listed:?} column {c}");
-                } else {
-                    assert!(z.column(c).iter().all(|&v| v == 7.0), "column {c} must be untouched");
+        let mut preconditioners: [Box<dyn Preconditioner>; 2] =
+            [Box::new(IncompleteCholesky::new(&a).unwrap()), Box::new(Jacobi::new(&a).unwrap())];
+        for p in &mut preconditioners {
+            // k = 9 spans two IC(0) sweeps (SWEEP_COLUMNS = 8).
+            for k in [1, 5, 9] {
+                let cols: Vec<Vec<f64>> = (0..k).map(column).collect();
+                let mut z = vec![7.0; k * n];
+                p.apply(&cols.concat(), &mut z);
+                for (c, col) in cols.iter().enumerate() {
+                    let want = apply_inverse(p.as_mut(), col);
+                    assert_eq!(
+                        bits(&z[c * n..(c + 1) * n]),
+                        bits(&want),
+                        "{} k={k} column {c}",
+                        p.name()
+                    );
                 }
             }
         }

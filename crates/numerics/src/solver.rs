@@ -64,10 +64,16 @@ fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Caller-owned scratch for [`preconditioned_cg`]: the four column blocks
-/// of the recurrence (residual, preconditioned residual, direction and
-/// operator times direction), the per-column recurrence state and the
-/// per-column outcomes.
+/// Caller-owned scratch for [`preconditioned_cg`]: the three column blocks
+/// of the recurrence (residual, direction, and one block shared by the
+/// operator times the direction and the preconditioned residual), the
+/// per-column recurrence state and the per-column outcomes.
+///
+/// `A·p` and `z = M⁻¹r` share storage because they are never live at the
+/// same time: `A·p` is born at the operator sweep and dies at the `x`/`r`
+/// update, `z` is born at the preconditioner apply and dies at the `p`
+/// update. Three blocks instead of four free one n×k block — 16.3 MB on
+/// the five-column full-die `Fidelity::Fast` basis.
 ///
 /// Holding one workspace per solve engine keeps the CG iteration loop free
 /// of allocations across repeated solves: the buffers are resized once per
@@ -77,10 +83,13 @@ fn norm2(a: &[f64]) -> f64 {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CgWorkspace {
     r: BlockVector,
-    z: BlockVector,
     p: BlockVector,
-    ap: BlockVector,
-    /// Packed active set: slot `s` of `p`/`ap` carries column `active[s]`.
+    /// `A·p` from the operator sweep to the `x`/`r` update, then `z`
+    /// from the preconditioner apply to the `p` update.
+    zap: BlockVector,
+    /// Packed active set: slot `s` of `r`, `p` and `zap` carries column
+    /// `active[s]`, so the active columns are always the blocks' first
+    /// `active.len()` columns.
     active: Vec<usize>,
     rz: Vec<f64>,
     b_norm: Vec<f64>,
@@ -113,15 +122,22 @@ impl CgWorkspace {
         Self::default()
     }
 
-    /// Pre-sizes the column buffers for one column of `n` unknowns. They
-    /// are allocated zeroed, so their pages stay untouched (and out of the
-    /// resident set) until the first solve writes them.
+    /// Pre-sizes every buffer for one column of `n` unknowns, so a
+    /// one-column solve on it never allocates, not even the first. The
+    /// column blocks are allocated zeroed, so their pages stay untouched
+    /// (and out of the resident set) until the first solve writes them;
+    /// the per-column state is sized for 256 columns (`PRESIZED_COLUMNS`).
     pub fn with_capacity(n: usize) -> Self {
         Self {
             r: BlockVector::zeros(n, 1),
-            z: BlockVector::zeros(n, 1),
             p: BlockVector::zeros(n, 1),
-            ap: BlockVector::zeros(n, 1),
+            zap: BlockVector::zeros(n, 1),
+            active: Vec::with_capacity(PRESIZED_COLUMNS),
+            rz: Vec::with_capacity(PRESIZED_COLUMNS),
+            b_norm: Vec::with_capacity(PRESIZED_COLUMNS),
+            best: Vec::with_capacity(PRESIZED_COLUMNS),
+            since_best: Vec::with_capacity(PRESIZED_COLUMNS),
+            summaries: Vec::with_capacity(PRESIZED_COLUMNS),
             ..Self::default()
         }
     }
@@ -150,10 +166,10 @@ impl CgWorkspace {
 
     /// Preconditioner applications, counted per column: one per active
     /// column per iteration plus the initial one, however many columns one
-    /// [`Preconditioner::apply_columns`] call serves. Whether blocking
-    /// amortizes them depends on the preconditioner: IC(0) reads its
-    /// factor once per call for the whole active set; the others apply
-    /// column by column.
+    /// [`Preconditioner::apply`] call serves. Whether blocking amortizes
+    /// them depends on the preconditioner: IC(0) reads its factor once per
+    /// eight active columns, multigrid streams every level's operators
+    /// once per three, and Jacobi scales column by column.
     pub fn preconditioner_applies(&self) -> u64 {
         self.precond_applies
     }
@@ -162,9 +178,8 @@ impl CgWorkspace {
     /// state and counters (capacity is kept).
     fn reset(&mut self, n: usize, k: usize) {
         self.r.reset(n, k);
-        self.z.reset(n, k);
         self.p.reset(n, k);
-        self.ap.reset(n, k);
+        self.zap.reset(n, k);
         self.active.clear();
         self.rz.clear();
         self.rz.resize(k, 0.0);
@@ -193,8 +208,9 @@ impl CgWorkspace {
     }
 
     /// Deflates packed slot `s`: records the column's summary, swaps the
-    /// slot with the last active one and shrinks the packed block width by
-    /// one.
+    /// slot's residual and direction with the last active one's and
+    /// shrinks the packed block width by one. `zap` holds nothing live at
+    /// a residual check, so it only shrinks.
     fn deflate(
         &mut self,
         s: usize,
@@ -206,12 +222,29 @@ impl CgWorkspace {
         self.summaries[self.active[s]] = CgSummary { iterations, residual, converged, stop };
         let last = self.active.len() - 1;
         self.active.swap(s, last);
+        self.r.swap_columns(s, last);
         self.p.swap_columns(s, last);
         self.active.pop();
+        self.r.truncate_columns(last);
         self.p.truncate_columns(last);
-        self.ap.truncate_columns(last);
+        self.zap.truncate_columns(last);
     }
 }
+
+/// Columns [`CgWorkspace::with_capacity`] sizes the per-column state
+/// (active list, recurrence scalars, summaries) for.
+///
+/// One column is all the solves that constructor serves need, but
+/// one-column buffers are blocks of 8 to 24 bytes, and glibc keeps freed
+/// blocks of up to 1 032 bytes in a per-thread cache that is never
+/// coalesced with the free memory around them. With one-column buffers,
+/// the `runtime_scenario` benchmark set-up, which builds and drops a
+/// transient engine in a loop, took 186 k minor page faults instead of
+/// 24.7 k and 22 % longer per build (2-thread Xeon, glibc 2.36). At 256
+/// columns every buffer is at least 2 KiB, the faults match a workspace
+/// with no pre-sized state, and batches up to this width never grow the
+/// state either.
+const PRESIZED_COLUMNS: usize = 256;
 
 /// Iterations without a meaningful best-residual improvement (relative
 /// improvement below 10⁻⁶) before [`preconditioned_cg`] declares a stall.
@@ -342,7 +375,8 @@ fn column_mut(v: &mut [f64], n: usize, j: usize) -> &mut [f64] {
 /// **bitwise** the same as that column solved alone. What the block shares
 /// is memory traffic: each iteration's matvecs ride one
 /// [`CsrMatrix::multiply_into`] call on the packed block and its
-/// preconditioner applies one [`Preconditioner::apply_columns`] call.
+/// preconditioner applies one [`Preconditioner::apply`] call on the packed
+/// residuals.
 /// Columns that stop (converged, stalled, diverged) are **deflated** out
 /// of the packed block so later sweeps do no work for them.
 ///
@@ -451,8 +485,9 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
         }
     }
     let m0 = ws.active.len();
+    ws.r.truncate_columns(m0);
     ws.p.truncate_columns(m0);
-    ws.ap.truncate_columns(m0);
+    ws.zap.truncate_columns(m0);
     if m0 == 0 {
         return Ok(block_summary(&ws.summaries));
     }
@@ -466,29 +501,29 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
         for s in 0..m0 {
             ws.p.column_mut(s).copy_from_slice(column(x, n, ws.active[s]));
         }
-        a.multiply_into(ws.p.data(), ws.ap.data_mut());
+        a.multiply_into(ws.p.data(), ws.zap.data_mut());
         ws.operator_sweeps += 1;
         ws.column_sweeps += m0 as u64;
         for s in 0..m0 {
             let j = ws.active[s];
-            let rj = ws.r.column_mut(j);
-            for ((ri, bi), ai) in rj.iter_mut().zip(column(b, n, j)).zip(ws.ap.column(s)) {
+            let rs = ws.r.column_mut(s);
+            for ((ri, bi), ai) in rs.iter_mut().zip(column(b, n, j)).zip(ws.zap.column(s)) {
                 *ri = bi - ai;
             }
         }
     } else {
-        for &j in &ws.active {
-            ws.r.column_mut(j).copy_from_slice(column(b, n, j));
+        for s in 0..m0 {
+            ws.r.column_mut(s).copy_from_slice(column(b, n, ws.active[s]));
         }
     }
 
     // z = M⁻¹ r for the whole active set, then p = z, rz = ⟨r, z⟩.
-    m.apply_columns(&ws.r, &mut ws.z, &ws.active);
+    m.apply(ws.r.data(), ws.zap.data_mut());
     ws.precond_applies += m0 as u64;
     for s in 0..m0 {
         let j = ws.active[s];
-        ws.p.column_mut(s).copy_from_slice(ws.z.column(j));
-        ws.rz[j] = dot(ws.r.column(j), ws.z.column(j));
+        ws.p.column_mut(s).copy_from_slice(ws.zap.column(s));
+        ws.rz[j] = dot(ws.r.column(s), ws.zap.column(s));
     }
 
     for iteration in 0..opts.max_iterations {
@@ -499,7 +534,7 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
         let mut s = 0;
         while s < ws.active.len() {
             let j = ws.active[s];
-            let res = norm2(ws.r.column(j)) / ws.b_norm[j];
+            let res = norm2(ws.r.column(s)) / ws.b_norm[j];
             if log {
                 ws.residual_history.push(res);
             }
@@ -529,40 +564,41 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
         }
 
         // One operator sweep serves every still-active column's matvec.
-        a.multiply_into(ws.p.data(), ws.ap.data_mut());
+        a.multiply_into(ws.p.data(), ws.zap.data_mut());
         ws.operator_sweeps += 1;
         ws.column_sweeps += width as u64;
 
-        // Step every active column, precondition them all in one call,
-        // then turn every direction. Each column keeps its own order of
-        // operations; only the interleaving across columns changes.
+        // Step every active column (the last reads of `A·p`), precondition
+        // them all in one call into the same block, then turn every
+        // direction. Each column keeps its own order of operations; only
+        // the interleaving across columns changes.
         for s in 0..width {
             let j = ws.active[s];
-            let pap = dot(ws.p.column(s), ws.ap.column(s));
+            let pap = dot(ws.p.column(s), ws.zap.column(s));
             if pap <= 0.0 {
                 return Err(indefinite_matrix_error(pap));
             }
             let alpha = ws.rz[j] / pap;
             let xj = column_mut(x, n, j);
-            let rj = ws.r.column_mut(j);
+            let rs = ws.r.column_mut(s);
             let ps = ws.p.column(s);
-            let aps = ws.ap.column(s);
+            let aps = ws.zap.column(s);
             for (i, xi) in xj.iter_mut().enumerate() {
                 *xi += alpha * ps[i];
-                rj[i] -= alpha * aps[i];
+                rs[i] -= alpha * aps[i];
             }
         }
-        m.apply_columns(&ws.r, &mut ws.z, &ws.active);
+        m.apply(ws.r.data(), ws.zap.data_mut());
         ws.precond_applies += width as u64;
         for s in 0..width {
             let j = ws.active[s];
-            let rz_next = dot(ws.r.column(j), ws.z.column(j));
+            let rz_next = dot(ws.r.column(s), ws.zap.column(s));
             let beta = rz_next / ws.rz[j];
             ws.rz[j] = rz_next;
             let ps = ws.p.column_mut(s);
-            let zj = ws.z.column(j);
+            let zs = ws.zap.column(s);
             for (i, pi) in ps.iter_mut().enumerate() {
-                *pi = zj[i] + beta * *pi;
+                *pi = zs[i] + beta * *pi;
             }
         }
     }
@@ -570,7 +606,7 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
     // Iteration cap: the final residual of every column still active.
     for s in 0..ws.active.len() {
         let j = ws.active[s];
-        let res = norm2(ws.r.column(j)) / ws.b_norm[j];
+        let res = norm2(ws.r.column(s)) / ws.b_norm[j];
         if log {
             ws.residual_history.push(res);
         }
@@ -887,6 +923,39 @@ mod tests {
             preconditioned_cg(&a, &[1.0; 4], &mut bad, &mut m, &Default::default(), &mut ws),
             Err(NumericsError::BadInput { .. })
         ));
+    }
+
+    #[test]
+    fn with_capacity_workspace_runs_its_first_solve_without_growing() {
+        // Every buffer a one-column solve touches is pre-sized, so the
+        // first solve on a fresh workspace (the multigrid Jacobi-CG coarse
+        // fallback builds one per hierarchy) neither grows nor shrinks an
+        // allocation.
+        let n = 64;
+        let a = laplacian_1d(n);
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin() + 0.5).collect();
+        let mut m = crate::Jacobi::new(&a).unwrap();
+        let mut ws = CgWorkspace::with_capacity(n);
+        let capacities = |ws: &CgWorkspace| {
+            [
+                ws.r.capacity(),
+                ws.p.capacity(),
+                ws.zap.capacity(),
+                ws.active.capacity(),
+                ws.rz.capacity(),
+                ws.b_norm.capacity(),
+                ws.best.capacity(),
+                ws.since_best.capacity(),
+                ws.summaries.capacity(),
+            ]
+        };
+        let before = capacities(&ws);
+        assert!(before.iter().all(|&c| c > 0), "unsized buffers: {before:?}");
+        let mut x = vec![0.0; n];
+        let stats =
+            preconditioned_cg(&a, &b, &mut x, &mut m, &SolveOptions::default(), &mut ws).unwrap();
+        assert!(stats.converged && stats.iterations > 0);
+        assert_eq!(capacities(&ws), before, "a buffer was reallocated");
     }
 
     #[test]

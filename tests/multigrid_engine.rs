@@ -1,6 +1,6 @@
 //! Multigrid solve-engine regressions on the real case-study FVM systems.
 //!
-//! Six claims are pinned here:
+//! Seven claims are pinned here:
 //!
 //! 1. **Strength** — on the tiny SCC mesh, multigrid-preconditioned CG
 //!    needs at most half the iterations of IC(0)-CG while producing the
@@ -19,7 +19,13 @@
 //!    `Fidelity::Tiny` to `Fidelity::Fast` may grow the multigrid CG
 //!    iteration count by at most 1.5× (one-level preconditioners grow much
 //!    faster; that growth is why they cannot reach `Fidelity::Paper`).
-//! 6. **Paper scale** — a full-die `Fidelity::Paper` steady solve
+//! 6. **Block V-cycle parity** — a five-painting `solve_batch`, whose
+//!    preconditioner applies run one block V-cycle per three columns,
+//!    reproduces five one-painting solves from the same initial guess
+//!    bitwise, in fields and iterations. Run at 1, 2 and 4 workers like
+//!    claim 2, it holds the block cycle to the one-column cycle across
+//!    processes.
+//! 7. **Paper scale** — a full-die `Fidelity::Paper` steady solve
 //!    (~2.6 M unknowns) completes through the multigrid engine. Ignored by
 //!    default: run with `cargo test --release -- --ignored` (minutes, not
 //!    suitable for the debug-profile tier-1 loop).
@@ -125,6 +131,41 @@ fn multigrid_iteration_count_is_mesh_independent_from_tiny_to_fast() {
         iterations[0],
         iterations[1]
     );
+}
+
+#[test]
+fn batched_multigrid_solve_matches_one_painting_solves_bitwise() {
+    // Five right-hand sides share every V-cycle operator pass (a chunk of
+    // three columns, then one of two), yet each column must come out as
+    // its own one-painting solve from the same (zero) initial guess. The
+    // engine reports the most iterations any column ran and their sum;
+    // identical field bits pin each column's trajectory.
+    let (system, spec) = system_at(Fidelity::Tiny);
+    let paintings: Vec<Vec<(&str, f64)>> = (0..5)
+        .map(|i| vec![("chip", 0.8 + 0.1 * i as f64), ("vcsel", 0.5 + 0.4 * i as f64)])
+        .collect();
+    let refs: Vec<&[(&str, f64)]> = paintings.iter().map(Vec::as_slice).collect();
+
+    let mut batched = SolveContext::new_preconditioned(system.design(), &spec, multigrid_kind())
+        .expect("context");
+    let maps = batched.solve_batch(&refs).expect("batch solves");
+
+    let mut single = SolveContext::new_preconditioned(system.design(), &spec, multigrid_kind())
+        .expect("context");
+    let (mut most, mut sum) = (0, 0);
+    for (i, (map, painting)) in maps.iter().zip(&refs).enumerate() {
+        let map = map.as_ref().expect("batched column converges");
+        single.reset_guess();
+        let one = single.solve_scaled(painting).expect("one-painting solve");
+        let iterations = single.last_iterations();
+        assert!(iterations > 0, "painting {i} must iterate");
+        (most, sum) = (most.max(iterations), sum + iterations);
+        for (a, b) in map.temperatures().iter().zip(one.temperatures()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "painting {i}: batched {a} vs alone {b}");
+        }
+    }
+    assert_eq!(batched.last_iterations(), most, "most iterations of any column");
+    assert_eq!(batched.total_iterations(), sum, "iterations summed over the columns");
 }
 
 /// Full paper-fidelity steady solve — the workload the multigrid subsystem
