@@ -24,10 +24,8 @@ fn bench_solvers(c: &mut Criterion) {
     let mut contexts: Vec<(&str, SolveContext)> = kinds
         .iter()
         .map(|&(name, kind)| {
-            let ctx = SolveContext::new(system.design(), &spec)
-                .expect("context")
-                .with_preconditioner(kind)
-                .expect("factors");
+            let ctx =
+                SolveContext::new_preconditioned(system.design(), &spec, kind).expect("factors");
             (name, ctx)
         })
         .collect();

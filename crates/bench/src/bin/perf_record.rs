@@ -18,9 +18,12 @@
 //!    of IC(0)'s. Control with `PERF_RECORD_FAST=all|mg|off` (CI's smoke
 //!    job runs `mg` to exercise hierarchy construction on every push).
 //! 3. **200-step transient** — the paper's runtime-management shape — run
-//!    on the seed-era path (cold-start Jacobi-CG every step) and on the
-//!    engine path (IC(0) factored once + warm starts), recording
-//!    steps/second and the wall-clock speedup.
+//!    on the engine path (IC(0) factored once + warm starts), recording
+//!    steps/second. At the default 200 steps it must take exactly
+//!    17 875 CG iterations and end on the frozen seed row's hottest
+//!    temperature to four decimals. The seed-era path (cold-start
+//!    Jacobi-CG every step) is no longer run: its row is the v11
+//!    measurement, frozen and labelled as not measured by this run.
 //! 4. **Engine-cache cold/warm** — on the same fast-fidelity system, one
 //!    cold engine construction through the persistent cache (fresh build
 //!    plus artifact store under `reports/cache/`) and one warm
@@ -31,7 +34,7 @@
 //! 5. **Batched DSE sweep** — a 100-point power sweep on the tiny system
 //!    evaluated two ways: the sequential path (one warm-started
 //!    `solve_scaled` per point) vs the batched path (a
-//!    `ResponseBasis::build_on_batched` block solve, then one `compose`
+//!    `ResponseBasis::build_on` block solve, then one `compose`
 //!    per point). Records both wall clocks and the throughput ratio; on
 //!    machines with at least two hardware threads the batched path must
 //!    be ≥ 3× faster. `PERF_RECORD_DSE=smoke` shrinks the sweep to 20
@@ -129,11 +132,30 @@ struct SteadyRecord {
 
 struct TransientRecord {
     label: &'static str,
+    /// `false` for a row copied from an earlier record.
+    measured: bool,
     wall_s: f64,
     steps_per_s: f64,
     total_iterations: usize,
     final_hottest_c: f64,
+    threads: usize,
 }
+
+/// The seed-era transient path (cold-start Jacobi-CG every step) as the
+/// full `bench_solvers_v11` record measured it at the default 200 steps on
+/// a 2-thread Xeon. It is not re-run: it took ~150 s of every record.
+const SEED_JACOBI_COLD: TransientRecord = TransientRecord {
+    label: "seed_jacobi_cold",
+    measured: false,
+    wall_s: 148.249,
+    steps_per_s: 1.35,
+    total_iterations: 234_074,
+    final_hottest_c: 60.8273,
+    threads: 2,
+};
+
+/// CG iterations the engine path takes over the default 200 steps.
+const ENGINE_DEFAULT_ITERATIONS: usize = 17_875;
 
 struct EngineCacheRecord {
     unknowns: usize,
@@ -278,20 +300,6 @@ fn steady_section(
         records.push(record);
     }
     (unknowns, records)
-}
-
-fn run_transient(
-    stepper: &mut TransientStepper,
-    scales: &[(&str, f64)],
-    steps: usize,
-) -> (f64, usize, f64) {
-    let t = Instant::now();
-    for _ in 0..steps {
-        stepper.step(scales).expect("step solves");
-    }
-    let wall = t.elapsed().as_secs_f64();
-    let hottest = stepper.snapshot().hottest().1.value();
-    (wall, stepper.total_iterations(), hottest)
 }
 
 fn steady_json(records: &[SteadyRecord], indent: &str) -> String {
@@ -455,58 +463,40 @@ fn run() {
         None
     };
 
-    // ---- 200-step transient: seed path vs engine path ------------------
+    // ---- 200-step transient: the engine path ----------------------------
     let phase_t = Instant::now();
     let phase_span = sink.span("perf", "transient");
     let group_names: Vec<String> = design.group_names().iter().map(|g| g.to_string()).collect();
     let scales: Vec<(&str, f64)> = group_names.iter().map(|g| (g.as_str(), 1.0)).collect();
-    let initial = Celsius::new(40.0);
-
-    let mut seed_stepper = TransientStepper::new(design, &spec, initial, TRANSIENT_DT_S)
-        .expect("stepper builds")
-        .with_preconditioner(PreconditionerKind::Jacobi)
-        .expect("jacobi factors")
-        .with_warm_start(false);
     let steps = transient_steps();
-    let (seed_wall, seed_iters, seed_hot) = run_transient(&mut seed_stepper, &scales, steps);
-
-    let mut engine_stepper =
-        TransientStepper::new(design, &spec, initial, TRANSIENT_DT_S).expect("stepper builds");
-    let (engine_wall, engine_iters, engine_hot) =
-        run_transient(&mut engine_stepper, &scales, steps);
-    let transient_threads = hardware_threads();
+    let mut stepper = TransientStepper::new(design, &spec, Celsius::new(40.0), TRANSIENT_DT_S)
+        .expect("stepper builds");
+    let t = Instant::now();
+    for _ in 0..steps {
+        stepper.step(&scales).expect("step solves");
+    }
+    let wall_s = t.elapsed().as_secs_f64();
+    let engine = TransientRecord {
+        label: "engine_ic0_warm",
+        measured: true,
+        wall_s,
+        steps_per_s: steps as f64 / wall_s,
+        total_iterations: stepper.total_iterations(),
+        final_hottest_c: stepper.snapshot().hottest().1.value(),
+        threads: hardware_threads(),
+    };
     drop(phase_span);
     phases.push(("transient", phase_t.elapsed().as_secs_f64() * 1e3));
     sink.rss_snapshot("perf", "final_peak_rss");
 
-    assert!(
-        (seed_hot - engine_hot).abs() < 1e-6,
-        "paths disagree: seed {seed_hot} vs engine {engine_hot}"
-    );
-    let speedup = seed_wall / engine_wall;
-    let transient = [
-        TransientRecord {
-            label: "seed_jacobi_cold",
-            wall_s: seed_wall,
-            steps_per_s: steps as f64 / seed_wall,
-            total_iterations: seed_iters,
-            final_hottest_c: seed_hot,
-        },
-        TransientRecord {
-            label: "engine_ic0_warm",
-            wall_s: engine_wall,
-            steps_per_s: steps as f64 / engine_wall,
-            total_iterations: engine_iters,
-            final_hottest_c: engine_hot,
-        },
-    ];
+    let transient = [SEED_JACOBI_COLD, engine];
     for t in &transient {
+        let source = if t.measured { "" } else { " (frozen v11 row, not measured)" };
         println!(
-            "[transient] {:>28}: {:>6.2} s ({:>7.1} steps/s, {} CG iterations)",
+            "[transient] {:>28}: {:>6.2} s ({:>7.1} steps/s, {} CG iterations){source}",
             t.label, t.wall_s, t.steps_per_s, t.total_iterations
         );
     }
-    println!("[transient] wall-clock speedup engine vs seed: {speedup:.2}x");
 
     // ---- Batched DSE sweep: shared basis vs per-point solves -----------
     let phase_t = Instant::now();
@@ -530,7 +520,7 @@ fn run() {
 
     let mut batch_ctx = SolveContext::new(design, &spec).expect("batched DSE context");
     let batch_t = Instant::now();
-    let basis = ResponseBasis::build_on_batched(&mut batch_ctx).expect("batched basis builds");
+    let basis = ResponseBasis::build_on(&mut batch_ctx).expect("batched basis builds");
     let batch_hot: Vec<f64> = dse_paintings
         .iter()
         .map(|p| basis.compose(p).expect("point composes").hottest().1.value())
@@ -566,9 +556,16 @@ fn run() {
         .iter()
         .map(|t| {
             format!(
-                "      {{ \"path\": \"{}\", \"wall_s\": {:.4}, \"steps_per_s\": {:.2}, \
-                 \"total_cg_iterations\": {}, \"final_hottest_c\": {:.4} }}",
-                t.label, t.wall_s, t.steps_per_s, t.total_iterations, t.final_hottest_c
+                "      {{ \"path\": \"{}\", \"measured\": {}, \"threads\": {}, \
+                 \"wall_s\": {:.4}, \"steps_per_s\": {:.2}, \"total_cg_iterations\": {}, \
+                 \"final_hottest_c\": {:.4} }}",
+                t.label,
+                t.measured,
+                t.threads,
+                t.wall_s,
+                t.steps_per_s,
+                t.total_iterations,
+                t.final_hottest_c
             )
         })
         .collect();
@@ -667,15 +664,14 @@ fn run() {
         })
         .unwrap_or_default();
     let json = format!(
-        "{{\n  \"schema\": \"bench_solvers_v11\",\n  \"generated_by\": \"perf_record\",\n  \
+        "{{\n  \"schema\": \"bench_solvers_v12\",\n  \"generated_by\": \"perf_record\",\n  \
          \"workload\": \"SccConfig tiny_test + full-die Fast, p_vcsel = 4 mW\",\n  \
          \"unknowns\": {unknowns},\n  \
          \"steady\": [\n{}\n  ]{fast_json}{fast_ratio}{engine_cache_json}{dse_json}{paper_json}\
          {phases_json},\n  \
          \"transient\": {{\n    \
          \"steps\": {steps},\n    \"dt_s\": {TRANSIENT_DT_S},\n    \
-         \"threads\": {transient_threads},\n    \"paths\": [\n{}\n    ],\n    \
-         \"speedup_engine_vs_seed\": {speedup:.3}\n  }},\n  \
+         \"paths\": [\n{}\n    ]\n  }},\n  \
          \"ic0_vs_jacobi_cold_iteration_ratio\": {:.4}\n}}\n",
         steady_json(&steady, "    "),
         transient_json.join(",\n"),
@@ -684,10 +680,23 @@ fn run() {
     std::fs::write(&out_path, &json).expect("write bench record");
     println!("[perf_record] wrote {out_path}");
 
-    // The acceptance bars: the engine must at least halve the transient
-    // wall clock and the IC(0) iteration count vs Jacobi, and at fast
-    // fidelity multigrid must need at most half the IC(0) iterations.
-    assert!(speedup >= 2.0, "transient speedup {speedup:.2}x < 2x");
+    // The acceptance bars: at the default step count the engine transient
+    // must reproduce its pinned iterations and the frozen seed row's
+    // hottest temperature, IC(0) must need at most half the Jacobi
+    // iterations, and at fast fidelity multigrid at most half the IC(0)
+    // iterations.
+    if steps == 200 {
+        let engine = &transient[1];
+        assert_eq!(
+            engine.total_iterations, ENGINE_DEFAULT_ITERATIONS,
+            "200-step engine transient CG iterations"
+        );
+        assert_eq!(
+            format!("{:.4}", engine.final_hottest_c),
+            format!("{:.4}", SEED_JACOBI_COLD.final_hottest_c),
+            "200-step engine transient must end on the seed path's hottest temperature"
+        );
+    }
     assert!(
         2 * ic0.cold_iterations <= jacobi.cold_iterations,
         "IC(0) iterations {} vs Jacobi {} — expected at most half",

@@ -10,12 +10,12 @@
 //!   full-fidelity reproductions live in the `src/bin` report binaries of
 //!   the root crate.
 //! * **The `perf_record` binary** (`src/bin/perf_record.rs`): emits
-//!   `BENCH_solvers.json` (schema `bench_solvers_v9`), the committed
+//!   `BENCH_solvers.json` (schema `bench_solvers_v12`), the committed
 //!   machine-readable record of the solve-engine trajectory — steady
 //!   cold/warm solves per preconditioner, IC(0)-vs-multigrid at full-die
-//!   fast fidelity, the multigrid threading A/B, the engine-cache
-//!   cold-build-vs-warm-restore A/B, the batched DSE sweep, the 200-step
-//!   transient, and (env-gated) the paper-fidelity solve with its
+//!   fast fidelity, the engine-cache cold-build-vs-warm-restore A/B, the
+//!   batched DSE sweep, the 200-step engine transient next to the frozen
+//!   seed-path row, and (env-gated) the paper-fidelity solve with its
 //!   shared-operator memory story and artifact-restore timing. CI runs it
 //!   in reduced form on every push and its assertions are the perf
 //!   regression gate.

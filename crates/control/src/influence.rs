@@ -206,8 +206,10 @@ impl InfluenceModel {
     /// # Errors
     ///
     /// Returns [`ControlError::BadParameter`] for empty tiles/probes, a
-    /// non-positive probe power, an unknown tile group, or a zero-power
-    /// tile group; propagates meshing/assembly/solver failures.
+    /// non-positive probe power, an unknown tile group, a zero-power tile
+    /// group, or a meshing/assembly failure, and
+    /// [`ControlError::Numerics`] for a calibration solve that does not
+    /// converge.
     pub fn calibrate_fvm(
         design: &Design,
         spec: &MeshSpec,
@@ -225,8 +227,7 @@ impl InfluenceModel {
                 reason: format!("probe power must be positive, got {probe}"),
             });
         }
-        let mut ctx = SolveContext::new(design, spec)
-            .map_err(|e| ControlError::BadParameter { reason: e.to_string() })?;
+        let mut ctx = SolveContext::new(design, spec)?;
         let known = ctx.groups().iter().map(|g| g.to_string()).collect::<Vec<_>>();
         let mut scale_per_tile = Vec::with_capacity(tiles.len());
         for &tile in tiles {
@@ -257,15 +258,11 @@ impl InfluenceModel {
         let first_tile = scales.len();
         scales.extend(tiles.iter().map(|&t| (t, 0.0)));
 
-        let base = ctx
-            .solve_probes(&scales, probes)
-            .map_err(|e| ControlError::BadParameter { reason: e.to_string() })?;
+        let base = ctx.solve_probes(&scales, probes)?;
         let mut matrix = vec![vec![0.0; tiles.len()]; probes.len()];
         for (t, &s) in scale_per_tile.iter().enumerate() {
             scales[first_tile + t].1 = s;
-            let temps = ctx
-                .solve_probes(&scales, probes)
-                .map_err(|e| ControlError::BadParameter { reason: e.to_string() })?;
+            let temps = ctx.solve_probes(&scales, probes)?;
             scales[first_tile + t].1 = 0.0;
             for (o, (hot, cold)) in temps.iter().zip(&base).enumerate() {
                 matrix[o][t] = (hot.value() - cold.value()).max(0.0) / probe.value();
@@ -494,9 +491,7 @@ mod tests {
                 for (t, p) in tiles.iter().zip(powers) {
                     d.scale_group_power(t, p.value() / design.group_power(t).value());
                 }
-                let map = sim
-                    .solve(&d, &spec)
-                    .map_err(|e| ControlError::BadParameter { reason: e.to_string() })?;
+                let map = sim.solve(&d, &spec)?;
                 Ok::<_, ControlError>(
                     probes.iter().map(|&pt| map.temperature_at(pt).expect("probed")).collect(),
                 )

@@ -37,8 +37,9 @@ pub trait ThermalPlant {
     /// # Errors
     ///
     /// Returns [`ControlError::DimensionMismatch`] when `powers` does not
-    /// have one entry per node, or [`ControlError::BadParameter`] for a
-    /// non-positive step.
+    /// have one entry per node, [`ControlError::BadParameter`] for a
+    /// non-positive step, or [`ControlError::Numerics`] when a plant's
+    /// solve does not converge (the FVM plant's field then stays put).
     fn step(&mut self, powers: &[Watts], dt_s: f64) -> Result<Vec<Celsius>, ControlError>;
 
     /// Current node temperatures.

@@ -63,8 +63,8 @@ impl FvmPlant {
     ///
     /// * [`ControlError::BadParameter`] for an empty node list, a node
     ///   whose group does not exist in the design, a non-positive reference
-    ///   power, or a probe outside the domain,
-    /// * assembly/meshing failures from the thermal crate.
+    ///   power, a probe outside the domain, or an assembly/meshing failure
+    ///   of the thermal crate.
     pub fn new(
         design: &Design,
         spec: &MeshSpec,
@@ -77,8 +77,7 @@ impl FvmPlant {
                 reason: "FVM plant needs at least one node".into(),
             });
         }
-        let stepper = TransientStepper::new(design, spec, initial, dt_s)
-            .map_err(|e| ControlError::BadParameter { reason: e.to_string() })?;
+        let stepper = TransientStepper::new(design, spec, initial, dt_s)?;
         let known = stepper.groups();
         for node in &nodes {
             if !known.contains(&node.group.as_str()) {
@@ -143,9 +142,7 @@ impl ThermalPlant for FvmPlant {
             .zip(powers)
             .map(|(node, p)| (node.group.as_str(), p.value() / node.reference.value()))
             .collect();
-        self.stepper
-            .step(&scales)
-            .map_err(|e| ControlError::BadParameter { reason: e.to_string() })?;
+        self.stepper.step(&scales)?;
         Ok(self.temperatures())
     }
 

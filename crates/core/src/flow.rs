@@ -16,7 +16,7 @@ const REF_DEVICE_POWER: Watts = Watts::from_milliwatts(1.0);
 ///
 /// Construction performs the expensive FVM solves — the baseline plus one
 /// per power group, batched through a single multi-right-hand-side block
-/// solve ([`ResponseBasis::build_on_batched`]) so every operator sweep
+/// solve ([`ResponseBasis::build_on`]) so every operator sweep
 /// serves all basis columns; every subsequent [`ThermalStudy::evaluate`]
 /// is vector arithmetic. The
 /// chip-activity *pattern* and all geometry are fixed at construction;
@@ -70,7 +70,7 @@ impl ThermalStudy {
             // The reuse path must honour the caller's solver options
             // exactly like the rebuild path does.
             self.ctx.set_options(*sim.options());
-            self.basis = ResponseBasis::build_on_batched(&mut self.ctx)?;
+            self.basis = ResponseBasis::build_on(&mut self.ctx)?;
             self.system = system;
             self.ref_chip_power = ref_chip_power;
             return Ok(self);
@@ -78,7 +78,7 @@ impl ThermalStudy {
         let blueprint = EngineBlueprint::on_mesh(system.design(), mesh);
         let (ctx, _) = EngineCache::from_env().obtain(&key_config, &blueprint)?;
         let mut ctx = ctx.with_options(*sim.options());
-        let basis = ResponseBasis::build_on_batched(&mut ctx)?;
+        let basis = ResponseBasis::build_on(&mut ctx)?;
         Ok(Self { system, ctx, basis, ref_chip_power })
     }
 
@@ -95,7 +95,7 @@ impl ThermalStudy {
         let blueprint = EngineBlueprint::new(system.design(), &spec)?;
         let (ctx, _) = EngineCache::from_env().obtain(key_config, &blueprint)?;
         let mut ctx = ctx.with_options(*sim.options());
-        let basis = ResponseBasis::build_on_batched(&mut ctx)?;
+        let basis = ResponseBasis::build_on(&mut ctx)?;
         Ok(Self { system, ctx, basis, ref_chip_power })
     }
 

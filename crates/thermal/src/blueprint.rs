@@ -11,8 +11,11 @@
 //!    set, folded into a [`content hash`](EngineBlueprint::content_hash)
 //!    (bitwise over IEEE values — see
 //!    [`ContentHasher`](vcsel_numerics::ContentHasher)).
-//! 2. **Build** — [`EngineBlueprint::build`] runs the classic fresh path:
-//!    assembly, painting, one ladder factorization.
+//! 2. **Build** — [`EngineBlueprint::build`] runs the fresh path through
+//!    the one assembly-and-painting site every engine shares (a
+//!    [`TransientStepper`](crate::TransientStepper) builds there too, with
+//!    its `C/Δt` on the diagonal): assembly, painting, one ladder
+//!    factorization.
 //! 3. **Artifact** — [`EngineBlueprint::engine_artifact`] serializes the
 //!    built engine's operator-derived state (operator + factor, or the
 //!    whole multigrid hierarchy) into one checksummed envelope.
@@ -33,7 +36,7 @@ use vcsel_numerics::artifact::KIND_DOWNSTREAM_BASE;
 use vcsel_numerics::{
     AnyPreconditioner, ArtifactError, ArtifactReader, ArtifactWriter, ContentHasher, CsrMatrix,
     IncompleteCholesky, Multigrid, MultigridHierarchy, NumericsError, Preconditioner,
-    PreconditionerKind, SolveLadder,
+    PreconditionerKind, SolveLadder, TripletBuilder,
 };
 
 use crate::assembly::{self, BoundaryFace};
@@ -137,7 +140,6 @@ pub struct EngineBlueprint {
     /// Painted per-cell conductivity — computed once here, shared by the
     /// content hash and the built engine's adopt-design fingerprint.
     conductivity: Vec<f64>,
-    boundaries: BoundarySet,
     content_hash: u64,
 }
 
@@ -159,17 +161,8 @@ impl EngineBlueprint {
     pub fn on_mesh(design: &Design, mesh: Mesh) -> Self {
         let kind = SolveContext::default_steady_kind(mesh.cell_count());
         let conductivity = assembly::paint_conductivity(design, &mesh);
-        let boundaries = *design.boundaries();
-        let content_hash = fingerprint(&mesh, &conductivity, &boundaries);
-        Self {
-            design: design.clone(),
-            mesh,
-            kind,
-            strict: false,
-            conductivity,
-            boundaries,
-            content_hash,
-        }
+        let content_hash = fingerprint(&mesh, &conductivity, design.boundaries());
+        Self { design: design.clone(), mesh, kind, strict: false, conductivity, content_hash }
     }
 
     /// Overrides the preconditioner kind (builder style). An explicit kind
@@ -201,9 +194,10 @@ impl EngineBlueprint {
         &self.mesh
     }
 
-    /// The classic fresh path: FVM assembly, power painting, one ladder
-    /// factorization. Exactly what [`SolveContext::on_mesh`] /
-    /// [`SolveContext::on_mesh_with`] do — they now delegate here.
+    /// The fresh path: the one assembly-and-painting site every engine
+    /// shares, on this blueprint's design, mesh and kind.
+    /// [`SolveContext::on_mesh`] and [`SolveContext::new_preconditioned`]
+    /// delegate here.
     ///
     /// # Errors
     ///
@@ -211,31 +205,15 @@ impl EngineBlueprint {
     /// [`ThermalError::BadParameter`]) and, for strict blueprints, the
     /// requested preconditioner's construction error.
     pub fn build(&self) -> Result<SolveContext, ThermalError> {
-        // Assembling a zero-power clone yields the conduction matrix and the
-        // pure boundary RHS; power only ever moves the right-hand side.
-        let mut hollow = self.design.clone();
-        for b in hollow.blocks_mut() {
-            b.set_power(vcsel_units::Watts::ZERO);
-        }
-        let disc = assembly::assemble(&hollow, &self.mesh)?;
-        let (static_power, group_power) = paint_design(&self.design, &self.mesh)?;
-        let matrix = Arc::new(disc.matrix);
-        // Default engines (non-strict) may open on a weaker rung if the
-        // preferred kind cannot build; explicit choices propagate the exact
-        // kind's construction error instead.
-        let ladder = SolveLadder::new(&matrix, &escalation_chain(self.kind), self.strict)
-            .map_err(ThermalError::from)?;
-        Ok(SolveContext::from_parts(EngineParts {
-            mesh: self.mesh.clone(),
-            matrix,
-            boundary_rhs: disc.rhs,
-            boundary_faces: disc.boundary_faces,
-            static_power,
-            group_power,
-            conductivity: self.conductivity.clone(),
-            boundaries: self.boundaries,
-            ladder,
-        }))
+        let (engine, _) = assemble_engine(
+            &self.design,
+            self.mesh.clone(),
+            self.kind,
+            self.strict,
+            None,
+            self.conductivity.clone(),
+        )?;
+        Ok(engine)
     }
 
     /// Serializes `ctx`'s operator-derived state — keyed by this
@@ -361,7 +339,7 @@ impl EngineBlueprint {
 
         // Powers are not part of the operator key: re-paint them from the
         // design, exactly as the fresh path would.
-        let (static_power, group_power) = paint_design(&self.design, &self.mesh)?;
+        let powers = paint_design(&self.design, &self.mesh)?;
         // Zero factorizations: the deserialized preconditioner *is* rung 0.
         let ladder = SolveLadder::with_prebuilt(precond, &escalation_chain(self.kind))?;
         Ok(SolveContext::from_parts(EngineParts {
@@ -369,13 +347,80 @@ impl EngineBlueprint {
             matrix,
             boundary_rhs,
             boundary_faces,
-            static_power,
-            group_power,
+            powers,
             conductivity: self.conductivity.clone(),
-            boundaries: self.boundaries,
+            boundaries: *self.design.boundaries(),
             ladder,
         }))
     }
+}
+
+/// The one assembly-and-painting site of every engine, steady or
+/// transient: FVM assembly of a zero-power clone of `design` (the
+/// conduction operator `A` and the pure boundary RHS — power only ever
+/// moves the right-hand side), power painting, and one ladder
+/// factorization leading with `kind`. A `strict` ladder propagates
+/// `kind`'s construction error instead of opening on a weaker rung.
+/// `conductivity` is the adopt-design fingerprint the engine keeps (empty
+/// for a stepper). Given a transient step `dt_s`, it also paints the
+/// per-cell `C/Δt` and factors `A + C/Δt` instead of `A`; that `C/Δt`
+/// comes back next to the engine (empty for a steady engine).
+pub(crate) fn assemble_engine(
+    design: &Design,
+    mesh: Mesh,
+    kind: PreconditionerKind,
+    strict: bool,
+    dt_s: Option<f64>,
+    conductivity: Vec<f64>,
+) -> Result<(SolveContext, Vec<f64>), ThermalError> {
+    let mut hollow = design.clone();
+    for b in hollow.blocks_mut() {
+        b.set_power(vcsel_units::Watts::ZERO);
+    }
+    let disc = assembly::assemble(&hollow, &mesh)?;
+    let powers = paint_design(design, &mesh)?;
+    let mut matrix = disc.matrix;
+    let mut capacity_over_dt = Vec::new();
+    if let Some(dt_s) = dt_s {
+        capacity_over_dt = paint_capacity_over_dt(design, &mesh, dt_s);
+        // A + C/Δt as a row-wise merge of the diagonal into A: no second
+        // sort of A's entries, and the same bits as adding them one by one.
+        let n = capacity_over_dt.len();
+        let mut diagonal = TripletBuilder::with_capacity(n, n, n);
+        for (row, &c_dt) in capacity_over_dt.iter().enumerate() {
+            diagonal.add(row, row, c_dt);
+        }
+        matrix = matrix.add_scaled(&diagonal.build(), 1.0)?;
+    }
+    let matrix = Arc::new(matrix);
+    let ladder = SolveLadder::new(&matrix, &escalation_chain(kind), strict)?;
+    let engine = SolveContext::from_parts(EngineParts {
+        mesh,
+        matrix,
+        boundary_rhs: disc.rhs,
+        boundary_faces: disc.boundary_faces,
+        powers,
+        conductivity,
+        boundaries: *design.boundaries(),
+        ladder,
+    });
+    Ok((engine, capacity_over_dt))
+}
+
+/// Paints the per-cell heat capacity over the time step, `ρ·c_p·V/Δt` in
+/// W/K.
+fn paint_capacity_over_dt(design: &Design, mesh: &Mesh, dt_s: f64) -> Vec<f64> {
+    let mut c = vec![design.background().volumetric_heat_capacity(); mesh.cell_count()];
+    for block in design.blocks() {
+        let cb = block.material().volumetric_heat_capacity();
+        for idx in mesh.cells_in(block.region()) {
+            c[idx] = cb;
+        }
+    }
+    for (idx, cap) in c.iter_mut().enumerate() {
+        *cap = *cap * mesh.cell_volume(idx) / dt_s;
+    }
+    c
 }
 
 /// The operator content hash: mesh shape and cell count, the painted

@@ -1,20 +1,29 @@
-//! The reusable steady-state solve engine.
+//! The reusable solve engine: steady, batched and transient solves.
 //!
 //! Everything the run-time management loop does — design-space sweeps,
 //! influence-matrix calibration (one solve per tile), mesh-convergence
-//! studies, superposition bases — funnels into the same pattern: *many
-//! solves of one FVM system whose matrix never changes*, because the
-//! conduction operator depends only on geometry, materials and boundary
-//! conditions, while the injected powers only move the right-hand side.
+//! studies, superposition bases, transient stepping — funnels into the
+//! same pattern: *many solves of one FVM system whose matrix never
+//! changes*, because the conduction operator depends only on geometry,
+//! materials and boundary conditions, while the injected powers only move
+//! the right-hand side.
 //!
 //! [`SolveContext`] exploits that: it assembles the system **once**, paints
 //! one power vector per controllable group, factors a preconditioner
 //! **once**, and then serves any number of right-hand sides with
-//! warm-started, allocation-free conjugate gradient — each solve reuses the
-//! previous solution as its initial guess and the same scratch buffers.
-//! One painting solves as a single column; a batch of paintings solves as
-//! one column block in one call of the same kernel, through the same
-//! self-healing [`SolveLadder`].
+//! warm-started conjugate gradient — each solve reuses the previous
+//! solution as its initial guess and the same scratch buffers.
+//!
+//! Every solve takes one path: a private routine paints k ≥ 1 columns
+//! through one painter, makes one traced [`SolveLadder::solve`] call under
+//! the caller's span name (`steady_solve`, `batch_solve`,
+//! `transient_step`), records the solve sample, the iteration counters and
+//! [`SolveHealth`], and applies one failure rule — the field becomes the
+//! last converged column, else keeps its pre-solve value. One painting
+//! solves in place in the held right-hand-side buffer and field; a batch
+//! solves as one per-call column block. A
+//! [`TransientStepper`](crate::TransientStepper) is this engine over
+//! `A + C/Δt`, whose right-hand side also carries `C/Δt·Tₙ`.
 //!
 //! The default preconditioner scales with the system: small meshes get the
 //! IC(0) factorization, while systems at or above
@@ -27,6 +36,7 @@
 //! matrix and factorization and only re-paint powers via
 //! [`SolveContext::adopt_design`].
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vcsel_numerics::solver::{CgWorkspace, SolveOptions};
@@ -39,6 +49,11 @@ use vcsel_units::{Celsius, Meters};
 use crate::assembly::{self, BoundaryFace};
 use crate::schedule::check_scales;
 use crate::{Design, Mesh, MeshSpec, SolveHealth, ThermalError, ThermalMap};
+
+/// The linear-solver options every engine and [`Simulator`](crate::Simulator)
+/// starts with: a 1e-9 relative residual within 50 000 CG iterations.
+pub(crate) const ENGINE_OPTIONS: SolveOptions =
+    SolveOptions { tolerance: 1e-9, max_iterations: 50_000 };
 
 /// The escalation chain a ladder-backed engine runs for a preferred
 /// preconditioner `kind`: the kind itself, then progressively cheaper,
@@ -55,28 +70,92 @@ pub(crate) fn escalation_chain(kind: PreconditionerKind) -> Vec<PreconditionerKi
     }
 }
 
-/// `(static power, sorted per-group power vectors)` as painted by
-/// [`paint_design`].
-type PaintedPowers = (Vec<f64>, Vec<(String, Vec<f64>)>);
+/// One painted power vector and its total in watts, summed once at paint
+/// time so no solve re-sums it.
+#[derive(Debug, Clone)]
+struct Painted {
+    cells: Vec<f64>,
+    total: f64,
+}
+
+impl Painted {
+    fn new(cells: Vec<f64>) -> Self {
+        let total = cells.iter().sum::<f64>();
+        Self { cells, total }
+    }
+}
+
+/// A design's powers painted onto its mesh: the ungrouped blocks' vector,
+/// applied at scale 1 on every solve, and one vector per group at the
+/// design's reference block powers, keyed (and so iterated) by group name.
+#[derive(Debug, Clone)]
+pub(crate) struct Powers {
+    static_power: Painted,
+    groups: BTreeMap<String, Painted>,
+}
+
+impl Powers {
+    /// The one painter. Validates `scales` against the painted groups and
+    /// builds one right-hand side into `rhs`: boundary + static power, then
+    /// `C/Δt·Tₙ` when `carry` holds a transient step's `(C/Δt, Tₙ)`, then
+    /// each group's vector at its requested (or default) scale. Returns the
+    /// injected power in watts. Every solve paints through here, so every
+    /// path rejects exactly the same paintings.
+    fn paint(
+        &self,
+        boundary_rhs: &[f64],
+        scales: &[(&str, f64)],
+        default_scale: f64,
+        carry: Option<(&[f64], &[f64])>,
+        rhs: &mut [f64],
+    ) -> Result<f64, ThermalError> {
+        check_scales(scales, |name| self.groups.contains_key(name))?;
+        let fixed = rhs.iter_mut().zip(boundary_rhs).zip(&self.static_power.cells);
+        match carry {
+            Some((capacity_over_dt, field)) => {
+                for (((ri, bi), si), (ci, ti)) in fixed.zip(capacity_over_dt.iter().zip(field)) {
+                    *ri = bi + si + ci * ti;
+                }
+            }
+            None => {
+                for ((ri, bi), si) in fixed {
+                    *ri = bi + si;
+                }
+            }
+        }
+        let mut injected = self.static_power.total;
+        for (g, q) in &self.groups {
+            let scale =
+                scales.iter().find(|(name, _)| name == g).map(|&(_, s)| s).unwrap_or(default_scale);
+            if scale == 0.0 {
+                continue;
+            }
+            for (ri, qi) in rhs.iter_mut().zip(&q.cells) {
+                *ri += scale * qi;
+            }
+            injected += scale * q.total;
+        }
+        Ok(injected)
+    }
+}
 
 /// Paints the static (ungrouped) power vector and one per-group power
 /// vector at the design's reference block powers. Shared with the
 /// blueprint layer: the fresh build and the cache-restore path must paint
 /// powers identically for restored first solves to be bitwise-equal.
-pub(crate) fn paint_design(design: &Design, mesh: &Mesh) -> Result<PaintedPowers, ThermalError> {
-    let mut groups: Vec<String> =
-        design.blocks().iter().filter_map(|b| b.group().map(str::to_owned)).collect();
-    groups.sort();
-    groups.dedup();
-    let mut group_power = Vec::with_capacity(groups.len());
-    for g in &groups {
+pub(crate) fn paint_design(design: &Design, mesh: &Mesh) -> Result<Powers, ThermalError> {
+    let mut groups = BTreeMap::new();
+    for g in design.blocks().iter().filter_map(|b| b.group()) {
+        if groups.contains_key(g) {
+            continue;
+        }
         let mut only = design.clone();
         for b in only.blocks_mut() {
-            if b.group() != Some(g.as_str()) {
+            if b.group() != Some(g) {
                 b.set_power(vcsel_units::Watts::ZERO);
             }
         }
-        group_power.push((g.clone(), assembly::paint_power(&only, mesh)?));
+        groups.insert(g.to_owned(), Painted::new(assembly::paint_power(&only, mesh)?));
     }
     let mut ungrouped = design.clone();
     for b in ungrouped.blocks_mut() {
@@ -84,41 +163,13 @@ pub(crate) fn paint_design(design: &Design, mesh: &Mesh) -> Result<PaintedPowers
             b.set_power(vcsel_units::Watts::ZERO);
         }
     }
-    let static_power = assembly::paint_power(&ungrouped, mesh)?;
-    Ok((static_power, group_power))
+    let static_power = Painted::new(assembly::paint_power(&ungrouped, mesh)?);
+    Ok(Powers { static_power, groups })
 }
 
-/// Validates `scales` against the painted groups and builds one right-hand
-/// side into `rhs`: boundary + static power, plus each group's painted
-/// vector at its requested (or default) scale. Returns the injected power
-/// in watts. Shared by the scalar solve path and the batched multi-RHS
-/// path, so both reject exactly the same paintings.
-fn paint_rhs(
-    boundary_rhs: &[f64],
-    static_power: &[f64],
-    group_power: &[(String, Vec<f64>)],
-    scales: &[(&str, f64)],
-    default_scale: f64,
-    rhs: &mut [f64],
-) -> Result<f64, ThermalError> {
-    check_scales(scales, |name| group_power.iter().any(|(g, _)| g == name))?;
-    for ((ri, bi), si) in rhs.iter_mut().zip(boundary_rhs).zip(static_power) {
-        *ri = bi + si;
-    }
-    let mut injected = static_power.iter().sum::<f64>();
-    for (g, q) in group_power {
-        let scale =
-            scales.iter().find(|(name, _)| name == g).map(|&(_, s)| s).unwrap_or(default_scale);
-        if scale == 0.0 {
-            continue;
-        }
-        for (ri, qi) in rhs.iter_mut().zip(q) {
-            *ri += scale * qi;
-        }
-        injected += scale * q.iter().sum::<f64>();
-    }
-    Ok(injected)
-}
+/// One painting's outcome in [`SolveContext::solve_columns`]: its injected
+/// power in watts and its column in the solved block, or why it failed.
+type Slot = Result<(f64, usize), ThermalError>;
 
 /// The operator-derived state of one engine, as produced by the blueprint
 /// layer (fresh build or artifact restore) and consumed by
@@ -130,8 +181,7 @@ pub(crate) struct EngineParts {
     pub(crate) matrix: Arc<CsrMatrix>,
     pub(crate) boundary_rhs: Vec<f64>,
     pub(crate) boundary_faces: Vec<BoundaryFace>,
-    pub(crate) static_power: Vec<f64>,
-    pub(crate) group_power: Vec<(String, Vec<f64>)>,
+    pub(crate) powers: Powers,
     pub(crate) conductivity: Vec<f64>,
     pub(crate) boundaries: crate::BoundarySet,
     pub(crate) ladder: SolveLadder,
@@ -183,21 +233,18 @@ pub(crate) struct EngineParts {
 #[derive(Debug, Clone)]
 pub struct SolveContext {
     mesh: Mesh,
-    /// The assembled conduction operator, shared (never cloned) with the
-    /// multigrid preconditioner — the hierarchy's fine level aliases this
-    /// same allocation.
+    /// The assembled operator, shared (never cloned) with the multigrid
+    /// preconditioner — the hierarchy's fine level aliases this same
+    /// allocation. A transient stepper's engine holds `A + C/Δt`.
     matrix: Arc<CsrMatrix>,
     /// Boundary-condition contribution to the RHS (no sources).
     boundary_rhs: Vec<f64>,
     boundary_faces: Vec<BoundaryFace>,
-    /// Power of blocks without a group, applied at scale 1 on every solve.
-    static_power: Vec<f64>,
-    /// `(group, per-cell power at the design's reference block powers)`,
-    /// sorted by group name.
-    group_power: Vec<(String, Vec<f64>)>,
+    powers: Powers,
     /// Painted per-cell conductivity — the geometry/material fingerprint
     /// [`SolveContext::adopt_design`] validates against, since the matrix
     /// is exactly a function of it (plus the fixed mesh and boundaries).
+    /// Empty on a transient stepper's engine, which never adopts a design.
     conductivity: Vec<f64>,
     /// Boundary conditions at construction, also validated on adoption.
     boundaries: crate::BoundarySet,
@@ -227,9 +274,9 @@ impl SolveContext {
     }
 
     /// Like [`SolveContext::new`] but with an explicit preconditioner
-    /// choice, skipping the size-based default entirely (benches and
-    /// ablations use this to avoid paying for a factorization they are
-    /// about to replace).
+    /// choice, skipping the size-based default entirely: the engine leads
+    /// with `kind`, and a `kind` that cannot build is an error rather than
+    /// a silent fall-back to a weaker rung.
     ///
     /// # Errors
     ///
@@ -241,7 +288,7 @@ impl SolveContext {
         kind: PreconditionerKind,
     ) -> Result<Self, ThermalError> {
         let mesh = Mesh::build(design, spec)?;
-        Self::on_mesh_with(design, mesh, kind)
+        crate::EngineBlueprint::on_mesh(design, mesh).with_kind(kind).build()
     }
 
     /// Builds the engine on an already-built mesh (lets sweeps share one).
@@ -253,24 +300,9 @@ impl SolveContext {
         crate::EngineBlueprint::on_mesh(design, mesh).build()
     }
 
-    /// [`SolveContext::on_mesh`] with an explicit preconditioner choice.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SolveContext::new_preconditioned`], minus the
-    /// meshing errors.
-    pub fn on_mesh_with(
-        design: &Design,
-        mesh: Mesh,
-        kind: PreconditionerKind,
-    ) -> Result<Self, ThermalError> {
-        crate::EngineBlueprint::on_mesh(design, mesh).with_kind(kind).build()
-    }
-
     /// Final assembly step of the blueprint pipeline: wraps the expensive
-    /// operator-derived parts — produced either by a fresh
-    /// [`EngineBlueprint::build`](crate::EngineBlueprint::build) or a
-    /// zero-factorization
+    /// operator-derived parts — produced either by the fresh assembly
+    /// site (steady or transient) or a zero-factorization
     /// [`EngineBlueprint::restore`](crate::EngineBlueprint::restore) —
     /// with the per-engine solve state (options, warm-start field, scratch
     /// workspaces).
@@ -281,13 +313,12 @@ impl SolveContext {
             matrix: parts.matrix,
             boundary_rhs: parts.boundary_rhs,
             boundary_faces: parts.boundary_faces,
-            static_power: parts.static_power,
-            group_power: parts.group_power,
+            powers: parts.powers,
             conductivity: parts.conductivity,
             boundaries: parts.boundaries,
             ladder: parts.ladder,
             health: SolveHealth::default(),
-            options: SolveOptions { tolerance: 1e-9, max_iterations: 50_000 },
+            options: ENGINE_OPTIONS,
             temps: vec![0.0; n],
             rhs: vec![0.0; n],
             ws: CgWorkspace::with_capacity(n),
@@ -302,7 +333,7 @@ impl SolveContext {
         &self.boundary_rhs
     }
 
-    /// The boundary faces the transient stepper and artifact codec read.
+    /// The boundary faces the artifact codec reads.
     pub(crate) fn boundary_faces_ref(&self) -> &[BoundaryFace] {
         &self.boundary_faces
     }
@@ -362,9 +393,7 @@ impl SolveContext {
                     .into(),
             });
         }
-        let (static_power, group_power) = paint_design(new_design, &self.mesh)?;
-        self.static_power = static_power;
-        self.group_power = group_power;
+        self.powers = paint_design(new_design, &self.mesh)?;
         Ok(())
     }
 
@@ -381,17 +410,12 @@ impl SolveContext {
         self.options = options;
     }
 
-    /// Re-factors with a different preconditioner (builder style; benches
-    /// use this to ablate Jacobi vs IC(0) vs multigrid on identical
-    /// systems).
-    ///
-    /// # Errors
-    ///
-    /// Propagates factorization failures for the requested kind.
-    pub fn with_preconditioner(mut self, kind: PreconditionerKind) -> Result<Self, ThermalError> {
-        self.ladder = SolveLadder::new(&self.matrix, &escalation_chain(kind), true)
-            .map_err(ThermalError::from)?;
-        Ok(self)
+    /// Replaces the ladder with a strict one leading with `kind`, factored
+    /// on the engine's operator — how a transient stepper swaps its
+    /// preconditioner.
+    pub(crate) fn refactor(&mut self, kind: PreconditionerKind) -> Result<(), ThermalError> {
+        self.ladder = SolveLadder::new(&self.matrix, &escalation_chain(kind), true)?;
+        Ok(())
     }
 
     /// The assembled conduction operator. Shared, not owned: the same
@@ -415,9 +439,9 @@ impl SolveContext {
     }
 
     /// Replaces the engine's telemetry sink. The [`SolveLadder`] owns the
-    /// handle, so rung attempts, escalations and the engine's own
-    /// `steady_solve` spans all record through the same buffer. Engines
-    /// default to [`vcsel_telemetry::global`]; tests inject private sinks.
+    /// handle, so rung attempts, escalations and the engine's own solve
+    /// spans all record through the same buffer. Engines default to
+    /// [`vcsel_telemetry::global`]; tests inject private sinks.
     pub fn set_telemetry(&mut self, sink: TelemetrySink) {
         self.ladder.set_telemetry(sink);
     }
@@ -454,13 +478,13 @@ impl SolveContext {
 
     /// The controllable group names, sorted.
     pub fn groups(&self) -> Vec<&str> {
-        self.group_power.iter().map(|(g, _)| g.as_str()).collect()
+        self.powers.groups.keys().map(String::as_str).collect()
     }
 
     /// Total reference power of a group in watts (the sum of its painted
     /// per-cell sources at scale 1), or `None` for an unknown group.
     pub fn group_reference_power(&self, group: &str) -> Option<f64> {
-        self.group_power.iter().find(|(g, _)| g == group).map(|(_, q)| q.iter().sum::<f64>())
+        self.powers.groups.get(group).map(|q| q.total)
     }
 
     /// CG iterations of the most recent solve.
@@ -485,6 +509,17 @@ impl SolveContext {
         self.temps.fill(0.0);
     }
 
+    /// Sets every cell of the field — the next solve's warm start — to
+    /// `value` (a transient stepper's uniform initial condition).
+    pub(crate) fn fill_field(&mut self, value: f64) {
+        self.temps.fill(value);
+    }
+
+    /// The current field: the last solution, or the initial guess.
+    pub(crate) fn field(&self) -> &[f64] {
+        &self.temps
+    }
+
     /// Solves with every group at its reference power — the design exactly
     /// as constructed.
     ///
@@ -492,7 +527,7 @@ impl SolveContext {
     ///
     /// Propagates solver failures ([`ThermalError::Solver`]).
     pub fn solve(&mut self) -> Result<ThermalMap, ThermalError> {
-        let injected = self.solve_field_with_default(&[], 1.0)?;
+        let injected = self.solve_field("steady_solve", &[], 1.0, None)?;
         Ok(self.snapshot(injected))
     }
 
@@ -505,9 +540,10 @@ impl SolveContext {
     ///
     /// [`ThermalError::UnknownGroup`] for an unknown name,
     /// [`ThermalError::BadParameter`] for a negative or non-finite scale
-    /// or a group named twice, plus solver failures.
+    /// or a group named twice, plus solver failures. After a solver
+    /// failure the field keeps its pre-solve value.
     pub fn solve_scaled(&mut self, scales: &[(&str, f64)]) -> Result<ThermalMap, ThermalError> {
-        let injected = self.solve_field(scales)?;
+        let injected = self.solve_field("steady_solve", scales, 0.0, None)?;
         Ok(self.snapshot(injected))
     }
 
@@ -531,9 +567,9 @@ impl SolveContext {
     /// painting identically. [`SolveContext::health`] describes the whole
     /// batch afterwards.
     ///
-    /// The warm-start field after a batch is the last successful column,
+    /// The warm-start field after a batch is the last converged column,
     /// exactly where a sequential sweep of the same paintings would have
-    /// left it.
+    /// left it; when no column converges it keeps its pre-solve value.
     ///
     /// # Errors
     ///
@@ -584,94 +620,21 @@ impl SolveContext {
         paintings: &[&[(&str, f64)]],
     ) -> Result<Vec<Result<ThermalMap, ThermalError>>, ThermalError> {
         let n = self.temps.len();
-        // Pre-fill every slot; each is overwritten exactly once below.
-        let mut results: Vec<Result<ThermalMap, ThermalError>> = paintings
-            .iter()
-            .map(|_| {
-                Err(ThermalError::BadParameter {
-                    reason: "batched solve did not reach this painting".into(),
+        let mut block = Vec::new();
+        let slots = self.solve_columns("batch_solve", paintings, 0.0, None, Some(&mut block))?;
+        Ok(slots
+            .into_iter()
+            .map(|slot| {
+                slot.map(|(injected, column)| {
+                    ThermalMap::new(
+                        self.mesh.clone(),
+                        block[column * n..(column + 1) * n].to_vec(),
+                        self.boundary_faces.clone(),
+                        injected,
+                    )
                 })
             })
-            .collect();
-        // Validate and paint every right-hand side up front, back to back
-        // into one column-major block; a poisoned painting fails its own
-        // slot and drops out of the block.
-        let mut b: Vec<f64> = Vec::with_capacity(paintings.len() * n);
-        let mut injected: Vec<f64> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
-        for (slot, scales) in paintings.iter().enumerate() {
-            let start = b.len();
-            b.resize(start + n, 0.0);
-            match paint_rhs(
-                &self.boundary_rhs,
-                &self.static_power,
-                &self.group_power,
-                scales,
-                0.0,
-                &mut b[start..],
-            ) {
-                Ok(w) => {
-                    injected.push(w);
-                    slots.push(slot);
-                }
-                Err(e) => {
-                    b.truncate(start);
-                    results[slot] = Err(e);
-                }
-            }
-        }
-        if slots.is_empty() {
-            return Ok(results);
-        }
-
-        let mut x = self.temps.repeat(slots.len());
-        let sink = self.ladder.telemetry().clone();
-        let start_ns = vcsel_telemetry::now_ns();
-        let timer = std::time::Instant::now();
-        let summary = {
-            let mut span = sink.span("thermal", "batch_solve");
-            span.arg("unknowns", ArgValue::U64(n as u64));
-            span.arg("points", ArgValue::U64(paintings.len() as u64));
-            span.arg("columns", ArgValue::U64(slots.len() as u64));
-            self.ladder.solve(&self.matrix, &b, &mut x, &self.options, &mut self.ws)?
-        };
-        if sink.is_enabled() {
-            let mut sample = self.ladder.telemetry_sample(&summary, &self.ws);
-            sample.label = String::from("batch_solve");
-            sample.cat = "thermal";
-            sample.start_ns = start_ns;
-            sample.dur_ns = u64::try_from(timer.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            sink.record_sample(sample);
-        }
-        self.last_iterations = summary.iterations;
-        self.total_iterations += summary.total_iterations;
-        self.health = SolveHealth::from_ladder(summary, self.ladder.attempts());
-
-        // Snapshot the converged columns; the last one becomes the next
-        // warm start, exactly where a sequential sweep would have parked.
-        let failed = self.ladder.unconverged_columns();
-        let mut last_good = None;
-        for (c, column) in x.chunks_exact(n).enumerate() {
-            results[slots[c]] = if failed.contains(&c) {
-                Err(ThermalError::Solver(NumericsError::NoConvergence {
-                    iterations: summary.iterations,
-                    residual: summary.residual,
-                    tolerance: self.options.tolerance,
-                }))
-            } else {
-                last_good = Some(column);
-                Ok(ThermalMap::new(
-                    self.mesh.clone(),
-                    column.to_vec(),
-                    self.boundary_faces.clone(),
-                    injected[c],
-                ))
-            };
-        }
-        if let Some(column) = last_good {
-            self.temps.copy_from_slice(column);
-        }
-        Ok(results)
+            .collect())
     }
 
     /// Solves like [`SolveContext::solve_scaled`] but returns only the
@@ -696,49 +659,98 @@ impl SolveContext {
                 })
             })
             .collect::<Result<_, _>>()?;
-        self.solve_field(scales)?;
+        self.solve_field("steady_solve", scales, 0.0, None)?;
         Ok(cells.into_iter().map(|c| Celsius::new(self.temps[c])).collect())
     }
 
-    /// Builds the RHS for `scales` into the held buffer and runs one
-    /// warm-started CG solve; returns the injected power in watts.
-    fn solve_field(&mut self, scales: &[(&str, f64)]) -> Result<f64, ThermalError> {
-        self.solve_field_with_default(scales, 0.0)
-    }
-
-    /// Like [`Self::solve_field`] but groups omitted from `scales` run at
-    /// `default_scale` (1.0 reproduces the design as constructed).
-    fn solve_field_with_default(
+    /// Solves one painting in place in the held right-hand side and field
+    /// (see [`SolveContext::solve_columns`]); returns the injected power in
+    /// watts.
+    pub(crate) fn solve_field(
         &mut self,
+        span: &'static str,
         scales: &[(&str, f64)],
         default_scale: f64,
+        capacity_over_dt: Option<&[f64]>,
     ) -> Result<f64, ThermalError> {
+        // One painting in, one slot out.
+        let slot = self
+            .solve_columns(span, &[scales], default_scale, capacity_over_dt, None)?
+            .swap_remove(0);
+        slot.map(|(injected, _)| injected)
+    }
+
+    /// The one solve path. Paints every painting through
+    /// [`Powers::paint`] (groups a painting omits run at `default_scale`;
+    /// a transient step passes its `C/Δt` as `capacity_over_dt`, which
+    /// adds `C/Δt·Tₙ` with `Tₙ` the current field), solves the painted
+    /// columns in one traced [`SolveLadder::solve`] call under `span`,
+    /// records the telemetry sample, the iteration counters and
+    /// [`SolveHealth`], and applies the one failure rule: the field becomes
+    /// the last converged column, else keeps its pre-solve value.
+    ///
+    /// Without `block` the one painting solves in place in the held
+    /// right-hand side and field. With `block` the paintings solve as one
+    /// per-call column block, each column starting from the field, and
+    /// `block` receives the solved columns. Returns one slot per painting:
+    /// its injected power in watts and its column in the block, or why it
+    /// failed — the painting checks, or no rung converged its column.
+    fn solve_columns(
+        &mut self,
+        span: &'static str,
+        paintings: &[&[(&str, f64)]],
+        default_scale: f64,
+        capacity_over_dt: Option<&[f64]>,
+        mut block: Option<&mut Vec<f64>>,
+    ) -> Result<Vec<Slot>, ThermalError> {
         let n = self.temps.len();
-        let injected = paint_rhs(
-            &self.boundary_rhs,
-            &self.static_power,
-            &self.group_power,
-            scales,
-            default_scale,
-            &mut self.rhs,
-        )?;
+        // A poisoned painting fails its own slot and drops out of the block.
+        let mut painted = Vec::with_capacity(if block.is_some() { paintings.len() * n } else { 0 });
+        let mut slots = Vec::with_capacity(paintings.len());
+        let mut k = 0;
+        for scales in paintings {
+            let start = painted.len();
+            let rhs = if block.is_some() {
+                painted.resize(start + n, 0.0);
+                &mut painted[start..]
+            } else {
+                &mut self.rhs[..]
+            };
+            let carry = capacity_over_dt.map(|c| (c, &self.temps[..]));
+            match self.powers.paint(&self.boundary_rhs, scales, default_scale, carry, rhs) {
+                Ok(injected) => {
+                    slots.push(Ok((injected, k)));
+                    k += 1;
+                }
+                Err(e) => {
+                    painted.truncate(start);
+                    slots.push(Err(e));
+                }
+            }
+        }
+        if k == 0 {
+            return Ok(slots);
+        }
+
+        let (b, x): (&[f64], &mut [f64]) = match block.as_deref_mut() {
+            Some(x) => {
+                *x = self.temps.repeat(k);
+                (&painted[..], &mut x[..])
+            }
+            None => (&self.rhs, &mut self.temps),
+        };
         let sink = self.ladder.telemetry().clone();
         let start_ns = vcsel_telemetry::now_ns();
         let timer = std::time::Instant::now();
         let summary = {
-            let mut span = sink.span("thermal", "steady_solve");
-            span.arg("unknowns", ArgValue::U64(n as u64));
-            self.ladder.solve(
-                &self.matrix,
-                &self.rhs,
-                &mut self.temps,
-                &self.options,
-                &mut self.ws,
-            )?
+            let mut guard = sink.span("thermal", span);
+            guard.arg("unknowns", ArgValue::U64(n as u64));
+            guard.arg("columns", ArgValue::U64(k as u64));
+            self.ladder.solve(&self.matrix, b, x, &self.options, &mut self.ws)?
         };
         if sink.is_enabled() {
             let mut sample = self.ladder.telemetry_sample(&summary, &self.ws);
-            sample.label = String::from("steady_solve");
+            sample.label = String::from(span);
             sample.cat = "thermal";
             sample.start_ns = start_ns;
             sample.dur_ns = u64::try_from(timer.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -747,20 +759,35 @@ impl SolveContext {
         self.last_iterations = summary.iterations;
         self.total_iterations += summary.total_iterations;
         self.health = SolveHealth::from_ladder(summary, self.ladder.attempts());
-        if !summary.converged {
-            // The field buffer holds the failed rung's final iterate —
-            // poison both as an answer and as the next warm start.
-            self.reset_guess();
-            return Err(ThermalError::Solver(NumericsError::NoConvergence {
-                iterations: summary.iterations,
-                residual: summary.residual,
-                tolerance: self.options.tolerance,
-            }));
+
+        let failed = self.ladder.unconverged_columns();
+        let mut last_good = None;
+        for slot in &mut slots {
+            if let Ok((_, column)) = *slot {
+                if failed.contains(&column) {
+                    *slot = Err(ThermalError::Solver(NumericsError::NoConvergence {
+                        iterations: summary.iterations,
+                        residual: summary.residual,
+                        tolerance: self.options.tolerance,
+                    }));
+                } else {
+                    last_good = Some(column);
+                }
+            }
         }
-        Ok(injected)
+        // The one failure rule. In place, a converged column already is
+        // the field and a failed one holds the failed rung's iterate; a
+        // block never wrote the field.
+        match (block, last_good) {
+            (None, None) => self.temps.copy_from_slice(self.ladder.saved_guess()),
+            (Some(x), Some(c)) => self.temps.copy_from_slice(&x[c * n..(c + 1) * n]),
+            _ => {}
+        }
+        Ok(slots)
     }
 
-    fn snapshot(&self, injected: f64) -> ThermalMap {
+    /// A [`ThermalMap`] of the current field, reporting `injected` watts.
+    pub(crate) fn snapshot(&self, injected: f64) -> ThermalMap {
         ThermalMap::new(
             self.mesh.clone(),
             self.temps.clone(),
@@ -872,10 +899,8 @@ mod tests {
     fn preconditioner_choice_changes_iterations_not_answers() {
         let (design, spec) = grouped_slab();
         let mut ic = SolveContext::new(&design, &spec).unwrap();
-        let mut jac = SolveContext::new(&design, &spec)
-            .unwrap()
-            .with_preconditioner(PreconditionerKind::Jacobi)
-            .unwrap();
+        let mut jac =
+            SolveContext::new_preconditioned(&design, &spec, PreconditionerKind::Jacobi).unwrap();
         assert_eq!(ic.preconditioner_name(), "ic0");
         assert_eq!(jac.preconditioner_name(), "jacobi");
         let a = ic.solve().unwrap();
@@ -905,9 +930,9 @@ mod tests {
     #[test]
     fn explicit_preconditioner_choice_propagates_factorization_failures() {
         // The defensive Jacobi downgrade belongs to the *default* engines
-        // only: an explicitly requested kind that cannot build must error
-        // (same contract as with_preconditioner), never silently run a
-        // different preconditioner under the requested label.
+        // only: an explicitly requested kind that cannot build must error,
+        // never silently run a different preconditioner under the
+        // requested label.
         let (design, spec) = grouped_slab();
         let bad = PreconditionerKind::Multigrid {
             config: vcsel_numerics::MultigridConfig {
@@ -992,12 +1017,12 @@ mod tests {
     fn multigrid_engine_agrees_with_ic0_on_the_slab() {
         let (design, spec) = grouped_slab();
         let mut ic0 = SolveContext::new(&design, &spec).unwrap();
-        let mut mg = SolveContext::new(&design, &spec)
-            .unwrap()
-            .with_preconditioner(PreconditionerKind::Multigrid {
-                config: vcsel_numerics::MultigridConfig::default(),
-            })
-            .unwrap();
+        let mut mg = SolveContext::new_preconditioned(
+            &design,
+            &spec,
+            PreconditionerKind::Multigrid { config: vcsel_numerics::MultigridConfig::default() },
+        )
+        .unwrap();
         assert_eq!(mg.preconditioner_name(), "multigrid");
         let a = ic0.solve().unwrap();
         let b = mg.solve().unwrap();
@@ -1033,6 +1058,38 @@ mod tests {
         // sequential sweep would, so a repeat of the last point is free.
         batched.solve_scaled(&[("src", 2.5)]).unwrap();
         assert_eq!(batched.last_iterations(), 0);
+    }
+
+    #[test]
+    fn failed_solves_keep_the_field_they_started_from() {
+        // The one failure rule on both layouts: a solve no rung converges
+        // leaves the field at its pre-solve value. A strict Jacobi engine
+        // has no rung to escalate to, so a starved cap fails outright.
+        let (design, spec) = grouped_slab();
+        let mut ctx =
+            SolveContext::new_preconditioned(&design, &spec, PreconditionerKind::Jacobi).unwrap();
+        let p: &[(&str, f64)] = &[("src", 1.0)];
+        let other: &[(&str, f64)] = &[("src", 2.0)];
+        ctx.solve_scaled(p).unwrap();
+        assert!(ctx.last_iterations() > 0);
+        let healthy = ctx.options;
+        let starved = SolveOptions { max_iterations: 2, ..healthy };
+
+        // In place (the held right-hand side and field).
+        ctx.set_options(starved);
+        assert!(matches!(ctx.solve_scaled(other), Err(ThermalError::Solver(_))));
+        assert!(!ctx.health().converged);
+        ctx.set_options(healthy);
+        ctx.solve_scaled(p).unwrap();
+        assert_eq!(ctx.last_iterations(), 0, "the field must still hold P's solution");
+
+        // A one-painting batch slot.
+        ctx.set_options(starved);
+        let slot = ctx.solve_batch(&[other]).unwrap().remove(0);
+        assert!(matches!(slot, Err(ThermalError::Solver(_))));
+        ctx.set_options(healthy);
+        ctx.solve_scaled(p).unwrap();
+        assert_eq!(ctx.last_iterations(), 0, "the field must still hold P's solution");
     }
 
     #[test]

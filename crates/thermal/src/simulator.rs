@@ -48,9 +48,10 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Simulator with default solver options (CG, 1e-9 relative residual).
+    /// Simulator with the engines' default solver options (CG, 1e-9
+    /// relative residual within 50 000 iterations).
     pub fn new() -> Self {
-        Self { options: SolveOptions { tolerance: 1e-9, max_iterations: 50_000 } }
+        Self { options: crate::context::ENGINE_OPTIONS }
     }
 
     /// Overrides the linear-solver options (builder style).

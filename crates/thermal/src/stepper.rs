@@ -17,30 +17,32 @@
 //! (C/Δt + A) · T_{n+1} = (C/Δt) · T_n + b
 //! ```
 //!
-//! [`TransientStepper`] assembles the conduction matrix, capacity and
-//! boundary terms once; each [`TransientStepper::step`] takes a set of
-//! power-group scale factors (relative to the design's reference powers,
-//! exactly like [`ResponseBasis::compose`](crate::ResponseBasis::compose))
-//! and advances the field by one Δt.
+//! A [`TransientStepper`] is the steady engine, [`SolveContext`], over
+//! `A + C/Δt`: it is built at the same assembly-and-painting site as every
+//! steady engine, which also paints `C/Δt` and merges it onto the
+//! diagonal, and it adds only what a stepper needs — `C/Δt`, `Δt` and the
+//! step count. Each [`TransientStepper::step`] takes a set of power-group
+//! scale factors (relative to the design's reference powers, exactly like
+//! [`ResponseBasis::compose`](crate::ResponseBasis::compose)) and makes
+//! one one-column solve of that engine, whose right-hand side carries
+//! `C/Δt·Tₙ` after boundary + static power.
 //!
 //! The `A + C/Δt` system is SPD and constant, so [`TransientStepper::new`]
 //! factors its IC(0) preconditioner exactly once; every step runs through
-//! the self-healing [`SolveLadder`], reuses that factorization, a held
-//! right-hand-side buffer and CG workspace (zero per-step allocations) and
-//! warm-starts from the current field.
+//! the engine's self-healing [`SolveLadder`](vcsel_numerics::SolveLadder),
+//! reuses that factorization, its held right-hand-side buffer and CG
+//! workspace, and warm-starts from the current field. A step no rung
+//! converges leaves the field at `Tₙ` and does not advance time.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use vcsel_numerics::solver::{CgWorkspace, SolveOptions};
-use vcsel_numerics::{CsrMatrix, NumericsError, PreconditionerKind, SolveLadder, TripletBuilder};
-use vcsel_telemetry::{ArgValue, TelemetrySink};
+use vcsel_numerics::solver::SolveOptions;
+use vcsel_numerics::PreconditionerKind;
+use vcsel_telemetry::TelemetrySink;
 use vcsel_units::{Celsius, Meters};
 
-use crate::assembly::{self, BoundaryFace};
-use crate::context::{escalation_chain, paint_design};
-use crate::schedule::check_scales;
-use crate::{Design, Mesh, MeshSpec, PowerSchedule, SolveHealth, ThermalError, ThermalMap};
+use crate::blueprint::assemble_engine;
+use crate::{
+    Design, Mesh, MeshSpec, PowerSchedule, SolveContext, SolveHealth, ThermalError, ThermalMap,
+};
 
 /// A backward-Euler integrator whose group powers can change every step.
 ///
@@ -60,49 +62,12 @@ use crate::{Design, Mesh, MeshSpec, PowerSchedule, SolveHealth, ThermalError, Th
 /// ```
 #[derive(Debug, Clone)]
 pub struct TransientStepper {
-    mesh: Mesh,
-    /// `A + C/Δt` (SPD), shared with the ladder's operator-holding rungs.
-    system: Arc<CsrMatrix>,
-    /// Boundary-condition contribution to the RHS (no sources).
-    boundary_rhs: Vec<f64>,
-    /// Power of blocks without a group, applied at scale 1 every step.
-    static_power: Vec<f64>,
-    /// Per-group per-cell power at the design's reference block powers.
-    group_power: BTreeMap<String, Vec<f64>>,
+    /// The engine over `A + C/Δt`; its field is `Tₙ`.
+    engine: SolveContext,
     /// Per-cell heat capacity over Δt, J/(K·s) · s⁻¹ = W/K.
     capacity_over_dt: Vec<f64>,
-    boundary_faces: Vec<BoundaryFace>,
-    temps: Vec<f64>,
     dt_s: f64,
     steps: usize,
-    options: SolveOptions,
-    /// Escalating preconditioner chain, IC(0) → Jacobi by default. The
-    /// active rung is factored once in [`TransientStepper::new`]; the
-    /// `A + C/Δt` matrix never changes, so it serves every step.
-    ladder: SolveLadder,
-    /// Health report of the most recent step's solve.
-    health: SolveHealth,
-    /// Reusable right-hand-side buffer (no per-step allocation).
-    rhs: Vec<f64>,
-    ws: CgWorkspace,
-    warm_start: bool,
-    last_iterations: usize,
-    total_iterations: usize,
-}
-
-/// Paints the per-cell heat capacity `ρ·c_p·V` in J/K.
-fn paint_capacity(design: &Design, mesh: &Mesh) -> Vec<f64> {
-    let mut c = vec![design.background().volumetric_heat_capacity(); mesh.cell_count()];
-    for block in design.blocks() {
-        let cb = block.material().volumetric_heat_capacity();
-        for idx in mesh.cells_in(block.region()) {
-            c[idx] = cb;
-        }
-    }
-    for (idx, cap) in c.iter_mut().enumerate() {
-        *cap *= mesh.cell_volume(idx);
-    }
-    c
 }
 
 impl TransientStepper {
@@ -129,101 +94,53 @@ impl TransientStepper {
             });
         }
         let mesh = Mesh::build(design, spec)?;
-
-        // Zero-power clone: assembling it yields the conduction matrix and
-        // the pure boundary RHS.
-        let mut hollow = design.clone();
-        for b in hollow.blocks_mut() {
-            b.set_power(vcsel_units::Watts::ZERO);
-        }
-        let disc = assembly::assemble(&hollow, &mesh)?;
-        let (static_power, group_power) = paint_design(design, &mesh)?;
-
-        let n = mesh.cell_count();
-        let mut capacity_over_dt = paint_capacity(design, &mesh);
-        for c_dt in &mut capacity_over_dt {
-            *c_dt /= dt_s;
-        }
-        // A + C/Δt as a row-wise merge of the diagonal into A: no second
-        // sort of A's entries, and the same bits as adding them one by one.
-        let mut diagonal = TripletBuilder::with_capacity(n, n, n);
-        for (row, &c_dt) in capacity_over_dt.iter().enumerate() {
-            diagonal.add(row, row, c_dt);
-        }
-        let system = Arc::new(disc.matrix.add_scaled(&diagonal.build(), 1.0)?);
-        let ladder = SolveLadder::new(
-            &system,
-            &escalation_chain(PreconditionerKind::IncompleteCholesky),
-            false,
-        )
-        .map_err(ThermalError::from)?;
-        Ok(Self {
-            system,
-            boundary_rhs: disc.rhs,
-            static_power,
-            group_power: group_power.into_iter().collect(),
-            capacity_over_dt,
-            boundary_faces: disc.boundary_faces,
-            temps: vec![initial.value(); n],
+        let (mut engine, capacity_over_dt) = assemble_engine(
+            design,
             mesh,
-            dt_s,
-            steps: 0,
-            options: SolveOptions { tolerance: 1e-9, max_iterations: 50_000 },
-            ladder,
-            health: SolveHealth::default(),
-            rhs: vec![0.0; n],
-            ws: CgWorkspace::with_capacity(n),
-            warm_start: true,
-            last_iterations: 0,
-            total_iterations: 0,
-        })
+            PreconditionerKind::IncompleteCholesky,
+            false,
+            Some(dt_s),
+            Vec::new(),
+        )?;
+        engine.fill_field(initial.value());
+        Ok(Self { engine, capacity_over_dt, dt_s, steps: 0 })
     }
 
     /// Overrides the per-step linear-solver options (builder style).
     #[must_use]
     pub fn with_options(mut self, options: SolveOptions) -> Self {
-        self.options = options;
+        self.engine.set_options(options);
         self
     }
 
-    /// Re-factors the per-step preconditioner (builder style). The default
-    /// is IC(0); benches use this to reproduce the seed-era Jacobi path on
-    /// an otherwise identical stepper.
+    /// Re-factors the per-step preconditioner (builder style): the engine
+    /// then leads with `kind` alone, without the default IC(0) → Jacobi
+    /// fall-back.
     ///
     /// # Errors
     ///
     /// Propagates factorization failures for the requested kind.
     pub fn with_preconditioner(mut self, kind: PreconditionerKind) -> Result<Self, ThermalError> {
-        self.ladder = SolveLadder::new(&self.system, &escalation_chain(kind), true)
-            .map_err(ThermalError::from)?;
+        self.engine.refactor(kind)?;
         Ok(self)
-    }
-
-    /// Enables/disables warm-starting each step's CG from the current
-    /// field (builder style). On by default; disabling reproduces the
-    /// seed-era cold-start behaviour for ablation benches.
-    #[must_use]
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
     }
 
     /// The controllable group names, sorted.
     pub fn groups(&self) -> Vec<&str> {
-        self.group_power.keys().map(String::as_str).collect()
+        self.engine.groups()
     }
 
     /// Health report of the most recent step's solve: ladder attempts,
     /// escalations, and whether the answer is degraded.
     pub fn health(&self) -> &SolveHealth {
-        &self.health
+        self.engine.health()
     }
 
-    /// Replaces the stepper's telemetry sink. The [`SolveLadder`] owns the
+    /// Replaces the stepper's telemetry sink. The engine's ladder owns the
     /// handle, so rung attempts, escalations and the per-step
     /// `transient_step` spans all record through the same buffer.
     pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.ladder.set_telemetry(sink);
+        self.engine.set_telemetry(sink);
     }
 
     /// Builder form of [`TransientStepper::set_telemetry`].
@@ -235,14 +152,14 @@ impl TransientStepper {
 
     /// The stepper's telemetry sink (disabled unless tracing is on).
     pub fn telemetry(&self) -> &TelemetrySink {
-        self.ladder.telemetry()
+        self.engine.telemetry()
     }
 
     /// Corrupts the active preconditioner's apply until the next ladder
     /// escalation (fault-injection hook; the next step genuinely stalls on
     /// the corrupted rung and recovers on the one below it).
     pub fn inject_solver_fault(&mut self) {
-        self.ladder.inject_apply_fault();
+        self.engine.inject_solver_fault();
     }
 
     /// Elapsed simulated time, seconds.
@@ -257,12 +174,12 @@ impl TransientStepper {
 
     /// CG iterations of the most recent step.
     pub fn last_iterations(&self) -> usize {
-        self.last_iterations
+        self.engine.last_iterations()
     }
 
     /// CG iterations summed over every step so far.
     pub fn total_iterations(&self) -> usize {
-        self.total_iterations
+        self.engine.total_iterations()
     }
 
     /// Advances one Δt with each named group at `scale ×` its reference
@@ -273,67 +190,10 @@ impl TransientStepper {
     ///
     /// Returns [`ThermalError::UnknownGroup`] for an unknown group and
     /// [`ThermalError::BadParameter`] for a negative or non-finite scale or
-    /// a group named twice; propagates solver failures.
+    /// a group named twice; propagates solver failures. A failed step
+    /// leaves the field at `Tₙ` and does not advance time.
     pub fn step(&mut self, scales: &[(&str, f64)]) -> Result<(), ThermalError> {
-        check_scales(scales, |name| self.group_power.contains_key(name))?;
-        for (i, r) in self.rhs.iter_mut().enumerate() {
-            *r = self.boundary_rhs[i]
-                + self.static_power[i]
-                + self.capacity_over_dt[i] * self.temps[i];
-        }
-        for &(name, s) in scales {
-            if s == 0.0 {
-                continue;
-            }
-            let q = &self.group_power[name];
-            for (ri, qi) in self.rhs.iter_mut().zip(q) {
-                *ri += s * qi;
-            }
-        }
-        // The RHS above already consumed T_n, so the field buffer is free
-        // to become the solver's in/out vector: left as-is it warm-starts
-        // from T_n, zeroed it reproduces the cold-start seed behaviour.
-        if !self.warm_start {
-            self.temps.fill(0.0);
-        }
-        let sink = self.ladder.telemetry().clone();
-        let start_ns = vcsel_telemetry::now_ns();
-        let timer = std::time::Instant::now();
-        let summary = {
-            let mut span = sink.span("thermal", "transient_step");
-            span.arg("step", ArgValue::U64(self.steps as u64));
-            span.arg("unknowns", ArgValue::U64(self.temps.len() as u64));
-            self.ladder.solve(
-                &self.system,
-                &self.rhs,
-                &mut self.temps,
-                &self.options,
-                &mut self.ws,
-            )?
-        };
-        if sink.is_enabled() {
-            let mut sample = self.ladder.telemetry_sample(&summary, &self.ws);
-            sample.label = format!("transient_step/{}", self.steps);
-            sample.cat = "thermal";
-            sample.start_ns = start_ns;
-            sample.dur_ns = u64::try_from(timer.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            sink.record_sample(sample);
-        }
-        self.last_iterations = summary.iterations;
-        self.total_iterations += summary.total_iterations;
-        self.health = SolveHealth::from_ladder(summary, self.ladder.attempts());
-        if !summary.converged {
-            // Roll the field back to the pre-solve guess (the previous
-            // field under warm starts, the default) and refuse to advance:
-            // a failed step must never smuggle a bad iterate into the
-            // trajectory.
-            self.temps.copy_from_slice(self.ladder.saved_guess());
-            return Err(ThermalError::Solver(NumericsError::NoConvergence {
-                iterations: summary.iterations,
-                residual: summary.residual,
-                tolerance: self.options.tolerance,
-            }));
-        }
+        self.engine.solve_field("transient_step", scales, 0.0, Some(&self.capacity_over_dt))?;
         self.steps += 1;
         Ok(())
     }
@@ -363,13 +223,13 @@ impl TransientStepper {
     /// Temperature of the cell containing `point`, or `None` outside the
     /// domain.
     pub fn temperature_at(&self, point: [Meters; 3]) -> Option<Celsius> {
-        self.mesh.locate(point).map(|i| Celsius::new(self.temps[i]))
+        self.engine.mesh().locate(point).map(|i| Celsius::new(self.engine.field()[i]))
     }
 
     /// A [`ThermalMap`] snapshot of the current field (clones the mesh and
     /// field; injected power is reported as 0 since it varies per step).
     pub fn snapshot(&self) -> ThermalMap {
-        ThermalMap::new(self.mesh.clone(), self.temps.clone(), self.boundary_faces.clone(), 0.0)
+        self.engine.snapshot(0.0)
     }
 }
 
@@ -527,32 +387,35 @@ mod tests {
     }
 
     #[test]
-    fn warm_ic0_engine_beats_cold_jacobi_and_agrees() {
-        // The seed-era path (cold-start Jacobi-CG every step) and the new
-        // engine (IC(0) factored once + warm starts) must produce the same
-        // trajectory while the engine spends far fewer iterations.
-        let (design, spec) = grouped_slab();
+    fn ic0_stepper_beats_jacobi_and_agrees() {
+        // Both steppers warm-start every step from the same field; the
+        // default IC(0) engine must follow the Jacobi one's trajectory
+        // while spending at most half its iterations. The slab runs at
+        // 0.125 mm (9 216 cells): on the 192-cell 0.5 mm mesh the
+        // operator is so diagonally dominant that warm Jacobi needs only
+        // 1.9x IC(0)'s iterations (475 vs 251).
+        let (design, _) = grouped_slab();
+        let spec = MeshSpec::uniform(mm(0.125));
         let probe = [mm(2.0), mm(2.0), mm(0.1)];
-        let mut seed = TransientStepper::new(&design, &spec, Celsius::new(40.0), 5e-3)
+        let mut jacobi = TransientStepper::new(&design, &spec, Celsius::new(40.0), 5e-3)
             .unwrap()
             .with_preconditioner(PreconditionerKind::Jacobi)
-            .unwrap()
-            .with_warm_start(false);
-        let mut engine = TransientStepper::new(&design, &spec, Celsius::new(40.0), 5e-3).unwrap();
+            .unwrap();
+        let mut ic0 = TransientStepper::new(&design, &spec, Celsius::new(40.0), 5e-3).unwrap();
         for _ in 0..25 {
-            seed.step(&[("src", 1.0)]).unwrap();
-            engine.step(&[("src", 1.0)]).unwrap();
+            jacobi.step(&[("src", 1.0)]).unwrap();
+            ic0.step(&[("src", 1.0)]).unwrap();
         }
-        let a = seed.temperature_at(probe).unwrap().value();
-        let b = engine.temperature_at(probe).unwrap().value();
-        assert!((a - b).abs() < 1e-6, "seed {a} vs engine {b}");
+        let a = jacobi.temperature_at(probe).unwrap().value();
+        let b = ic0.temperature_at(probe).unwrap().value();
+        assert!((a - b).abs() < 1e-6, "jacobi {a} vs ic0 {b}");
         assert!(
-            2 * engine.total_iterations() <= seed.total_iterations(),
-            "engine {} vs seed {} iterations",
-            engine.total_iterations(),
-            seed.total_iterations()
+            2 * ic0.total_iterations() <= jacobi.total_iterations(),
+            "ic0 {} vs jacobi {} iterations",
+            ic0.total_iterations(),
+            jacobi.total_iterations()
         );
-        assert!(engine.last_iterations() <= engine.total_iterations());
+        assert!(ic0.last_iterations() <= ic0.total_iterations());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! P_heater ∈ [0, 4] mW and P_chip ∈ {12.5 … 31.25} W. Tagging those block
 //! sets as groups turns the entire sweep into a handful of solves plus
 //! vector arithmetic — with results identical to re-solving, which the
-//! tests verify.
+//! tests verify. The `1 + #groups` basis fields are one
+//! [`SolveContext::solve_batch`] call: one column block through the
+//! engine's one solve path.
 
 use crate::schedule::check_scales;
 use crate::{Design, MeshSpec, Simulator, SolveContext, ThermalError, ThermalMap};
@@ -42,12 +44,7 @@ pub struct ResponseBasis {
 
 impl ResponseBasis {
     /// Solves the baseline plus one unit response per power group of
-    /// `design`.
-    ///
-    /// Costs `1 + #groups` solves, all served by **one** [`SolveContext`]:
-    /// the system is assembled and IC(0)-factored once, every per-group
-    /// right-hand side reuses the factorization and warm-starts from the
-    /// previous field.
+    /// `design` on a fresh [`SolveContext`] with `sim`'s options.
     ///
     /// # Errors
     ///
@@ -62,13 +59,19 @@ impl ResponseBasis {
     /// Like [`ResponseBasis::build`], but on an **existing** engine —
     /// sweeps that already hold a [`SolveContext`] (or re-target one with
     /// [`SolveContext::adopt_design`]) rebuild their basis without paying
-    /// assembly or factorization again, and each solve warm-starts from
-    /// the context's current field.
+    /// assembly or factorization again.
+    ///
+    /// All `1 + #groups` basis fields solve in **one**
+    /// [`SolveContext::solve_batch`] call, each column warm-starting from
+    /// the context's current field: the baseline painting (every group
+    /// off) and every solo-group painting share each operator sweep
+    /// instead of streaming the matrix once per solve.
     ///
     /// # Errors
     ///
     /// Same contract as [`ResponseBasis::build`], minus the construction
-    /// errors.
+    /// errors; a per-column solver failure surfaces as that painting's
+    /// error.
     pub fn build_on(ctx: &mut SolveContext) -> Result<Self, ThermalError> {
         let groups: Vec<String> = ctx.groups().into_iter().map(str::to_string).collect();
         if groups.is_empty() {
@@ -77,49 +80,8 @@ impl ResponseBasis {
             });
         }
 
-        // Baseline: all groups at zero, ungrouped powers untouched.
-        let baseline = ctx.solve_scaled(&[])?;
-
-        // Each group's rise is its solo field minus the baseline — the
-        // static-power contribution cancels in the subtraction, so no
-        // separate pure-BC solve is needed.
-        let mut responses = Vec::with_capacity(groups.len());
-        for g in &groups {
-            let solved = ctx.solve_scaled(&[(g.as_str(), 1.0)])?;
-            let rise: Vec<f64> = solved
-                .temperatures()
-                .iter()
-                .zip(baseline.temperatures())
-                .map(|(t, t0)| t - t0)
-                .collect();
-            let reference = ctx.group_reference_power(g).unwrap_or(0.0);
-            responses.push((g.clone(), reference, rise));
-        }
-
-        Ok(Self { baseline, responses })
-    }
-
-    /// Like [`ResponseBasis::build_on`], but all `1 + #groups` basis
-    /// fields solve in **one** [`SolveContext::solve_batch`] call: the
-    /// baseline painting and every solo-group painting share each operator
-    /// sweep instead of streaming the matrix once per solve. Identical
-    /// fields, fewer memory passes — the batched design-space campaigns
-    /// build their bases this way.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ResponseBasis::build_on`]; a per-column solver
-    /// failure surfaces as that painting's error.
-    pub fn build_on_batched(ctx: &mut SolveContext) -> Result<Self, ThermalError> {
-        let groups: Vec<String> = ctx.groups().into_iter().map(str::to_string).collect();
-        if groups.is_empty() {
-            return Err(ThermalError::BadParameter {
-                reason: "design has no power groups; tag blocks with `with_group`".into(),
-            });
-        }
-
-        // Painting 0 is the baseline (all groups off); painting 1 + i is
-        // group i alone at reference power.
+        // Painting 0 is the baseline (all groups off, ungrouped powers
+        // untouched); painting 1 + i is group i alone at reference power.
         let mut paintings: Vec<Vec<(&str, f64)>> = vec![Vec::new()];
         paintings.extend(groups.iter().map(|g| vec![(g.as_str(), 1.0)]));
         let refs: Vec<&[(&str, f64)]> = paintings.iter().map(Vec::as_slice).collect();
@@ -133,6 +95,9 @@ impl ResponseBasis {
                 })
             }
         };
+        // Each group's rise is its solo field minus the baseline — the
+        // static-power contribution cancels in the subtraction, so no
+        // separate pure-BC solve is needed.
         let mut responses = Vec::with_capacity(groups.len());
         for (g, map) in groups.iter().zip(maps) {
             let solved = map?;
@@ -254,23 +219,47 @@ mod tests {
     }
 
     #[test]
-    fn batched_basis_matches_sequential_basis() {
+    fn batched_basis_matches_per_group_solves() {
+        // The basis solves all its paintings as one block; each of its
+        // fields, and the composition of them, must match what one
+        // `solve_scaled` per painting gives.
         let design = grouped_design();
         let spec = MeshSpec::uniform(mm(0.3));
         let sim = Simulator::new();
-        let mut seq_ctx = SolveContext::new(&design, &spec).unwrap().with_options(*sim.options());
-        let sequential = ResponseBasis::build_on(&mut seq_ctx).unwrap();
         let mut batch_ctx = SolveContext::new(&design, &spec).unwrap().with_options(*sim.options());
-        let batched = ResponseBasis::build_on_batched(&mut batch_ctx).unwrap();
+        let basis = ResponseBasis::build_on(&mut batch_ctx).unwrap();
+        let mut ctx = SolveContext::new(&design, &spec).unwrap().with_options(*sim.options());
+        let baseline = ctx.solve_scaled(&[]).unwrap();
+        let chip = ctx.solve_scaled(&[("chip", 1.0)]).unwrap();
+        let vcsel = ctx.solve_scaled(&[("vcsel", 1.0)]).unwrap();
+        assert_eq!(basis.groups(), ctx.groups());
 
-        assert_eq!(sequential.groups(), batched.groups());
-        let a = sequential.compose(&[("chip", 1.3), ("vcsel", 2.0)]).unwrap();
-        let b = batched.compose(&[("chip", 1.3), ("vcsel", 2.0)]).unwrap();
-        let scale = a.temperatures().iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for (p, q) in a.temperatures().iter().zip(b.temperatures()) {
-            assert!((p - q).abs() / scale < 1e-10, "sequential {p} vs batched {q}");
+        let close = |a: &[f64], b: &[f64], what: &str| {
+            let scale = a.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+            for (p, q) in a.iter().zip(b) {
+                assert!((p - q).abs() / scale < 1e-10, "{what}: per-group {p} vs batched {q}");
+            }
+        };
+        close(baseline.temperatures(), basis.baseline().temperatures(), "baseline");
+        for (g, solved) in [("chip", &chip), ("vcsel", &vcsel)] {
+            let composed = basis.compose(&[(g, 1.0)]).unwrap();
+            close(solved.temperatures(), composed.temperatures(), g);
         }
-        assert!((a.injected_power().value() - b.injected_power().value()).abs() < 1e-12);
+
+        // T = T0 + 1.3·ΔT_chip + 2.0·ΔT_vcsel from the per-group fields.
+        let (s_chip, s_vcsel) = (1.3, 2.0);
+        let expected: Vec<f64> = baseline
+            .temperatures()
+            .iter()
+            .zip(chip.temperatures().iter().zip(vcsel.temperatures()))
+            .map(|(t0, (tc, tv))| t0 + s_chip * (tc - t0) + s_vcsel * (tv - t0))
+            .collect();
+        let composed = basis.compose(&[("chip", s_chip), ("vcsel", s_vcsel)]).unwrap();
+        close(&expected, composed.temperatures(), "composition");
+        let power = baseline.injected_power().value()
+            + s_chip * ctx.group_reference_power("chip").unwrap()
+            + s_vcsel * ctx.group_reference_power("vcsel").unwrap();
+        assert!((power - composed.injected_power().value()).abs() < 1e-12);
     }
 
     #[test]

@@ -51,9 +51,7 @@ fn multigrid_cg_needs_at_most_half_the_ic0_iterations_on_the_scc_mesh() {
     let (system, spec) = system_at(Fidelity::Tiny);
     let mut ic0 = SolveContext::new(system.design(), &spec).expect("context");
     assert_eq!(ic0.preconditioner_name(), "ic0", "tiny meshes stay on IC(0) by default");
-    let mut mg = SolveContext::new(system.design(), &spec)
-        .expect("context")
-        .with_preconditioner(multigrid_kind())
+    let mut mg = SolveContext::new_preconditioned(system.design(), &spec, multigrid_kind())
         .expect("hierarchy builds");
     assert_eq!(mg.preconditioner_name(), "multigrid");
 
@@ -117,9 +115,7 @@ fn multigrid_iteration_count_is_mesh_independent_from_tiny_to_fast() {
     let mut iterations = Vec::new();
     for fidelity in [Fidelity::Tiny, Fidelity::Fast] {
         let (system, spec) = system_at(fidelity);
-        let mut ctx = SolveContext::new(system.design(), &spec)
-            .expect("context")
-            .with_preconditioner(multigrid_kind())
+        let mut ctx = SolveContext::new_preconditioned(system.design(), &spec, multigrid_kind())
             .expect("hierarchy builds");
         ctx.solve().expect("steady solve");
         iterations.push(ctx.last_iterations().max(1));

@@ -22,10 +22,9 @@ fn tiny_system() -> (SccSystem, vcsel_thermal::MeshSpec) {
 #[test]
 fn ic0_needs_at_most_half_the_jacobi_iterations_on_the_scc_mesh() {
     let (system, spec) = tiny_system();
-    let mut jacobi = SolveContext::new(system.design(), &spec)
-        .expect("context")
-        .with_preconditioner(PreconditionerKind::Jacobi)
-        .expect("jacobi");
+    let mut jacobi =
+        SolveContext::new_preconditioned(system.design(), &spec, PreconditionerKind::Jacobi)
+            .expect("jacobi");
     let mut ic0 = SolveContext::new(system.design(), &spec).expect("context");
     assert_eq!(ic0.preconditioner_name(), "ic0", "IC(0) must be the engine default");
 
