@@ -5,11 +5,9 @@
 //! far too often for a full FVM solve per step. The standard practice is a
 //! lumped RC compact model: each controlled site (a microring, an ONI, a
 //! tile) becomes one thermal node with a heat capacity, a conductance to
-//! ambient, and conductances to neighboring nodes. This is exactly the
-//! compact-model abstraction the full simulator's `compact` module uses for
-//! steady state, extended with node capacities and a backward-Euler
-//! integrator (unconditionally stable, same scheme as the FVM transient
-//! solver).
+//! ambient, and conductances to neighboring nodes, integrated with
+//! backward Euler (unconditionally stable, the same scheme as the FVM
+//! transient stepper).
 //!
 //! ```text
 //! C_i dT_i/dt = P_i − G_amb,i (T_i − T_amb) − Σ_j G_ij (T_i − T_j)

@@ -1,7 +1,6 @@
 //! Drivers that regenerate every table and figure of the paper's
-//! evaluation (Section V). Shared by the report binaries in `src/bin` and
-//! the criterion benches; all outputs are serializable for EXPERIMENTS.md
-//! dumps.
+//! evaluation (Section V), used by the report binaries in `src/bin`; all
+//! outputs are serializable for their JSON reports.
 
 use serde::{Deserialize, Serialize};
 use vcsel_arch::{Activity, Fidelity, PlacementCase, SccConfig};

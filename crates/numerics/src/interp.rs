@@ -2,8 +2,8 @@
 //!
 //! The paper's methodology (Figure 3) fetches VCSEL electrical/thermal
 //! characteristics from a model library; we represent such libraries as 1-D
-//! and 2-D lookup tables with linear interpolation and clamped extrapolation
-//! (the physically safe choice for device curves).
+//! lookup tables with linear interpolation and clamped extrapolation (the
+//! physically safe choice for device curves).
 
 use crate::NumericsError;
 
@@ -109,87 +109,6 @@ impl Interp1d {
     }
 }
 
-/// A 2-D bilinear table `z = f(x, y)` on a rectilinear grid.
-///
-/// Used for the VCSEL efficiency surface η(I, T) (paper Figure 8-b).
-///
-/// # Example
-///
-/// ```
-/// use vcsel_numerics::Interp2d;
-///
-/// let t = Interp2d::new(
-///     vec![0.0, 1.0],
-///     vec![0.0, 1.0],
-///     vec![vec![0.0, 1.0], vec![2.0, 3.0]], // z[ix][iy]
-/// )?;
-/// assert_eq!(t.eval(0.5, 0.5), 1.5);
-/// # Ok::<(), vcsel_numerics::NumericsError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Interp2d {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    /// Row-major: `zs[ix][iy]`.
-    zs: Vec<Vec<f64>>,
-}
-
-impl Interp2d {
-    /// Builds a bilinear table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::BadInput`] for fewer than two knots per axis,
-    /// non-increasing axes, ragged/missized `zs`, or non-finite values.
-    pub fn new(xs: Vec<f64>, ys: Vec<f64>, zs: Vec<Vec<f64>>) -> Result<Self, NumericsError> {
-        if xs.len() < 2 || ys.len() < 2 {
-            return Err(NumericsError::BadInput {
-                reason: "need at least 2 knots per axis".into(),
-            });
-        }
-        if xs.windows(2).any(|w| w[0] >= w[1]) || ys.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(NumericsError::BadInput {
-                reason: "axis knots must be strictly increasing".into(),
-            });
-        }
-        if zs.len() != xs.len() || zs.iter().any(|row| row.len() != ys.len()) {
-            return Err(NumericsError::BadInput {
-                reason: format!("z grid must be {}x{}, got {} rows", xs.len(), ys.len(), zs.len()),
-            });
-        }
-        if xs.iter().chain(ys.iter()).chain(zs.iter().flatten()).any(|v| !v.is_finite()) {
-            return Err(NumericsError::BadInput { reason: "non-finite table value".into() });
-        }
-        Ok(Self { xs, ys, zs })
-    }
-
-    fn bracket(knots: &[f64], v: f64) -> (usize, f64) {
-        let n = knots.len();
-        if v <= knots[0] {
-            return (0, 0.0);
-        }
-        if v >= knots[n - 1] {
-            return (n - 2, 1.0);
-        }
-        let hi = knots.partition_point(|&k| k <= v);
-        let lo = hi - 1;
-        (lo, (v - knots[lo]) / (knots[hi] - knots[lo]))
-    }
-
-    /// Evaluates the surface at `(x, y)`, clamping outside the grid.
-    pub fn eval(&self, x: f64, y: f64) -> f64 {
-        let (ix, tx) = Self::bracket(&self.xs, x);
-        let (iy, ty) = Self::bracket(&self.ys, y);
-        let z00 = self.zs[ix][iy];
-        let z10 = self.zs[ix + 1][iy];
-        let z01 = self.zs[ix][iy + 1];
-        let z11 = self.zs[ix + 1][iy + 1];
-        let z0 = z00 + tx * (z10 - z00);
-        let z1 = z01 + tx * (z11 - z01);
-        z0 + ty * (z1 - z0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,39 +144,5 @@ mod tests {
         assert_eq!(inc.invert(5.0), None);
         let dec = Interp1d::new(vec![0.0, 2.0], vec![4.0, 0.0]).unwrap();
         assert!((dec.invert(1.0).unwrap() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn interp2d_bilinear_exactness() {
-        // f(x, y) = 1 + 2x + 3y + xy is reproduced exactly by bilinear
-        // interpolation on any rectangle.
-        let f = |x: f64, y: f64| 1.0 + 2.0 * x + 3.0 * y + x * y;
-        let xs = vec![0.0, 2.0];
-        let ys = vec![0.0, 4.0];
-        let zs = vec![vec![f(0.0, 0.0), f(0.0, 4.0)], vec![f(2.0, 0.0), f(2.0, 4.0)]];
-        let t = Interp2d::new(xs, ys, zs).unwrap();
-        for &(x, y) in &[(0.5, 1.0), (1.0, 2.0), (1.7, 3.3)] {
-            assert!((t.eval(x, y) - f(x, y)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn interp2d_clamps_corners() {
-        let t = Interp2d::new(vec![0.0, 1.0], vec![0.0, 1.0], vec![vec![1.0, 2.0], vec![3.0, 4.0]])
-            .unwrap();
-        assert_eq!(t.eval(-5.0, -5.0), 1.0);
-        assert_eq!(t.eval(5.0, 5.0), 4.0);
-    }
-
-    #[test]
-    fn interp2d_validates_shape() {
-        assert!(Interp2d::new(vec![0.0, 1.0], vec![0.0, 1.0], vec![vec![1.0, 2.0]]).is_err());
-        assert!(Interp2d::new(vec![0.0], vec![0.0, 1.0], vec![vec![1.0, 2.0]]).is_err());
-        assert!(Interp2d::new(
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-            vec![vec![1.0, 2.0], vec![3.0, 4.0]]
-        )
-        .is_err());
     }
 }

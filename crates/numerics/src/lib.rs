@@ -37,10 +37,10 @@
 //!   [`CsrMatrix`], [`IncompleteCholesky`] and [`MultigridHierarchy`] —
 //!   behind the persistent engine cache, with typed [`ArtifactError`]
 //!   failures and full structural revalidation on restore,
-//! * [`Interp1d`] / [`Interp2d`]: piecewise-linear lookup tables (the paper's
-//!   "VCSEL model library" is consumed in this form),
-//! * [`golden_section_min`] / [`grid_argmin`]: 1-D minimizers used by the
-//!   heater-power design-space exploration,
+//! * [`Interp1d`]: piecewise-linear lookup tables (the paper's "VCSEL
+//!   model library" is consumed in this form),
+//! * [`golden_section_min`]: the 1-D minimizer the heater-power
+//!   design-space exploration uses,
 //! * [`Summary`]: descriptive statistics for thermal maps.
 //!
 //! # Example
@@ -77,10 +77,10 @@ mod stats;
 pub use artifact::{content_hash, ArtifactError, ArtifactReader, ArtifactWriter, ContentHasher};
 pub use block_solver::BlockVector;
 pub use error::NumericsError;
-pub use interp::{Interp1d, Interp2d};
+pub use interp::Interp1d;
 pub use ladder::{LadderSummary, RungAttempt, RungOutcome, SolveLadder};
 pub use multigrid::{MgWorkspace, Multigrid, MultigridConfig, MultigridHierarchy};
-pub use optimize::{golden_section_min, grid_argmin, Minimum};
+pub use optimize::{golden_section_min, Minimum};
 pub use precond::{
     AnyPreconditioner, IncompleteCholesky, Jacobi, Preconditioner, PreconditionerKind,
 };

@@ -469,9 +469,7 @@ impl MultigridHierarchy {
     /// telemetry (per-level coarsening spans, coarsest-solver choice, grid
     /// and operator complexities) into an explicit sink instead of the
     /// process-wide one — the hook tests use to observe the build without
-    /// touching the environment. The legacy `MG_DEBUG` stderr lines are
-    /// mirrored when the sink asks for them
-    /// (see [`TelemetrySink::mg_debug_mirror`](vcsel_telemetry::TelemetrySink::mg_debug_mirror)).
+    /// touching the environment.
     ///
     /// # Errors
     ///
@@ -489,9 +487,7 @@ impl MultigridHierarchy {
         validate_config(config)?;
 
         // Per-level construction telemetry: structured `multigrid` span
-        // events for aggregation-quality diagnosis, with the historical
-        // `MG_DEBUG` stderr lines mirrored when that alias is active.
-        let mirror = sink.mg_debug_mirror();
+        // events for aggregation-quality diagnosis.
         let mut build_span = sink.span("multigrid", "mg_build");
         let fine = Arc::clone(&a);
         let mut levels = Vec::new();
@@ -518,17 +514,6 @@ impl MultigridHierarchy {
                 ev.dur_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 ev.tid = vcsel_telemetry::thread_id();
                 sink.record_event(ev);
-            }
-            if mirror {
-                eprintln!(
-                    "[multigrid] level {}: {} cells / {} nnz -> {} cells / {} nnz ({:.2} s)",
-                    levels.len(),
-                    current.rows(),
-                    current.nnz(),
-                    coarse.rows(),
-                    coarse.nnz(),
-                    t.elapsed().as_secs_f64(),
-                );
             }
             let r = p.transpose();
             let inv_diag = inverse_diagonal(&current)?;
@@ -562,13 +547,6 @@ impl MultigridHierarchy {
                 Arg::str("solver", coarse_kind),
             ],
         );
-        if mirror {
-            eprintln!(
-                "[multigrid] coarsest: {} cells / {} nnz ({coarse_kind})",
-                current.rows(),
-                current.nnz(),
-            );
-        }
         let built = Self { fine, levels, coarse_a: current, coarse, config: *config };
         if build_span.is_armed() {
             // Grid complexity Σ level cells / fine cells, operator
@@ -844,8 +822,9 @@ fn validate_config(config: &MultigridConfig) -> Result<(), NumericsError> {
 /// a user-set `max_levels` truncating the hierarchy early) bounds the
 /// per-cycle cost instead of re-running a full fine-scale solve. A
 /// truncated inner solve makes the preconditioner slightly inexact —
-/// weaker convergence, surfaced by `MG_DEBUG=1` showing a large coarsest
-/// level — which is the deliberate trade against unbounded cycle cost.
+/// weaker convergence, surfaced by a large coarsest level in the
+/// `mg_coarsest` trace event — which is the deliberate trade against
+/// unbounded cycle cost.
 fn iterative_coarse(a: &CsrMatrix) -> Result<CoarseSolver, NumericsError> {
     Ok(CoarseSolver::Iterative {
         m: Jacobi::new(a)?,

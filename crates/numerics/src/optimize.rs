@@ -2,8 +2,7 @@
 //!
 //! The paper explores the MR heater power P_heater to minimize the intra-ONI
 //! gradient temperature (Figure 9-b). That objective is unimodal in
-//! P_heater, so a golden-section search is the right tool; a plain grid
-//! sweep is also provided for plotting the whole curve.
+//! P_heater, so a golden-section search is the right tool.
 
 use crate::NumericsError;
 
@@ -94,46 +93,6 @@ pub fn golden_section_min(
     Ok(Minimum { argmin, value, evaluations: evals })
 }
 
-/// Evaluates `f` on `n` evenly spaced points of `[a, b]` (inclusive) and
-/// returns the minimizing sample.
-///
-/// Unlike [`golden_section_min`] this makes no unimodality assumption; it is
-/// what the figure-regeneration binaries use to trace whole curves.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::BadInput`] if `n < 2`, the interval is
-/// reversed, or the objective returns NaN everywhere.
-pub fn grid_argmin(
-    a: f64,
-    b: f64,
-    n: usize,
-    mut f: impl FnMut(f64) -> f64,
-) -> Result<Minimum, NumericsError> {
-    if n < 2 {
-        return Err(NumericsError::BadInput {
-            reason: format!("need at least 2 samples, got {n}"),
-        });
-    }
-    if !(a <= b) || !a.is_finite() || !b.is_finite() {
-        return Err(NumericsError::BadInput { reason: format!("invalid interval [{a}, {b}]") });
-    }
-    let mut best: Option<(f64, f64)> = None;
-    for i in 0..n {
-        let x = a + (b - a) * i as f64 / (n - 1) as f64;
-        let y = f(x);
-        if y.is_finite() && best.is_none_or(|(_, by)| y < by) {
-            best = Some((x, y));
-        }
-    }
-    match best {
-        Some((argmin, value)) => Ok(Minimum { argmin, value, evaluations: n }),
-        None => Err(NumericsError::BadInput {
-            reason: "objective returned non-finite values at every sample".into(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,26 +116,5 @@ mod tests {
         assert!(golden_section_min(1.0, 0.0, 1e-9, |x| x).is_err());
         assert!(golden_section_min(0.0, 1.0, -1.0, |x| x).is_err());
         assert!(golden_section_min(0.0, 1.0, 1e-9, |_| f64::NAN).is_err());
-    }
-
-    #[test]
-    fn grid_argmin_traces_curve() {
-        // Minimum of |x - 0.3| on [0, 1] with 11 samples lands on x = 0.3.
-        let m = grid_argmin(0.0, 1.0, 11, |x| (x - 0.3).abs()).unwrap();
-        assert!((m.argmin - 0.3).abs() < 1e-12);
-        assert_eq!(m.evaluations, 11);
-    }
-
-    #[test]
-    fn grid_argmin_skips_nan_samples() {
-        let m = grid_argmin(0.0, 1.0, 3, |x| if x == 0.0 { f64::NAN } else { x }).unwrap();
-        assert_eq!(m.argmin, 0.5);
-    }
-
-    #[test]
-    fn grid_argmin_validates() {
-        assert!(grid_argmin(0.0, 1.0, 1, |x| x).is_err());
-        assert!(grid_argmin(1.0, 0.0, 5, |x| x).is_err());
-        assert!(grid_argmin(0.0, 1.0, 5, |_| f64::NAN).is_err());
     }
 }

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use vcsel_numerics::solver::{conjugate_gradient, preconditioned_cg, CgWorkspace, SolveOptions};
 use vcsel_numerics::{
-    golden_section_min, grid_argmin, CsrMatrix, Interp1d, Multigrid, MultigridConfig,
-    Preconditioner, PreconditionerKind, TripletBuilder,
+    golden_section_min, CsrMatrix, Interp1d, Multigrid, MultigridConfig, Preconditioner,
+    PreconditionerKind, TripletBuilder,
 };
 
 /// Random SPD stencil matrix: a 2-D 5-point grid Laplacian with per-edge
@@ -416,18 +416,5 @@ proptest! {
         prop_assert!(m.value <= f(-5.0) + 1e-9);
         prop_assert!(m.value <= f(5.0) + 1e-9);
         prop_assert!((m.argmin - center).abs() < 1e-5);
-    }
-
-    #[test]
-    fn grid_argmin_is_true_sample_min(
-        ys in proptest::collection::vec(-10.0f64..10.0, 2..20),
-    ) {
-        let n = ys.len();
-        let ys2 = ys.clone();
-        let m = grid_argmin(0.0, (n - 1) as f64, n, move |x| {
-            ys2[x.round() as usize]
-        }).unwrap();
-        let true_min = ys.iter().cloned().fold(f64::INFINITY, f64::min);
-        prop_assert_eq!(m.value, true_min);
     }
 }

@@ -26,10 +26,9 @@
 //!
 //! [`global`] resolves once from the environment: `VCSEL_TRACE=off|summary|
 //! full` picks the mode, `VCSEL_TRACE_DIR` the trace directory (default
-//! `reports/traces`), and the legacy `MG_DEBUG` is an alias for a
-//! multigrid-scoped full trace with the historical stderr lines mirrored.
-//! Engines default to the global sink; tests inject their own with the
-//! engines' `set_telemetry` hooks so parallel tests never share state.
+//! `reports/traces`). Engines default to the global sink; tests inject
+//! their own with the engines' `set_telemetry` hooks so parallel tests
+//! never share state.
 
 // Lint levels (forbid(unsafe_code), warn(missing_docs), the clippy set)
 // come from [workspace.lints] in the root Cargo.toml.
@@ -111,11 +110,6 @@ impl TraceMode {
 
 struct SinkInner {
     mode: TraceMode,
-    /// When set, only events of this category are recorded (the `MG_DEBUG`
-    /// alias scopes the sink to `"multigrid"`).
-    scope: Option<&'static str>,
-    /// Mirror the legacy `MG_DEBUG` stderr lines from the multigrid build.
-    mg_mirror: bool,
     ring_capacity: usize,
     shards: [Mutex<Option<EventRing>>; SHARDS],
     samples: Mutex<Vec<SolveSample>>,
@@ -135,11 +129,9 @@ impl std::fmt::Debug for TelemetrySink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
             None => f.write_str("TelemetrySink(off)"),
-            Some(inner) => f
-                .debug_struct("TelemetrySink")
-                .field("mode", &inner.mode)
-                .field("scope", &inner.scope)
-                .finish_non_exhaustive(),
+            Some(inner) => {
+                f.debug_struct("TelemetrySink").field("mode", &inner.mode).finish_non_exhaustive()
+            }
         }
     }
 }
@@ -172,23 +164,12 @@ impl TelemetrySink {
     /// An enabled sink whose per-thread-shard rings hold `capacity` events
     /// each (tests use tiny rings to exercise overflow).
     pub fn with_ring_capacity(mode: TraceMode, capacity: usize) -> Self {
-        Self::build(mode, None, false, capacity)
-    }
-
-    fn build(
-        mode: TraceMode,
-        scope: Option<&'static str>,
-        mg_mirror: bool,
-        capacity: usize,
-    ) -> Self {
         if mode == TraceMode::Off {
             return Self::disabled();
         }
         Self {
             inner: Some(Arc::new(SinkInner {
                 mode,
-                scope,
-                mg_mirror,
                 ring_capacity: capacity.max(1),
                 shards: std::array::from_fn(|_| Mutex::new(None)),
                 samples: Mutex::new(Vec::new()),
@@ -197,14 +178,11 @@ impl TelemetrySink {
     }
 
     /// A sink resolved from the process environment: `VCSEL_TRACE` picks
-    /// the mode; a set `MG_DEBUG` with no `VCSEL_TRACE` is the legacy
-    /// alias — a full-mode sink scoped to the `"multigrid"` category with
-    /// the historical stderr lines mirrored.
+    /// the mode (unset means off).
     pub fn from_env() -> Self {
-        let mg_debug = std::env::var_os("MG_DEBUG").is_some();
         match std::env::var("VCSEL_TRACE") {
             Ok(value) => match TraceMode::parse(&value) {
-                Some(mode) => Self::build(mode, None, mg_debug, DEFAULT_RING_CAPACITY),
+                Some(mode) => Self::new(mode),
                 None => {
                     eprintln!(
                         "telemetry: unknown VCSEL_TRACE value '{value}' \
@@ -213,9 +191,6 @@ impl TelemetrySink {
                     Self::disabled()
                 }
             },
-            Err(_) if mg_debug => {
-                Self::build(TraceMode::Full, Some("multigrid"), true, DEFAULT_RING_CAPACITY)
-            }
             Err(_) => Self::disabled(),
         }
     }
@@ -231,31 +206,17 @@ impl TelemetrySink {
         self.inner.as_ref().map_or(TraceMode::Off, |inner| inner.mode)
     }
 
-    /// The category filter, if the sink is scoped (the `MG_DEBUG` alias).
-    pub fn scope(&self) -> Option<&'static str> {
-        self.inner.as_ref().and_then(|inner| inner.scope)
-    }
-
     /// Whether residual histories should be captured for this sink
     /// (full mode only — histories are the bulkiest metric).
     pub fn capture_residuals(&self) -> bool {
-        self.mode() == TraceMode::Full && self.scope().is_none()
-    }
-
-    /// Whether the multigrid build should mirror its legacy `MG_DEBUG`
-    /// stderr lines.
-    pub fn mg_debug_mirror(&self) -> bool {
-        self.inner.as_ref().is_some_and(|inner| inner.mg_mirror)
+        self.mode() == TraceMode::Full
     }
 
     /// Opens a span: the guard stamps its start now and records a
-    /// [`EventKind::Span`] event when dropped. Disabled (or out-of-scope)
-    /// sinks return a disarmed guard.
+    /// [`EventKind::Span`] event when dropped. A disabled sink returns a
+    /// disarmed guard.
     pub fn span(&self, cat: &'static str, name: &'static str) -> SpanGuard {
-        let armed = match &self.inner {
-            Some(inner) => inner.scope.is_none_or(|scope| scope == cat),
-            None => false,
-        };
+        let armed = self.is_enabled();
         SpanGuard {
             sink: if armed { self.clone() } else { Self::disabled() },
             event: Event::new(EventKind::Span, cat, name),
@@ -303,11 +264,6 @@ impl TelemetrySink {
     /// uncontended shard lock and a `Copy` store when enabled.
     pub fn record_event(&self, ev: Event) {
         let Some(inner) = self.inner.as_deref() else { return };
-        if let Some(scope) = inner.scope {
-            if scope != ev.cat {
-                return;
-            }
-        }
         let shard = usize::try_from(ev.tid).unwrap_or(0) % SHARDS;
         let mut slot = lock_unpoisoned(&inner.shards[shard]);
         shard_ring(&mut slot, inner.ring_capacity).push(ev);
@@ -316,9 +272,6 @@ impl TelemetrySink {
     /// Records a per-solve metric sample (cold path, once per solve).
     pub fn record_sample(&self, sample: SolveSample) {
         let Some(inner) = self.inner.as_deref() else { return };
-        if inner.scope.is_some_and(|scope| scope != sample.cat) {
-            return;
-        }
         lock_unpoisoned(&inner.samples).push(sample);
     }
 
@@ -399,10 +352,10 @@ impl Drop for SpanGuard {
 
 static GLOBAL: OnceLock<TelemetrySink> = OnceLock::new();
 
-/// The process-wide sink, resolved from `VCSEL_TRACE` / `MG_DEBUG` on
-/// first use (see [`TelemetrySink::from_env`]). Engines capture it by
-/// default; tests should inject their own sinks instead of relying on the
-/// global one, which is shared and environment-dependent.
+/// The process-wide sink, resolved from `VCSEL_TRACE` on first use (see
+/// [`TelemetrySink::from_env`]). Engines capture it by default; tests
+/// should inject their own sinks instead of relying on the global one,
+/// which is shared and environment-dependent.
 pub fn global() -> &'static TelemetrySink {
     GLOBAL.get_or_init(TelemetrySink::from_env)
 }
@@ -417,7 +370,7 @@ pub fn trace_dir() -> std::path::PathBuf {
 }
 
 /// Finishes a traced run: snapshots peak RSS, drains `sink`, prints the
-/// summary table to stderr, and — in full (unscoped) mode — writes
+/// summary table to stderr, and — in full mode — writes
 /// `<trace_dir>/<label>.trace.json` and returns its path.
 ///
 /// Call after the root span guard has dropped, or the root span will be
@@ -429,7 +382,7 @@ pub fn finish(sink: &TelemetrySink, label: &str) -> Option<std::path::PathBuf> {
     sink.rss_snapshot("process", "peak_rss_mb");
     let data = sink.drain();
     eprintln!("{}", export::summary_table(&data));
-    if sink.mode() != TraceMode::Full || sink.scope().is_some() {
+    if sink.mode() != TraceMode::Full {
         return None;
     }
     let dir = trace_dir();
@@ -510,22 +463,6 @@ mod tests {
         assert!(outer.dur_ns >= 4_000_000, "outer span must cover both sleeps");
         assert_eq!(inner.args[0], Some(Arg::u64("iterations", 7)));
         assert_eq!(outer.tid, inner.tid);
-    }
-
-    #[test]
-    fn scoped_sink_filters_by_category() {
-        let sink = TelemetrySink::build(TraceMode::Full, Some("multigrid"), true, 64);
-        assert!(sink.mg_debug_mirror());
-        assert!(!sink.capture_residuals(), "scoped alias must not bulk up solves");
-        sink.instant("solver", "escalation", &[]);
-        sink.instant("multigrid", "level", &[Arg::u64("cells", 10)]);
-        {
-            let _ignored = sink.span("thermal", "steady_solve");
-            let _kept = sink.span("multigrid", "build");
-        }
-        let data = sink.drain();
-        let names: Vec<&str> = data.events.iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["level", "build"]);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub struct Event {
     /// Span / instant / counter.
     pub kind: EventKind,
     /// Category (`"thermal"`, `"solver"`, `"multigrid"`, …) — the chrome
-    /// trace `"cat"` field, and what a scoped sink filters on.
+    /// trace `"cat"` field.
     pub cat: &'static str,
     /// Event name (`"steady_solve"`, `"escalation"`, …).
     pub name: &'static str,

@@ -41,7 +41,8 @@ use std::sync::Arc;
 
 use vcsel_numerics::solver::{CgWorkspace, SolveOptions};
 use vcsel_numerics::{
-    AnyPreconditioner, CsrMatrix, MultigridConfig, NumericsError, PreconditionerKind, SolveLadder,
+    AnyPreconditioner, CsrMatrix, MultigridConfig, NumericsError, PreconditionerKind, RungAttempt,
+    SolveLadder,
 };
 use vcsel_telemetry::{ArgValue, TelemetrySink};
 use vcsel_units::{Celsius, Meters};
@@ -342,12 +343,16 @@ impl SolveContext {
     /// preconditioner from IC(0) to the smoothed-aggregation multigrid
     /// hierarchy.
     ///
-    /// Below the threshold (the test-scale meshes) IC(0)'s cheap setup and
-    /// ~1-SpMV application win on wall clock; above it, one-level
-    /// preconditioners pay iteration counts that grow with resolution while
-    /// the multigrid V-cycle stays flat — at `Fidelity::Paper` scale
-    /// (~2.6 M unknowns) that difference is what makes cold steady solves
-    /// tractable at all.
+    /// Below the threshold (the test-scale meshes) IC(0) sets up faster
+    /// but solves slower: on the 66 500-unknown tiny SCC mesh the
+    /// committed `BENCH_solvers.json` record reads 44 vs 150 ms of setup,
+    /// 397 vs 227 ms per cold solve and 276 vs 145 ms per warm one, so
+    /// IC(0) does not win on wall clock there even for one solve. The
+    /// IC(0) iteration pins and benchmark references at that size were
+    /// taken with this switch. Above it, one-level preconditioners pay
+    /// iteration counts that grow with resolution while the multigrid
+    /// V-cycle stays flat — at `Fidelity::Paper` scale (~2.6 M unknowns)
+    /// that difference is what makes cold steady solves tractable at all.
     pub const MULTIGRID_CELL_THRESHOLD: usize = 150_000;
 
     /// The preconditioner a steady engine picks for `n` unknowns: IC(0)
@@ -410,14 +415,6 @@ impl SolveContext {
         self.options = options;
     }
 
-    /// Replaces the ladder with a strict one leading with `kind`, factored
-    /// on the engine's operator — how a transient stepper swaps its
-    /// preconditioner.
-    pub(crate) fn refactor(&mut self, kind: PreconditionerKind) -> Result<(), ThermalError> {
-        self.ladder = SolveLadder::new(&self.matrix, &escalation_chain(kind), true)?;
-        Ok(())
-    }
-
     /// The assembled conduction operator. Shared, not owned: the same
     /// allocation backs the multigrid hierarchy's finest level, which the
     /// engine tests pin with [`Arc::ptr_eq`].
@@ -432,10 +429,17 @@ impl SolveContext {
         self.ladder.active_preconditioner()
     }
 
-    /// Health report of the most recent solve: which ladder rungs ran, how
-    /// many escalations it took, and whether the answer is degraded.
+    /// Health report of the most recent solve: how many escalations it
+    /// took, and whether the answer is degraded.
     pub fn health(&self) -> &SolveHealth {
         &self.health
+    }
+
+    /// The ladder's per-rung attempt log for the most recent solve, in
+    /// attempt order (before the first solve: any rung that failed to
+    /// build at construction).
+    pub fn attempts(&self) -> &[RungAttempt] {
+        self.ladder.attempts()
     }
 
     /// Replaces the engine's telemetry sink. The [`SolveLadder`] owns the
@@ -758,7 +762,7 @@ impl SolveContext {
         }
         self.last_iterations = summary.iterations;
         self.total_iterations += summary.total_iterations;
-        self.health = SolveHealth::from_ladder(summary, self.ladder.attempts());
+        self.health = SolveHealth::from_ladder(summary);
 
         let failed = self.ladder.unconverged_columns();
         let mut last_good = None;

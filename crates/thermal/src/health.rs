@@ -7,12 +7,13 @@
 //! recovery must not be *invisible*: the scenario engine and the runtime-
 //! management loop both need to know a solve was degraded (it costs
 //! iterations and signals failing hardware models). [`SolveHealth`] is the
-//! per-solve report they read.
+//! per-solve report they read; the per-rung story stays in the ladder and
+//! is read on demand through the engines' `attempts()`.
 
-use vcsel_numerics::{LadderSummary, RungAttempt};
+use vcsel_numerics::LadderSummary;
 
 /// Health report of the most recent ladder-backed solve.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveHealth {
     /// Whether the final rung met the tolerance. The engines convert a
     /// `false` into a typed error, so after an `Ok` solve this is always
@@ -30,13 +31,11 @@ pub struct SolveHealth {
     pub residual: f64,
     /// Rungs retired during the solve.
     pub escalations: usize,
-    /// The per-rung story, in attempt order.
-    pub attempts: Vec<RungAttempt>,
 }
 
 impl SolveHealth {
-    /// Builds the report from a ladder solve's summary and attempt log.
-    pub fn from_ladder(summary: LadderSummary, attempts: &[RungAttempt]) -> Self {
+    /// Builds the report from a ladder solve's summary.
+    pub fn from_ladder(summary: LadderSummary) -> Self {
         Self {
             converged: summary.converged,
             recovered: summary.converged && summary.escalations > 0,
@@ -44,7 +43,6 @@ impl SolveHealth {
             total_iterations: summary.total_iterations,
             residual: summary.residual,
             escalations: summary.escalations,
-            attempts: attempts.to_vec(),
         }
     }
 

@@ -75,7 +75,6 @@
 mod assembly;
 mod blueprint;
 mod boundary;
-mod compact;
 mod context;
 mod convergence;
 mod error;
@@ -92,7 +91,6 @@ mod superposition;
 
 pub use blueprint::{EngineBlueprint, RestoreError, ENGINE_ARTIFACT_KIND};
 pub use boundary::{Boundary, BoundaryCondition, BoundarySet};
-pub use compact::{ResistanceStack, StackLayer};
 pub use context::SolveContext;
 pub use convergence::{ConvergenceLevel, ConvergenceStudy};
 pub use error::ThermalError;
@@ -110,6 +108,7 @@ pub use superposition::ResponseBasis;
 /// (including the multigrid hierarchy and its tuning knobs) without
 /// depending on `vcsel_numerics` directly.
 pub use vcsel_numerics::{MultigridConfig, PreconditionerKind};
-/// Re-exported so downstream crates can read the per-rung story inside a
-/// [`SolveHealth`] report without depending on `vcsel_numerics` directly.
+/// Re-exported so downstream crates can read the per-rung story an
+/// engine's [`SolveContext::attempts`] returns without depending on
+/// `vcsel_numerics` directly.
 pub use vcsel_numerics::{RungAttempt, RungOutcome};

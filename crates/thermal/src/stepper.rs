@@ -27,15 +27,17 @@
 //! one one-column solve of that engine, whose right-hand side carries
 //! `C/Δt·Tₙ` after boundary + static power.
 //!
-//! The `A + C/Δt` system is SPD and constant, so [`TransientStepper::new`]
-//! factors its IC(0) preconditioner exactly once; every step runs through
-//! the engine's self-healing [`SolveLadder`](vcsel_numerics::SolveLadder),
-//! reuses that factorization, its held right-hand-side buffer and CG
-//! workspace, and warm-starts from the current field. A step no rung
-//! converges leaves the field at `Tₙ` and does not advance time.
+//! The `A + C/Δt` system is SPD and constant, so a stepper factors its
+//! preconditioner (IC(0) from [`TransientStepper::new`], or the kind given
+//! to [`TransientStepper::new_preconditioned`]) exactly once; every step
+//! runs through the engine's self-healing
+//! [`SolveLadder`](vcsel_numerics::SolveLadder), reuses that
+//! factorization, its held right-hand-side buffer and CG workspace, and
+//! warm-starts from the current field. A step no rung converges leaves
+//! the field at `Tₙ` and does not advance time.
 
 use vcsel_numerics::solver::SolveOptions;
-use vcsel_numerics::PreconditionerKind;
+use vcsel_numerics::{PreconditionerKind, RungAttempt};
 use vcsel_telemetry::TelemetrySink;
 use vcsel_units::{Celsius, Meters};
 
@@ -88,20 +90,44 @@ impl TransientStepper {
         initial: Celsius,
         dt_s: f64,
     ) -> Result<Self, ThermalError> {
+        Self::build(design, spec, initial, dt_s, PreconditionerKind::IncompleteCholesky, false)
+    }
+
+    /// Like [`TransientStepper::new`] but with an explicit preconditioner
+    /// choice, as [`SolveContext::new_preconditioned`] takes one: the
+    /// engine leads with `kind`, and a `kind` that cannot build is an
+    /// error rather than a silent fall-back to a weaker rung.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`TransientStepper::new`], plus factorization
+    /// failures of the requested kind.
+    pub fn new_preconditioned(
+        design: &Design,
+        spec: &MeshSpec,
+        initial: Celsius,
+        dt_s: f64,
+        kind: PreconditionerKind,
+    ) -> Result<Self, ThermalError> {
+        Self::build(design, spec, initial, dt_s, kind, true)
+    }
+
+    fn build(
+        design: &Design,
+        spec: &MeshSpec,
+        initial: Celsius,
+        dt_s: f64,
+        kind: PreconditionerKind,
+        strict: bool,
+    ) -> Result<Self, ThermalError> {
         if !(dt_s > 0.0) || !dt_s.is_finite() {
             return Err(ThermalError::BadParameter {
                 reason: format!("time step must be positive, got {dt_s}"),
             });
         }
         let mesh = Mesh::build(design, spec)?;
-        let (mut engine, capacity_over_dt) = assemble_engine(
-            design,
-            mesh,
-            PreconditionerKind::IncompleteCholesky,
-            false,
-            Some(dt_s),
-            Vec::new(),
-        )?;
+        let (mut engine, capacity_over_dt) =
+            assemble_engine(design, mesh, kind, strict, Some(dt_s), Vec::new())?;
         engine.fill_field(initial.value());
         Ok(Self { engine, capacity_over_dt, dt_s, steps: 0 })
     }
@@ -113,27 +139,21 @@ impl TransientStepper {
         self
     }
 
-    /// Re-factors the per-step preconditioner (builder style): the engine
-    /// then leads with `kind` alone, without the default IC(0) → Jacobi
-    /// fall-back.
-    ///
-    /// # Errors
-    ///
-    /// Propagates factorization failures for the requested kind.
-    pub fn with_preconditioner(mut self, kind: PreconditionerKind) -> Result<Self, ThermalError> {
-        self.engine.refactor(kind)?;
-        Ok(self)
-    }
-
     /// The controllable group names, sorted.
     pub fn groups(&self) -> Vec<&str> {
         self.engine.groups()
     }
 
-    /// Health report of the most recent step's solve: ladder attempts,
-    /// escalations, and whether the answer is degraded.
+    /// Health report of the most recent step's solve: escalations, and
+    /// whether the answer is degraded.
     pub fn health(&self) -> &SolveHealth {
         self.engine.health()
+    }
+
+    /// The ladder's per-rung attempt log for the most recent step (see
+    /// [`SolveContext::attempts`]).
+    pub fn attempts(&self) -> &[RungAttempt] {
+        self.engine.attempts()
     }
 
     /// Replaces the stepper's telemetry sink. The engine's ladder owns the
@@ -397,10 +417,14 @@ mod tests {
         let (design, _) = grouped_slab();
         let spec = MeshSpec::uniform(mm(0.125));
         let probe = [mm(2.0), mm(2.0), mm(0.1)];
-        let mut jacobi = TransientStepper::new(&design, &spec, Celsius::new(40.0), 5e-3)
-            .unwrap()
-            .with_preconditioner(PreconditionerKind::Jacobi)
-            .unwrap();
+        let mut jacobi = TransientStepper::new_preconditioned(
+            &design,
+            &spec,
+            Celsius::new(40.0),
+            5e-3,
+            PreconditionerKind::Jacobi,
+        )
+        .unwrap();
         let mut ic0 = TransientStepper::new(&design, &spec, Celsius::new(40.0), 5e-3).unwrap();
         for _ in 0..25 {
             jacobi.step(&[("src", 1.0)]).unwrap();
@@ -416,6 +440,30 @@ mod tests {
             jacobi.total_iterations()
         );
         assert!(ic0.last_iterations() <= ic0.total_iterations());
+    }
+
+    #[test]
+    fn explicit_preconditioner_choice_is_strict() {
+        // An explicitly requested kind that cannot build is an error at
+        // construction, and a buildable one is the active rung.
+        let (design, spec) = grouped_slab();
+        let bad = PreconditionerKind::Multigrid {
+            config: vcsel_numerics::MultigridConfig {
+                strength_threshold: -1.0,
+                ..Default::default()
+            },
+        };
+        let start = Celsius::new(40.0);
+        assert!(TransientStepper::new_preconditioned(&design, &spec, start, 1e-2, bad).is_err());
+        let jacobi = TransientStepper::new_preconditioned(
+            &design,
+            &spec,
+            start,
+            1e-2,
+            PreconditionerKind::Jacobi,
+        )
+        .unwrap();
+        assert_eq!(jacobi.engine.preconditioner_name(), "jacobi");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Standalone SNR analysis on a ring interconnect (paper Section IV-C),
-//! without running a thermal simulation: sweep an imposed inter-ONI
-//! temperature skew and watch the worst-case SNR collapse.
+//! without running a thermal simulation: the microring's drop/through
+//! transmission against the signal-resonance misalignment (Figure 5-b),
+//! then an imposed inter-ONI temperature skew swept until the worst-case
+//! SNR collapses.
 //!
 //! Run with `cargo run --release --example snr_analysis`.
 
@@ -8,6 +10,25 @@ use vcsel_onoc::network::{assign_channels, traffic};
 use vcsel_onoc::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Figure 5-b: a misaligned ring drops less of its signal and passes
+    // the rest on as crosstalk.
+    let mr = MicroringResonator::paper_default(Nanometers::new(1550.0));
+    println!("{:>14} {:>10} {:>12}", "detuning (nm)", "drop (%)", "through (%)");
+    for milli_nm in (-2000i32..=2000).step_by(250) {
+        let d = Nanometers::new(f64::from(milli_nm) / 1000.0);
+        println!(
+            "{:>14.3} {:>10.1} {:>12.1}",
+            d.value(),
+            100.0 * mr.drop_fraction(d),
+            100.0 * mr.through_fraction(d)
+        );
+    }
+    println!(
+        "drop at ±0.775 nm: {:.1} % (paper: 50 % at 0.77 nm, i.e. 7.7 °C)",
+        100.0 * mr.drop_fraction(Nanometers::new(0.775))
+    );
+    println!();
+
     // The paper's longest case-study ring: 46.8 mm, 8 ONIs.
     let topology = RingTopology::evenly_spaced(8, Meters::from_millimeters(46.8))?;
     let analyzer = SnrAnalyzer::paper_default(WavelengthGrid::paper_default());

@@ -69,9 +69,9 @@ fn injected_breakdown_recovers_through_the_ladder_to_the_healthy_field() {
     assert!(health.recovered, "recovery must be flagged");
     assert!(health.escalations >= 1, "the ladder must have escalated");
     assert!(
-        health.attempts.len() >= 2,
+        faulted.attempts().len() >= 2,
         "per-rung attempts must tell the story: {:?}",
-        health.attempts
+        faulted.attempts()
     );
 
     let mut worst = 0.0f64;
@@ -166,11 +166,15 @@ fn exhausted_ladder_is_a_typed_error_with_the_field_rolled_back() {
     // the step must fail *loudly* and leave the trajectory untouched.
     let (design, spec) = grouped_slab();
     let probe = [mm(2.0), mm(2.0), mm(0.1)];
-    let mut stepper = TransientStepper::new(&design, &spec, Celsius::new(40.0), 1e-2)
-        .expect("stepper builds")
-        .with_preconditioner(PreconditionerKind::Jacobi)
-        .expect("jacobi rung")
-        .with_options(SolveOptions { tolerance: 1e-12, max_iterations: 2 });
+    let mut stepper = TransientStepper::new_preconditioned(
+        &design,
+        &spec,
+        Celsius::new(40.0),
+        1e-2,
+        PreconditionerKind::Jacobi,
+    )
+    .expect("jacobi rung")
+    .with_options(SolveOptions { tolerance: 1e-12, max_iterations: 2 });
 
     let err = stepper.step(&[("src", 1.0)]).expect_err("starved solve must fail");
     assert!(
