@@ -54,9 +54,10 @@
 //! preconditioners — and records it in the output, together with the
 //! memory story of the shared-operator engine (the fine operator's size,
 //! a pointer-identity check that the hierarchy aliases (rather than
-//! clones) it, the process peak RSS) and the paper-scale engine-artifact
-//! restore time (the factored hierarchy deserialized with zero
-//! factorizations).
+//! clones) it, the process peak RSS right after the solve) and the
+//! paper-scale engine-artifact restore time (the factored hierarchy
+//! deserialized with zero factorizations) with the peak RSS of that
+//! round trip.
 //!
 //! Usage: `cargo run --release -p vcsel_bench --bin perf_record [out.json]`
 //! (default output `BENCH_solvers.json` in the working directory). The
@@ -183,8 +184,12 @@ struct PaperRecord {
     /// the engine and the multigrid hierarchy now *share* (pre-sharing,
     /// it was held three times: context, fine level, fine-level smoother).
     fine_operator_mb: f64,
-    /// Process peak RSS (VmHWM) after the solve, when the OS exposes it.
+    /// Process peak RSS (VmHWM) right after the cold solve, before the
+    /// artifact round trip, when the OS exposes it.
     peak_rss_mb: Option<f64>,
+    /// Process peak RSS after the artifact round trip (serialize while the
+    /// live engine is held, then restore).
+    artifact_peak_rss_mb: Option<f64>,
 }
 
 /// Cold-then-warm engine construction through the real persistent cache
@@ -302,6 +307,12 @@ fn steady_section(
     (unknowns, records)
 }
 
+/// A peak RSS in MB as a JSON value: one decimal, or `null` where the OS
+/// does not expose it.
+fn json_mb(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".to_string(), |mb| format!("{mb:.1}"))
+}
+
 fn steady_json(records: &[SteadyRecord], indent: &str) -> String {
     let rows: Vec<String> = records
         .iter()
@@ -400,9 +411,13 @@ fn run() {
         };
         let system = SccSystem::build(&config).expect("paper SCC builds");
         let spec = system.mesh_spec().expect("mesh spec");
+        // One blueprint serves the build and the artifact round trip, so
+        // the 2.6 M-cell mesh is built once; `setup_s` times mesh +
+        // assembly + factorization, as `SolveContext::new` does.
         let setup = Instant::now();
-        let mut ctx =
-            SolveContext::new(system.design(), &spec).expect("paper-scale context builds");
+        let blueprint =
+            EngineBlueprint::new(system.design(), &spec).expect("paper blueprint meshes");
+        let mut ctx = blueprint.build().expect("paper-scale context builds");
         let setup_s = setup.elapsed().as_secs_f64();
         assert_eq!(ctx.preconditioner_name(), "multigrid", "paper scale must default to multigrid");
         // The shared-operator contract at the scale where it matters: the
@@ -415,16 +430,17 @@ fn run() {
         );
         let fine_operator_mb = ctx.shared_operator().storage_bytes() as f64 / 1e6;
         let solve = Instant::now();
-        let map = ctx.solve().expect("paper-scale steady solve");
+        let hottest_c = ctx.solve().expect("paper-scale steady solve").hottest().1.value();
         let solve_s = solve.elapsed().as_secs_f64();
+        // What a paper-fidelity solve needs, before any artifact bytes exist.
+        let peak_rss_mb = vcsel_telemetry::peak_rss_mb();
         let iterations = ctx.last_iterations();
         let unknowns = ctx.unknowns();
         // The engine-cache story at the scale where it pays most: restore
         // the factored hierarchy from its artifact with zero
-        // factorizations. The live engine is dropped first so the peak
-        // memory stays one engine + one artifact.
-        let blueprint =
-            EngineBlueprint::new(system.design(), &spec).expect("paper blueprint meshes");
+        // factorizations. The artifact is written while the live engine is
+        // held, and the live engine is dropped before the restore, so the
+        // round trip peaks at one engine + one artifact.
         let artifact = blueprint.engine_artifact(&ctx).expect("paper engine is cacheable");
         drop(ctx);
         let restore = Instant::now();
@@ -436,15 +452,17 @@ fn run() {
             setup_s,
             solve_s,
             iterations,
-            hottest_c: map.hottest().1.value(),
+            hottest_c,
             restore_s,
             fine_operator_mb,
-            peak_rss_mb: vcsel_telemetry::peak_rss_mb(),
+            peak_rss_mb,
+            artifact_peak_rss_mb: vcsel_telemetry::peak_rss_mb(),
         };
+        let mb = |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.0} MB"));
         println!(
             "[paper] multigrid: {} unknowns, setup {:.1} s, cold solve {:.1} s / {} iters, \
              hottest {:.2} C, artifact restore {:.1} s ({:.1}x vs setup), \
-             operator {:.0} MB shared (1 copy), peak RSS {}",
+             operator {:.0} MB shared (1 copy), peak RSS {} (solve) / {} (artifact round trip)",
             record.unknowns,
             record.setup_s,
             record.solve_s,
@@ -453,7 +471,8 @@ fn run() {
             record.restore_s,
             record.setup_s / record.restore_s,
             record.fine_operator_mb,
-            record.peak_rss_mb.map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.0} MB")),
+            mb(record.peak_rss_mb),
+            mb(record.artifact_peak_rss_mb),
         );
         sink.rss_snapshot("perf", "paper_peak_rss");
         drop(phase_span);
@@ -647,7 +666,7 @@ fn run() {
                  \"iterations\": {}, \"hottest_c\": {:.4}, \"restore_s\": {:.2}, \
                  \"restore_speedup\": {:.3}, \"fine_operator_mb\": {:.1}, \
                  \"fine_operator_copies\": 1, \"shared_operator_savings_mb\": {:.1}, \
-                 \"peak_rss_mb\": {} }}",
+                 \"peak_rss_mb\": {}, \"artifact_peak_rss_mb\": {} }}",
                 p.unknowns,
                 p.setup_s,
                 p.solve_s,
@@ -659,12 +678,13 @@ fn run() {
                 // Pre-sharing, the operator was held three times (context
                 // + fine level + fine-level SSOR): two copies saved.
                 2.0 * p.fine_operator_mb,
-                p.peak_rss_mb.map_or_else(|| "null".to_string(), |mb| format!("{mb:.1}")),
+                json_mb(p.peak_rss_mb),
+                json_mb(p.artifact_peak_rss_mb),
             )
         })
         .unwrap_or_default();
     let json = format!(
-        "{{\n  \"schema\": \"bench_solvers_v12\",\n  \"generated_by\": \"perf_record\",\n  \
+        "{{\n  \"schema\": \"bench_solvers_v13\",\n  \"generated_by\": \"perf_record\",\n  \
          \"workload\": \"SccConfig tiny_test + full-die Fast, p_vcsel = 4 mW\",\n  \
          \"unknowns\": {unknowns},\n  \
          \"steady\": [\n{}\n  ]{fast_json}{fast_ratio}{engine_cache_json}{dse_json}{paper_json}\

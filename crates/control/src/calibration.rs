@@ -4,7 +4,7 @@
 //! power (`P_heater ≈ 0.3 × P_VCSEL`). The run-time alternative it cites —
 //! Padmaraju et al.'s feedback stabilization \[12\] — measures each ring's
 //! misalignment and drives its heater with a PI loop instead. This module
-//! implements that loop on a [`ThermalPlant`], so the two approaches can be
+//! implements that loop on a [`LumpedPlant`], so the two approaches can be
 //! compared on settle time, steady-state heater power and residual
 //! misalignment (the paper's Section III-B argues the run-time loop "comes
 //! with performances overhead due to algorithm execution and heating
@@ -18,7 +18,7 @@
 use serde::{Deserialize, Serialize};
 use vcsel_units::{Celsius, TemperatureDelta, Watts};
 
-use crate::{ControlError, PiController, ThermalPlant};
+use crate::{ControlError, LumpedPlant, PiController};
 
 /// Tuning and termination parameters of the calibration loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -40,7 +40,7 @@ pub struct CalibrationConfig {
 }
 
 impl CalibrationConfig {
-    /// Gains and limits sized for the [`crate::LumpedPlant::oni_island`]
+    /// Gains and limits sized for the [`LumpedPlant::oni_island`]
     /// plant: millisecond time constants, 2 mW heater ceiling (a ring
     /// heater at 190 µW/nm can move ~10 nm), 0.1 ms steps, 0.05 °C lock
     /// tolerance (0.005 nm residual misalignment).
@@ -202,7 +202,7 @@ impl CalibrationLoop {
     /// Propagates plant errors; returns [`ControlError::BadParameter`] if
     /// every node is controlled.
     pub fn auto_target(
-        plant: &crate::LumpedPlant,
+        plant: &LumpedPlant,
         steady_inputs: &[Watts],
         controlled: &[usize],
         margin: TemperatureDelta,
@@ -233,10 +233,7 @@ impl CalibrationLoop {
     ///
     /// Returns [`ControlError::DimensionMismatch`] if a controlled index is
     /// outside the plant, plus any plant stepping error.
-    pub fn run<P: ThermalPlant>(
-        &mut self,
-        plant: &mut P,
-    ) -> Result<CalibrationOutcome, ControlError> {
+    pub fn run(&mut self, plant: &mut LumpedPlant) -> Result<CalibrationOutcome, ControlError> {
         let n = plant.node_count();
         if let Some(&bad) = self.controlled.iter().find(|&&i| i >= n) {
             return Err(ControlError::DimensionMismatch {
@@ -300,7 +297,6 @@ impl CalibrationLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LumpedPlant;
 
     fn island_with_lasers() -> (LumpedPlant, Vec<usize>) {
         let mut plant = LumpedPlant::oni_island(4, 4, Celsius::new(50.0)).unwrap();

@@ -61,18 +61,6 @@ impl From<vcsel_numerics::NumericsError> for ControlError {
     }
 }
 
-/// A thermal solve that does not converge is a numerics failure; every
-/// other thermal error (meshing, assembly, an unknown group, a bad scale)
-/// is a bad parameter of the control problem, with the thermal message.
-impl From<vcsel_thermal::ThermalError> for ControlError {
-    fn from(e: vcsel_thermal::ThermalError) -> Self {
-        match e {
-            vcsel_thermal::ThermalError::Solver(e) => Self::Numerics(e),
-            other => Self::BadParameter { reason: other.to_string() },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,24 +71,6 @@ mod tests {
         assert!(e.to_string().contains("negative gain"));
         let e = ControlError::DimensionMismatch { what: "temps", expected: 4, got: 3 };
         assert!(e.to_string().contains("temps"));
-    }
-
-    #[test]
-    fn thermal_solver_failures_are_numerics_errors() {
-        let stalled = vcsel_numerics::NumericsError::NoConvergence {
-            iterations: 2,
-            residual: 0.5,
-            tolerance: 1e-9,
-        };
-        assert_eq!(
-            ControlError::from(vcsel_thermal::ThermalError::Solver(stalled.clone())),
-            ControlError::Numerics(stalled)
-        );
-        let unknown = vcsel_thermal::ThermalError::UnknownGroup { group: "tile9".into() };
-        assert_eq!(
-            ControlError::from(unknown.clone()),
-            ControlError::BadParameter { reason: unknown.to_string() }
-        );
     }
 
     #[test]

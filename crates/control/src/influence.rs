@@ -16,7 +16,6 @@
 //! kernel: influence decays with lateral distance).
 
 use serde::{Deserialize, Serialize};
-use vcsel_thermal::{Design, MeshSpec, SolveContext};
 use vcsel_units::{Celsius, Meters, TemperatureDelta, Watts};
 
 use crate::ControlError;
@@ -186,91 +185,6 @@ impl InfluenceModel {
         Self::new(base, matrix)
     }
 
-    /// Calibrates the model directly against the FVM simulator, reusing
-    /// **one** [`SolveContext`] for every tile solve.
-    ///
-    /// The generic [`InfluenceModel::calibrate`] re-runs whatever its
-    /// oracle does — typically a full mesh + assembly + cold solve per
-    /// tile. Here the system is assembled and IC(0)-factored once; each of
-    /// the `1 + #tiles` solves only rebuilds the right-hand side and
-    /// warm-starts from the previous field, which is exactly the multi-RHS
-    /// shape influence calibration is.
-    ///
-    /// `tiles` names one power group of `design` per tile (each needs a
-    /// positive reference power so the probe scale is well-defined);
-    /// `probes` gives one measurement point per ONI. Groups of the design
-    /// that are *not* tiles (e.g. a `"heater"` bank) stay at their
-    /// reference power throughout, matching a calibration run on the live
-    /// system.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControlError::BadParameter`] for empty tiles/probes, a
-    /// non-positive probe power, an unknown tile group, a zero-power tile
-    /// group, or a meshing/assembly failure, and
-    /// [`ControlError::Numerics`] for a calibration solve that does not
-    /// converge.
-    pub fn calibrate_fvm(
-        design: &Design,
-        spec: &MeshSpec,
-        tiles: &[&str],
-        probes: &[[Meters; 3]],
-        probe: Watts,
-    ) -> Result<Self, ControlError> {
-        if tiles.is_empty() || probes.is_empty() {
-            return Err(ControlError::BadParameter {
-                reason: "FVM calibration needs at least one tile group and one probe".into(),
-            });
-        }
-        if !(probe.value() > 0.0) {
-            return Err(ControlError::BadParameter {
-                reason: format!("probe power must be positive, got {probe}"),
-            });
-        }
-        let mut ctx = SolveContext::new(design, spec)?;
-        let known = ctx.groups().iter().map(|g| g.to_string()).collect::<Vec<_>>();
-        let mut scale_per_tile = Vec::with_capacity(tiles.len());
-        for &tile in tiles {
-            if !known.iter().any(|g| g == tile) {
-                return Err(ControlError::BadParameter {
-                    reason: format!("design has no power group '{tile}' (available: {known:?})"),
-                });
-            }
-            let reference = design.group_power(tile);
-            if !(reference.value() > 0.0) {
-                return Err(ControlError::BadParameter {
-                    reason: format!(
-                        "tile group '{tile}' has reference power {reference}; calibration needs \
-                         a positive reference to scale the probe against"
-                    ),
-                });
-            }
-            scale_per_tile.push(probe.value() / reference.value());
-        }
-
-        // Non-tile groups run at reference power for every solve; tiles are
-        // individually stepped from 0 to the probe power.
-        let mut scales: Vec<(&str, f64)> = known
-            .iter()
-            .filter(|g| !tiles.contains(&g.as_str()))
-            .map(|g| (g.as_str(), 1.0))
-            .collect();
-        let first_tile = scales.len();
-        scales.extend(tiles.iter().map(|&t| (t, 0.0)));
-
-        let base = ctx.solve_probes(&scales, probes)?;
-        let mut matrix = vec![vec![0.0; tiles.len()]; probes.len()];
-        for (t, &s) in scale_per_tile.iter().enumerate() {
-            scales[first_tile + t].1 = s;
-            let temps = ctx.solve_probes(&scales, probes)?;
-            scales[first_tile + t].1 = 0.0;
-            for (o, (hot, cold)) in temps.iter().zip(&base).enumerate() {
-                matrix[o][t] = (hot.value() - cold.value()).max(0.0) / probe.value();
-            }
-        }
-        Self::new(base, matrix)
-    }
-
     /// Number of ONIs (matrix rows).
     pub fn oni_count(&self) -> usize {
         self.base.len()
@@ -427,105 +341,6 @@ mod tests {
                     "mismatch at ({o}, {t})"
                 );
             }
-        }
-    }
-
-    mod fvm {
-        use super::*;
-        use vcsel_thermal::{Block, Boundary, BoundaryCondition, BoxRegion, Material, Simulator};
-        use vcsel_units::WattsPerSquareMeterKelvin;
-
-        fn mm(v: f64) -> Meters {
-            Meters::from_millimeters(v)
-        }
-
-        /// Slab with two tile groups, one static block, and two probes.
-        fn tiled_slab() -> (Design, MeshSpec, Vec<[Meters; 3]>) {
-            let domain = BoxRegion::new([Meters::ZERO; 3], [mm(4.0), mm(2.0), mm(0.5)]).unwrap();
-            let mut d = Design::new(domain, Material::SILICON).unwrap();
-            d.set_boundary(
-                Boundary::top(),
-                BoundaryCondition::Convective {
-                    h: WattsPerSquareMeterKelvin::new(5_000.0),
-                    ambient: Celsius::new(45.0),
-                },
-            );
-            let t0 =
-                BoxRegion::new([mm(0.25), mm(0.5), Meters::ZERO], [mm(1.25), mm(1.5), mm(0.1)])
-                    .unwrap();
-            let t1 =
-                BoxRegion::new([mm(2.75), mm(0.5), Meters::ZERO], [mm(3.75), mm(1.5), mm(0.1)])
-                    .unwrap();
-            let bg =
-                BoxRegion::new([mm(1.75), mm(0.5), Meters::ZERO], [mm(2.25), mm(1.5), mm(0.1)])
-                    .unwrap();
-            d.add_block(
-                Block::heat_source("t0", t0, Material::COPPER, Watts::new(0.25)).with_group("t0"),
-            );
-            d.add_block(
-                Block::heat_source("t1", t1, Material::COPPER, Watts::new(0.25)).with_group("t1"),
-            );
-            d.add_block(Block::heat_source(
-                "bg",
-                bg,
-                Material::COPPER,
-                Watts::from_milliwatts(50.0),
-            ));
-            let probes = vec![[mm(0.75), mm(1.0), mm(0.05)], [mm(3.25), mm(1.0), mm(0.05)]];
-            (d, MeshSpec::uniform(mm(0.25)), probes)
-        }
-
-        #[test]
-        fn fvm_calibration_matches_the_generic_oracle() {
-            let (design, spec, probes) = tiled_slab();
-            let tiles = ["t0", "t1"];
-            let probe = Watts::from_milliwatts(100.0);
-
-            let fast = InfluenceModel::calibrate_fvm(&design, &spec, &tiles, &probes, probe)
-                .expect("cached calibration");
-
-            // Reference: the generic oracle path, one full solve per query.
-            let sim = Simulator::new();
-            let slow = InfluenceModel::calibrate(tiles.len(), probe, |powers: &[Watts]| {
-                let mut d = design.clone();
-                for (t, p) in tiles.iter().zip(powers) {
-                    d.scale_group_power(t, p.value() / design.group_power(t).value());
-                }
-                let map = sim.solve(&d, &spec)?;
-                Ok::<_, ControlError>(
-                    probes.iter().map(|&pt| map.temperature_at(pt).expect("probed")).collect(),
-                )
-            })
-            .expect("oracle calibration");
-
-            assert_eq!(fast.oni_count(), slow.oni_count());
-            assert_eq!(fast.tile_count(), slow.tile_count());
-            for o in 0..fast.oni_count() {
-                for t in 0..fast.tile_count() {
-                    assert!(
-                        (fast.influence(o, t) - slow.influence(o, t)).abs() < 1e-5,
-                        "mismatch at ({o}, {t}): {} vs {}",
-                        fast.influence(o, t),
-                        slow.influence(o, t)
-                    );
-                }
-            }
-            // Self-influence dominates cross-influence on this layout.
-            assert!(fast.influence(0, 0) > fast.influence(0, 1));
-            assert!(fast.influence(1, 1) > fast.influence(1, 0));
-        }
-
-        #[test]
-        fn fvm_calibration_validation() {
-            let (design, spec, probes) = tiled_slab();
-            let w = Watts::from_milliwatts(100.0);
-            assert!(InfluenceModel::calibrate_fvm(&design, &spec, &[], &probes, w).is_err());
-            assert!(InfluenceModel::calibrate_fvm(&design, &spec, &["t0"], &[], w).is_err());
-            assert!(InfluenceModel::calibrate_fvm(&design, &spec, &["t0"], &probes, Watts::ZERO)
-                .is_err());
-            assert!(InfluenceModel::calibrate_fvm(&design, &spec, &["nope"], &probes, w).is_err());
-            let outside = vec![[mm(99.0), mm(0.0), mm(0.0)]];
-            assert!(InfluenceModel::calibrate_fvm(&design, &spec, &["t0"], &outside, w).is_err());
         }
     }
 

@@ -13,11 +13,13 @@
 //! | DVFS + workload migration | \[16\] Li et al. | [`dvfs_cap`], [`migrate_workload`] |
 //! | Thermally-aware job allocation | \[14\] Zhang et al. | [`allocate_jobs`] |
 //!
-//! The control loops run on a [`ThermalPlant`] abstraction with a built-in
-//! lumped RC implementation ([`LumpedPlant`]) whose coefficients are sized
-//! from the paper's device geometry; the steady-state policies run on the
-//! linear [`InfluenceModel`], which can be calibrated against the full FVM
-//! simulator with one solve per tile.
+//! The control loops run on a lumped RC plant ([`LumpedPlant`]) whose
+//! coefficients are sized from the paper's device geometry; the
+//! steady-state policies run on the linear [`InfluenceModel`], which
+//! [`InfluenceModel::calibrate`] fits to any power → temperature oracle,
+//! the full FVM simulator included, with one query per tile. The crate
+//! does not depend on the thermal simulator: the scenario engine in
+//! `vcsel_core` runs these models against the FVM transient.
 //!
 //! # Example: closed-loop ring lock vs design-time heater
 //!
@@ -53,7 +55,6 @@ mod error;
 mod influence;
 mod pi;
 mod plant;
-mod plant_fvm;
 mod remap;
 
 pub use allocation::{allocate_jobs, AllocationPolicy, AllocationResult, Job};
@@ -62,6 +63,5 @@ pub use dvfs::{dvfs_cap, migrate_workload, DvfsResult, MigrationConfig, Migratio
 pub use error::ControlError;
 pub use influence::InfluenceModel;
 pub use pi::PiController;
-pub use plant::{LumpedPlant, LumpedPlantBuilder, ThermalPlant};
-pub use plant_fvm::{FvmNode, FvmPlant};
+pub use plant::{LumpedPlant, LumpedPlantBuilder};
 pub use remap::{remap_channels, RemapConfig, RemapResult};

@@ -19,37 +19,12 @@ use vcsel_units::{Celsius, Watts};
 
 use crate::ControlError;
 
-/// Interface of anything the controllers can heat and observe.
-///
-/// Implementors advance an internal temperature state under per-node input
-/// powers. [`LumpedPlant`] is the built-in RC-network implementation; an
-/// FVM-backed adapter can implement the same trait when full-field accuracy
-/// is needed.
-pub trait ThermalPlant {
-    /// Number of controlled/observed nodes.
-    fn node_count(&self) -> usize;
-
-    /// Advances the plant by `dt_s` seconds with the given per-node input
-    /// powers and returns the node temperatures after the step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControlError::DimensionMismatch`] when `powers` does not
-    /// have one entry per node, [`ControlError::BadParameter`] for a
-    /// non-positive step, or [`ControlError::Numerics`] when a plant's
-    /// solve does not converge (the FVM plant's field then stays put).
-    fn step(&mut self, powers: &[Watts], dt_s: f64) -> Result<Vec<Celsius>, ControlError>;
-
-    /// Current node temperatures.
-    fn temperatures(&self) -> Vec<Celsius>;
-}
-
 /// Builder-constructed RC network of thermal nodes.
 ///
 /// # Example
 ///
 /// ```
-/// use vcsel_control::{LumpedPlant, ThermalPlant};
+/// use vcsel_control::LumpedPlant;
 /// use vcsel_units::{Celsius, Watts};
 ///
 /// // Two rings, 1 mJ/K each, 1 mW/K to ambient, weakly coupled.
@@ -284,14 +259,22 @@ impl LumpedPlant {
         let sol = solver::conjugate_gradient(&a, &rhs, &SolveOptions::default())?;
         Ok(sol.solution.into_iter().map(Celsius::new).collect())
     }
-}
 
-impl ThermalPlant for LumpedPlant {
-    fn node_count(&self) -> usize {
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
         self.temps.len()
     }
 
-    fn step(&mut self, powers: &[Watts], dt_s: f64) -> Result<Vec<Celsius>, ControlError> {
+    /// Advances the plant by `dt_s` seconds with the given per-node input
+    /// powers (plus the disturbance) and returns the node temperatures
+    /// after the step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ControlError::DimensionMismatch`] when `powers` does not
+    /// have one entry per node, [`ControlError::BadParameter`] for a
+    /// non-positive step, and propagates solver failures.
+    pub fn step(&mut self, powers: &[Watts], dt_s: f64) -> Result<Vec<Celsius>, ControlError> {
         let n = self.temps.len();
         if powers.len() != n {
             return Err(ControlError::DimensionMismatch {
@@ -330,7 +313,8 @@ impl ThermalPlant for LumpedPlant {
         Ok(self.temperatures())
     }
 
-    fn temperatures(&self) -> Vec<Celsius> {
+    /// Current node temperatures.
+    pub fn temperatures(&self) -> Vec<Celsius> {
         self.temps.iter().map(|&t| Celsius::new(t)).collect()
     }
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use vcsel_control::{
     allocate_jobs, dvfs_cap, migrate_workload, AllocationPolicy, InfluenceModel, Job, LumpedPlant,
-    MigrationConfig, PiController, ThermalPlant,
+    MigrationConfig, PiController,
 };
 use vcsel_units::{Celsius, Meters, Watts};
 

@@ -391,9 +391,10 @@ fn oni_index_of(name: &str) -> Option<usize> {
 ///
 /// # Errors
 ///
-/// Propagates plant construction and solver errors; a solver fault that
-/// exhausts the whole ladder surfaces as a typed non-convergence error,
-/// never as a silently degraded field.
+/// Returns [`FlowError::BadConfig`] for a fault that names an ONI the
+/// plant lacks. Propagates plant construction and solver errors; a solver
+/// fault that exhausts the whole ladder surfaces as a typed
+/// non-convergence error, never as a silently degraded field.
 pub fn run_scenario(scenario: &Scenario, seed: u64) -> Result<ScenarioReport, FlowError> {
     run_scenario_with(scenario, seed, vcsel_telemetry::global())
 }
@@ -426,6 +427,19 @@ pub fn run_scenario_with(
     let setup_timer = std::time::Instant::now();
     let setup_span = sink.span("scenario", "setup");
     let system = SccSystem::build(&config)?;
+    let n = system.onis().len();
+    let missing = scenario.events.iter().find(|e| match e.kind {
+        FaultKind::VcselDeath { oni } | FaultKind::HeaterStuckOff { oni } => oni >= n,
+        _ => false,
+    });
+    if let Some(event) = missing {
+        return Err(FlowError::BadConfig {
+            reason: format!(
+                "fault {:?} at step {} names an ONI the {n}-ONI plant lacks",
+                event.kind, event.at_step
+            ),
+        });
+    }
     let design = per_oni_design(&system);
     let spec = system.mesh_spec()?;
     // 1e-8 on a ~Kelvin-scale field is far below any metric pin's
@@ -438,7 +452,6 @@ pub fn run_scenario_with(
     let mut step_ms = 0.0f64;
     let mut control_ms = 0.0f64;
 
-    let n = system.onis().len();
     let optical = system.stack().optical_layer_z();
     let z_mid = (optical.0 + optical.1) / 2.0;
     let probes: Vec<[Meters; 3]> = system
@@ -486,21 +499,17 @@ pub fn run_scenario_with(
             );
             match event.kind {
                 FaultKind::VcselDeath { oni } => {
-                    if oni < n {
-                        vcsel_scale[oni] = 0.0;
-                        for c in &comms {
-                            if c.source().index() == oni && !dead_channels.contains(&c.channel()) {
-                                dead_channels.push(c.channel());
-                            }
+                    vcsel_scale[oni] = 0.0;
+                    for c in &comms {
+                        if c.source().index() == oni && !dead_channels.contains(&c.channel()) {
+                            dead_channels.push(c.channel());
                         }
-                        remap_pending = true;
                     }
+                    remap_pending = true;
                 }
                 FaultKind::HeaterStuckOff { oni } => {
-                    if oni < n {
-                        heater_scale[oni] = 0.0;
-                        remap_pending = true;
-                    }
+                    heater_scale[oni] = 0.0;
+                    remap_pending = true;
                 }
                 FaultKind::TrafficBurst { multiplier } => {
                     chip_mult = multiplier.max(0.0);
@@ -830,6 +839,22 @@ mod tests {
             assert_eq!(find_scenario(s.name).unwrap().name, s.name);
         }
         assert!(matches!(find_scenario("nope"), Err(FlowError::BadConfig { .. })));
+    }
+
+    #[test]
+    fn faults_naming_a_missing_oni_are_rejected() {
+        // The plant has ONIs 0-3, so ONI 4 is a mistyped fault: it must
+        // fail the run rather than run it as a fault-free scenario.
+        for kind in [FaultKind::VcselDeath { oni: 4 }, FaultKind::HeaterStuckOff { oni: 4 }] {
+            let mut scenario = find_scenario("hot-channel-death").unwrap();
+            scenario.events = vec![FaultEvent { at_step: 10, kind }];
+            match run_scenario(&scenario, DEFAULT_SEED) {
+                Err(FlowError::BadConfig { reason }) => {
+                    assert!(reason.contains("oni: 4"), "the error must name the event: {reason}");
+                }
+                other => panic!("{kind:?} must be rejected, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -64,38 +64,12 @@ impl DesignFlow {
         }
     }
 
-    /// Overrides the VCSEL model (builder style).
-    #[must_use]
-    pub fn with_vcsel(mut self, vcsel: Vcsel) -> Self {
-        self.vcsel = vcsel;
-        self
-    }
-
     /// Overrides the thermal simulator (builder style) — e.g. to relax the
     /// CG tolerance for long sweep campaigns (a 1e-6 relative residual is
     /// micro-kelvin-scale error on these systems).
     #[must_use]
     pub fn with_simulator(mut self, simulator: Simulator) -> Self {
         self.simulator = simulator;
-        self
-    }
-
-    /// Overrides the wavelength grid (builder style).
-    #[must_use]
-    pub fn with_grid(mut self, grid: WavelengthGrid) -> Self {
-        self.grid = grid;
-        self
-    }
-
-    /// Overrides the number of waveguides per interface (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    #[must_use]
-    pub fn with_waveguide_count(mut self, count: usize) -> Self {
-        assert!(count > 0, "need at least one waveguide");
-        self.waveguide_count = count;
         self
     }
 
@@ -266,7 +240,7 @@ mod tests {
     #[test]
     fn waveguide_count_validation() {
         let (flow, study) = study();
-        let flow1 = flow.clone().with_waveguide_count(1);
+        let flow1 = DesignFlow { waveguide_count: 1, ..flow.clone() };
         let p_vcsel = Watts::from_milliwatts(3.6);
         let outcome = study.evaluate(p_vcsel, Watts::ZERO, Watts::new(2.0)).unwrap();
         let snr = flow1.evaluate_snr(study.system(), &outcome, p_vcsel).unwrap();

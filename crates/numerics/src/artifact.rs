@@ -327,11 +327,6 @@ impl ArtifactWriter {
         self.buf.push(u8::from(v));
     }
 
-    /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -346,11 +341,6 @@ impl ArtifactWriter {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_bytes(s.as_bytes());
     }
 
     /// Appends a length-prefixed `u32` slice.
@@ -473,16 +463,6 @@ impl<'a> ArtifactReader<'a> {
         }
     }
 
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Truncated`] at end of payload.
-    pub fn get_u32(&mut self) -> Result<u32, ArtifactError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
     /// Reads a little-endian `u64`.
     ///
     /// # Errors
@@ -522,17 +502,6 @@ impl<'a> ArtifactReader<'a> {
     pub fn get_bytes(&mut self) -> Result<&'a [u8], ArtifactError> {
         let len = self.slice_len(1)?;
         self.take(len)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Truncated`] when the declared length outruns the
-    /// payload, [`ArtifactError::BadStructure`] for invalid UTF-8.
-    pub fn get_str(&mut self) -> Result<&'a str, ArtifactError> {
-        std::str::from_utf8(self.get_bytes()?)
-            .map_err(|e| bad(format!("string is not valid UTF-8: {e}")))
     }
 
     /// Reads a length-prefixed `u32` slice.

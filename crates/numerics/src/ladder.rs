@@ -18,10 +18,11 @@
 //! ladder degrades gracefully instead of panicking.
 //!
 //! Every attempt is recorded as a [`RungAttempt`] so callers can surface
-//! *why* a solve was slow or degraded (the thermal layer forwards them in
-//! its `SolveHealth` report). Escalation is sticky: once a rung has failed
-//! it stays retired for the lifetime of the ladder, because a preconditioner
-//! that broke once on this operator will break again.
+//! *why* a solve was slow or degraded (the thermal engines expose them
+//! through `attempts()`, next to the call's [`LadderSummary`]). Escalation
+//! is sticky: once a rung has failed it stays retired for the lifetime of
+//! the ladder, because a preconditioner that broke once on this operator
+//! will break again.
 
 use std::sync::Arc;
 
@@ -86,8 +87,9 @@ pub struct RungAttempt {
     pub detail: Option<String>,
 }
 
-/// Aggregate result of one [`SolveLadder::solve`] call.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Aggregate result of one [`SolveLadder::solve`] call — also the solve
+/// record the thermal engines keep for their most recent solve.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LadderSummary {
     /// Iterations of the final (deciding) attempt.
     pub iterations: usize,
@@ -103,6 +105,20 @@ pub struct LadderSummary {
     pub converged: bool,
     /// Rungs retired during this call.
     pub escalations: usize,
+}
+
+impl LadderSummary {
+    /// `true` when the solve only succeeded by escalating past at least
+    /// one failed rung — converged, but on degraded (weaker) numerics.
+    pub fn recovered(&self) -> bool {
+        self.converged && self.escalations > 0
+    }
+
+    /// `true` when the solve converged on its first attempt with no
+    /// escalations — the everyday case.
+    pub fn is_clean(&self) -> bool {
+        self.converged && self.escalations == 0
+    }
 }
 
 #[derive(Clone)]

@@ -18,10 +18,10 @@
 //! through one painter, makes one traced [`SolveLadder::solve`] call under
 //! the caller's span name (`steady_solve`, `batch_solve`,
 //! `transient_step`), records the solve sample, the iteration counters and
-//! [`SolveHealth`], and applies one failure rule — the field becomes the
-//! last converged column, else keeps its pre-solve value. One painting
-//! solves in place in the held right-hand-side buffer and field; a batch
-//! solves as one per-call column block. A
+//! the ladder's [`LadderSummary`], and applies one failure rule — the
+//! field becomes the last converged column, else keeps its pre-solve
+//! value. One painting solves in place in the held right-hand-side buffer
+//! and field; a batch solves as one per-call column block. A
 //! [`TransientStepper`](crate::TransientStepper) is this engine over
 //! `A + C/Δt`, whose right-hand side also carries `C/Δt·Tₙ`.
 //!
@@ -41,15 +41,13 @@ use std::sync::Arc;
 
 use vcsel_numerics::solver::{CgWorkspace, SolveOptions};
 use vcsel_numerics::{
-    AnyPreconditioner, CsrMatrix, MultigridConfig, NumericsError, PreconditionerKind, RungAttempt,
-    SolveLadder,
+    AnyPreconditioner, CsrMatrix, LadderSummary, MultigridConfig, NumericsError,
+    PreconditionerKind, RungAttempt, SolveLadder,
 };
 use vcsel_telemetry::{ArgValue, TelemetrySink};
-use vcsel_units::{Celsius, Meters};
 
 use crate::assembly::{self, BoundaryFace};
-use crate::schedule::check_scales;
-use crate::{Design, Mesh, MeshSpec, SolveHealth, ThermalError, ThermalMap};
+use crate::{Design, Mesh, MeshSpec, ThermalError, ThermalMap};
 
 /// The linear-solver options every engine and [`Simulator`](crate::Simulator)
 /// starts with: a 1e-9 relative residual within 50 000 CG iterations.
@@ -140,6 +138,42 @@ impl Powers {
     }
 }
 
+/// Checks a group-scale painting — the `&[(group, scale)]` argument every
+/// engine takes (steady solves, transient steps, basis composition) — so
+/// all of them accept and reject exactly the same paintings:
+///
+/// * a group `is_group` does not know is [`ThermalError::UnknownGroup`],
+/// * a negative or non-finite scale is [`ThermalError::BadParameter`],
+/// * a group named twice is [`ThermalError::BadParameter`].
+///
+/// It only validates; callers keep their own painting arithmetic.
+pub(crate) fn check_scales(
+    scales: &[(&str, f64)],
+    is_group: impl Fn(&str) -> bool,
+) -> Result<(), ThermalError> {
+    for (i, &(name, s)) in scales.iter().enumerate() {
+        if !is_group(name) {
+            return Err(ThermalError::UnknownGroup { group: name.to_string() });
+        }
+        validate_scale(name, s)?;
+        if scales[..i].iter().any(|&(seen, _)| seen == name) {
+            return Err(ThermalError::BadParameter {
+                reason: format!("group '{name}' appears twice in the scales"),
+            });
+        }
+    }
+    Ok(())
+}
+
+fn validate_scale(group: &str, scale: f64) -> Result<(), ThermalError> {
+    if !scale.is_finite() || scale < 0.0 {
+        return Err(ThermalError::BadParameter {
+            reason: format!("scale for group '{group}' must be non-negative, got {scale}"),
+        });
+    }
+    Ok(())
+}
+
 /// Paints the static (ungrouped) power vector and one per-group power
 /// vector at the design's reference block powers. Shared with the
 /// blueprint layer: the fresh build and the cache-restore path must paint
@@ -195,8 +229,8 @@ pub(crate) struct EngineParts {
 /// per group, preconditioner factorization. Every subsequent
 /// [`solve`](SolveContext::solve) /
 /// [`solve_scaled`](SolveContext::solve_scaled) /
-/// [`solve_probes`](SolveContext::solve_probes) only rebuilds the
-/// right-hand side in a held buffer and runs warm-started CG.
+/// [`solve_batch`](SolveContext::solve_batch) only rebuilds the
+/// right-hand sides and runs warm-started CG.
 ///
 /// # Example
 ///
@@ -251,8 +285,8 @@ pub struct SolveContext {
     boundaries: crate::BoundarySet,
     /// The escalating preconditioner chain every solve runs through.
     ladder: SolveLadder,
-    /// Health report of the most recent solve.
-    health: SolveHealth,
+    /// The ladder's summary of the most recent solve.
+    health: LadderSummary,
     options: SolveOptions,
     /// Last solution; doubles as the next solve's warm-start guess.
     temps: Vec<f64>,
@@ -318,7 +352,7 @@ impl SolveContext {
             conductivity: parts.conductivity,
             boundaries: parts.boundaries,
             ladder: parts.ladder,
-            health: SolveHealth::default(),
+            health: LadderSummary::default(),
             options: ENGINE_OPTIONS,
             temps: vec![0.0; n],
             rhs: vec![0.0; n],
@@ -429,9 +463,10 @@ impl SolveContext {
         self.ladder.active_preconditioner()
     }
 
-    /// Health report of the most recent solve: how many escalations it
-    /// took, and whether the answer is degraded.
-    pub fn health(&self) -> &SolveHealth {
+    /// The ladder's summary of the most recent solve: whether it
+    /// converged, how many escalations it took, and (through
+    /// [`LadderSummary::recovered`]) whether the answer is degraded.
+    pub fn health(&self) -> &LadderSummary {
         &self.health
     }
 
@@ -641,32 +676,6 @@ impl SolveContext {
             .collect())
     }
 
-    /// Solves like [`SolveContext::solve_scaled`] but returns only the
-    /// temperatures at `probes` — the multi-right-hand-side shape influence
-    /// calibration needs, without cloning the mesh into a full
-    /// [`ThermalMap`] per solve.
-    ///
-    /// # Errors
-    ///
-    /// Additionally returns [`ThermalError::BadParameter`] for a probe
-    /// outside the domain.
-    pub fn solve_probes(
-        &mut self,
-        scales: &[(&str, f64)],
-        probes: &[[Meters; 3]],
-    ) -> Result<Vec<Celsius>, ThermalError> {
-        let cells: Vec<usize> = probes
-            .iter()
-            .map(|&p| {
-                self.mesh.locate(p).ok_or_else(|| ThermalError::BadParameter {
-                    reason: "probe lies outside the design domain".into(),
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        self.solve_field("steady_solve", scales, 0.0, None)?;
-        Ok(cells.into_iter().map(|c| Celsius::new(self.temps[c])).collect())
-    }
-
     /// Solves one painting in place in the held right-hand side and field
     /// (see [`SolveContext::solve_columns`]); returns the injected power in
     /// watts.
@@ -689,8 +698,8 @@ impl SolveContext {
     /// a transient step passes its `C/Δt` as `capacity_over_dt`, which
     /// adds `C/Δt·Tₙ` with `Tₙ` the current field), solves the painted
     /// columns in one traced [`SolveLadder::solve`] call under `span`,
-    /// records the telemetry sample, the iteration counters and
-    /// [`SolveHealth`], and applies the one failure rule: the field becomes
+    /// records the telemetry sample, the iteration counters and the
+    /// [`LadderSummary`], and applies the one failure rule: the field becomes
     /// the last converged column, else keeps its pre-solve value.
     ///
     /// Without `block` the one painting solves in place in the held
@@ -762,7 +771,7 @@ impl SolveContext {
         }
         self.last_iterations = summary.iterations;
         self.total_iterations += summary.total_iterations;
-        self.health = SolveHealth::from_ladder(summary);
+        self.health = summary;
 
         let failed = self.ladder.unconverged_columns();
         let mut last_good = None;
@@ -805,7 +814,7 @@ impl SolveContext {
 mod tests {
     use super::*;
     use crate::{Block, Boundary, BoundaryCondition, BoxRegion, Material, Simulator};
-    use vcsel_units::{Watts, WattsPerSquareMeterKelvin};
+    use vcsel_units::{Celsius, Meters, Watts, WattsPerSquareMeterKelvin};
 
     fn mm(v: f64) -> Meters {
         Meters::from_millimeters(v)
@@ -871,16 +880,6 @@ mod tests {
         ctx.solve_scaled(&[("src", 1.01)]).unwrap();
         assert!(ctx.last_iterations() < cold, "warm {} vs cold {cold}", ctx.last_iterations());
         assert!(ctx.total_iterations() >= cold);
-    }
-
-    #[test]
-    fn probes_match_the_full_map() {
-        let (design, spec) = grouped_slab();
-        let probe = [mm(2.0), mm(2.0), mm(0.1)];
-        let mut ctx = SolveContext::new(&design, &spec).unwrap();
-        let map = ctx.solve_scaled(&[("src", 1.0)]).unwrap();
-        let probed = ctx.solve_probes(&[("src", 1.0)], &[probe]).unwrap();
-        assert!((map.temperature_at(probe).unwrap().value() - probed[0].value()).abs() < 1e-9);
     }
 
     #[test]
@@ -1158,7 +1157,7 @@ mod tests {
         let maps = ctx.solve_batch(&[&[("src", 1.0)], &[("src", 0.5)], &[("src", 2.0)]]).unwrap();
         assert!(maps.iter().all(Result::is_ok));
         let health = ctx.health();
-        assert!(health.recovered, "{health:?}");
+        assert!(health.recovered(), "{health:?}");
         assert_eq!(health.escalations, 1);
         assert_eq!(ctx.preconditioner_name(), "jacobi");
     }
@@ -1199,7 +1198,6 @@ mod tests {
         ));
         assert!(ctx.solve_scaled(&[("src", -1.0)]).is_err());
         assert!(ctx.solve_scaled(&[("src", f64::NAN)]).is_err());
-        assert!(ctx.solve_probes(&[], &[[mm(99.0), mm(0.0), mm(0.0)]]).is_err());
         assert_eq!(ctx.groups(), vec!["src"]);
         assert!(ctx.unknowns() > 0);
         assert_eq!(ctx.mesh().cell_count(), ctx.unknowns());

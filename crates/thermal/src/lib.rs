@@ -80,11 +80,9 @@ mod convergence;
 mod error;
 mod export;
 mod geometry;
-mod health;
 mod map;
 mod material;
 mod mesh;
-mod schedule;
 mod simulator;
 mod stepper;
 mod superposition;
@@ -96,19 +94,18 @@ pub use convergence::{ConvergenceLevel, ConvergenceStudy};
 pub use error::ThermalError;
 pub use export::MapSlice;
 pub use geometry::{Block, BoxRegion, Design};
-pub use health::SolveHealth;
 pub use map::ThermalMap;
 pub use material::Material;
 pub use mesh::{Axis, Mesh, MeshSpec, RefineRegion};
-pub use schedule::{PowerEvent, PowerSchedule};
 pub use simulator::Simulator;
 pub use stepper::TransientStepper;
 pub use superposition::ResponseBasis;
+/// Re-exported so downstream crates can read an engine's solve record,
+/// [`SolveContext::health`], and the per-rung story its
+/// [`SolveContext::attempts`] returns without depending on
+/// `vcsel_numerics` directly.
+pub use vcsel_numerics::{LadderSummary, RungAttempt, RungOutcome};
 /// Re-exported so downstream crates can pick a solve-engine preconditioner
 /// (including the multigrid hierarchy and its tuning knobs) without
 /// depending on `vcsel_numerics` directly.
 pub use vcsel_numerics::{MultigridConfig, PreconditionerKind};
-/// Re-exported so downstream crates can read the per-rung story an
-/// engine's [`SolveContext::attempts`] returns without depending on
-/// `vcsel_numerics` directly.
-pub use vcsel_numerics::{RungAttempt, RungOutcome};

@@ -37,14 +37,12 @@
 //! the field at `Tₙ` and does not advance time.
 
 use vcsel_numerics::solver::SolveOptions;
-use vcsel_numerics::{PreconditionerKind, RungAttempt};
+use vcsel_numerics::{LadderSummary, PreconditionerKind, RungAttempt};
 use vcsel_telemetry::TelemetrySink;
 use vcsel_units::{Celsius, Meters};
 
 use crate::blueprint::assemble_engine;
-use crate::{
-    Design, Mesh, MeshSpec, PowerSchedule, SolveContext, SolveHealth, ThermalError, ThermalMap,
-};
+use crate::{Design, Mesh, MeshSpec, SolveContext, ThermalError, ThermalMap};
 
 /// A backward-Euler integrator whose group powers can change every step.
 ///
@@ -144,9 +142,9 @@ impl TransientStepper {
         self.engine.groups()
     }
 
-    /// Health report of the most recent step's solve: escalations, and
-    /// whether the answer is degraded.
-    pub fn health(&self) -> &SolveHealth {
+    /// The ladder's summary of the most recent step's solve (see
+    /// [`SolveContext::health`]).
+    pub fn health(&self) -> &LadderSummary {
         self.engine.health()
     }
 
@@ -215,28 +213,6 @@ impl TransientStepper {
     pub fn step(&mut self, scales: &[(&str, f64)]) -> Result<(), ThermalError> {
         self.engine.solve_field("transient_step", scales, 0.0, Some(&self.capacity_over_dt))?;
         self.steps += 1;
-        Ok(())
-    }
-
-    /// Replays `schedule` for `steps` steps: before each step the schedule
-    /// is sampled at the current simulation time and the resulting group
-    /// scales applied — the declarative, event-driven counterpart of
-    /// hand-rolled [`TransientStepper::step`] loops.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`TransientStepper::step`]; the field stops at the
-    /// last successful step.
-    pub fn run_schedule(
-        &mut self,
-        schedule: &PowerSchedule,
-        steps: usize,
-    ) -> Result<(), ThermalError> {
-        for _ in 0..steps {
-            let scales = schedule.scales_at(self.time());
-            let borrowed: Vec<(&str, f64)> = scales.iter().map(|(g, s)| (g.as_str(), *s)).collect();
-            self.step(&borrowed)?;
-        }
         Ok(())
     }
 

@@ -14,7 +14,7 @@
 //! [`SolveContext::solve_batch`] call: one column block through the
 //! engine's one solve path.
 
-use crate::schedule::check_scales;
+use crate::context::check_scales;
 use crate::{Design, MeshSpec, Simulator, SolveContext, ThermalError, ThermalMap};
 
 /// Pre-solved unit responses for the power groups of a design.

@@ -56,7 +56,7 @@ pub use vcsel_control as control;
 /// The most common imports, bundled.
 pub mod prelude {
     pub use vcsel_arch::{Activity, Fidelity, OniLayout, PlacementCase, SccConfig, SccSystem};
-    pub use vcsel_control::{CalibrationLoop, InfluenceModel, LumpedPlant, ThermalPlant};
+    pub use vcsel_control::{CalibrationLoop, InfluenceModel, LumpedPlant};
     pub use vcsel_core::{DesignFlow, HeaterExploration, SnrSummary, ThermalOutcome, ThermalStudy};
     pub use vcsel_network::{RingTopology, SnrAnalyzer, WavelengthGrid};
     pub use vcsel_photonics::{
