@@ -34,7 +34,7 @@ use std::sync::Mutex;
 use vcsel_arch::{OniLayout, PlacementCase, SccConfig};
 use vcsel_thermal::{EngineBlueprint, RestoreError, SolveContext};
 
-use crate::report::fidelity_label;
+use crate::report::{fidelity_label, keyed_path, write_atomic};
 use crate::FlowError;
 
 /// Default on-disk location of the engine cache, relative to the working
@@ -182,11 +182,7 @@ impl CacheStore {
 
     /// The artifact path for `key` (sanitized to a portable filename).
     pub fn path(&self, key: &str) -> PathBuf {
-        let safe: String = key
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .collect();
-        self.dir.join(format!("{safe}.vcaf"))
+        keyed_path(&self.dir, key, "vcaf")
     }
 
     /// Loads the artifact bytes stored under `key`, or `None` when the
@@ -204,15 +200,7 @@ impl CacheStore {
     /// Returns [`FlowError::Report`] when the directory or file cannot be
     /// written.
     pub fn store(&self, key: &str, bytes: &[u8]) -> Result<(), FlowError> {
-        let path = self.path(key);
-        let io = |e: std::io::Error| FlowError::Report {
-            path: path.display().to_string(),
-            reason: e.to_string(),
-        };
-        std::fs::create_dir_all(&self.dir).map_err(io)?;
-        let tmp = path.with_extension("vcaf.tmp");
-        std::fs::write(&tmp, bytes).map_err(io)?;
-        std::fs::rename(&tmp, &path).map_err(io)
+        write_atomic(&self.path(key), bytes)
     }
 }
 

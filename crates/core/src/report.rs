@@ -160,12 +160,7 @@ impl CheckpointStore {
     }
 
     fn path(&self, key: &str) -> PathBuf {
-        // Keys come from figure/point names; keep filenames portable.
-        let safe: String = key
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .collect();
-        self.dir.join(format!("{safe}.json"))
+        keyed_path(&self.dir, key, "json")
     }
 
     /// Loads the checkpoint stored under `key`, or `None` if it is
@@ -188,19 +183,46 @@ impl CheckpointStore {
     /// written.
     pub fn store<T: Serialize>(&self, key: &str, value: &T) -> Result<(), FlowError> {
         let path = self.path(key);
-        let io = |e: std::io::Error| FlowError::Report {
-            path: path.display().to_string(),
-            reason: e.to_string(),
-        };
-        std::fs::create_dir_all(&self.dir).map_err(io)?;
         let text = serde_json::to_string_pretty(value).map_err(|e| FlowError::Report {
             path: path.display().to_string(),
             reason: e.to_string(),
         })?;
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, text).map_err(io)?;
-        std::fs::rename(&tmp, &path).map_err(io)
+        write_atomic(&path, text.as_bytes())
     }
+}
+
+/// `<dir>/<key>.<ext>`, with every character of `key` other than an ASCII
+/// letter, digit, `-` or `_` replaced by `_`: keys come from figure, point
+/// and configuration names, and the file names must stay portable.
+pub(crate) fn keyed_path(dir: &Path, key: &str, ext: &str) -> PathBuf {
+    let safe: String = key
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+        .collect();
+    dir.join(format!("{safe}.{ext}"))
+}
+
+/// Writes `bytes` to `path` atomically, creating its directory if needed:
+/// they land in a `<path>.tmp` sibling first, which is renamed over
+/// `path`, so a kill mid-write leaves at worst a stale tmp file, never a
+/// truncated `path`. Both on-disk stores write through here.
+///
+/// # Errors
+///
+/// Returns [`FlowError::Report`] when the directory or file cannot be
+/// written.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), FlowError> {
+    let io = |e: std::io::Error| FlowError::Report {
+        path: path.display().to_string(),
+        reason: e.to_string(),
+    };
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(io)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes).map_err(io)?;
+    std::fs::rename(&tmp, path).map_err(io)
 }
 
 #[cfg(test)]

@@ -168,8 +168,8 @@ fn version_bump_falls_back_to_fresh_build() {
 fn out_of_range_smoother_bound_falls_back_to_fresh_build() {
     // A multigrid engine artifact stores each level's Chebyshev bound. A
     // bound that is NaN, zero or above its level's Gershgorin bound must be
-    // rejected typed even behind valid checksums (as a crafted file would
-    // carry them), and the engine rebuilt fresh.
+    // rejected typed even behind a valid checksum (as a crafted file would
+    // carry one), and the engine rebuilt fresh.
     let (config, blueprint) = tiny_blueprint();
     let blueprint =
         blueprint.with_kind(PreconditionerKind::Multigrid { config: MultigridConfig::default() });
@@ -198,7 +198,7 @@ fn out_of_range_smoother_bound_falls_back_to_fresh_build() {
     for bad in [f64::NAN, 0.0, 1e300] {
         let mut damaged = bytes.clone();
         damaged[offset..offset + 8].copy_from_slice(&bad.to_le_bytes());
-        reseal_engine(&mut damaged);
+        seal(&mut damaged);
         std::fs::write(&path, &damaged).unwrap();
 
         let (mut ctx, outcome) = cache.obtain(&config, &blueprint).unwrap();
@@ -217,17 +217,6 @@ fn out_of_range_smoother_bound_falls_back_to_fresh_build() {
     let _ = std::fs::remove_dir_all(cache.store().dir());
 }
 
-/// Recomputes the checksums of a multigrid engine artifact after a payload
-/// edit: first the nested hierarchy envelope, then the engine envelope
-/// around it. The engine payload opens with the content hash, the cell
-/// count, the preconditioner tag and the hierarchy's length prefix.
-fn reseal_engine(engine: &mut [u8]) {
-    const NESTED: usize = 9 + 8 + 8 + 1 + 8;
-    let len = u64::from_le_bytes(engine[NESTED - 8..NESTED].try_into().unwrap()) as usize;
-    seal(&mut engine[NESTED..NESTED + len]);
-    seal(engine);
-}
-
 /// Rewrites an envelope's trailing checksum: FNV-1a-64 over the bytes
 /// before it, folded in 8-byte little-endian words, then the remainder
 /// byte by byte.
@@ -243,6 +232,24 @@ fn seal(envelope: &mut [u8]) {
         h = (h ^ u64::from(b)).wrapping_mul(PRIME);
     }
     envelope[body..].copy_from_slice(&h.to_le_bytes());
+}
+
+#[test]
+fn engine_artifact_is_one_envelope() {
+    // The solver state is a section of the engine's envelope, not an
+    // envelope of its own: the magic occurs once, at the start, for the
+    // IC(0) engine and for the multigrid one.
+    let (_, blueprint) = tiny_blueprint();
+    let multigrid = blueprint
+        .clone()
+        .with_kind(PreconditionerKind::Multigrid { config: MultigridConfig::default() });
+    for blueprint in [blueprint, multigrid] {
+        let engine = blueprint.build().unwrap();
+        let bytes = blueprint.engine_artifact(&engine).expect("tiny engines are cacheable");
+        let magics: Vec<usize> =
+            bytes.windows(4).enumerate().filter(|(_, w)| w == b"VCAF").map(|(at, _)| at).collect();
+        assert_eq!(magics, [0], "{} engine artifact", blueprint.kind().name());
+    }
 }
 
 #[test]

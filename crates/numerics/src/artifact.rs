@@ -1,17 +1,25 @@
 //! Versioned, checksummed binary artifacts for solver-engine state.
 //!
 //! The engine cache (ROADMAP direction 5) needs to move a factored engine —
-//! the assembled operator, its IC(0) factor, or a whole multigrid hierarchy —
-//! between processes without re-paying assembly and factorization. This
-//! module is the dependency-free codec behind that: little-endian sections
-//! inside a fixed envelope, no external crates (the serde shims stay
-//! JSON-only and are never on this path).
+//! the assembled operator plus its IC(0) factor, or a whole multigrid
+//! hierarchy — between processes without re-paying assembly and
+//! factorization. This module is the dependency-free codec behind that:
+//! little-endian sections inside one fixed envelope, no external crates
+//! (the serde shims stay JSON-only and are never on this path).
 //!
 //! # Envelope
 //!
 //! ```text
-//! magic "VCAF" | version u32 | kind u8 | payload … | checksum u64
+//! magic "VCAF" | version u32 | payload … | checksum u64
 //! ```
+//!
+//! An artifact is exactly one envelope: its owner writes the whole payload
+//! into one [`ArtifactWriter`] and reads it back from one
+//! [`ArtifactReader`]. The solver state — the operator and its
+//! preconditioner — is one section of that payload, written by
+//! [`ArtifactWriter::put_solver_state`] and read by
+//! [`ArtifactReader::get_solver_state`]; the matrix, factor and hierarchy
+//! codecs behind it are private to this module.
 //!
 //! The trailing checksum (FNV-1a over everything before it) covers the
 //! header too, so header corruption is caught, and the version is checked
@@ -30,32 +38,26 @@
 use std::sync::Arc;
 
 use crate::multigrid::{Multigrid, MultigridConfig, MultigridHierarchy};
-use crate::precond::IncompleteCholesky;
+use crate::precond::{AnyPreconditioner, IncompleteCholesky};
 use crate::{CsrMatrix, NumericsError};
 
 /// Format version written into (and required from) every artifact envelope.
-/// Version 3: an IC(0) payload is `n` plus the three factor arrays and
-/// nothing else. Version 4: a multigrid config carries no cycle-shape tag.
-/// Version 5: nor does it carry sweep counts or a threading flag (the
-/// cycle is a fixed V(1,1) and threads behind size gates).
-pub const ARTIFACT_VERSION: u32 = 5;
+///
+/// Version 6: the header is the magic and this version, with no kind
+/// byte, and nothing nests a second envelope. The solver state is a tag
+/// byte and its sections, inline in the owner's payload: tag 0 is a
+/// multigrid hierarchy (its configuration; each non-coarsest level's
+/// operator, prolongator and Chebyshev bound; the coarsest operator; and
+/// the dense coarsest factor if it has one), whose finest level is the
+/// operator; tag 1 is the operator followed by its IC(0) factor (`n` and
+/// the three factor arrays).
+pub const ARTIFACT_VERSION: u32 = 6;
 
 /// Envelope magic: "VCsel Artifact Format".
 const MAGIC: [u8; 4] = *b"VCAF";
 
-/// Envelope kind byte for a [`CsrMatrix`] artifact.
-pub const KIND_CSR_MATRIX: u8 = 1;
-/// Envelope kind byte for an [`IncompleteCholesky`] artifact.
-pub const KIND_INCOMPLETE_CHOLESKY: u8 = 2;
-/// Envelope kind byte for a [`MultigridHierarchy`] artifact.
-pub const KIND_MULTIGRID_HIERARCHY: u8 = 3;
-/// First kind byte available to downstream crates composing their own
-/// envelopes out of [`ArtifactWriter`] / [`ArtifactReader`] (the thermal
-/// engine artifact uses this range); 1–15 are reserved for this crate.
-pub const KIND_DOWNSTREAM_BASE: u8 = 16;
-
-/// Bytes before the payload: magic (4) + version (4) + kind (1).
-const HEADER_LEN: usize = 9;
+/// Bytes before the payload: magic (4) + version (4).
+const HEADER_LEN: usize = 8;
 /// Trailing checksum length.
 const CHECKSUM_LEN: usize = 8;
 
@@ -87,13 +89,6 @@ pub enum ArtifactError {
     },
     /// The leading magic bytes are not an artifact envelope.
     BadMagic,
-    /// The envelope holds a different artifact kind than requested.
-    WrongKind {
-        /// Kind byte the caller asked to decode.
-        expected: u8,
-        /// Kind byte found in the envelope.
-        found: u8,
-    },
     /// The payload decoded but violates a structural invariant.
     BadStructure {
         /// First violated invariant.
@@ -116,9 +111,6 @@ impl std::fmt::Display for ArtifactError {
                 "artifact version skew: this build reads v{supported}, envelope is v{found}"
             ),
             Self::BadMagic => write!(f, "not an artifact envelope (bad magic)"),
-            Self::WrongKind { expected, found } => {
-                write!(f, "artifact kind mismatch: expected {expected}, found {found}")
-            }
             Self::BadStructure { reason } => write!(f, "artifact payload invalid: {reason}"),
         }
     }
@@ -213,14 +205,6 @@ impl Default for ContentHasher {
     }
 }
 
-/// One-shot [`ContentHasher`] over a byte slice.
-#[must_use]
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h = ContentHasher::new();
-    h.push_bytes(bytes);
-    h.finish()
-}
-
 // ---------------------------------------------------------------------------
 // Encode/decode inner loops (registered in lint.toml's rule-3 hot-path
 // audit: they run once per stored non-zero and must not allocate).
@@ -297,33 +281,31 @@ fn fill_f64_le(dst: &mut [f64], src: &[u8]) {
 // ---------------------------------------------------------------------------
 // Envelope writer / reader.
 
-/// Builds one artifact envelope: header up front, sections appended in
-/// order, checksum sealed by [`ArtifactWriter::finish`]. Downstream crates
-/// (the thermal engine artifact) compose their own envelopes from the same
-/// primitives using kinds at or above [`KIND_DOWNSTREAM_BASE`].
+/// Builds one artifact envelope: header up front, the owner's payload
+/// appended in order (the solver state as one section of it), checksum
+/// sealed by [`ArtifactWriter::finish`].
 #[derive(Debug)]
 pub struct ArtifactWriter {
     buf: Vec<u8>,
 }
 
 impl ArtifactWriter {
-    /// Starts an envelope of the given kind at [`ARTIFACT_VERSION`].
+    /// Starts an envelope at [`ARTIFACT_VERSION`].
     #[must_use]
-    pub fn new(kind: u8) -> Self {
+    pub fn new() -> Self {
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-        buf.push(kind);
         Self { buf }
     }
 
     /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
+    fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a `bool` as one byte (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
+    fn put_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
@@ -337,21 +319,15 @@ impl ArtifactWriter {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// Appends a length-prefixed byte blob (e.g. a nested artifact).
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.put_u64(bytes.len() as u64);
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Appends a length-prefixed `u32` slice.
-    pub fn put_u32_slice(&mut self, vals: &[u32]) {
+    fn put_u32_slice(&mut self, vals: &[u32]) {
         self.put_u64(vals.len() as u64);
         self.buf.reserve(4 * vals.len());
         extend_u32_le(&mut self.buf, vals);
     }
 
     /// Appends a length-prefixed `usize` slice (stored as `u64`s).
-    pub fn put_usize_slice(&mut self, vals: &[usize]) {
+    fn put_usize_slice(&mut self, vals: &[usize]) {
         self.put_u64(vals.len() as u64);
         self.buf.reserve(8 * vals.len());
         extend_usize_le(&mut self.buf, vals);
@@ -373,9 +349,15 @@ impl ArtifactWriter {
     }
 }
 
+impl Default for ArtifactWriter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Bounds-checked reader over a verified envelope. Obtained from
-/// [`ArtifactReader::open`], which has already validated magic, version,
-/// checksum and kind; every getter then fails typed instead of panicking.
+/// [`ArtifactReader::open`], which has already validated magic, version
+/// and checksum; every getter then fails typed instead of panicking.
 #[derive(Debug)]
 pub struct ArtifactReader<'a> {
     buf: &'a [u8],
@@ -383,17 +365,17 @@ pub struct ArtifactReader<'a> {
 }
 
 impl<'a> ArtifactReader<'a> {
-    /// Verifies the envelope (magic, version, trailing checksum, kind) and
+    /// Verifies the envelope (magic, version, trailing checksum) and
     /// positions a reader at the start of the payload.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::Truncated`] when shorter than the fixed envelope,
     /// [`ArtifactError::BadMagic`] / [`ArtifactError::VersionSkew`] /
-    /// [`ArtifactError::ChecksumMismatch`] / [`ArtifactError::WrongKind`]
-    /// for the corresponding header defects. The version is checked before
-    /// the checksum, so a future format reports skew, not corruption.
-    pub fn open(bytes: &'a [u8], kind: u8) -> Result<Self, ArtifactError> {
+    /// [`ArtifactError::ChecksumMismatch`] for the corresponding header
+    /// defects. The version is checked before the checksum, so a future
+    /// format reports skew, not corruption.
+    pub fn open(bytes: &'a [u8]) -> Result<Self, ArtifactError> {
         let min = HEADER_LEN + CHECKSUM_LEN;
         if bytes.len() < min {
             return Err(ArtifactError::Truncated { needed: min, available: bytes.len() });
@@ -412,9 +394,6 @@ impl<'a> ArtifactReader<'a> {
         let computed = checksum64(body);
         if stored != computed {
             return Err(ArtifactError::ChecksumMismatch { stored, computed });
-        }
-        if body[8] != kind {
-            return Err(ArtifactError::WrongKind { expected: kind, found: body[8] });
         }
         Ok(Self { buf: body, pos: HEADER_LEN })
     }
@@ -440,22 +419,15 @@ impl<'a> ArtifactReader<'a> {
         Ok(len)
     }
 
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Truncated`] at end of payload.
-    pub fn get_u8(&mut self) -> Result<u8, ArtifactError> {
+    /// Reads one byte ([`ArtifactError::Truncated`] at end of payload).
+    fn get_u8(&mut self) -> Result<u8, ArtifactError> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a `bool` encoded as one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Truncated`] at end of payload,
-    /// [`ArtifactError::BadStructure`] for a byte other than 0/1.
-    pub fn get_bool(&mut self) -> Result<bool, ArtifactError> {
+    /// Reads a `bool` encoded as one byte: [`ArtifactError::Truncated`] at
+    /// end of payload, [`ArtifactError::BadStructure`] for a byte other
+    /// than 0/1.
+    fn get_bool(&mut self) -> Result<bool, ArtifactError> {
         match self.get_u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -493,24 +465,9 @@ impl<'a> ArtifactReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    /// Reads a length-prefixed byte blob.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Truncated`] when the declared length outruns the
-    /// payload.
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], ArtifactError> {
-        let len = self.slice_len(1)?;
-        self.take(len)
-    }
-
-    /// Reads a length-prefixed `u32` slice.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Truncated`] when the declared length outruns the
-    /// payload.
-    pub fn get_u32_slice(&mut self) -> Result<Vec<u32>, ArtifactError> {
+    /// Reads a length-prefixed `u32` slice ([`ArtifactError::Truncated`]
+    /// when the declared length outruns the payload).
+    fn get_u32_slice(&mut self) -> Result<Vec<u32>, ArtifactError> {
         let len = self.slice_len(4)?;
         let src = self.take(4 * len)?;
         let mut out = vec![0u32; len];
@@ -518,13 +475,10 @@ impl<'a> ArtifactReader<'a> {
         Ok(out)
     }
 
-    /// Reads a length-prefixed `usize` slice (stored as `u64`s).
-    ///
-    /// # Errors
-    ///
+    /// Reads a length-prefixed `usize` slice (stored as `u64`s):
     /// [`ArtifactError::Truncated`] when the declared length outruns the
     /// payload, [`ArtifactError::BadStructure`] on `usize` overflow.
-    pub fn get_usize_slice(&mut self) -> Result<Vec<usize>, ArtifactError> {
+    fn get_usize_slice(&mut self) -> Result<Vec<usize>, ArtifactError> {
         let len = self.slice_len(8)?;
         let src = self.take(8 * len)?;
         let mut out = vec![0usize; len];
@@ -548,6 +502,11 @@ impl<'a> ArtifactReader<'a> {
         Ok(out)
     }
 
+    /// Bytes of payload not read yet.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Asserts the payload is fully consumed.
     ///
     /// # Errors
@@ -558,16 +517,91 @@ impl<'a> ArtifactReader<'a> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
-            Err(bad(format!("{} trailing payload bytes", self.buf.len() - self.pos)))
+            Err(bad(format!("{} trailing payload bytes", self.remaining())))
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// CsrMatrix codec.
+// Solver state: the one public section over the operator and its
+// preconditioner.
 
-/// Writes the CSR arrays of `a` as payload sections (no envelope).
-fn write_csr_body(w: &mut ArtifactWriter, a: &CsrMatrix) {
+/// Solver-state tag of a multigrid hierarchy, whose finest level is the
+/// operator.
+const TAG_MULTIGRID: u8 = 0;
+/// Solver-state tag of an operator followed by its IC(0) factor.
+const TAG_INCOMPLETE_CHOLESKY: u8 = 1;
+
+impl ArtifactWriter {
+    /// Appends an engine's solver state: `operator` and the
+    /// preconditioner built on it. A multigrid preconditioner is stored
+    /// as its hierarchy alone, whose finest level is `operator`, so the
+    /// operator's bytes appear once; an IC(0) one as the operator followed
+    /// by the factor.
+    ///
+    /// Returns `None`, having written nothing, when the state cannot be
+    /// cached: a Jacobi preconditioner, or a multigrid hierarchy whose
+    /// finest level is not `operator`.
+    pub fn put_solver_state(
+        &mut self,
+        operator: &Arc<CsrMatrix>,
+        precond: &AnyPreconditioner,
+    ) -> Option<()> {
+        match precond {
+            AnyPreconditioner::Multigrid(m)
+                if Arc::ptr_eq(m.hierarchy().fine_operator(), operator) =>
+            {
+                self.put_u8(TAG_MULTIGRID);
+                write_hierarchy(self, m.hierarchy());
+            }
+            AnyPreconditioner::IncompleteCholesky(ic) => {
+                self.put_u8(TAG_INCOMPLETE_CHOLESKY);
+                write_csr(self, operator);
+                write_ic0(self, ic);
+            }
+            _ => return None,
+        }
+        Some(())
+    }
+}
+
+impl ArtifactReader<'_> {
+    /// Reads the solver state [`ArtifactWriter::put_solver_state`] wrote:
+    /// the operator and its preconditioner, every section revalidated and
+    /// nothing coarsened, factored or estimated. A multigrid operator comes
+    /// back as the hierarchy's finest level, shared as on a fresh build.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ArtifactError`]: truncation, an unknown tag, an operator that
+    /// is not a valid symmetric CSR matrix, a factor or hierarchy that
+    /// violates its invariants, or a factor whose row count differs from
+    /// the operator's ([`ArtifactError::BadStructure`]).
+    pub fn get_solver_state(
+        &mut self,
+    ) -> Result<(Arc<CsrMatrix>, AnyPreconditioner), ArtifactError> {
+        match self.get_u8()? {
+            TAG_MULTIGRID => {
+                let h = read_hierarchy(self)?;
+                let operator = Arc::clone(h.fine_operator());
+                let mg = Multigrid::from_hierarchy(h);
+                Ok((operator, AnyPreconditioner::Multigrid(Box::new(mg))))
+            }
+            TAG_INCOMPLETE_CHOLESKY => {
+                let operator = read_sym_csr(self)?;
+                let ic = read_ic0(self, operator.rows())?;
+                Ok((Arc::new(operator), AnyPreconditioner::IncompleteCholesky(ic)))
+            }
+            t => Err(bad(format!("unknown solver-state tag {t}"))),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// CsrMatrix section.
+
+/// Writes the CSR arrays of `a`.
+fn write_csr(w: &mut ArtifactWriter, a: &CsrMatrix) {
     let (row_ptr, col_idx, values) = a.raw_parts();
     w.put_u64(a.rows() as u64);
     w.put_u64(a.cols() as u64);
@@ -577,7 +611,7 @@ fn write_csr_body(w: &mut ArtifactWriter, a: &CsrMatrix) {
 }
 
 /// Reads CSR arrays and revalidates them through [`CsrMatrix::validate`].
-fn read_csr_body(r: &mut ArtifactReader<'_>) -> Result<CsrMatrix, ArtifactError> {
+fn read_csr(r: &mut ArtifactReader<'_>) -> Result<CsrMatrix, ArtifactError> {
     let rows = r.get_usize()?;
     let cols = r.get_usize()?;
     let row_ptr = r.get_usize_slice()?;
@@ -586,40 +620,16 @@ fn read_csr_body(r: &mut ArtifactReader<'_>) -> Result<CsrMatrix, ArtifactError>
     Ok(CsrMatrix::try_from_sorted_parts(rows, cols, row_ptr, col_idx, values)?)
 }
 
-/// [`read_csr_body`] plus the symmetric-operator invariants
+/// [`read_csr`] plus the symmetric-operator invariants
 /// ([`CsrMatrix::validate_symmetric`]) the level operators must satisfy.
-fn read_sym_csr_body(r: &mut ArtifactReader<'_>) -> Result<CsrMatrix, ArtifactError> {
-    let m = read_csr_body(r)?;
+fn read_sym_csr(r: &mut ArtifactReader<'_>) -> Result<CsrMatrix, ArtifactError> {
+    let m = read_csr(r)?;
     m.validate_symmetric()?;
     Ok(m)
 }
 
-impl CsrMatrix {
-    /// Serializes the matrix into a standalone artifact envelope.
-    #[must_use]
-    pub fn to_artifact(&self) -> Vec<u8> {
-        let mut w = ArtifactWriter::new(KIND_CSR_MATRIX);
-        write_csr_body(&mut w, self);
-        w.finish()
-    }
-
-    /// Decodes a matrix from [`CsrMatrix::to_artifact`] bytes, revalidating
-    /// the CSR invariants via [`CsrMatrix::validate`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`ArtifactError`]: envelope defects (truncation, checksum
-    /// mismatch, version skew) or structural violations in the payload.
-    pub fn from_artifact(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let mut r = ArtifactReader::open(bytes, KIND_CSR_MATRIX)?;
-        let m = read_csr_body(&mut r)?;
-        r.expect_end()?;
-        Ok(m)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// IncompleteCholesky codec.
+// IncompleteCholesky section.
 
 /// Structural invariants of an IC(0) factor: square CSR with each row
 /// non-empty, columns strictly ascending, the diagonal stored last (column
@@ -671,41 +681,32 @@ fn validate_ic0_factor(
     Ok(())
 }
 
-impl IncompleteCholesky {
-    /// Serializes the factor arrays, so a restore skips the factorization.
-    #[must_use]
-    pub fn to_artifact(&self) -> Vec<u8> {
-        let mut w = ArtifactWriter::new(KIND_INCOMPLETE_CHOLESKY);
-        let (row_ptr, col_idx, values) = self.factor_parts();
-        let n = row_ptr.len().saturating_sub(1);
-        w.put_u64(n as u64);
-        w.put_usize_slice(row_ptr);
-        w.put_u32_slice(col_idx);
-        w.put_f64_slice(values);
-        w.finish()
-    }
+/// Writes the factor arrays, so a restore skips the factorization.
+fn write_ic0(w: &mut ArtifactWriter, ic: &IncompleteCholesky) {
+    let (row_ptr, col_idx, values) = ic.factor_parts();
+    w.put_u64(row_ptr.len().saturating_sub(1) as u64);
+    w.put_usize_slice(row_ptr);
+    w.put_u32_slice(col_idx);
+    w.put_f64_slice(values);
+}
 
-    /// Decodes a factor from [`IncompleteCholesky::to_artifact`] bytes with
-    /// full structural revalidation.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ArtifactError`]: envelope defects or a factor that violates
-    /// the triangular-solve invariants.
-    pub fn from_artifact(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let mut r = ArtifactReader::open(bytes, KIND_INCOMPLETE_CHOLESKY)?;
-        let n = r.get_usize()?;
-        let row_ptr = r.get_usize_slice()?;
-        let col_idx = r.get_u32_slice()?;
-        let values = r.get_f64_slice()?;
-        validate_ic0_factor(n, &row_ptr, &col_idx, &values)?;
-        r.expect_end()?;
-        Ok(Self::from_restored_parts(row_ptr, col_idx, values))
+/// Reads a factor of an operator with `rows` rows, with full structural
+/// revalidation: a factor of any other size is rejected here, before a
+/// triangular solve could run on mismatched columns.
+fn read_ic0(r: &mut ArtifactReader<'_>, rows: usize) -> Result<IncompleteCholesky, ArtifactError> {
+    let n = r.get_usize()?;
+    if n != rows {
+        return Err(bad(format!("IC(0) factor has {n} rows, its operator {rows}")));
     }
+    let row_ptr = r.get_usize_slice()?;
+    let col_idx = r.get_u32_slice()?;
+    let values = r.get_f64_slice()?;
+    validate_ic0_factor(n, &row_ptr, &col_idx, &values)?;
+    Ok(IncompleteCholesky::from_restored_parts(row_ptr, col_idx, values))
 }
 
 // ---------------------------------------------------------------------------
-// MultigridHierarchy codec.
+// MultigridHierarchy section.
 
 fn write_config(w: &mut ArtifactWriter, c: &MultigridConfig) {
     w.put_f64(c.strength_threshold);
@@ -722,106 +723,79 @@ fn read_config(r: &mut ArtifactReader<'_>) -> Result<MultigridConfig, ArtifactEr
     Ok(MultigridConfig { strength_threshold, prolongation_damping, max_levels, direct_cells })
 }
 
-impl MultigridHierarchy {
-    /// Serializes every level operator, prolongator and Chebyshev bound,
-    /// the coarsest operator, the coarsest dense Cholesky factor (when the
-    /// hierarchy uses one), and the build configuration. Restrictions
-    /// (`R = Pᵀ`) and inverse diagonals are deterministic functions of the
-    /// level operators and are rebuilt on restore instead of being stored
-    /// twice; the bounds are stored because estimating them costs SpMVs.
-    #[must_use]
-    pub fn to_artifact(&self) -> Vec<u8> {
-        let mut w = ArtifactWriter::new(KIND_MULTIGRID_HIERARCHY);
-        write_config(&mut w, self.config());
-        let levels: Vec<_> = self.level_parts().collect();
-        w.put_u64(levels.len() as u64);
-        for (a, p, lambda_max) in levels {
-            write_csr_body(&mut w, a);
-            write_csr_body(&mut w, p);
-            w.put_f64(lambda_max);
-        }
-        write_csr_body(&mut w, self.coarse_matrix());
-        match self.coarse_dense_factor() {
-            Some((n, l)) => {
-                w.put_bool(true);
-                w.put_u64(n as u64);
-                w.put_f64_slice(l);
-            }
-            None => w.put_bool(false),
-        }
-        w.finish()
+/// Writes every level operator, prolongator and Chebyshev bound, the
+/// coarsest operator, the coarsest dense Cholesky factor (when the
+/// hierarchy uses one), and the build configuration. Restrictions
+/// (`R = Pᵀ`) and inverse diagonals are deterministic functions of the
+/// level operators and are rebuilt on restore instead of being stored
+/// twice; the bounds are stored because estimating them costs SpMVs.
+fn write_hierarchy(w: &mut ArtifactWriter, h: &MultigridHierarchy) {
+    write_config(w, h.config());
+    w.put_u64(h.level_parts().len() as u64);
+    for (a, p, lambda_max) in h.level_parts() {
+        write_csr(w, a);
+        write_csr(w, p);
+        w.put_f64(lambda_max);
     }
-
-    /// Decodes a hierarchy from [`MultigridHierarchy::to_artifact`] bytes:
-    /// level operators are revalidated with
-    /// [`CsrMatrix::validate_symmetric`], prolongators with
-    /// [`CsrMatrix::validate`], the transfer-chain dimensions are checked,
-    /// each stored Chebyshev bound must be finite, positive and at most
-    /// its level's Gershgorin bound, and inverse diagonals plus
-    /// restrictions are rebuilt from the restored operators. No
-    /// coarsening, factorization or spectral estimation runs.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ArtifactError`]: envelope defects, operator/prolongator
-    /// structural violations, a broken transfer chain, an out-of-range
-    /// smoother bound, or an invalid configuration or dense coarse factor.
-    pub fn from_artifact(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let mut r = ArtifactReader::open(bytes, KIND_MULTIGRID_HIERARCHY)?;
-        let config = read_config(&mut r)?;
-        let level_count = r.get_usize()?;
-        // Cap the pre-allocation by what the payload could hold: a hostile
-        // count must not reserve memory before the reads fail.
-        let capacity = level_count.min(bytes.len());
-        let mut ops = Vec::with_capacity(capacity);
-        let mut prolongators = Vec::with_capacity(capacity);
-        let mut bounds = Vec::with_capacity(capacity);
-        for _ in 0..level_count {
-            ops.push(Arc::new(read_sym_csr_body(&mut r)?));
-            prolongators.push(read_csr_body(&mut r)?);
-            bounds.push(r.get_f64()?);
+    write_csr(w, h.coarse_matrix());
+    match h.coarse_dense_factor() {
+        Some((n, l)) => {
+            w.put_bool(true);
+            w.put_u64(n as u64);
+            w.put_f64_slice(l);
         }
-        let coarse_a = read_sym_csr_body(&mut r)?;
-        let coarse_dense = if r.get_bool()? {
-            let n = r.get_usize()?;
-            if n != coarse_a.rows() {
-                return Err(bad(format!(
-                    "dense coarse factor is {n}x{n} but the coarsest operator has {} rows",
-                    coarse_a.rows()
-                )));
-            }
-            Some(r.get_f64_slice()?)
-        } else {
-            None
-        };
-        r.expect_end()?;
-        Ok(Self::from_restored_parts(ops, prolongators, bounds, coarse_a, coarse_dense, config)?)
+        None => w.put_bool(false),
     }
 }
 
-impl Multigrid {
-    /// Serializes the underlying hierarchy (the cycle workspace is scratch
-    /// and is re-sized on restore).
-    #[must_use]
-    pub fn to_artifact(&self) -> Vec<u8> {
-        self.hierarchy().to_artifact()
+/// Reads a hierarchy [`write_hierarchy`] wrote: level operators are
+/// revalidated with [`CsrMatrix::validate_symmetric`], prolongators with
+/// [`CsrMatrix::validate`], the transfer-chain dimensions are checked,
+/// each stored Chebyshev bound must be finite, positive and at most its
+/// level's Gershgorin bound, and inverse diagonals plus restrictions are
+/// rebuilt from the restored operators. No coarsening, factorization or
+/// spectral estimation runs.
+fn read_hierarchy(r: &mut ArtifactReader<'_>) -> Result<MultigridHierarchy, ArtifactError> {
+    let config = read_config(r)?;
+    let level_count = r.get_usize()?;
+    // Cap the pre-allocation by what the payload could hold: a hostile
+    // count must not reserve memory before the reads fail.
+    let capacity = level_count.min(r.remaining());
+    let mut ops = Vec::with_capacity(capacity);
+    let mut prolongators = Vec::with_capacity(capacity);
+    let mut bounds = Vec::with_capacity(capacity);
+    for _ in 0..level_count {
+        ops.push(Arc::new(read_sym_csr(r)?));
+        prolongators.push(read_csr(r)?);
+        bounds.push(r.get_f64()?);
     }
-
-    /// Decodes a [`Multigrid`] preconditioner from
-    /// [`MultigridHierarchy::to_artifact`] bytes and re-sizes its cycle
-    /// workspace — the zero-factorization restore path of the engine cache.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ArtifactError`] from [`MultigridHierarchy::from_artifact`].
-    pub fn from_artifact(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        Ok(Self::from_hierarchy(MultigridHierarchy::from_artifact(bytes)?))
-    }
+    let coarse_a = read_sym_csr(r)?;
+    let coarse_dense = if r.get_bool()? {
+        let n = r.get_usize()?;
+        if n != coarse_a.rows() {
+            return Err(bad(format!(
+                "dense coarse factor is {n}x{n} but the coarsest operator has {} rows",
+                coarse_a.rows()
+            )));
+        }
+        Some(r.get_f64_slice()?)
+    } else {
+        None
+    };
+    Ok(MultigridHierarchy::from_restored_parts(
+        ops,
+        prolongators,
+        bounds,
+        coarse_a,
+        coarse_dense,
+        config,
+    )?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::precond::{Preconditioner, PreconditionerKind};
     use crate::TripletBuilder;
 
     fn poisson_1d(n: usize) -> CsrMatrix {
@@ -838,21 +812,40 @@ mod tests {
         b.build()
     }
 
+    /// Seals one envelope around what `write` appends.
+    fn sealed(write: impl FnOnce(&mut ArtifactWriter)) -> Vec<u8> {
+        let mut w = ArtifactWriter::new();
+        write(&mut w);
+        w.finish()
+    }
+
+    /// Opens `bytes`, decodes one section with `read` and requires the
+    /// payload to end there.
+    fn opened<'b, T>(
+        bytes: &'b [u8],
+        read: impl FnOnce(&mut ArtifactReader<'b>) -> Result<T, ArtifactError>,
+    ) -> Result<T, ArtifactError> {
+        let mut r = ArtifactReader::open(bytes)?;
+        let value = read(&mut r)?;
+        r.expect_end()?;
+        Ok(value)
+    }
+
     #[test]
     fn csr_round_trip_is_bitwise() {
         let a = poisson_1d(64);
-        let bytes = a.to_artifact();
-        let back = CsrMatrix::from_artifact(&bytes).unwrap();
+        let bytes = sealed(|w| write_csr(w, &a));
+        let back = opened(&bytes, read_csr).unwrap();
         assert_eq!(a, back);
     }
 
     #[test]
-    fn envelope_rejects_truncation_checksum_version_and_kind() {
+    fn envelope_rejects_truncation_checksum_version_and_magic() {
         let a = poisson_1d(16);
-        let bytes = a.to_artifact();
+        let bytes = sealed(|w| write_csr(w, &a));
 
         for cut in [0, 3, HEADER_LEN, bytes.len() - CHECKSUM_LEN - 1] {
-            let err = CsrMatrix::from_artifact(&bytes[..cut]).unwrap_err();
+            let err = opened(&bytes[..cut], read_csr).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -866,14 +859,14 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         assert!(matches!(
-            CsrMatrix::from_artifact(&flipped).unwrap_err(),
+            opened(&flipped, read_csr).unwrap_err(),
             ArtifactError::ChecksumMismatch { .. }
         ));
 
         let mut payload_flip = bytes.clone();
         payload_flip[HEADER_LEN + 4] ^= 0x80;
         assert!(matches!(
-            CsrMatrix::from_artifact(&payload_flip).unwrap_err(),
+            opened(&payload_flip, read_csr).unwrap_err(),
             ArtifactError::ChecksumMismatch { .. }
         ));
 
@@ -882,33 +875,28 @@ mod tests {
             let mut skew = bytes.clone();
             skew[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
-                CsrMatrix::from_artifact(&skew).unwrap_err(),
+                opened(&skew, read_csr).unwrap_err(),
                 ArtifactError::VersionSkew { found, .. } if found == version
             ));
         }
 
         let mut magic = bytes.clone();
         magic[0] = b'X';
-        assert!(matches!(CsrMatrix::from_artifact(&magic).unwrap_err(), ArtifactError::BadMagic));
-
-        let err = IncompleteCholesky::from_artifact(&bytes).unwrap_err();
-        assert!(matches!(
-            err,
-            ArtifactError::WrongKind { expected: KIND_INCOMPLETE_CHOLESKY, found: KIND_CSR_MATRIX }
-        ));
+        assert!(matches!(opened(&magic, read_csr).unwrap_err(), ArtifactError::BadMagic));
     }
 
     #[test]
     fn csr_decode_revalidates_structure() {
         // A structurally broken payload behind a *valid* envelope must be
         // rejected by the revalidation pass, not trusted.
-        let mut w = ArtifactWriter::new(KIND_CSR_MATRIX);
-        w.put_u64(2);
-        w.put_u64(2);
-        w.put_usize_slice(&[0, 1, 3]); // row_ptr ends past nnz
-        w.put_u32_slice(&[0, 1]);
-        w.put_f64_slice(&[1.0, 2.0]);
-        let err = CsrMatrix::from_artifact(&w.finish()).unwrap_err();
+        let bytes = sealed(|w| {
+            w.put_u64(2);
+            w.put_u64(2);
+            w.put_usize_slice(&[0, 1, 3]); // row_ptr ends past nnz
+            w.put_u32_slice(&[0, 1]);
+            w.put_f64_slice(&[1.0, 2.0]);
+        });
+        let err = opened(&bytes, read_csr).unwrap_err();
         assert!(matches!(err, ArtifactError::BadStructure { .. }), "{err}");
     }
 
@@ -916,11 +904,11 @@ mod tests {
     fn ic0_round_trip_matches_fresh_factor() {
         let a = poisson_1d(200);
         let fresh = IncompleteCholesky::new(&a).unwrap();
-        let restored = IncompleteCholesky::from_artifact(&fresh.to_artifact()).unwrap();
+        let bytes = sealed(|w| write_ic0(w, &fresh));
+        let restored = opened(&bytes, |r| read_ic0(r, 200)).unwrap();
         // PartialEq covers the factor arrays.
         assert_eq!(fresh, restored);
 
-        use crate::precond::Preconditioner;
         let r: Vec<f64> = (0..200).map(|i| (i as f64 * 0.3).cos()).collect();
         let mut z1 = vec![0.0; 200];
         let mut z2 = vec![0.0; 200];
@@ -937,7 +925,7 @@ mod tests {
         let fresh = IncompleteCholesky::new(&a).unwrap();
         let (row_ptr, col_idx, values) = fresh.factor_parts();
         let ic0_payload = |vals: &[f64]| {
-            let mut w = ArtifactWriter::new(KIND_INCOMPLETE_CHOLESKY);
+            let mut w = ArtifactWriter::new();
             w.put_u64(32);
             w.put_usize_slice(row_ptr);
             w.put_u32_slice(col_idx);
@@ -947,7 +935,7 @@ mod tests {
         // Negate a pivot: structurally intact envelope, invalid factor.
         let mut vals = values.to_vec();
         vals[row_ptr[1] - 1] = -vals[row_ptr[1] - 1];
-        let err = IncompleteCholesky::from_artifact(&ic0_payload(&vals).finish()).unwrap_err();
+        let err = opened(&ic0_payload(&vals).finish(), |r| read_ic0(r, 32)).unwrap_err();
         assert!(matches!(err, ArtifactError::BadStructure { .. }), "{err}");
 
         // A valid factor followed by the version-2 tail (apply knob, thread
@@ -958,15 +946,26 @@ mod tests {
         w.put_bool(false);
         w.put_u64(0);
         w.put_bool(false);
-        let err = IncompleteCholesky::from_artifact(&w.finish()).unwrap_err();
+        let err = opened(&w.finish(), |r| read_ic0(r, 32)).unwrap_err();
+        assert!(matches!(err, ArtifactError::BadStructure { .. }), "{err}");
+    }
+
+    #[test]
+    fn solver_state_rejects_a_factor_of_another_size() {
+        // Each section is valid on its own; only the row-count check stops
+        // a 32-row factor from reaching a solve on a 64-row operator.
+        let operator = Arc::new(poisson_1d(64));
+        let foreign = PreconditionerKind::IncompleteCholesky.build(&Arc::new(poisson_1d(32)));
+        let bytes = sealed(|w| w.put_solver_state(&operator, &foreign.unwrap()).unwrap());
+        let err = opened(&bytes, ArtifactReader::get_solver_state).unwrap_err();
         assert!(matches!(err, ArtifactError::BadStructure { .. }), "{err}");
     }
 
     #[test]
     fn hierarchy_round_trip_preserves_structure_and_cycles() {
-        let a = poisson_1d(1500);
-        let h = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
-        let restored = MultigridHierarchy::from_artifact(&h.to_artifact()).unwrap();
+        let a = Arc::new(poisson_1d(1500));
+        let h = MultigridHierarchy::build(a, &MultigridConfig::default()).unwrap();
+        let restored = opened(&sealed(|w| write_hierarchy(w, &h)), read_hierarchy).unwrap();
         assert_eq!(h.level_count(), restored.level_count());
         assert_eq!(h.level_sizes(), restored.level_sizes());
         assert_eq!(h.total_nnz(), restored.total_nnz());
@@ -988,60 +987,60 @@ mod tests {
 
     #[test]
     fn hierarchy_decode_rejects_broken_transfer_chain() {
-        let a = poisson_1d(1500);
-        let h = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
+        let a = Arc::new(poisson_1d(1500));
+        let h = MultigridHierarchy::build(a, &MultigridConfig::default()).unwrap();
         assert!(h.level_count() >= 2, "fixture must coarsen");
         // Re-encode with a prolongator whose column count disagrees with
         // the next level: caught by the dimension-chain check.
-        let mut w = ArtifactWriter::new(KIND_MULTIGRID_HIERARCHY);
+        let mut w = ArtifactWriter::new();
         write_config(&mut w, h.config());
-        let levels: Vec<_> = h.level_parts().collect();
-        w.put_u64(levels.len() as u64);
-        for (a_l, _, lambda_max) in &levels {
-            write_csr_body(&mut w, a_l);
-            write_csr_body(&mut w, &CsrMatrix::identity(a_l.rows())); // wrong P
-            w.put_f64(*lambda_max);
+        w.put_u64(h.level_parts().len() as u64);
+        for (a_l, _, lambda_max) in h.level_parts() {
+            write_csr(&mut w, a_l);
+            write_csr(&mut w, &CsrMatrix::identity(a_l.rows())); // wrong P
+            w.put_f64(lambda_max);
         }
-        write_csr_body(&mut w, h.coarse_matrix());
+        write_csr(&mut w, h.coarse_matrix());
         w.put_bool(false);
-        let err = MultigridHierarchy::from_artifact(&w.finish()).unwrap_err();
+        let err = opened(&w.finish(), read_hierarchy).unwrap_err();
         assert!(matches!(err, ArtifactError::BadStructure { .. }), "{err}");
     }
 
     #[test]
     fn hierarchy_decode_rejects_out_of_range_smoother_bounds() {
-        let a = poisson_1d(1500);
-        let h = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
+        let a = Arc::new(poisson_1d(1500));
+        let h = MultigridHierarchy::build(a, &MultigridConfig::default()).unwrap();
         // Re-encode with the first level's bound replaced: each value must
         // be rejected typed, before any cycle could use it.
         for bad_bound in [f64::NAN, f64::INFINITY, 0.0, -1.0, 1e300] {
-            let mut w = ArtifactWriter::new(KIND_MULTIGRID_HIERARCHY);
+            let mut w = ArtifactWriter::new();
             write_config(&mut w, h.config());
-            let levels: Vec<_> = h.level_parts().collect();
-            w.put_u64(levels.len() as u64);
-            for (idx, (a_l, p, lambda_max)) in levels.iter().enumerate() {
-                write_csr_body(&mut w, a_l);
-                write_csr_body(&mut w, p);
-                w.put_f64(if idx == 0 { bad_bound } else { *lambda_max });
+            w.put_u64(h.level_parts().len() as u64);
+            for (idx, (a_l, p, lambda_max)) in h.level_parts().enumerate() {
+                write_csr(&mut w, a_l);
+                write_csr(&mut w, p);
+                w.put_f64(if idx == 0 { bad_bound } else { lambda_max });
             }
-            write_csr_body(&mut w, h.coarse_matrix());
+            write_csr(&mut w, h.coarse_matrix());
             let (n, l) = h.coarse_dense_factor().expect("fixture factors its coarsest level");
             w.put_bool(true);
             w.put_u64(n as u64);
             w.put_f64_slice(l);
-            let err = MultigridHierarchy::from_artifact(&w.finish()).unwrap_err();
+            let err = opened(&w.finish(), read_hierarchy).unwrap_err();
             assert!(matches!(err, ArtifactError::BadStructure { .. }), "{bad_bound}: {err}");
         }
     }
 
     #[test]
-    fn multigrid_from_artifact_is_a_working_preconditioner() {
-        use crate::precond::Preconditioner;
-        let a = poisson_1d(1200);
-        let shared = Arc::new(a);
-        let fresh =
-            Multigrid::new_shared(Arc::clone(&shared), &MultigridConfig::default()).unwrap();
-        let mut restored = Multigrid::from_artifact(&fresh.to_artifact()).unwrap();
+    fn multigrid_solver_state_is_a_working_preconditioner() {
+        let shared = Arc::new(poisson_1d(1200));
+        let kind = PreconditionerKind::Multigrid { config: MultigridConfig::default() };
+        let fresh = kind.build(&shared).unwrap();
+        let bytes = sealed(|w| w.put_solver_state(&shared, &fresh).unwrap());
+        let (operator, mut restored) = opened(&bytes, ArtifactReader::get_solver_state).unwrap();
+        assert_eq!(operator, shared);
+        let hierarchy = restored.as_multigrid().expect("multigrid state").hierarchy();
+        assert!(Arc::ptr_eq(hierarchy.fine_operator(), &operator));
         let mut fresh = fresh;
         let r: Vec<f64> = (0..1200).map(|i| (i as f64 * 0.19).cos()).collect();
         let mut z1 = vec![0.0; 1200];
@@ -1049,6 +1048,14 @@ mod tests {
         fresh.apply(&r, &mut z1);
         restored.apply(&r, &mut z2);
         assert_eq!(z1, z2);
+
+        // Not cacheable: a hierarchy over another copy of the operator, and
+        // Jacobi. Neither writes a byte.
+        let mut w = ArtifactWriter::new();
+        assert!(w.put_solver_state(&Arc::new(poisson_1d(1200)), &fresh).is_none());
+        let jacobi = PreconditionerKind::Jacobi.build(&shared).unwrap();
+        assert!(w.put_solver_state(&shared, &jacobi).is_none());
+        assert_eq!(w.buf.len(), HEADER_LEN);
     }
 
     #[test]
@@ -1065,7 +1072,12 @@ mod tests {
         let mut d = ContentHasher::new();
         d.push_f64(-0.0);
         assert_ne!(c.finish(), d.finish(), "bitwise contract distinguishes signed zero");
-        assert_eq!(content_hash(b"abc"), content_hash(b"abc"));
-        assert_ne!(content_hash(b"abc"), content_hash(b"abd"));
+        let hash = |bytes: &[u8]| {
+            let mut h = ContentHasher::new();
+            h.push_bytes(bytes);
+            h.finish()
+        };
+        assert_eq!(hash(b"abc"), hash(b"abc"));
+        assert_ne!(hash(b"abc"), hash(b"abd"));
     }
 }

@@ -145,6 +145,8 @@ impl BlockVector {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::precond::{IncompleteCholesky, Jacobi, Preconditioner};
     use crate::solver::{preconditioned_cg, CgWorkspace, SolveOptions};
@@ -238,11 +240,10 @@ mod tests {
         // the multi-column apply. Every column must come out bitwise as a
         // one-column call of the same kernel leaves it, with IC(0) and
         // with a multigrid V-cycle as the preconditioner.
-        let a = stencil_3d(7, 6, 5);
+        let a = Arc::new(stencil_3d(7, 6, 5));
         let n = a.rows();
-        let multigrid =
-            Multigrid::new(&a, &MultigridConfig { direct_cells: 20, ..Default::default() })
-                .unwrap();
+        let config = MultigridConfig { direct_cells: 20, ..Default::default() };
+        let multigrid = Multigrid::new(Arc::clone(&a), &config).unwrap();
         assert!(multigrid.hierarchy().level_count() >= 2, "the V-cycle must coarsen");
         // Head starts of `stride · c` iterations for column c: multigrid
         // converges in a third of IC(0)'s iterations.

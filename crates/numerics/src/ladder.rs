@@ -568,7 +568,7 @@ impl SolveLadder {
         }
         let mut span = self.telemetry.span("solver", "rung_build");
         span.arg("rung", vcsel_telemetry::ArgValue::Str(self.rungs[index].kind.name()));
-        self.rungs[index].precond = Some(self.rungs[index].kind.build_shared(a)?);
+        self.rungs[index].precond = Some(self.rungs[index].kind.build(a)?);
         Ok(())
     }
 

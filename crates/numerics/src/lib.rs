@@ -18,9 +18,9 @@
 //!   design-space sweeps),
 //! * [`precond`]: Jacobi and IC(0) incomplete-Cholesky preconditioners,
 //!   plus the multigrid V-cycle, behind the [`Preconditioner`] trait.
-//!   Engines that own their matrix behind an [`std::sync::Arc`] build
-//!   through [`PreconditionerKind::build_shared`], so the multigrid
-//!   hierarchy aliases the caller's allocation instead of cloning it.
+//!   [`PreconditionerKind::build`] takes the operator behind an
+//!   [`std::sync::Arc`], so the multigrid hierarchy aliases the caller's
+//!   allocation instead of cloning it.
 //!   IC(0) applies its two triangular solves serially, so IC(0) solves
 //!   give the same bits at every worker count,
 //! * [`block_solver`]: the [`BlockVector`] column blocks that kernel keeps
@@ -33,10 +33,12 @@
 //!   gates with bitwise-identical results) used as a mesh-independent CG
 //!   preconditioner,
 //! * [`artifact`]: a dependency-free, versioned, checksummed binary codec
-//!   for solver-engine state — `to_artifact`/`from_artifact` on
-//!   [`CsrMatrix`], [`IncompleteCholesky`] and [`MultigridHierarchy`] —
-//!   behind the persistent engine cache, with typed [`ArtifactError`]
-//!   failures and full structural revalidation on restore,
+//!   for solver-engine state — one envelope per artifact, whose solver
+//!   state (an operator and its IC(0) factor or multigrid hierarchy) one
+//!   pair writes and reads: [`ArtifactWriter::put_solver_state`] and
+//!   [`ArtifactReader::get_solver_state`] — behind the persistent engine
+//!   cache, with typed [`ArtifactError`] failures and full structural
+//!   revalidation on restore,
 //! * [`Interp1d`]: piecewise-linear lookup tables (the paper's "VCSEL
 //!   model library" is consumed in this form),
 //! * [`golden_section_min`]: the 1-D minimizer the heater-power
@@ -74,7 +76,7 @@ mod sparse;
 pub mod special;
 mod stats;
 
-pub use artifact::{content_hash, ArtifactError, ArtifactReader, ArtifactWriter, ContentHasher};
+pub use artifact::{ArtifactError, ArtifactReader, ArtifactWriter, ContentHasher};
 pub use block_solver::BlockVector;
 pub use error::NumericsError;
 pub use interp::Interp1d;

@@ -98,7 +98,7 @@
 
 use std::sync::Arc;
 
-use vcsel_telemetry::{Arg, ArgValue, TelemetrySink};
+use vcsel_telemetry::{Arg, ArgValue};
 
 use crate::precond::{assert_columns, checked_diagonal, Jacobi, Preconditioner};
 use crate::solver::{preconditioned_cg, CgWorkspace, SolveOptions};
@@ -152,8 +152,7 @@ impl Default for MultigridConfig {
 #[derive(Debug, Clone, PartialEq)]
 struct MgLevel {
     /// The level operator, shared rather than owned: on the finest level
-    /// this aliases the caller's matrix (see
-    /// [`MultigridHierarchy::build_shared`]).
+    /// this aliases the caller's matrix (see [`MultigridHierarchy::build`]).
     a: Arc<CsrMatrix>,
     /// `D⁻¹`, the Chebyshev smoother's scaling.
     inv_diag: Vec<f64>,
@@ -399,12 +398,13 @@ pub struct MultigridHierarchy {
 }
 
 impl MultigridHierarchy {
-    /// Builds the hierarchy for SPD `a`, cloning it for the finest level.
-    ///
-    /// Callers that already hold the operator behind an [`Arc`] — every
-    /// cached solve engine does — should use
-    /// [`MultigridHierarchy::build_shared`] instead, which aliases the
-    /// caller's matrix (at paper scale the fine operator is ~215 MB).
+    /// Builds the hierarchy for SPD `a` without copying it: the finest
+    /// level keeps a reference to the caller's allocation (at paper scale
+    /// the fine operator is ~215 MB), which
+    /// [`MultigridHierarchy::fine_operator`] exposes for identity checks.
+    /// Build telemetry (per-level coarsening spans, coarsest-solver choice,
+    /// grid and operator complexities) goes to
+    /// [`vcsel_telemetry::global`].
     ///
     /// # Errors
     ///
@@ -415,6 +415,7 @@ impl MultigridHierarchy {
     /// # Example
     ///
     /// ```
+    /// use std::sync::Arc;
     /// use vcsel_numerics::{MgWorkspace, MultigridConfig, MultigridHierarchy, TripletBuilder};
     ///
     /// // 1-D Poisson chain with a Robin-like shift: SPD and coarsenable.
@@ -425,8 +426,8 @@ impl MultigridHierarchy {
     ///     if i > 0 { b.add(i, i - 1, -1.0); }
     ///     if i + 1 < n { b.add(i, i + 1, -1.0); }
     /// }
-    /// let a = b.build();
-    /// let mut h = MultigridHierarchy::build(&a, &MultigridConfig::default())?;
+    /// let a = Arc::new(b.build());
+    /// let mut h = MultigridHierarchy::build(Arc::clone(&a), &MultigridConfig::default())?;
     /// assert!(h.level_count() >= 2, "1200 unknowns must coarsen");
     ///
     /// // Stationary V-cycling from zero: each cycle improves `x` in place.
@@ -447,38 +448,8 @@ impl MultigridHierarchy {
     /// }
     /// # Ok::<(), vcsel_numerics::NumericsError>(())
     /// ```
-    pub fn build(a: &CsrMatrix, config: &MultigridConfig) -> Result<Self, NumericsError> {
-        Self::build_shared(Arc::new(a.clone()), config)
-    }
-
-    /// Builds the hierarchy for SPD `a` without copying it: the finest
-    /// level keeps a reference to the caller's allocation, which
-    /// [`MultigridHierarchy::fine_operator`] exposes for identity checks.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultigridHierarchy::build`].
-    pub fn build_shared(
-        a: Arc<CsrMatrix>,
-        config: &MultigridConfig,
-    ) -> Result<Self, NumericsError> {
-        Self::build_shared_with(a, config, vcsel_telemetry::global())
-    }
-
-    /// Like [`MultigridHierarchy::build_shared`], but recording build
-    /// telemetry (per-level coarsening spans, coarsest-solver choice, grid
-    /// and operator complexities) into an explicit sink instead of the
-    /// process-wide one — the hook tests use to observe the build without
-    /// touching the environment.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultigridHierarchy::build`].
-    pub fn build_shared_with(
-        a: Arc<CsrMatrix>,
-        config: &MultigridConfig,
-        sink: &TelemetrySink,
-    ) -> Result<Self, NumericsError> {
+    pub fn build(a: Arc<CsrMatrix>, config: &MultigridConfig) -> Result<Self, NumericsError> {
+        let sink = vcsel_telemetry::global();
         if a.rows() != a.cols() {
             return Err(NumericsError::BadMatrix {
                 reason: format!("matrix must be square, got {}x{}", a.rows(), a.cols()),
@@ -587,7 +558,7 @@ impl MultigridHierarchy {
     }
 
     /// The finest-level operator — the same allocation the caller passed
-    /// to [`MultigridHierarchy::build_shared`] (check with
+    /// to [`MultigridHierarchy::build`] (check with
     /// [`Arc::ptr_eq`]), whichever level slot it occupies.
     pub fn fine_operator(&self) -> &Arc<CsrMatrix> {
         &self.fine
@@ -616,7 +587,9 @@ impl MultigridHierarchy {
     /// coarse — the state the artifact codec persists (restrictions and
     /// inverse diagonals are deterministic functions of these and are
     /// rebuilt on restore).
-    pub(crate) fn level_parts(&self) -> impl Iterator<Item = (&Arc<CsrMatrix>, &CsrMatrix, f64)> {
+    pub(crate) fn level_parts(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (&Arc<CsrMatrix>, &CsrMatrix, f64)> {
         self.levels.iter().map(|l| (&l.a, &l.p, l.lambda_max))
     }
 
@@ -1328,32 +1301,22 @@ pub struct Multigrid {
 }
 
 impl Multigrid {
-    /// Builds the hierarchy for `a` and pre-sizes the cycle workspace.
+    /// Builds the hierarchy on the shared operator `a` (see
+    /// [`MultigridHierarchy::build`]) and pre-sizes the cycle workspace;
+    /// the form [`PreconditionerKind::build`](crate::PreconditionerKind::build)
+    /// builds.
     ///
     /// # Errors
     ///
     /// Propagates [`MultigridHierarchy::build`] failures.
-    pub fn new(a: &CsrMatrix, config: &MultigridConfig) -> Result<Self, NumericsError> {
-        Self::new_shared(Arc::new(a.clone()), config)
-    }
-
-    /// Like [`Multigrid::new`] but referencing a shared operator instead
-    /// of cloning it (see [`MultigridHierarchy::build_shared`]); the form
-    /// [`PreconditionerKind::Multigrid`](crate::PreconditionerKind::Multigrid)
-    /// builds through
-    /// [`build_shared`](crate::PreconditionerKind::build_shared).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Multigrid::new`].
-    pub fn new_shared(a: Arc<CsrMatrix>, config: &MultigridConfig) -> Result<Self, NumericsError> {
-        Ok(Self::from_hierarchy(MultigridHierarchy::build_shared(a, config)?))
+    pub fn new(a: Arc<CsrMatrix>, config: &MultigridConfig) -> Result<Self, NumericsError> {
+        Ok(Self::from_hierarchy(MultigridHierarchy::build(a, config)?))
     }
 
     /// Wraps an already-built (typically artifact-restored) hierarchy as a
     /// CG preconditioner, paying only the workspace sizing — the
     /// zero-factorization path of the engine cache.
-    pub fn from_hierarchy(hierarchy: MultigridHierarchy) -> Self {
+    pub(crate) fn from_hierarchy(hierarchy: MultigridHierarchy) -> Self {
         let ws = MgWorkspace::for_hierarchy(&hierarchy);
         Self { hierarchy, ws }
     }
@@ -1450,8 +1413,8 @@ mod tests {
 
     #[test]
     fn hierarchy_coarsens_poisson() {
-        let a = poisson_2d(40, 40);
-        let h = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
+        let a = Arc::new(poisson_2d(40, 40));
+        let h = MultigridHierarchy::build(Arc::clone(&a), &MultigridConfig::default()).unwrap();
         assert!(h.level_count() >= 2, "1600 unknowns must coarsen at least once");
         let sizes = h.level_sizes();
         for w in sizes.windows(2) {
@@ -1464,9 +1427,9 @@ mod tests {
 
     #[test]
     fn v_cycles_solve_standalone() {
-        let a = poisson_2d(30, 30);
+        let a = Arc::new(poisson_2d(30, 30));
         let b = rhs(a.rows());
-        let mut h = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
+        let mut h = MultigridHierarchy::build(Arc::clone(&a), &MultigridConfig::default()).unwrap();
         let mut x = vec![0.0; a.rows()];
         let cycles = v_cycles_to(&mut h, &b, &mut x, 1e-10, 60).expect("V-cycles converge");
         // Measured: 44 cycles, a contraction of ~0.6 per V(1,1)-cycle with
@@ -1485,11 +1448,11 @@ mod tests {
         for nx in [40usize, 160] {
             // Both sizes must traverse a genuine multi-level hierarchy (the
             // coarse direct solve alone would trivially win at small n).
-            let a = poisson_2d(nx, nx);
+            let a = Arc::new(poisson_2d(nx, nx));
             let b = rhs(a.rows());
-            let mut h = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
+            let mut h = MultigridHierarchy::build(a, &MultigridConfig::default()).unwrap();
             assert!(h.level_count() >= 2);
-            let mut x = vec![0.0; a.rows()];
+            let mut x = vec![0.0; b.len()];
             let cycles = v_cycles_to(&mut h, &b, &mut x, 1e-8, 80).expect("converges");
             counts.push(cycles.max(1));
         }
@@ -1501,9 +1464,9 @@ mod tests {
 
     #[test]
     fn tiny_matrix_degenerates_to_direct_solve() {
-        let a = poisson_2d(4, 4); // 16 unknowns < direct_cells
+        let a = Arc::new(poisson_2d(4, 4)); // 16 unknowns < direct_cells
         let b = rhs(16);
-        let mut m = Multigrid::new(&a, &MultigridConfig::default()).unwrap();
+        let mut m = Multigrid::new(Arc::clone(&a), &MultigridConfig::default()).unwrap();
         assert_eq!(m.hierarchy().level_count(), 1);
         let mut z = vec![0.0; 16];
         m.apply(&b, &mut z);
@@ -1516,10 +1479,10 @@ mod tests {
     fn preconditioner_application_is_symmetric_and_positive() {
         // A legal CG preconditioner must be SPD: check ⟨M⁻¹u, v⟩ = ⟨u, M⁻¹v⟩
         // and xᵀM⁻¹x > 0 for the V-cycle with symmetric smoothing.
-        let a = poisson_2d(12, 12);
+        let a = Arc::new(poisson_2d(12, 12));
         let n = a.rows();
         let config = MultigridConfig { direct_cells: 20, ..Default::default() };
-        let mut m = Multigrid::new(&a, &config).unwrap();
+        let mut m = Multigrid::new(a, &config).unwrap();
         assert!(m.hierarchy().level_count() >= 2);
         let u: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
         let v: Vec<f64> = (0..n).map(|i| ((i * 3 % 13) as f64) - 6.0).collect();
@@ -1536,7 +1499,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_config() {
-        let a = poisson_2d(5, 5);
+        let a = Arc::new(poisson_2d(5, 5));
         for config in [
             MultigridConfig { strength_threshold: 1.0, ..Default::default() },
             MultigridConfig { strength_threshold: -0.1, ..Default::default() },
@@ -1544,19 +1507,19 @@ mod tests {
             MultigridConfig { max_levels: 0, ..Default::default() },
             MultigridConfig { direct_cells: 0, ..Default::default() },
         ] {
-            assert!(MultigridHierarchy::build(&a, &config).is_err(), "{config:?} must fail");
+            let built = MultigridHierarchy::build(Arc::clone(&a), &config);
+            assert!(built.is_err(), "{config:?} must fail");
         }
         let mut nonsquare = TripletBuilder::new(2, 3);
         nonsquare.add(0, 0, 1.0);
-        let nonsquare = nonsquare.build();
-        assert!(MultigridHierarchy::build(&nonsquare, &MultigridConfig::default()).is_err());
+        let nonsquare = Arc::new(nonsquare.build());
+        assert!(MultigridHierarchy::build(nonsquare, &MultigridConfig::default()).is_err());
     }
 
     #[test]
     fn hierarchy_shares_the_fine_operator_instead_of_cloning() {
         let a = Arc::new(poisson_2d(40, 40));
-        let h =
-            MultigridHierarchy::build_shared(Arc::clone(&a), &MultigridConfig::default()).unwrap();
+        let h = MultigridHierarchy::build(Arc::clone(&a), &MultigridConfig::default()).unwrap();
         assert!(h.level_count() >= 2);
         assert!(
             Arc::ptr_eq(h.fine_operator(), &a),
@@ -1569,14 +1532,9 @@ mod tests {
 
         // Degenerate (direct-solve) hierarchies alias it too.
         let tiny = Arc::new(poisson_2d(4, 4));
-        let h = MultigridHierarchy::build_shared(Arc::clone(&tiny), &MultigridConfig::default())
-            .unwrap();
+        let h = MultigridHierarchy::build(Arc::clone(&tiny), &MultigridConfig::default()).unwrap();
         assert_eq!(h.level_count(), 1);
         assert!(Arc::ptr_eq(h.fine_operator(), &tiny));
-
-        // The legacy borrowing entry point still owns an independent copy.
-        let owned = MultigridHierarchy::build(&a, &MultigridConfig::default()).unwrap();
-        assert!(!Arc::ptr_eq(owned.fine_operator(), &a));
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -1640,8 +1598,8 @@ mod tests {
 
     /// A hierarchy of at least three levels over a 1 600-unknown Poisson
     /// problem.
-    fn three_level_poisson() -> (CsrMatrix, MultigridConfig) {
-        let a = poisson_2d(40, 40);
+    fn three_level_poisson() -> (Arc<CsrMatrix>, MultigridConfig) {
+        let a = Arc::new(poisson_2d(40, 40));
         let config = MultigridConfig { direct_cells: 20, ..Default::default() };
         (a, config)
     }
@@ -1652,7 +1610,7 @@ mod tests {
         // enters as NaN, so an apply that read it would show.
         let (a, config) = three_level_poisson();
         let n = a.rows();
-        let mut m = Multigrid::new(&a, &config).unwrap();
+        let mut m = Multigrid::new(a, &config).unwrap();
         assert!(m.hierarchy().level_count() >= 3, "{:?}", m.hierarchy().level_sizes());
         let column = |c: usize| -> Vec<f64> {
             (0..n).map(|i| ((i * (c + 3)) as f64 * 0.29).sin() + 0.2 * c as f64).collect()
@@ -1676,7 +1634,7 @@ mod tests {
         // signed-zero right-hand-side entries.
         let (a, config) = three_level_poisson();
         let n = a.rows();
-        let mut h = MultigridHierarchy::build(&a, &config).unwrap();
+        let mut h = MultigridHierarchy::build(a, &config).unwrap();
         assert!(h.level_count() >= 3, "{:?}", h.level_sizes());
         let mut m = Multigrid::from_hierarchy(h.clone());
         let b: Vec<f64> = rhs(n)

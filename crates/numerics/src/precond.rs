@@ -56,6 +56,7 @@ use crate::{CsrMatrix, NumericsError};
 /// three steps every cached solve engine performs:
 ///
 /// ```
+/// use std::sync::Arc;
 /// use vcsel_numerics::solver::{preconditioned_cg, CgWorkspace, SolveOptions};
 /// use vcsel_numerics::{Preconditioner, PreconditionerKind, TripletBuilder};
 ///
@@ -66,7 +67,7 @@ use crate::{CsrMatrix, NumericsError};
 ///     if i > 0 { b.add(i, i - 1, -1.0); }
 ///     if i + 1 < n { b.add(i, i + 1, -1.0); }
 /// }
-/// let a = b.build();
+/// let a = Arc::new(b.build());
 /// let mut m = PreconditionerKind::IncompleteCholesky.build(&a)?;
 /// assert_eq!(m.name(), "ic0");
 ///
@@ -439,56 +440,25 @@ impl PreconditionerKind {
         }
     }
 
-    /// Builds the selected preconditioner for `a`.
-    ///
-    /// The operator-holding multigrid variant clones `a` here;
-    /// engines that already own the matrix behind an [`Arc`] should use
-    /// [`PreconditionerKind::build_shared`] so one copy serves both.
+    /// Builds the selected preconditioner on the shared operator `a`.
+    /// Jacobi and IC(0) derive their own compact data from it; the
+    /// multigrid fine level aliases `a`, so a cached solve engine and its
+    /// preconditioner hold **one** copy of the (potentially
+    /// hundreds-of-MB) matrix.
     ///
     /// # Errors
     ///
     /// Propagates the constructor errors of the selected implementation
     /// (non-square matrix, bad diagonal, IC(0) breakdown, bad multigrid
     /// configuration).
-    pub fn build(&self, a: &CsrMatrix) -> Result<AnyPreconditioner, NumericsError> {
-        match *self {
-            // Jacobi and IC(0) derive their own compact data and never
-            // retain the operator, so no sharing arises.
-            PreconditionerKind::Jacobi | PreconditionerKind::IncompleteCholesky => {
-                self.build_from_parts(a, None)
-            }
-            _ => self.build_from_parts(a, Some(Arc::new(a.clone()))),
-        }
-    }
-
-    /// Like [`PreconditionerKind::build`] but referencing a shared
-    /// operator instead of cloning it: the multigrid fine level aliases
-    /// `a`, so a cached solve engine and its
-    /// preconditioner hold **one** copy of the (potentially
-    /// hundreds-of-MB) matrix.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PreconditionerKind::build`].
-    pub fn build_shared(&self, a: &Arc<CsrMatrix>) -> Result<AnyPreconditioner, NumericsError> {
-        self.build_from_parts(a, Some(Arc::clone(a)))
-    }
-
-    fn build_from_parts(
-        &self,
-        a: &CsrMatrix,
-        shared: Option<Arc<CsrMatrix>>,
-    ) -> Result<AnyPreconditioner, NumericsError> {
+    pub fn build(&self, a: &Arc<CsrMatrix>) -> Result<AnyPreconditioner, NumericsError> {
         Ok(match *self {
             PreconditionerKind::Jacobi => AnyPreconditioner::Jacobi(Jacobi::new(a)?),
             PreconditionerKind::IncompleteCholesky => {
                 AnyPreconditioner::IncompleteCholesky(IncompleteCholesky::new(a)?)
             }
             PreconditionerKind::Multigrid { config } => {
-                AnyPreconditioner::Multigrid(Box::new(Multigrid::new_shared(
-                    shared.expect("operator-holding kinds receive the shared handle"),
-                    &config,
-                )?))
+                AnyPreconditioner::Multigrid(Box::new(Multigrid::new(Arc::clone(a), &config)?))
             }
         })
     }
@@ -604,7 +574,7 @@ mod tests {
 
     #[test]
     fn kind_builds_every_variant() {
-        let a = laplacian_1d(5);
+        let a = Arc::new(laplacian_1d(5));
         for (kind, name) in [
             (PreconditionerKind::Jacobi, "jacobi"),
             (PreconditionerKind::IncompleteCholesky, "ic0"),

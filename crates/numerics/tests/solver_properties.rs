@@ -1,6 +1,8 @@
 //! Property tests on the numerical kernels: solver correctness on random
 //! SPD systems, interpolation bounds, optimizer guarantees.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use vcsel_numerics::solver::{conjugate_gradient, preconditioned_cg, CgWorkspace, SolveOptions};
 use vcsel_numerics::{
@@ -205,7 +207,7 @@ proptest! {
     ) {
         // IC(0)-CG and Jacobi-CG must land on the same solution of a random
         // SPD stencil system, whatever the conditioning draw.
-        let a = random_spd_stencil(nx, ny, &seed);
+        let a = Arc::new(random_spd_stencil(nx, ny, &seed));
         let n = nx * ny;
         let rhs: Vec<f64> = rhs_seed.iter().take(n).cloned().collect();
         let opts = SolveOptions { tolerance: 1e-11, max_iterations: 50_000 };
@@ -241,7 +243,7 @@ proptest! {
         // field as IC(0), whatever the random conductance draw. Shrink
         // direct_cells so even the small proptest systems build a real
         // multi-level hierarchy instead of degenerating to a dense solve.
-        let a = random_spd_stencil_3d(nx, ny, nz, &seed);
+        let a = Arc::new(random_spd_stencil_3d(nx, ny, nz, &seed));
         let n = nx * ny * nz;
         let rhs: Vec<f64> = rhs_seed.iter().take(n).cloned().collect();
         let opts = SolveOptions { tolerance: 1e-11, max_iterations: 50_000 };
@@ -280,10 +282,10 @@ proptest! {
         // V-cycle built on those bounds must stay symmetric positive
         // definite, so CG may use it.
         let seed: Vec<f64> = exponents.iter().map(|e| 10f64.powf(3.0 * e)).collect();
-        let a = random_spd_stencil_3d(nx, ny, nz, &seed);
+        let a = Arc::new(random_spd_stencil_3d(nx, ny, nz, &seed));
         let n = nx * ny * nz;
         let config = MultigridConfig { direct_cells: 8, ..MultigridConfig::default() };
-        let mut mg = Multigrid::new(&a, &config).expect("hierarchy builds");
+        let mut mg = Multigrid::new(a, &config).expect("hierarchy builds");
         for (level, (op, bound)) in mg.hierarchy().smoother_bounds().enumerate() {
             let rho = jacobi_spectral_radius(op);
             prop_assert!(bound >= rho, "level {level}: bound {bound} below rho(D^-1 A) {rho}");
@@ -317,7 +319,7 @@ proptest! {
         // one-column call produces for that column alone — the kernel's
         // documented contract — for each preconditioner rung the solve
         // ladder uses.
-        let a = random_spd_stencil_3d(nx, ny, nz, &seed);
+        let a = Arc::new(random_spd_stencil_3d(nx, ny, nz, &seed));
         let n = nx * ny * nz;
         let k = [1usize, 2, 4, 7][k_pick];
         let columns: Vec<Vec<f64>> = (0..k)
@@ -365,7 +367,7 @@ proptest! {
     ) {
         // Restarting CG from its own solution must converge immediately,
         // and the answer must stay put.
-        let a = random_spd_stencil(nx, ny, &seed);
+        let a = Arc::new(random_spd_stencil(nx, ny, &seed));
         let n = nx * ny;
         let rhs: Vec<f64> = rhs_seed.iter().take(n).cloned().collect();
         let opts = SolveOptions { tolerance: 1e-10, max_iterations: 50_000 };

@@ -16,9 +16,9 @@
 //!    [`TransientStepper`](crate::TransientStepper) builds there too, with
 //!    its `C/Δt` on the diagonal): assembly, painting, one ladder
 //!    factorization.
-//! 3. **Artifact** — [`EngineBlueprint::engine_artifact`] serializes the
+//! 3. **Artifact** — [`EngineBlueprint::engine_artifact`] writes the
 //!    built engine's operator-derived state (operator + factor, or the
-//!    whole multigrid hierarchy) into one checksummed envelope.
+//!    whole multigrid hierarchy) as sections of one checksummed envelope.
 //! 4. **Restore** — [`EngineBlueprint::restore`] rebuilds a full engine
 //!    from those bytes with **zero factorizations**: the deserialized
 //!    preconditioner goes straight onto the ladder's first rung via
@@ -32,10 +32,8 @@
 
 use std::sync::Arc;
 
-use vcsel_numerics::artifact::KIND_DOWNSTREAM_BASE;
 use vcsel_numerics::{
-    AnyPreconditioner, ArtifactError, ArtifactReader, ArtifactWriter, ContentHasher, CsrMatrix,
-    IncompleteCholesky, Multigrid, MultigridHierarchy, NumericsError, Preconditioner,
+    ArtifactError, ArtifactReader, ArtifactWriter, ContentHasher, NumericsError, Preconditioner,
     PreconditionerKind, SolveLadder, TripletBuilder,
 };
 
@@ -45,19 +43,15 @@ use crate::{
     Boundary, BoundaryCondition, BoundarySet, Design, Mesh, MeshSpec, SolveContext, ThermalError,
 };
 
-/// Artifact-envelope kind byte of a serialized thermal engine (the first
-/// value in the downstream range `vcsel_numerics` reserves for composed
-/// envelopes).
-pub const ENGINE_ARTIFACT_KIND: u8 = KIND_DOWNSTREAM_BASE;
-
 /// Why an engine restore was rejected. Every variant is a
 /// fall-back-to-fresh-build signal, never a panic; the engine cache logs
 /// the value in its probe attempt log.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum RestoreError {
-    /// The envelope or a nested section failed decoding or revalidation
-    /// (truncation, checksum mismatch, version skew, structural damage).
+    /// The envelope or one of its sections failed decoding or
+    /// revalidation (truncation, checksum mismatch, version skew,
+    /// structural damage).
     Artifact(ArtifactError),
     /// The artifact's stored content hash disagrees with the blueprint's —
     /// a cache-key collision or stale entry for a different conductivity
@@ -216,10 +210,12 @@ impl EngineBlueprint {
         Ok(engine)
     }
 
-    /// Serializes `ctx`'s operator-derived state — keyed by this
-    /// blueprint's content hash — into one artifact envelope: the
-    /// multigrid hierarchy (which embeds the operator as its finest
-    /// level), or the operator plus its IC(0) factor.
+    /// Writes `ctx`'s operator-derived state — keyed by this blueprint's
+    /// content hash — as one artifact envelope: the content hash, the
+    /// cell count, the solver state
+    /// ([`ArtifactWriter::put_solver_state`]: the multigrid hierarchy,
+    /// whose finest level is the operator, or the operator plus its IC(0)
+    /// factor), the boundary RHS and the boundary faces.
     ///
     /// Returns `None` when the engine is not in a cacheable state: its
     /// active preconditioner is not the blueprint's lead kind (the ladder
@@ -227,32 +223,13 @@ impl EngineBlueprint {
     /// preconditioner does not alias the engine's operator.
     pub fn engine_artifact(&self, ctx: &SolveContext) -> Option<Vec<u8>> {
         let n = self.mesh.cell_count();
-        if ctx.shared_operator().rows() != n {
+        if ctx.shared_operator().rows() != n || ctx.preconditioner().name() != self.kind.name() {
             return None;
         }
-        if ctx.preconditioner().name() != self.kind.name() {
-            return None;
-        }
-        let mut w = ArtifactWriter::new(ENGINE_ARTIFACT_KIND);
+        let mut w = ArtifactWriter::new();
         w.put_u64(self.content_hash);
         w.put_u64(n as u64);
-        match ctx.preconditioner() {
-            AnyPreconditioner::Multigrid(m) => {
-                if !Arc::ptr_eq(m.hierarchy().fine_operator(), ctx.shared_operator()) {
-                    return None;
-                }
-                w.put_u8(0);
-                // The hierarchy artifact embeds the operator as its finest
-                // level, so the ~paper-scale matrix is stored exactly once.
-                w.put_bytes(&m.to_artifact());
-            }
-            AnyPreconditioner::IncompleteCholesky(ic) => {
-                w.put_u8(1);
-                w.put_bytes(&ctx.shared_operator().to_artifact());
-                w.put_bytes(&ic.to_artifact());
-            }
-            _ => return None,
-        }
+        w.put_solver_state(ctx.shared_operator(), ctx.preconditioner())?;
         w.put_f64_slice(ctx.boundary_rhs_ref());
         let faces = ctx.boundary_faces_ref();
         w.put_u64(faces.len() as u64);
@@ -278,7 +255,7 @@ impl EngineBlueprint {
     /// shape drift against this blueprint's mesh, or a failure in the
     /// shared fresh-construction steps.
     pub fn restore(&self, bytes: &[u8]) -> Result<SolveContext, RestoreError> {
-        let mut r = ArtifactReader::open(bytes, ENGINE_ARTIFACT_KIND)?;
+        let mut r = ArtifactReader::open(bytes)?;
         let stored = r.get_u64()?;
         if stored != self.content_hash {
             return Err(RestoreError::ContentMismatch { stored, expected: self.content_hash });
@@ -290,25 +267,7 @@ impl EngineBlueprint {
                 self.mesh.cell_count()
             )));
         }
-        let (matrix, precond) = match r.get_u8()? {
-            0 => {
-                let h = MultigridHierarchy::from_artifact(r.get_bytes()?)?;
-                let matrix = Arc::clone(h.fine_operator());
-                let mg = Multigrid::from_hierarchy(h);
-                (matrix, AnyPreconditioner::Multigrid(Box::new(mg)))
-            }
-            1 => {
-                let m = CsrMatrix::from_artifact(r.get_bytes()?)?;
-                m.validate_symmetric()?;
-                let ic = IncompleteCholesky::from_artifact(r.get_bytes()?)?;
-                (Arc::new(m), AnyPreconditioner::IncompleteCholesky(ic))
-            }
-            t => {
-                return Err(RestoreError::Artifact(ArtifactError::BadStructure {
-                    reason: format!("unknown engine preconditioner tag {t}"),
-                }))
-            }
-        };
+        let (matrix, precond) = r.get_solver_state()?;
         if matrix.rows() != n {
             return Err(shape(format!(
                 "restored operator has {} rows for a {n}-cell engine",

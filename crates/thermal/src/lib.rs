@@ -87,7 +87,7 @@ mod simulator;
 mod stepper;
 mod superposition;
 
-pub use blueprint::{EngineBlueprint, RestoreError, ENGINE_ARTIFACT_KIND};
+pub use blueprint::{EngineBlueprint, RestoreError};
 pub use boundary::{Boundary, BoundaryCondition, BoundarySet};
 pub use context::SolveContext;
 pub use convergence::{ConvergenceLevel, ConvergenceStudy};

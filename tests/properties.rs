@@ -184,7 +184,7 @@ proptest! {
         for (c, d) in diag.iter().enumerate() {
             b.add(c, c, d + 0.01 + 0.1 * seed[(c * 7 + 3) % seed.len()].abs());
         }
-        let a = b.build();
+        let a = std::sync::Arc::new(b.build());
 
         let columns: Vec<Vec<f64>> = (0..k)
             .map(|j| (0..n).map(|i| rhs_seed[(j * n + i) % rhs_seed.len()]).collect())
