@@ -1,7 +1,7 @@
 //! `vcsel_lint` — a workspace invariant analyzer.
 //!
 //! The threaded numerical engine (PRs 2–5) rests on conventions that the
-//! compiler cannot check: threaded kernels must hide behind the nnz size
+//! compiler cannot check: threaded kernels must hide behind the size
 //! gate and `hardware_threads()`, relaxed-atomic scratch writes must carry
 //! a written justification, hot loops must stay allocation-free, every
 //! `env::var` knob must be documented. This crate turns those conventions

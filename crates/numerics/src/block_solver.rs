@@ -18,7 +18,7 @@ use crate::NumericsError;
 /// A dense column block: k vectors of n entries in column-major storage,
 /// so every column is one contiguous `&[f64]` and the whole block is the
 /// back-to-back layout [`Preconditioner::apply`](crate::Preconditioner::apply)
-/// and the deflation swaps need.
+/// and the deflation shifts need.
 ///
 /// # Example
 ///
@@ -110,15 +110,12 @@ impl BlockVector {
         &mut self.data
     }
 
-    /// Swaps columns `i` and `j` in place (deflation packing).
-    pub(crate) fn swap_columns(&mut self, i: usize, j: usize) {
-        if i == j {
-            return;
-        }
+    /// Removes column `j`, shifting the later columns down one (deflation
+    /// packing keeps the column order), and keeps the allocation.
+    pub(crate) fn remove_column(&mut self, j: usize) {
         let n = self.n;
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        let (head, tail) = self.data.split_at_mut(hi * n);
-        head[lo * n..(lo + 1) * n].swap_with_slice(&mut tail[..n]);
+        self.data.copy_within((j + 1) * n.., j * n);
+        self.truncate_columns(self.k - 1);
     }
 
     /// Drops trailing columns, keeping the allocation.
@@ -149,8 +146,8 @@ mod tests {
 
     use super::*;
     use crate::precond::{IncompleteCholesky, Jacobi, Preconditioner};
-    use crate::solver::{preconditioned_cg, CgWorkspace, SolveOptions};
-    use crate::{CsrMatrix, Multigrid, MultigridConfig, TripletBuilder};
+    use crate::solver::{block_cg, preconditioned_cg, CgWorkspace, SolveOptions};
+    use crate::{CsrMatrix, Multigrid, MultigridConfig, NumericsError, TripletBuilder};
 
     /// 3-D 7-point SPD stencil with a small Robin-like diagonal shift.
     fn stencil_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
@@ -218,10 +215,10 @@ mod tests {
             let x = BlockVector::from_columns(&refs).unwrap();
             for threads in [1, 2, 3, 7] {
                 let mut y = BlockVector::zeros(n, refs.len());
-                a.multiply_with_threads(x.data(), y.data_mut(), threads);
+                a.multiply_with_threads(x.data(), y.data_mut(), Some(threads));
                 for (j, col) in cols.iter().enumerate() {
                     let mut scalar = vec![0.0; n];
-                    a.multiply_with_threads(col, &mut scalar, 1);
+                    a.multiply_with_threads(col, &mut scalar, Some(1));
                     assert_eq!(
                         bits(y.column(j)),
                         bits(&scalar),
@@ -236,10 +233,13 @@ mod tests {
     fn staggered_ic0_block_matches_scalar_columns_bitwise() {
         // Nine columns (one more than an IC(0) sweep serves, three block
         // V-cycle passes) with warm starts of graded quality, so columns
-        // deflate mid-solve and the active set shrinks and reorders under
-        // the multi-column apply. Every column must come out bitwise as a
-        // one-column call of the same kernel leaves it, with IC(0) and
-        // with a multigrid V-cycle as the preconditioner.
+        // deflate mid-solve and the active set shrinks under the
+        // multi-column apply, leaving gaps between the columns a worker's
+        // group holds. At 1 to 4 pinned workers for CG's column loops
+        // (9 columns over 4 workers are groups of 2, 2, 2 and 3), every
+        // column must come out bitwise as a one-column, one-worker call
+        // of the same kernel leaves it, with the same iteration count,
+        // with IC(0) and with a multigrid V-cycle as the preconditioner.
         let a = Arc::new(stencil_3d(7, 6, 5));
         let n = a.rows();
         let config = MultigridConfig { direct_cells: 20, ..Default::default() };
@@ -264,27 +264,67 @@ mod tests {
                 })
                 .collect();
 
-            let mut x = guesses.concat();
-            preconditioned_cg(&a, &rhs.concat(), &mut x, m.as_mut(), &opts, &mut ws).unwrap();
-            let block = ws.summaries().to_vec();
-            let applies = ws.preconditioner_applies();
+            let singles: Vec<_> = (0..9)
+                .map(|c| {
+                    let mut x_one = guesses[c].clone();
+                    let one =
+                        block_cg(&a, &rhs[c], &mut x_one, m.as_mut(), &opts, &mut ws, Some(1))
+                            .unwrap();
+                    (one, x_one)
+                })
+                .collect();
             let name = m.name();
-
-            let mut distinct = block.iter().map(|s| s.iterations).collect::<Vec<_>>();
-            distinct.sort_unstable();
-            distinct.dedup();
-            assert!(distinct.len() > 3, "{name}: warm starts must stagger deflations: {block:?}");
-            for (c, summary) in block.iter().enumerate() {
-                let mut x_one = guesses[c].clone();
-                let one =
-                    preconditioned_cg(&a, &rhs[c], &mut x_one, m.as_mut(), &opts, &mut ws).unwrap();
-                assert!(one.converged && summary.converged, "{name} column {c}");
-                assert_eq!(one.iterations, summary.iterations, "{name} column {c}");
-                assert_eq!(one.residual.to_bits(), summary.residual.to_bits(), "{name} column {c}");
-                assert_eq!(bits(&x_one), bits(&x[c * n..(c + 1) * n]), "{name} column {c}");
+            for threads in 1..=4 {
+                let mut x = guesses.concat();
+                let b = rhs.concat();
+                block_cg(&a, &b, &mut x, m.as_mut(), &opts, &mut ws, Some(threads)).unwrap();
+                let block = ws.summaries().to_vec();
+                let mut distinct = block.iter().map(|s| s.iterations).collect::<Vec<_>>();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert!(
+                    distinct.len() > 3,
+                    "{name}: warm starts must stagger deflations: {block:?}"
+                );
+                for (c, (summary, (one, x_one))) in block.iter().zip(&singles).enumerate() {
+                    let at = format!("{name} column {c}, {threads} workers");
+                    assert!(one.converged && summary.converged, "{at}");
+                    assert_eq!(one.iterations, summary.iterations, "{at}");
+                    assert_eq!(one.residual.to_bits(), summary.residual.to_bits(), "{at}");
+                    assert_eq!(bits(x_one), bits(&x[c * n..(c + 1) * n]), "{at}");
+                }
+                let total: u64 = block.iter().map(|s| s.iterations as u64).sum();
+                let applies = ws.preconditioner_applies();
+                assert_eq!(applies, total + 9, "{name}: one apply per active column");
             }
-            let total: u64 = block.iter().map(|s| s.iterations as u64).sum();
-            assert_eq!(applies, total + 9, "{name}: one apply per active column");
+        }
+    }
+
+    #[test]
+    fn non_positive_curvature_in_a_worker_group_is_the_serial_error() {
+        // [[1, 3], [3, 1]] has eigenvalues 4 and −2, and Jacobi is the
+        // identity on it, so the first step's pᵀAp is bᵀAb: 8 for [1, 1],
+        // −4 for [1, −1] and −16 for [2, −2]. Column 0 runs on a spawned
+        // worker at every pinned count above one, and the error must be
+        // the one the serial loop stops at (column 0's), not a panic.
+        let mut t = TripletBuilder::new(2, 2);
+        t.add(0, 0, 1.0);
+        t.add(0, 1, 3.0);
+        t.add(1, 0, 3.0);
+        t.add(1, 1, 1.0);
+        let a = t.build();
+        let mut m = Jacobi::new(&a).unwrap();
+        let mut ws = CgWorkspace::new();
+        let b = [1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 2.0, -2.0];
+        let opts = SolveOptions::default();
+        let mut serial_x = vec![0.0; 8];
+        let serial = block_cg(&a, &b, &mut serial_x, &mut m, &opts, &mut ws, Some(1)).unwrap_err();
+        assert!(matches!(serial, NumericsError::BadMatrix { .. }), "{serial:?}");
+        assert!(serial.to_string().contains("-4.000e0"), "{serial}");
+        for threads in 2..=4 {
+            let mut x = vec![0.0; 8];
+            let err = block_cg(&a, &b, &mut x, &mut m, &opts, &mut ws, Some(threads)).unwrap_err();
+            assert_eq!(err, serial, "{threads} workers");
         }
     }
 

@@ -21,8 +21,9 @@
 //!   [`PreconditionerKind::build`] takes the operator behind an
 //!   [`std::sync::Arc`], so the multigrid hierarchy aliases the caller's
 //!   allocation instead of cloning it.
-//!   IC(0) applies its two triangular solves serially, so IC(0) solves
-//!   give the same bits at every worker count,
+//!   IC(0) runs each column's two triangular solves serially and splits
+//!   a block of columns into column groups across workers, so IC(0)
+//!   solves give the same bits at every worker count,
 //! * [`block_solver`]: the [`BlockVector`] column blocks that kernel keeps
 //!   its per-column state in,
 //! * [`ladder`]: the self-healing [`SolveLadder`] every engine solve runs
@@ -30,7 +31,7 @@
 //! * [`multigrid`]: a smoothed-aggregation algebraic multigrid hierarchy
 //!   (fixed V(1,1) cycles, Galerkin coarse operators, dense coarsest
 //!   solve, Chebyshev smoothers and transfers threaded behind the size
-//!   gates with bitwise-identical results) used as a mesh-independent CG
+//!   gate with bitwise-identical results) used as a mesh-independent CG
 //!   preconditioner,
 //! * [`artifact`]: a dependency-free, versioned, checksummed binary codec
 //!   for solver-engine state — one envelope per artifact, whose solver
@@ -66,6 +67,7 @@
 pub mod artifact;
 pub mod block_solver;
 mod error;
+mod fork;
 mod interp;
 pub mod ladder;
 pub mod multigrid;

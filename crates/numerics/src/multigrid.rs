@@ -59,8 +59,9 @@
 //!
 //! Every cycle kernel — smoother, residual and transfer SpMVs through
 //! [`CsrMatrix::multiply_into`], the Chebyshev vector update — threads
-//! behind its own size gate and computes each entry exactly as its serial
-//! loop does. `VCSEL_THREADS=1` is the serial baseline.
+//! behind the crate's one size gate (rows × columns) and computes each
+//! entry exactly as its serial loop does. `VCSEL_THREADS=1` is the serial
+//! baseline.
 //!
 //! # Drivers
 //!
@@ -96,13 +97,15 @@
 //! five-column pass was faster still but raised the `figures_fast` peak
 //! by 7.9 % (the measurements are documented at `CYCLE_COLUMNS`).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use vcsel_telemetry::{Arg, ArgValue};
 
+use crate::fork::{fork_join, share_range, take_front};
 use crate::precond::{assert_columns, checked_diagonal, Jacobi, Preconditioner};
 use crate::solver::{preconditioned_cg, CgWorkspace, SolveOptions};
-use crate::{hardware_threads, CsrMatrix, NumericsError};
+use crate::{CsrMatrix, NumericsError};
 
 /// Degree of the Chebyshev smoothing polynomial: SpMVs per smoothing pass.
 const CHEBYSHEV_DEGREE: usize = 2;
@@ -823,8 +826,9 @@ fn residual_into(a: &CsrMatrix, b: &[f64], x: &[f64], r: &mut [f64]) {
 /// of Saad, *Iterative Methods for Sparse Linear Systems*, Alg. 12.1).
 /// Each step is one SpMV into `ax` serving all k columns and one fused
 /// update per column; the search directions live in `d`, which is
-/// scratch between passes. The update runs chunked across threads above
-/// [`Jacobi::PARALLEL_LEN_THRESHOLD`] unknowns.
+/// scratch between passes. The update runs in row chunks across workers
+/// once a column is large enough to repay the fork (see
+/// [`chebyshev_update`]).
 ///
 /// With `from_zero` the pass starts from `x = 0` without reading `x`: the
 /// first step skips the SpMV (`A·0` is exactly `+0.0` and `b − 0.0` is
@@ -840,11 +844,6 @@ fn chebyshev_smooth(
     d: &mut [f64],
 ) {
     let n = level.inv_diag.len();
-    let threads = if n < Jacobi::PARALLEL_LEN_THRESHOLD {
-        1
-    } else {
-        hardware_threads().min(CsrMatrix::MAX_SPMV_THREADS)
-    };
     let upper = level.lambda_max;
     let lower = upper / CHEBYSHEV_RATIO;
     let (theta, delta) = (0.5 * (upper + lower), 0.5 * (upper - lower));
@@ -868,7 +867,7 @@ fn chebyshev_smooth(
             .zip(x.chunks_exact_mut(n))
         {
             let axj = (!skip_spmv).then_some(axj);
-            chebyshev_update(&level.inv_diag, bj, axj, dj, xj, (c1, c2), threads);
+            chebyshev_update(&level.inv_diag, bj, axj, dj, xj, (c1, c2), None);
         }
     }
 }
@@ -876,8 +875,9 @@ fn chebyshev_smooth(
 /// The fused element-wise Chebyshev step `d = c₁d + c₂·D⁻¹(b − Ax);
 /// x += d` on one column (`c₁ = 0` starts a new direction without reading
 /// the stale one; `ax = None` is the first step from `x = 0`, see
-/// [`chebyshev_smooth`]), with an explicit worker count (1 = in place).
-/// Every entry is computed exactly as in the serial loop, so the result is
+/// [`chebyshev_smooth`]), in equal row chunks through the crate's one
+/// fork-join, with the worker count pinned when `threads` is given. Every
+/// entry is computed exactly as in the serial loop, so the result is
 /// bitwise identical for any worker count.
 fn chebyshev_update(
     inv_diag: &[f64],
@@ -886,25 +886,23 @@ fn chebyshev_update(
     d: &mut [f64],
     x: &mut [f64],
     (c1, c2): (f64, f64),
-    threads: usize,
+    threads: Option<usize>,
 ) {
-    if threads < 2 {
-        chebyshev_chunk(inv_diag, b, ax, d, x, c1, c2);
-        return;
-    }
-    let chunk = x.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (c, (((d, x), inv_diag), b)) in d
-            .chunks_mut(chunk)
-            .zip(x.chunks_mut(chunk))
-            .zip(inv_diag.chunks(chunk))
-            .zip(b.chunks(chunk))
-            .enumerate()
-        {
-            let ax = ax.map(|ax| &ax[c * chunk..c * chunk + b.len()]);
-            scope.spawn(move || chebyshev_chunk(inv_diag, b, ax, d, x, c1, c2));
-        }
-    });
+    let n = x.len();
+    let (mut d_rest, mut x_rest) = (d, x);
+    fork_join(
+        n,
+        n,
+        threads,
+        |share, shares| {
+            let Range { start, end } = share_range(share, shares, n);
+            let ax = ax.map(|ax| &ax[start..end]);
+            let (d, x) =
+                (take_front(&mut d_rest, end - start), take_front(&mut x_rest, end - start));
+            (&inv_diag[start..end], &b[start..end], ax, d, x)
+        },
+        |(inv_diag, b, ax, d, x)| chebyshev_chunk(inv_diag, b, ax, d, x, c1, c2),
+    );
 }
 
 /// Serial body of [`chebyshev_update`] over one contiguous chunk.
@@ -1553,8 +1551,8 @@ mod tests {
         for threads in [1, 2, 3, 7] {
             let mut x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.021).cos()).collect();
             let mut d: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin()).collect();
-            chebyshev_update(&inv_diag, &b, Some(&ax), &mut d, &mut x, (0.0, 1.3), threads);
-            chebyshev_update(&inv_diag, &b, Some(&ax), &mut d, &mut x, (0.4, 0.9), threads);
+            chebyshev_update(&inv_diag, &b, Some(&ax), &mut d, &mut x, (0.0, 1.3), Some(threads));
+            chebyshev_update(&inv_diag, &b, Some(&ax), &mut d, &mut x, (0.4, 0.9), Some(threads));
             outputs.push((bits(&d), bits(&x)));
         }
         for (threads, out) in [2, 3, 7].iter().zip(&outputs[1..]) {
@@ -1582,7 +1580,7 @@ mod tests {
         let zeros = vec![0.0; n];
         for threads in [1, 2, 3, 7] {
             let step = |ax: Option<&[f64]>, d: &mut [f64], x: &mut [f64], c| {
-                chebyshev_update(&inv_diag, &b, ax, d, x, c, threads);
+                chebyshev_update(&inv_diag, &b, ax, d, x, c, Some(threads));
             };
             let (mut x_full, mut d_full) = (vec![0.0; n], vec![3.0; n]);
             step(Some(&zeros), &mut d_full, &mut x_full, (0.0, 1.3));

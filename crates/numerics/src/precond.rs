@@ -11,10 +11,11 @@
 //! * [`IncompleteCholesky`] — IC(0), a zero-fill `L·Lᵀ ≈ A` factorization;
 //!   the strongest *one-level* option and the default for cached transient
 //!   engines, because one factorization amortizes over many right-hand
-//!   sides. Its two triangular solves run serially, so IC(0) iteration
-//!   counts and fields are the same at every worker count. They multiply
-//!   by each pivot's reciprocal, and one sweep kernel serves up to eight
-//!   columns per pass over the factor,
+//!   sides. Each column's two triangular solves run serially; a block of
+//!   columns splits into contiguous column groups, one per worker, so
+//!   IC(0) iteration counts and fields are the same at every worker
+//!   count. The solves multiply by each pivot's reciprocal, and one sweep
+//!   kernel serves up to eight columns per pass over the factor,
 //! * [`Multigrid`] — a smoothed-aggregation algebraic
 //!   multigrid V-cycle (see [`crate::multigrid`]); the only option whose
 //!   iteration counts stay (nearly) mesh-independent, and the default for
@@ -26,10 +27,11 @@
 //! column comes out bitwise as its own one-column apply. All applications
 //! are allocation-free so they can sit inside the CG iteration loop.
 
+use std::ops::Range;
 use std::sync::Arc;
 
+use crate::fork::{fork_join, share_range, take_front};
 use crate::multigrid::{Multigrid, MultigridConfig};
-use crate::sparse::hardware_threads;
 use crate::{CsrMatrix, NumericsError};
 
 /// Applies `z = M⁻¹ r` for some SPD approximation `M ≈ A`, to k ≥ 1
@@ -116,12 +118,6 @@ pub struct Jacobi {
 }
 
 impl Jacobi {
-    /// Element count above which [`Jacobi::apply`] splits the scaling loop
-    /// across threads. The result is bitwise identical to the serial loop
-    /// (each entry is one independent multiply), so the gate is purely a
-    /// spawn-cost amortization threshold.
-    pub const PARALLEL_LEN_THRESHOLD: usize = 1 << 18;
-
     /// Extracts the inverse diagonal of `a`.
     ///
     /// # Errors
@@ -136,35 +132,30 @@ impl Jacobi {
         }
         Ok(Self { inv_diag: checked_diagonal(a)?.iter().map(|&d| 1.0 / d).collect() })
     }
-}
 
-impl Jacobi {
-    /// The scaling loop with an explicit worker count (1 = in-place
-    /// serial). Chunk results are independent, so every count produces
-    /// bitwise-identical output.
-    fn apply_with_threads(&self, r: &[f64], z: &mut [f64], threads: usize) {
+    /// The scaling loop on one column, in equal row chunks through the
+    /// crate's one fork-join, with the worker count pinned when `threads`
+    /// is given. Every entry is one independent multiply, so every count
+    /// produces bitwise-identical output.
+    fn apply_with_threads(&self, r: &[f64], z: &mut [f64], threads: Option<usize>) {
         let n = self.inv_diag.len();
         assert_eq!(r.len(), n);
         assert_eq!(z.len(), n);
-        if threads < 2 {
-            for i in 0..n {
-                z[i] = r[i] * self.inv_diag[i];
-            }
-            return;
-        }
-        // Equal chunks are already balanced (one multiply per element).
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for ((zc, rc), dc) in
-                z.chunks_mut(chunk).zip(r.chunks(chunk)).zip(self.inv_diag.chunks(chunk))
-            {
-                scope.spawn(move || {
-                    for ((zi, ri), di) in zc.iter_mut().zip(rc).zip(dc) {
-                        *zi = ri * di;
-                    }
-                });
-            }
-        });
+        let mut z_rest = z;
+        fork_join(
+            n,
+            n,
+            threads,
+            |share, shares| {
+                let Range { start, end } = share_range(share, shares, n);
+                (take_front(&mut z_rest, end - start), &r[start..end], &self.inv_diag[start..end])
+            },
+            |(zc, rc, dc)| {
+                for ((zi, ri), di) in zc.iter_mut().zip(rc).zip(dc) {
+                    *zi = ri * di;
+                }
+            },
+        );
     }
 }
 
@@ -172,13 +163,8 @@ impl Preconditioner for Jacobi {
     fn apply(&mut self, r: &[f64], z: &mut [f64]) {
         let n = self.inv_diag.len();
         assert_columns(r, z, n);
-        let threads = if n < Self::PARALLEL_LEN_THRESHOLD {
-            1
-        } else {
-            hardware_threads().min(CsrMatrix::MAX_SPMV_THREADS)
-        };
         for (rc, zc) in r.chunks_exact(n.max(1)).zip(z.chunks_exact_mut(n.max(1))) {
-            self.apply_with_threads(rc, zc, threads);
+            self.apply_with_threads(rc, zc, None);
         }
     }
 
@@ -195,17 +181,20 @@ impl Preconditioner for Jacobi {
 /// roughly the price of one extra matrix-vector product per CG iteration,
 /// and typically cuts the iteration count by 2–6× on anisotropic meshes.
 ///
-/// Both solves run serially (a gather forward over `L`, a scatter backward
-/// over the same rows) whatever the worker count. The factor's dependency
-/// levels are too narrow for a level-scheduled sweep to repay its
-/// per-level barrier, and the serial apply keeps IC(0) solves bitwise
-/// thread-invariant: only the SpMV and Jacobi loops around it are
-/// threaded, and both compute each entry exactly as their serial loops do.
+/// Each column's two solves run serially (a gather forward over `L`, a
+/// scatter backward over the same rows): the factor's dependency levels
+/// are too narrow for a level-scheduled sweep to repay its per-level
+/// barrier. What threads is the block: [`Preconditioner::apply`] on k ≥ 2
+/// columns splits them into contiguous column groups, one per worker once
+/// the rows × columns repay the fork, and every column runs the same
+/// scalar recurrence whichever group it lands in, so IC(0) solves are
+/// bitwise thread-invariant. A one-column apply (a transient step) runs
+/// on the calling thread.
 ///
 /// Each row computes its pivot's reciprocal once and multiplies by it, so
 /// the divide depends only on the factor and runs off the recurrence's
 /// dependency chain. One sweep kernel serves up to eight right-hand sides
-/// per pass: [`Preconditioner::apply`] reads the factor once per eight
+/// per pass: each column group reads the factor once per eight of its
 /// columns, each column running its own scalar recurrence bit for bit, and
 /// a one-column apply is the kernel's width-1 case.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,6 +305,40 @@ impl IncompleteCholesky {
     /// sum per column in a stack array of at most this width.
     const SWEEP_COLUMNS: usize = 8;
 
+    /// [`Preconditioner::apply`] with the worker count pinned when
+    /// `threads` is given (tests pin it). The k columns split into
+    /// contiguous groups, one per worker through the crate's one
+    /// fork-join, and each group sweeps its columns
+    /// [`Self::SWEEP_COLUMNS`] at a time; every column runs its own scalar
+    /// recurrence, so it comes out bitwise equal to its one-column,
+    /// one-worker apply whichever group it lands in.
+    fn apply_with_threads(&self, r: &[f64], z: &mut [f64], threads: Option<usize>) {
+        let n = self.row_ptr.len() - 1;
+        assert_columns(r, z, n);
+        let k = r.len().checked_div(n).unwrap_or(0);
+        let mut z_rest = z;
+        fork_join(
+            n * k,
+            k,
+            threads,
+            |group, groups| {
+                let columns = share_range(group, groups, k);
+                let rg = &r[columns.start * n..columns.end * n];
+                (rg, take_front(&mut z_rest, rg.len()))
+            },
+            |(rg, zg)| self.sweep_group(n, rg, zg),
+        );
+    }
+
+    /// Sweeps a group of `n`-entry columns held back to back in `r` and
+    /// `z`, [`Self::SWEEP_COLUMNS`] per pass over the factor.
+    fn sweep_group(&self, n: usize, r: &[f64], z: &mut [f64]) {
+        let chunk = (Self::SWEEP_COLUMNS * n).max(1);
+        for (rc, zc) in r.chunks(chunk).zip(z.chunks_mut(chunk)) {
+            self.sweep_columns(n, rc, zc);
+        }
+    }
+
     /// Runs [`Self::sweep`] on the 1 to [`Self::SWEEP_COLUMNS`] columns of
     /// `n` entries held back to back in `r` and `z`, at the matching const
     /// width.
@@ -386,12 +409,7 @@ fn columns_mut<const W: usize>(v: &mut [f64], n: usize) -> [&mut [f64]; W] {
 
 impl Preconditioner for IncompleteCholesky {
     fn apply(&mut self, r: &[f64], z: &mut [f64]) {
-        let n = self.row_ptr.len() - 1;
-        assert_columns(r, z, n);
-        let chunk = (Self::SWEEP_COLUMNS * n).max(1);
-        for (rc, zc) in r.chunks(chunk).zip(z.chunks_mut(chunk)) {
-            self.sweep_columns(n, rc, zc);
-        }
+        self.apply_with_threads(r, z, None);
     }
 
     fn name(&self) -> &'static str {
@@ -605,10 +623,10 @@ mod tests {
         let p = Jacobi::new(&b.build()).unwrap();
         let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos() * 3.0).collect();
         let mut serial = vec![0.0; n];
-        p.apply_with_threads(&r, &mut serial, 1);
+        p.apply_with_threads(&r, &mut serial, Some(1));
         for threads in [2, 3, 7, 16] {
             let mut par = vec![0.0; n];
-            p.apply_with_threads(&r, &mut par, threads);
+            p.apply_with_threads(&r, &mut par, Some(threads));
             assert_eq!(par, serial, "mismatch with {threads} threads");
         }
     }
@@ -651,23 +669,28 @@ mod tests {
             (0..n).map(|i| ((i * (c + 2)) as f64 * 0.37).sin() + 0.1 * c as f64).collect()
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut preconditioners: [Box<dyn Preconditioner>; 2] =
-            [Box::new(IncompleteCholesky::new(&a).unwrap()), Box::new(Jacobi::new(&a).unwrap())];
-        for p in &mut preconditioners {
-            // k = 9 spans two IC(0) sweeps (SWEEP_COLUMNS = 8).
-            for k in [1, 5, 9] {
-                let cols: Vec<Vec<f64>> = (0..k).map(column).collect();
+        let ic = IncompleteCholesky::new(&a).unwrap();
+        let mut jacobi = Jacobi::new(&a).unwrap();
+        // k = 9 spans two IC(0) sweeps (SWEEP_COLUMNS = 8); 5 columns over
+        // 3 workers are uneven column groups.
+        for k in [1, 5, 9] {
+            let cols: Vec<Vec<f64>> = (0..k).map(column).collect();
+            let block = cols.concat();
+            for threads in 1..=4 {
                 let mut z = vec![7.0; k * n];
-                p.apply(&cols.concat(), &mut z);
+                ic.apply_with_threads(&block, &mut z, Some(threads));
                 for (c, col) in cols.iter().enumerate() {
-                    let want = apply_inverse(p.as_mut(), col);
-                    assert_eq!(
-                        bits(&z[c * n..(c + 1) * n]),
-                        bits(&want),
-                        "{} k={k} column {c}",
-                        p.name()
-                    );
+                    let mut want = vec![0.0; n];
+                    ic.apply_with_threads(col, &mut want, Some(1));
+                    let got = &z[c * n..(c + 1) * n];
+                    assert_eq!(bits(got), bits(&want), "ic0 k={k} column {c}, {threads} workers");
                 }
+            }
+            let mut z = vec![7.0; k * n];
+            jacobi.apply(&block, &mut z);
+            for (c, col) in cols.iter().enumerate() {
+                let want = apply_inverse(&mut jacobi, col);
+                assert_eq!(bits(&z[c * n..(c + 1) * n]), bits(&want), "jacobi k={k} column {c}");
             }
         }
     }

@@ -11,7 +11,10 @@
 //! [`conjugate_gradient`] is the one-shot cold-start Jacobi-CG entry point
 //! over it, for small systems solved once (the lumped RC plant).
 
+use std::ops::Range;
+
 use crate::block_solver::BlockVector;
+use crate::fork::{fork_join, share_range, take_front};
 use crate::precond::{Jacobi, Preconditioner};
 use crate::{CsrMatrix, NumericsError};
 
@@ -89,12 +92,11 @@ pub struct CgWorkspace {
     zap: BlockVector,
     /// Packed active set: slot `s` of `r`, `p` and `zap` carries column
     /// `active[s]`, so the active columns are always the blocks' first
-    /// `active.len()` columns.
+    /// `active.len()` columns. Ascending, so a contiguous group of slots
+    /// maps to a contiguous range of columns of `x`.
     active: Vec<usize>,
-    rz: Vec<f64>,
-    b_norm: Vec<f64>,
-    best: Vec<f64>,
-    since_best: Vec<usize>,
+    /// Per-column recurrence state, indexed by column.
+    state: Vec<ColumnState>,
     summaries: Vec<CgSummary>,
     operator_sweeps: u64,
     column_sweeps: u64,
@@ -133,10 +135,7 @@ impl CgWorkspace {
             p: BlockVector::zeros(n, 1),
             zap: BlockVector::zeros(n, 1),
             active: Vec::with_capacity(PRESIZED_COLUMNS),
-            rz: Vec::with_capacity(PRESIZED_COLUMNS),
-            b_norm: Vec::with_capacity(PRESIZED_COLUMNS),
-            best: Vec::with_capacity(PRESIZED_COLUMNS),
-            since_best: Vec::with_capacity(PRESIZED_COLUMNS),
+            state: Vec::with_capacity(PRESIZED_COLUMNS),
             summaries: Vec::with_capacity(PRESIZED_COLUMNS),
             ..Self::default()
         }
@@ -181,14 +180,8 @@ impl CgWorkspace {
         self.p.reset(n, k);
         self.zap.reset(n, k);
         self.active.clear();
-        self.rz.clear();
-        self.rz.resize(k, 0.0);
-        self.b_norm.clear();
-        self.b_norm.resize(k, 0.0);
-        self.best.clear();
-        self.best.resize(k, f64::INFINITY);
-        self.since_best.clear();
-        self.since_best.resize(k, 0);
+        self.state.clear();
+        self.state.resize(k, ColumnState::default());
         // Placeholders: every slot is overwritten before a solve returns
         // `Ok` (at the zero-RHS fast path, a deflation, or the
         // iteration-cap tail).
@@ -207,10 +200,10 @@ impl CgWorkspace {
         self.precond_applies = 0;
     }
 
-    /// Deflates packed slot `s`: records the column's summary, swaps the
-    /// slot's residual and direction with the last active one's and
-    /// shrinks the packed block width by one. `zap` holds nothing live at
-    /// a residual check, so it only shrinks.
+    /// Deflates packed slot `s`: records the column's summary and removes
+    /// the slot from the packed set, shifting the later slots' residuals
+    /// and directions down one so the active columns stay ascending. `zap`
+    /// holds nothing live at a residual check, so it only shrinks.
     fn deflate(
         &mut self,
         s: usize,
@@ -219,15 +212,31 @@ impl CgWorkspace {
         converged: bool,
         stop: CgStop,
     ) {
-        self.summaries[self.active[s]] = CgSummary { iterations, residual, converged, stop };
-        let last = self.active.len() - 1;
-        self.active.swap(s, last);
-        self.r.swap_columns(s, last);
-        self.p.swap_columns(s, last);
-        self.active.pop();
-        self.r.truncate_columns(last);
-        self.p.truncate_columns(last);
-        self.zap.truncate_columns(last);
+        self.summaries[self.active.remove(s)] = CgSummary { iterations, residual, converged, stop };
+        self.r.remove_column(s);
+        self.p.remove_column(s);
+        self.zap.truncate_columns(self.active.len());
+    }
+}
+
+/// One column's CG recurrence scalars.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ColumnState {
+    /// ‖b‖₂ of the column's right-hand side.
+    b_norm: f64,
+    /// ⟨r, z⟩ of the current residual.
+    rz: f64,
+    /// Relative residual ‖r‖₂ / ‖b‖₂ of the current residual.
+    res: f64,
+    /// Best relative residual so far, and the iterations since it last
+    /// improved (the stall detector).
+    best: f64,
+    since_best: usize,
+}
+
+impl Default for ColumnState {
+    fn default() -> Self {
+        Self { b_norm: 0.0, rz: 0.0, res: 0.0, best: f64::INFINITY, since_best: 0 }
     }
 }
 
@@ -380,6 +389,14 @@ fn column_mut(v: &mut [f64], n: usize, j: usize) -> &mut [f64] {
 /// Columns that stop (converged, stalled, diverged) are **deflated** out
 /// of the packed block so later sweeps do no work for them.
 ///
+/// With two or more active columns and enough work to repay a fork, the
+/// per-column vector work also runs on several workers, one contiguous
+/// group of columns each: the step (`pᵀAp`, the `x` and `r` updates and
+/// the new residual norm) and the direction update (`⟨r, z⟩` and `p`).
+/// Each column runs the same scalar recurrence whichever worker holds
+/// it, so the result does not depend on the worker count either. A
+/// single column (a transient step) stays on the calling thread.
+///
 /// Failure to converge is a **typed outcome**, not an error: hitting the
 /// iteration cap, stalling ([`STALL_WINDOW`] iterations without progress)
 /// or diverging (residual past [`DIVERGENCE_LIMIT`] or non-finite) ends a
@@ -436,6 +453,20 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
     opts: &SolveOptions,
     ws: &mut CgWorkspace,
 ) -> Result<CgSummary, NumericsError> {
+    block_cg(a, b, x, m, opts, ws, None)
+}
+
+/// [`preconditioned_cg`] with the worker count of its column loops pinned
+/// when `threads` is given (tests pin it).
+pub(crate) fn block_cg<P: Preconditioner + ?Sized>(
+    a: &CsrMatrix,
+    b: &[f64],
+    x: &mut [f64],
+    m: &mut P,
+    opts: &SolveOptions,
+    ws: &mut CgWorkspace,
+    threads: Option<usize>,
+) -> Result<CgSummary, NumericsError> {
     let n = a.rows();
     let k = b.len().checked_div(n).unwrap_or(0);
     // A stale history or counter from the previous solve must never be
@@ -471,7 +502,7 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
     // Zero right-hand sides converge to x = 0 before the iteration.
     for j in 0..k {
         let bn = norm2(column(b, n, j));
-        ws.b_norm[j] = bn;
+        ws.state[j].b_norm = bn;
         if bn == 0.0 {
             column_mut(x, n, j).fill(0.0);
             ws.summaries[j] = CgSummary {
@@ -516,6 +547,10 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
             ws.r.column_mut(s).copy_from_slice(column(b, n, ws.active[s]));
         }
     }
+    for s in 0..m0 {
+        let j = ws.active[s];
+        ws.state[j].res = norm2(ws.r.column(s)) / ws.state[j].b_norm;
+    }
 
     // z = M⁻¹ r for the whole active set, then p = z, rz = ⟨r, z⟩.
     m.apply(ws.r.data(), ws.zap.data_mut());
@@ -523,18 +558,18 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
     for s in 0..m0 {
         let j = ws.active[s];
         ws.p.column_mut(s).copy_from_slice(ws.zap.column(s));
-        ws.rz[j] = dot(ws.r.column(s), ws.zap.column(s));
+        ws.state[j].rz = dot(ws.r.column(s), ws.zap.column(s));
     }
 
     for iteration in 0..opts.max_iterations {
         // Residual checks (tolerance → divergence → stall), deflating
         // finished columns out of the packed block. Not advancing `s`
-        // after a deflation re-examines the swapped-in column, so every
-        // active column is checked exactly once.
+        // after a deflation re-examines the column shifted into the slot,
+        // so every active column is checked exactly once.
         let mut s = 0;
         while s < ws.active.len() {
             let j = ws.active[s];
-            let res = norm2(ws.r.column(s)) / ws.b_norm[j];
+            let res = ws.state[j].res;
             if log {
                 ws.residual_history.push(res);
             }
@@ -546,12 +581,13 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
                 ws.deflate(s, iteration, res, false, CgStop::Diverged);
                 continue;
             }
-            if res < ws.best[j] * (1.0 - STALL_IMPROVEMENT) {
-                ws.best[j] = res;
-                ws.since_best[j] = 0;
+            let column = &mut ws.state[j];
+            if res < column.best * (1.0 - STALL_IMPROVEMENT) {
+                column.best = res;
+                column.since_best = 0;
             } else {
-                ws.since_best[j] += 1;
-                if ws.since_best[j] >= STALL_WINDOW {
+                column.since_best += 1;
+                if column.since_best >= STALL_WINDOW {
                     ws.deflate(s, iteration, res, false, CgStop::Stalled);
                     continue;
                 }
@@ -571,42 +607,19 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
         // Step every active column (the last reads of `A·p`), precondition
         // them all in one call into the same block, then turn every
         // direction. Each column keeps its own order of operations; only
-        // the interleaving across columns changes.
-        for s in 0..width {
-            let j = ws.active[s];
-            let pap = dot(ws.p.column(s), ws.zap.column(s));
-            if pap <= 0.0 {
-                return Err(indefinite_matrix_error(pap));
-            }
-            let alpha = ws.rz[j] / pap;
-            let xj = column_mut(x, n, j);
-            let rs = ws.r.column_mut(s);
-            let ps = ws.p.column(s);
-            let aps = ws.zap.column(s);
-            for (i, xi) in xj.iter_mut().enumerate() {
-                *xi += alpha * ps[i];
-                rs[i] -= alpha * aps[i];
-            }
+        // which worker runs it changes.
+        if let Some(pap) = step_columns(n, x, ws, threads) {
+            return Err(indefinite_matrix_error(pap));
         }
         m.apply(ws.r.data(), ws.zap.data_mut());
         ws.precond_applies += width as u64;
-        for s in 0..width {
-            let j = ws.active[s];
-            let rz_next = dot(ws.r.column(s), ws.zap.column(s));
-            let beta = rz_next / ws.rz[j];
-            ws.rz[j] = rz_next;
-            let ps = ws.p.column_mut(s);
-            let zs = ws.zap.column(s);
-            for (i, pi) in ps.iter_mut().enumerate() {
-                *pi = zs[i] + beta * *pi;
-            }
-        }
+        turn_columns(n, ws, threads);
     }
 
     // Iteration cap: the final residual of every column still active.
     for s in 0..ws.active.len() {
         let j = ws.active[s];
-        let res = norm2(ws.r.column(s)) / ws.b_norm[j];
+        let res = ws.state[j].res;
         if log {
             ws.residual_history.push(res);
         }
@@ -619,6 +632,107 @@ pub fn preconditioned_cg<P: Preconditioner + ?Sized>(
         };
     }
     Ok(block_summary(&ws.summaries))
+}
+
+/// One past the last column packed slots `slots` carry, or `from` when
+/// there are none. A slot group's share of a per-column array runs from
+/// the previous group's end to this one: `active` is ascending, so the
+/// shares are disjoint and in order.
+fn columns_end(active: &[usize], slots: &Range<usize>, from: usize) -> usize {
+    if slots.is_empty() {
+        from
+    } else {
+        active[slots.end - 1] + 1
+    }
+}
+
+/// The CG step on every active column, one contiguous slot group per
+/// worker: `pᵀAp`, `α = rz / pᵀAp`, `x += α·p`, `r −= α·A·p` and the
+/// new relative residual, each column in its serial order of operations.
+/// Returns the first non-positive `pᵀAp` in slot order — the one the
+/// serial loop stops at — if any group found one; a group stops at its
+/// first.
+fn step_columns(
+    n: usize,
+    x: &mut [f64],
+    ws: &mut CgWorkspace,
+    threads: Option<usize>,
+) -> Option<f64> {
+    let width = ws.active.len();
+    let active = &ws.active[..];
+    let (p, ap) = (ws.p.data(), ws.zap.data());
+    let (mut r_rest, mut x_rest, mut state_rest) = (ws.r.data_mut(), x, &mut ws.state[..]);
+    let mut base = 0;
+    let bad = fork_join(
+        n * width,
+        width,
+        threads,
+        |group, groups| {
+            let slots = share_range(group, groups, width);
+            let end = columns_end(active, &slots, base);
+            let r = take_front(&mut r_rest, slots.len() * n);
+            let x = take_front(&mut x_rest, (end - base) * n);
+            let share = (slots, base, r, x, take_front(&mut state_rest, end - base));
+            base = end;
+            share
+        },
+        |(slots, base, r, x, state)| {
+            for (t, s) in slots.enumerate() {
+                let j = active[s] - base;
+                let (ps, aps) = (column(p, n, s), column(ap, n, s));
+                let pap = dot(ps, aps);
+                if pap <= 0.0 {
+                    return Some(pap);
+                }
+                let alpha = state[j].rz / pap;
+                let xj = column_mut(x, n, j);
+                let rs = column_mut(r, n, t);
+                for (i, xi) in xj.iter_mut().enumerate() {
+                    *xi += alpha * ps[i];
+                    rs[i] -= alpha * aps[i];
+                }
+                state[j].res = norm2(rs) / state[j].b_norm;
+            }
+            None
+        },
+    );
+    bad.into_iter().flatten().flatten().next()
+}
+
+/// Turns every active column's direction, one contiguous slot group per
+/// worker: `rz' = ⟨r, z⟩`, `β = rz' / rz`, `p = z + β·p`, each column in
+/// its serial order of operations.
+fn turn_columns(n: usize, ws: &mut CgWorkspace, threads: Option<usize>) {
+    let width = ws.active.len();
+    let active = &ws.active[..];
+    let (r, z) = (ws.r.data(), ws.zap.data());
+    let (mut p_rest, mut state_rest) = (ws.p.data_mut(), &mut ws.state[..]);
+    let mut base = 0;
+    fork_join(
+        n * width,
+        width,
+        threads,
+        |group, groups| {
+            let slots = share_range(group, groups, width);
+            let end = columns_end(active, &slots, base);
+            let p = take_front(&mut p_rest, slots.len() * n);
+            let share = (slots, base, p, take_front(&mut state_rest, end - base));
+            base = end;
+            share
+        },
+        |(slots, base, p, state)| {
+            for (t, s) in slots.enumerate() {
+                let j = active[s] - base;
+                let zs = column(z, n, s);
+                let rz_next = dot(column(r, n, s), zs);
+                let beta = rz_next / state[j].rz;
+                state[j].rz = rz_next;
+                for (i, pi) in column_mut(p, n, t).iter_mut().enumerate() {
+                    *pi = zs[i] + beta * *pi;
+                }
+            }
+        },
+    );
 }
 
 /// Builds the indefinite-matrix error outside the CG iteration loop: the
@@ -942,10 +1056,7 @@ mod tests {
                 ws.p.capacity(),
                 ws.zap.capacity(),
                 ws.active.capacity(),
-                ws.rz.capacity(),
-                ws.b_norm.capacity(),
-                ws.best.capacity(),
-                ws.since_best.capacity(),
+                ws.state.capacity(),
                 ws.summaries.capacity(),
             ]
         };

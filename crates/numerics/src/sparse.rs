@@ -8,7 +8,7 @@
 //! [`CsrMatrix::multiply_into`] is the one sparse matrix–vector product:
 //! it takes k ≥ 1 columns back to back (a plain vector is k = 1), reads
 //! each stored entry once per pass of up to eight columns, and above a
-//! size gate splits the rows into nnz-balanced bands across scoped
+//! size gate splits the rows into nnz-balanced bands across joined
 //! workers. One row kernel serves both paths, so every column comes out
 //! bitwise equal to its one-column serial product at any worker count —
 //! the property multigrid's thread invariance and block CG's per-column
@@ -16,6 +16,7 @@
 
 use std::sync::OnceLock;
 
+use crate::fork::{fork_join, take_front};
 use crate::NumericsError;
 
 /// Parses a `VCSEL_THREADS`-style override: `Some(n.max(1))` for a parsable
@@ -287,55 +288,45 @@ impl CsrMatrix {
     ///
     /// Each stored entry is read once per pass and feeds one accumulator
     /// per column, up to eight columns per pass; wider blocks take one
-    /// pass per eight columns. Below [`Self::PARALLEL_NNZ_THRESHOLD`]
-    /// stored non-zeros (where thread spawn cost would dominate the
-    /// kernel) the pass is serial; above it the rows split into
-    /// nnz-balanced bands, one scoped worker each. Every row sums its
-    /// entries in storage order whatever the band it lands in and however
-    /// many columns share the pass, so each column of `y` is bitwise the
-    /// one-column serial product at every worker count.
+    /// pass per eight columns. A pass whose rows × columns fall below the
+    /// crate's fork size gate (2¹⁵) runs serially on the calling thread;
+    /// above it the rows split into nnz-balanced bands, one worker each,
+    /// the last band on the calling thread, and every worker is joined
+    /// before the pass ends. Every row sums its entries in storage order
+    /// whatever the band it lands in and however many columns share the
+    /// pass, so each column of `y` is bitwise the one-column serial
+    /// product at every worker count.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not a whole number of columns or `y` does not hold
     /// one output column per input column.
     pub fn multiply_into(&self, x: &[f64], y: &mut [f64]) {
-        let threads = if self.nnz() < Self::PARALLEL_NNZ_THRESHOLD {
-            1
-        } else {
-            hardware_threads().min(Self::MAX_SPMV_THREADS)
-        };
-        self.multiply_with_threads(x, y, threads);
+        self.multiply_with_threads(x, y, None);
     }
 
-    /// Stored non-zeros below which [`CsrMatrix::multiply_into`] stays
-    /// serial. A seven-point-stencil row costs ~10 ns, so this corresponds
-    /// to a kernel of roughly 1 ms / thread-spawn cost × safety margin.
-    pub const PARALLEL_NNZ_THRESHOLD: usize = 1 << 17;
-
-    /// Cap on SpMV worker threads: the kernel is memory-bandwidth bound,
-    /// so more threads than memory channels only add spawn overhead.
+    /// Cap on the workers one threaded kernel forks: the kernels are
+    /// memory-bandwidth bound, so more threads than memory channels only
+    /// add spawn overhead.
     pub const MAX_SPMV_THREADS: usize = 8;
 
     /// Most columns one operator pass serves: the row kernel keeps one
     /// accumulator per column in a stack array of at most this width.
     const BLOCK_COLUMNS: usize = 8;
 
-    /// [`CsrMatrix::multiply_into`] with an explicit worker count (tests
-    /// pin it; 1 runs in place), minus the size gate. Per pass of
-    /// up to [`Self::BLOCK_COLUMNS`] columns it splits each output column
-    /// into the same nnz-balanced row bands in place and hands every band
-    /// to [`Self::block_chunk`] on its own scoped worker; the bands are
-    /// disjoint slices, so the scope join is the only synchronisation.
+    /// [`CsrMatrix::multiply_into`] with the worker count pinned when
+    /// `threads` is given (tests pin it). Per pass of up to
+    /// [`Self::BLOCK_COLUMNS`] columns it cuts each output column into the
+    /// same nnz-balanced row bands in place and hands every band to
+    /// [`Self::block_chunk`] through the crate's one fork-join.
     ///
     /// # Panics
     ///
     /// Panics on the shape errors [`CsrMatrix::multiply_into`] documents.
-    pub(crate) fn multiply_with_threads(&self, x: &[f64], y: &mut [f64], threads: usize) {
+    pub(crate) fn multiply_with_threads(&self, x: &[f64], y: &mut [f64], threads: Option<usize>) {
         let k = x.len() / self.cols.max(1);
         assert_eq!(x.len(), k * self.cols, "x must hold whole columns of the operator's width");
         assert_eq!(y.len(), k * self.rows, "y must hold one output column per column of x");
-        let bands = threads.clamp(1, self.rows.max(1));
         let mut x_columns = x.chunks_exact(self.cols.max(1));
         let mut y_columns = y.chunks_exact_mut(self.rows.max(1));
         for first in (0..k).step_by(Self::BLOCK_COLUMNS) {
@@ -348,25 +339,23 @@ impl CsrMatrix {
             for (yj, column) in rest.iter_mut().zip(y_columns.by_ref().take(width)) {
                 *yj = column;
             }
-            if bands == 1 {
-                self.block_chunk(0, width, &xs, rest);
-                continue;
-            }
-            std::thread::scope(|scope| {
-                let mut start = 0;
-                for band in 1..=bands {
-                    let end = self.band_boundary(band, bands);
+            let mut start = 0;
+            fork_join(
+                self.rows * width,
+                self.rows,
+                threads,
+                |band, bands| {
+                    let end = self.band_boundary(band + 1, bands);
                     let mut ys: [&mut [f64]; Self::BLOCK_COLUMNS] = Default::default();
                     for (yj, column) in ys.iter_mut().zip(&mut rest[..width]) {
-                        let (head, tail) = std::mem::take(column).split_at_mut(end - start);
-                        (*yj, *column) = (head, tail);
+                        *yj = take_front(column, end - start);
                     }
-                    if end > start {
-                        scope.spawn(move || self.block_chunk(start, width, &xs, ys));
-                    }
+                    let band_start = start;
                     start = end;
-                }
-            });
+                    (band_start, ys)
+                },
+                |(band_start, ys)| self.block_chunk(band_start, width, &xs, ys),
+            );
         }
     }
 
@@ -847,7 +836,7 @@ mod tests {
             .iter()
             .map(|x| {
                 let mut y = vec![0.0; n];
-                m.multiply_with_threads(x, &mut y, 1);
+                m.multiply_with_threads(x, &mut y, Some(1));
                 y
             })
             .collect();
@@ -856,7 +845,7 @@ mod tests {
             let x = columns[..k].concat();
             for threads in [1, 2, 3, 7] {
                 let mut y = vec![0.0; k * n];
-                m.multiply_with_threads(&x, &mut y, threads);
+                m.multiply_with_threads(&x, &mut y, Some(threads));
                 for (j, (got, want)) in y.chunks(n).zip(&serial).enumerate() {
                     let same = got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits());
                     assert!(same, "k={k}, column {j}, {threads} workers");
@@ -951,7 +940,7 @@ mod tests {
     fn threaded_matvec_handles_more_threads_than_rows() {
         let m = laplacian_1d(3);
         let mut y = vec![0.0; 3];
-        m.multiply_with_threads(&[1.0, 1.0, 1.0], &mut y, 16);
+        m.multiply_with_threads(&[1.0, 1.0, 1.0], &mut y, Some(16));
         assert_eq!(y, vec![1.0, 0.0, 1.0]);
     }
 
