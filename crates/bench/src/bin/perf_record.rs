@@ -73,8 +73,8 @@ use vcsel_arch::{Fidelity, SccConfig, SccSystem};
 use vcsel_core::{CacheMode, CacheStore, EngineCache};
 use vcsel_numerics::hardware_threads;
 use vcsel_thermal::{
-    Design, EngineBlueprint, MeshSpec, MultigridConfig, PreconditionerKind, ResponseBasis,
-    SolveContext, TransientStepper,
+    Design, EngineBlueprint, MeshSpec, PreconditionerKind, ResponseBasis, SolveContext,
+    TransientStepper,
 };
 use vcsel_units::{Celsius, Watts};
 
@@ -349,7 +349,6 @@ fn run() {
     // spans but present even when tracing is off.
     let mut phases: Vec<(&'static str, f64)> = Vec::new();
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_solvers.json".to_string());
-    let multigrid = PreconditionerKind::Multigrid { config: MultigridConfig::default() };
 
     // ---- Tiny steady solves per preconditioner -------------------------
     let phase_t = Instant::now();
@@ -361,7 +360,7 @@ fn run() {
     let kinds = [
         ("jacobi", PreconditionerKind::Jacobi),
         ("ic0", PreconditionerKind::IncompleteCholesky),
-        ("multigrid", multigrid),
+        ("multigrid", PreconditionerKind::Multigrid),
     ];
     let (unknowns, steady) = steady_section("tiny", design, &spec, &kinds, STEADY_REPS);
     drop(phase_span);
@@ -371,8 +370,11 @@ fn run() {
     let fast = fast_mode();
     let fast_kinds: &[(&'static str, PreconditionerKind)] = match fast.as_str() {
         "off" => &[],
-        "mg" => &[("multigrid", multigrid)],
-        "all" => &[("ic0", PreconditionerKind::IncompleteCholesky), ("multigrid", multigrid)],
+        "mg" => &[("multigrid", PreconditionerKind::Multigrid)],
+        "all" => &[
+            ("ic0", PreconditionerKind::IncompleteCholesky),
+            ("multigrid", PreconditionerKind::Multigrid),
+        ],
         other => panic!("PERF_RECORD_FAST must be all|mg|off, got '{other}'"),
     };
     let (fast_unknowns, fast_steady, engine_cache) = if fast_kinds.is_empty() {

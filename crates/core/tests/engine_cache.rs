@@ -7,7 +7,7 @@ use vcsel_core::cache::{attempt_log, cache_hits, cache_misses};
 use vcsel_core::{CacheMode, CacheOutcome, CacheStore, EngineCache};
 use vcsel_numerics::artifact::ARTIFACT_VERSION;
 use vcsel_numerics::ArtifactError;
-use vcsel_thermal::{EngineBlueprint, MultigridConfig, PreconditionerKind, RestoreError};
+use vcsel_thermal::{EngineBlueprint, PreconditionerKind, RestoreError};
 
 /// A blueprint for the tiny test system (the same engine
 /// `ThermalStudy::new(SccConfig::tiny_test(), ..)` builds).
@@ -171,8 +171,7 @@ fn out_of_range_smoother_bound_falls_back_to_fresh_build() {
     // rejected typed even behind a valid checksum (as a crafted file would
     // carry one), and the engine rebuilt fresh.
     let (config, blueprint) = tiny_blueprint();
-    let blueprint =
-        blueprint.with_kind(PreconditionerKind::Multigrid { config: MultigridConfig::default() });
+    let blueprint = blueprint.with_kind(PreconditionerKind::Multigrid);
     let cache = scratch_cache("bound");
     let key = EngineCache::key(&config, blueprint.content_hash());
     let (cold, _) = cache.obtain(&config, &blueprint).unwrap();
@@ -240,9 +239,7 @@ fn engine_artifact_is_one_envelope() {
     // envelope of its own: the magic occurs once, at the start, for the
     // IC(0) engine and for the multigrid one.
     let (_, blueprint) = tiny_blueprint();
-    let multigrid = blueprint
-        .clone()
-        .with_kind(PreconditionerKind::Multigrid { config: MultigridConfig::default() });
+    let multigrid = blueprint.clone().with_kind(PreconditionerKind::Multigrid);
     for blueprint in [blueprint, multigrid] {
         let engine = blueprint.build().unwrap();
         let bytes = blueprint.engine_artifact(&engine).expect("tiny engines are cacheable");

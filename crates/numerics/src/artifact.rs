@@ -37,21 +37,23 @@
 
 use std::sync::Arc;
 
-use crate::multigrid::{Multigrid, MultigridConfig, MultigridHierarchy};
+use crate::multigrid::{Multigrid, MultigridHierarchy};
 use crate::precond::{AnyPreconditioner, IncompleteCholesky};
 use crate::{CsrMatrix, NumericsError};
 
 /// Format version written into (and required from) every artifact envelope.
 ///
-/// Version 6: the header is the magic and this version, with no kind
+/// Version 7: the header is the magic and this version, with no kind
 /// byte, and nothing nests a second envelope. The solver state is a tag
 /// byte and its sections, inline in the owner's payload: tag 0 is a
-/// multigrid hierarchy (its configuration; each non-coarsest level's
-/// operator, prolongator and Chebyshev bound; the coarsest operator; and
-/// the dense coarsest factor if it has one), whose finest level is the
-/// operator; tag 1 is the operator followed by its IC(0) factor (`n` and
-/// the three factor arrays).
-pub const ARTIFACT_VERSION: u32 = 6;
+/// multigrid hierarchy (each non-coarsest level's operator, prolongator
+/// and Chebyshev bound, then the coarsest operator), whose finest level
+/// is the operator; tag 1 is the operator followed by its IC(0) factor
+/// (`n` and the three factor arrays). A hierarchy carries no
+/// construction parameters, which are constants, and no coarsest-level
+/// factor: the restore factors the coarsest operator by the build's own
+/// rule.
+pub const ARTIFACT_VERSION: u32 = 7;
 
 /// Envelope magic: "VCsel Artifact Format".
 const MAGIC: [u8; 4] = *b"VCAF";
@@ -304,11 +306,6 @@ impl ArtifactWriter {
         self.buf.push(v);
     }
 
-    /// Appends a `bool` as one byte (0 or 1).
-    fn put_bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -422,17 +419,6 @@ impl<'a> ArtifactReader<'a> {
     /// Reads one byte ([`ArtifactError::Truncated`] at end of payload).
     fn get_u8(&mut self) -> Result<u8, ArtifactError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `bool` encoded as one byte: [`ArtifactError::Truncated`] at
-    /// end of payload, [`ArtifactError::BadStructure`] for a byte other
-    /// than 0/1.
-    fn get_bool(&mut self) -> Result<bool, ArtifactError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(bad(format!("bool byte must be 0 or 1, got {v}"))),
-        }
     }
 
     /// Reads a little-endian `u64`.
@@ -568,8 +554,10 @@ impl ArtifactWriter {
 impl ArtifactReader<'_> {
     /// Reads the solver state [`ArtifactWriter::put_solver_state`] wrote:
     /// the operator and its preconditioner, every section revalidated and
-    /// nothing coarsened, factored or estimated. A multigrid operator comes
-    /// back as the hierarchy's finest level, shared as on a fresh build.
+    /// nothing coarsened or estimated. A multigrid operator comes back as
+    /// the hierarchy's finest level, shared as on a fresh build; the only
+    /// factorization is the hierarchy's coarsest level (at most 500 rows),
+    /// re-derived by the build's own rule.
     ///
     /// # Errors
     ///
@@ -708,29 +696,12 @@ fn read_ic0(r: &mut ArtifactReader<'_>, rows: usize) -> Result<IncompleteCholesk
 // ---------------------------------------------------------------------------
 // MultigridHierarchy section.
 
-fn write_config(w: &mut ArtifactWriter, c: &MultigridConfig) {
-    w.put_f64(c.strength_threshold);
-    w.put_f64(c.prolongation_damping);
-    w.put_u64(c.max_levels as u64);
-    w.put_u64(c.direct_cells as u64);
-}
-
-fn read_config(r: &mut ArtifactReader<'_>) -> Result<MultigridConfig, ArtifactError> {
-    let strength_threshold = r.get_f64()?;
-    let prolongation_damping = r.get_f64()?;
-    let max_levels = r.get_usize()?;
-    let direct_cells = r.get_usize()?;
-    Ok(MultigridConfig { strength_threshold, prolongation_damping, max_levels, direct_cells })
-}
-
-/// Writes every level operator, prolongator and Chebyshev bound, the
-/// coarsest operator, the coarsest dense Cholesky factor (when the
-/// hierarchy uses one), and the build configuration. Restrictions
-/// (`R = Pᵀ`) and inverse diagonals are deterministic functions of the
-/// level operators and are rebuilt on restore instead of being stored
-/// twice; the bounds are stored because estimating them costs SpMVs.
+/// Writes every level operator, prolongator and Chebyshev bound, then the
+/// coarsest operator. Restrictions (`R = Pᵀ`), inverse diagonals and the
+/// coarsest solver are deterministic functions of the operators and are
+/// rebuilt on restore instead of being stored twice; the bounds are stored
+/// because estimating them costs SpMVs.
 fn write_hierarchy(w: &mut ArtifactWriter, h: &MultigridHierarchy) {
-    write_config(w, h.config());
     w.put_u64(h.level_parts().len() as u64);
     for (a, p, lambda_max) in h.level_parts() {
         write_csr(w, a);
@@ -738,25 +709,16 @@ fn write_hierarchy(w: &mut ArtifactWriter, h: &MultigridHierarchy) {
         w.put_f64(lambda_max);
     }
     write_csr(w, h.coarse_matrix());
-    match h.coarse_dense_factor() {
-        Some((n, l)) => {
-            w.put_bool(true);
-            w.put_u64(n as u64);
-            w.put_f64_slice(l);
-        }
-        None => w.put_bool(false),
-    }
 }
 
 /// Reads a hierarchy [`write_hierarchy`] wrote: level operators are
 /// revalidated with [`CsrMatrix::validate_symmetric`], prolongators with
 /// [`CsrMatrix::validate`], the transfer-chain dimensions are checked,
 /// each stored Chebyshev bound must be finite, positive and at most its
-/// level's Gershgorin bound, and inverse diagonals plus restrictions are
-/// rebuilt from the restored operators. No coarsening, factorization or
-/// spectral estimation runs.
+/// level's Gershgorin bound, and inverse diagonals, restrictions and the
+/// coarsest solver are rebuilt from the restored operators. No coarsening
+/// or spectral estimation runs.
 fn read_hierarchy(r: &mut ArtifactReader<'_>) -> Result<MultigridHierarchy, ArtifactError> {
-    let config = read_config(r)?;
     let level_count = r.get_usize()?;
     // Cap the pre-allocation by what the payload could hold: a hostile
     // count must not reserve memory before the reads fail.
@@ -770,26 +732,7 @@ fn read_hierarchy(r: &mut ArtifactReader<'_>) -> Result<MultigridHierarchy, Arti
         bounds.push(r.get_f64()?);
     }
     let coarse_a = read_sym_csr(r)?;
-    let coarse_dense = if r.get_bool()? {
-        let n = r.get_usize()?;
-        if n != coarse_a.rows() {
-            return Err(bad(format!(
-                "dense coarse factor is {n}x{n} but the coarsest operator has {} rows",
-                coarse_a.rows()
-            )));
-        }
-        Some(r.get_f64_slice()?)
-    } else {
-        None
-    };
-    Ok(MultigridHierarchy::from_restored_parts(
-        ops,
-        prolongators,
-        bounds,
-        coarse_a,
-        coarse_dense,
-        config,
-    )?)
+    Ok(MultigridHierarchy::from_restored_parts(ops, prolongators, bounds, coarse_a)?)
 }
 
 #[cfg(test)]
@@ -942,10 +885,10 @@ mod tests {
         // pin, schedule flag), resealed under the current version: the
         // checksum passes, so the trailing bytes must be rejected.
         let mut w = ic0_payload(values);
-        w.put_bool(true);
-        w.put_bool(false);
+        w.put_u8(1);
+        w.put_u8(0);
         w.put_u64(0);
-        w.put_bool(false);
+        w.put_u8(0);
         let err = opened(&w.finish(), |r| read_ic0(r, 32)).unwrap_err();
         assert!(matches!(err, ArtifactError::BadStructure { .. }), "{err}");
     }
@@ -961,39 +904,55 @@ mod tests {
         assert!(matches!(err, ArtifactError::BadStructure { .. }), "{err}");
     }
 
-    #[test]
-    fn hierarchy_round_trip_preserves_structure_and_cycles() {
-        let a = Arc::new(poisson_1d(1500));
-        let h = MultigridHierarchy::build(a, &MultigridConfig::default()).unwrap();
-        let restored = opened(&sealed(|w| write_hierarchy(w, &h)), read_hierarchy).unwrap();
-        assert_eq!(h.level_count(), restored.level_count());
-        assert_eq!(h.level_sizes(), restored.level_sizes());
-        assert_eq!(h.total_nnz(), restored.total_nnz());
-        assert_eq!(h.config(), restored.config());
+    /// Builds a multigrid preconditioner on `a`, round-trips its hierarchy
+    /// through the codec and returns it after checking the restore: the
+    /// restored hierarchy equals the fresh one (levels, bounds and the
+    /// coarsest solver the restore re-derives), and one apply of the
+    /// restored [`Multigrid`] is bitwise the fresh one.
+    fn restores_bitwise(a: CsrMatrix) -> Multigrid {
+        let n = a.rows();
+        let mut fresh = Multigrid::new(Arc::new(a)).unwrap();
+        let bytes = sealed(|w| write_hierarchy(w, fresh.hierarchy()));
+        let restored = opened(&bytes, read_hierarchy).unwrap();
+        assert!(fresh.hierarchy() == &restored, "restore must re-derive the fresh hierarchy");
+        let mut restored = Multigrid::from_hierarchy(restored);
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.07).sin() + 0.2).collect();
+        let (mut z1, mut z2) = (vec![0.0; n], vec![0.0; n]);
+        fresh.apply(&b, &mut z1);
+        restored.apply(&b, &mut z2);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&z1), bits(&z2), "restored apply must be bitwise identical");
+        fresh
+    }
 
-        // One V-cycle from zero must be bitwise identical: same operators,
-        // same stored smoother bounds, same coarse factor.
-        let b: Vec<f64> = (0..1500).map(|i| (i as f64 * 0.07).sin() + 0.2).collect();
-        let mut x1 = vec![0.0; 1500];
-        let mut x2 = vec![0.0; 1500];
-        let mut h = h;
-        let mut restored = restored;
-        let mut ws1 = crate::MgWorkspace::for_hierarchy(&h);
-        let mut ws2 = crate::MgWorkspace::for_hierarchy(&restored);
-        h.cycle(&b, &mut x1, &mut ws1);
-        restored.cycle(&b, &mut x2, &mut ws2);
-        assert_eq!(x1, x2, "restored V-cycle must be bitwise identical");
+    #[test]
+    fn hierarchy_round_trip_refactors_a_dense_coarsest_level() {
+        let fresh = restores_bitwise(poisson_1d(1500));
+        let sizes = fresh.hierarchy().level_sizes();
+        assert!(sizes.len() >= 2 && sizes[sizes.len() - 1] <= 500, "{sizes:?}");
+    }
+
+    #[test]
+    fn hierarchy_round_trip_restores_the_jacobi_cg_fallback() {
+        // A diagonal operator has no strong couplings, so coarsening
+        // stalls at once: the 600-row fine level is the coarsest, too
+        // large for the dense factor, and runs Jacobi-CG.
+        let mut b = TripletBuilder::new(600, 600);
+        for i in 0..600 {
+            b.add(i, i, 1.0 + (i % 7) as f64);
+        }
+        let fresh = restores_bitwise(b.build());
+        assert_eq!(fresh.hierarchy().level_sizes(), [600]);
     }
 
     #[test]
     fn hierarchy_decode_rejects_broken_transfer_chain() {
-        let a = Arc::new(poisson_1d(1500));
-        let h = MultigridHierarchy::build(a, &MultigridConfig::default()).unwrap();
+        let m = Multigrid::new(Arc::new(poisson_1d(1500))).unwrap();
+        let h = m.hierarchy();
         assert!(h.level_count() >= 2, "fixture must coarsen");
         // Re-encode with a prolongator whose column count disagrees with
         // the next level: caught by the dimension-chain check.
         let mut w = ArtifactWriter::new();
-        write_config(&mut w, h.config());
         w.put_u64(h.level_parts().len() as u64);
         for (a_l, _, lambda_max) in h.level_parts() {
             write_csr(&mut w, a_l);
@@ -1001,20 +960,18 @@ mod tests {
             w.put_f64(lambda_max);
         }
         write_csr(&mut w, h.coarse_matrix());
-        w.put_bool(false);
         let err = opened(&w.finish(), read_hierarchy).unwrap_err();
         assert!(matches!(err, ArtifactError::BadStructure { .. }), "{err}");
     }
 
     #[test]
     fn hierarchy_decode_rejects_out_of_range_smoother_bounds() {
-        let a = Arc::new(poisson_1d(1500));
-        let h = MultigridHierarchy::build(a, &MultigridConfig::default()).unwrap();
+        let m = Multigrid::new(Arc::new(poisson_1d(1500))).unwrap();
+        let h = m.hierarchy();
         // Re-encode with the first level's bound replaced: each value must
         // be rejected typed, before any cycle could use it.
         for bad_bound in [f64::NAN, f64::INFINITY, 0.0, -1.0, 1e300] {
             let mut w = ArtifactWriter::new();
-            write_config(&mut w, h.config());
             w.put_u64(h.level_parts().len() as u64);
             for (idx, (a_l, p, lambda_max)) in h.level_parts().enumerate() {
                 write_csr(&mut w, a_l);
@@ -1022,10 +979,6 @@ mod tests {
                 w.put_f64(if idx == 0 { bad_bound } else { lambda_max });
             }
             write_csr(&mut w, h.coarse_matrix());
-            let (n, l) = h.coarse_dense_factor().expect("fixture factors its coarsest level");
-            w.put_bool(true);
-            w.put_u64(n as u64);
-            w.put_f64_slice(l);
             let err = opened(&w.finish(), read_hierarchy).unwrap_err();
             assert!(matches!(err, ArtifactError::BadStructure { .. }), "{bad_bound}: {err}");
         }
@@ -1034,8 +987,7 @@ mod tests {
     #[test]
     fn multigrid_solver_state_is_a_working_preconditioner() {
         let shared = Arc::new(poisson_1d(1200));
-        let kind = PreconditionerKind::Multigrid { config: MultigridConfig::default() };
-        let fresh = kind.build(&shared).unwrap();
+        let fresh = PreconditionerKind::Multigrid.build(&shared).unwrap();
         let bytes = sealed(|w| w.put_solver_state(&shared, &fresh).unwrap());
         let (operator, mut restored) = opened(&bytes, ArtifactReader::get_solver_state).unwrap();
         assert_eq!(operator, shared);

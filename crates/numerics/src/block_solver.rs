@@ -147,7 +147,7 @@ mod tests {
     use super::*;
     use crate::precond::{IncompleteCholesky, Jacobi, Preconditioner};
     use crate::solver::{block_cg, preconditioned_cg, CgWorkspace, SolveOptions};
-    use crate::{CsrMatrix, Multigrid, MultigridConfig, NumericsError, TripletBuilder};
+    use crate::{CsrMatrix, Multigrid, MultigridHierarchy, NumericsError, TripletBuilder};
 
     /// 3-D 7-point SPD stencil with a small Robin-like diagonal shift.
     fn stencil_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
@@ -242,8 +242,8 @@ mod tests {
         // with IC(0) and with a multigrid V-cycle as the preconditioner.
         let a = Arc::new(stencil_3d(7, 6, 5));
         let n = a.rows();
-        let config = MultigridConfig { direct_cells: 20, ..Default::default() };
-        let multigrid = Multigrid::new(Arc::clone(&a), &config).unwrap();
+        let hierarchy = MultigridHierarchy::build(Arc::clone(&a), 20).unwrap();
+        let multigrid = Multigrid::from_hierarchy(hierarchy);
         assert!(multigrid.hierarchy().level_count() >= 2, "the V-cycle must coarsen");
         // Head starts of `stride · c` iterations for column c: multigrid
         // converges in a third of IC(0)'s iterations.

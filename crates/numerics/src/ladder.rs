@@ -664,6 +664,38 @@ mod tests {
         Arc::new(b.build())
     }
 
+    /// Kershaw's SPD matrix, on which IC(0) breaks down: its pivots run
+    /// 3, 5/3, 3/5, then −5. Jacobi (and a dense factorization) build.
+    const KERSHAW: [[f64; 4]; 4] = [
+        [3.0, -2.0, 0.0, 2.0],
+        [-2.0, 3.0, -2.0, 0.0],
+        [0.0, -2.0, 3.0, -2.0],
+        [2.0, 0.0, -2.0, 3.0],
+    ];
+
+    /// Block-diag(`KERSHAW`, `laplacian(n)`): SPD, and IC(0) breaks down on
+    /// its first block.
+    fn kershaw_then_laplacian(n: usize) -> Arc<CsrMatrix> {
+        let mut b = TripletBuilder::new(4 + n, 4 + n);
+        for (i, row) in KERSHAW.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    b.add(i, j, v);
+                }
+            }
+        }
+        for i in 4..4 + n {
+            b.add(i, i, 2.0);
+            if i > 4 {
+                b.add(i, i - 1, -1.0);
+            }
+            if i + 1 < 4 + n {
+                b.add(i, i + 1, -1.0);
+            }
+        }
+        Arc::new(b.build())
+    }
+
     const CHAIN: &[PreconditionerKind] =
         &[PreconditionerKind::IncompleteCholesky, PreconditionerKind::Jacobi];
 
@@ -805,16 +837,54 @@ mod tests {
 
     #[test]
     fn strict_ladder_propagates_rung_zero_build_errors() {
-        let a = laplacian(10);
-        let unbuildable = PreconditionerKind::Multigrid {
-            config: crate::MultigridConfig { strength_threshold: -1.0, ..Default::default() },
-        };
-        let bad = &[unbuildable, PreconditionerKind::Jacobi];
-        assert!(SolveLadder::new(&a, bad, true).is_err());
+        let a = kershaw_then_laplacian(0);
+        assert!(SolveLadder::new(&a, CHAIN, true).is_err());
         // Non-strict falls through to Jacobi and records the failure.
-        let ladder = SolveLadder::new(&a, bad, false).unwrap();
+        let ladder = SolveLadder::new(&a, CHAIN, false).unwrap();
         assert_eq!(ladder.active_name(), "jacobi");
         assert_eq!(ladder.attempts()[0].outcome, RungOutcome::BuildFailed);
+    }
+
+    #[test]
+    fn escalation_skips_a_rung_that_fails_to_build() {
+        // The faulted multigrid rung fails, IC(0) breaks down on the
+        // Kershaw block while escalation builds it, and Jacobi recovers
+        // the healthy field: one escalation, three attempts.
+        let a = kershaw_then_laplacian(46);
+        let n = a.rows();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+        let opts = SolveOptions::default();
+        let mut ws = CgWorkspace::new();
+        let chain = &[
+            PreconditionerKind::Multigrid,
+            PreconditionerKind::IncompleteCholesky,
+            PreconditionerKind::Jacobi,
+        ];
+
+        let mut healthy = vec![0.0; n];
+        let mut ladder = SolveLadder::new(&a, chain, true).unwrap();
+        assert!(ladder.solve(&a, &b, &mut healthy, &opts, &mut ws).unwrap().converged);
+
+        let mut x = vec![0.0; n];
+        let mut ladder = SolveLadder::new(&a, chain, true).unwrap();
+        ladder.inject_apply_fault();
+        let summary = ladder.solve(&a, &b, &mut x, &opts, &mut ws).unwrap();
+        assert!(summary.converged, "the ladder must recover on Jacobi");
+        assert_eq!(summary.escalations, 1);
+        assert_eq!(ladder.active_name(), "jacobi");
+        let attempts = ladder.attempts();
+        assert_eq!(attempts.len(), 3, "{attempts:?}");
+        assert_eq!(attempts[0].rung, "multigrid");
+        assert!(
+            matches!(attempts[0].outcome, RungOutcome::Stalled | RungOutcome::Diverged),
+            "corrupted apply must be caught by the stall/divergence detectors, got {:?}",
+            attempts[0].outcome
+        );
+        assert_eq!((attempts[1].rung, attempts[1].outcome), ("ic0", RungOutcome::BuildFailed));
+        assert_eq!((attempts[2].rung, attempts[2].outcome), ("jacobi", RungOutcome::Converged));
+        for (h, f) in healthy.iter().zip(&x) {
+            assert!((h - f).abs() <= 1e-9 * h.abs().max(1.0), "{h} vs {f}");
+        }
     }
 
     #[test]

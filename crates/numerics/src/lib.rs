@@ -32,7 +32,8 @@
 //!   (fixed V(1,1) cycles, Galerkin coarse operators, dense coarsest
 //!   solve, Chebyshev smoothers and transfers threaded behind the size
 //!   gate with bitwise-identical results) used as a mesh-independent CG
-//!   preconditioner,
+//!   preconditioner: [`Multigrid::new`] is its one constructor, and its
+//!   construction parameters are constants, not knobs,
 //! * [`artifact`]: a dependency-free, versioned, checksummed binary codec
 //!   for solver-engine state — one envelope per artifact, whose solver
 //!   state (an operator and its IC(0) factor or multigrid hierarchy) one
@@ -83,7 +84,7 @@ pub use block_solver::BlockVector;
 pub use error::NumericsError;
 pub use interp::Interp1d;
 pub use ladder::{LadderSummary, RungAttempt, RungOutcome, SolveLadder};
-pub use multigrid::{MgWorkspace, Multigrid, MultigridConfig, MultigridHierarchy};
+pub use multigrid::{Multigrid, MultigridHierarchy};
 pub use optimize::{golden_section_min, Minimum};
 pub use precond::{
     AnyPreconditioner, IncompleteCholesky, Jacobi, Preconditioner, PreconditionerKind,

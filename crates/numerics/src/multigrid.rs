@@ -63,16 +63,17 @@
 //! entry exactly as its serial loop does. `VCSEL_THREADS=1` is the serial
 //! baseline.
 //!
-//! # Drivers
+//! # Driver
 //!
-//! [`MultigridHierarchy::cycle`] runs one stationary V-cycle on one
-//! column, improving the incoming `x`, against caller-owned,
-//! allocation-free [`MgWorkspace`] buffers. The entry point the engines
-//! use is [`Multigrid`]: one V-cycle per column and application behind
-//! the [`Preconditioner`] trait, selected via
-//! [`PreconditionerKind::Multigrid`](crate::PreconditionerKind::Multigrid)
-//! so it drops into [`preconditioned_cg`] and every cached solve engine
-//! unchanged.
+//! [`Multigrid`] is the one entry point: [`Multigrid::new`] builds the
+//! hierarchy, and every application behind the [`Preconditioner`] trait
+//! runs one V-cycle per column from `x = 0` in buffers the preconditioner
+//! owns, so it allocates nothing after construction. Selected via
+//! [`PreconditionerKind::Multigrid`](crate::PreconditionerKind::Multigrid),
+//! it drops into [`preconditioned_cg`] and every cached solve engine
+//! unchanged. The construction has no knobs: `θ = 0.08`, `ω = 4/3`, at
+//! most 16 levels and a dense coarsest level of at most 500 rows are
+//! constants tuned for the workspace's FVM conduction systems.
 //!
 //! An apply on k columns is a **block V-cycle**: the columns run in
 //! chunks of at most three (`CYCLE_COLUMNS`), and on each level the
@@ -117,45 +118,27 @@ const LANCZOS_STEPS: usize = 12;
 /// Safety factor on the largest Ritz value, which approaches `ρ(D⁻¹A)`
 /// from below.
 const LAMBDA_SAFETY: f64 = 1.1;
-
-/// Construction and cycling parameters of a [`MultigridHierarchy`].
-///
-/// The defaults are tuned for the workspace's FVM conduction systems and
-/// are what [`PreconditionerKind::Multigrid`](crate::PreconditionerKind::Multigrid) with
-/// [`MultigridConfig::default`] selects.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultigridConfig {
-    /// Strength-of-connection threshold `θ` in `[0, 1)`: `j` is strong for
-    /// `i` when `|a_ij| ≥ θ √(a_ii a_jj)`.
-    pub strength_threshold: f64,
-    /// Prolongation-smoothing damping `ω` (applied as `ω/λ̂` with `λ̂` the
-    /// estimated spectral radius of `D_F⁻¹ A_F`). The classical smoothed-
-    /// aggregation choice is `4/3`.
-    pub prolongation_damping: f64,
-    /// Hard cap on hierarchy depth (including the coarsest level).
-    pub max_levels: usize,
-    /// Coarsen until an operator has at most this many unknowns, then
-    /// factor it densely.
-    pub direct_cells: usize,
-}
-
-impl Default for MultigridConfig {
-    fn default() -> Self {
-        Self {
-            strength_threshold: 0.08,
-            prolongation_damping: 4.0 / 3.0,
-            max_levels: 16,
-            direct_cells: 500,
-        }
-    }
-}
+/// Strength-of-connection threshold `θ`: `j` is a strong neighbour of `i`
+/// when `|a_ij| ≥ θ √(a_ii a_jj)`.
+const STRENGTH_THRESHOLD: f64 = 0.08;
+/// Prolongation-smoothing damping `ω`, applied as `ω/λ̂` with `λ̂` the
+/// estimated spectral radius of `D_F⁻¹ A_F`: the classical
+/// smoothed-aggregation choice.
+const PROLONGATION_DAMPING: f64 = 4.0 / 3.0;
+/// Most levels a hierarchy holds, the coarsest included.
+const MAX_LEVELS: usize = 16;
+/// Most rows of a densely factored coarsest level: the build coarsens
+/// until an operator is this small, and the build and the artifact
+/// restore both pick the coarsest solver by this one rule (see
+/// [`coarse_solver`]).
+const DENSE_COARSEST_ROWS: usize = 500;
 
 /// One non-coarsest level: its operator, smoother state and grid
 /// transfers.
 #[derive(Debug, Clone, PartialEq)]
 struct MgLevel {
     /// The level operator, shared rather than owned: on the finest level
-    /// this aliases the caller's matrix (see [`MultigridHierarchy::build`]).
+    /// this aliases the caller's matrix (see [`Multigrid::new`]).
     a: Arc<CsrMatrix>,
     /// `D⁻¹`, the Chebyshev smoother's scaling.
     inv_diag: Vec<f64>,
@@ -214,34 +197,6 @@ impl DenseCholesky {
         Ok(Self { n, l })
     }
 
-    /// Adopts an already-computed row-major lower factor from the artifact
-    /// restore path, re-checking the invariants [`DenseCholesky::solve`]
-    /// divides by: `n²` entries, all finite, strictly positive diagonal.
-    fn from_restored(n: usize, l: Vec<f64>) -> Result<Self, NumericsError> {
-        let expected = n.checked_mul(n).ok_or_else(|| NumericsError::BadMatrix {
-            reason: format!("dense factor dimension {n} overflows"),
-        })?;
-        if l.len() != expected {
-            return Err(NumericsError::BadMatrix {
-                reason: format!(
-                    "dense factor holds {} entries, a {n}x{n} factor needs {expected}",
-                    l.len()
-                ),
-            });
-        }
-        if let Some(i) = l.iter().position(|v| !v.is_finite()) {
-            return Err(NumericsError::BadMatrix {
-                reason: format!("dense factor entry {i} is not finite"),
-            });
-        }
-        if let Some(j) = (0..n).find(|&j| !(l[j * n + j] > 0.0)) {
-            return Err(NumericsError::BadMatrix {
-                reason: format!("dense factor pivot {j} is not positive"),
-            });
-        }
-        Ok(Self { n, l })
-    }
-
     // Indexed loops are deliberate: the backward pass reads the strided
     // column `l[j*n + i]`, which has no contiguous-slice form.
     #[allow(clippy::needless_range_loop)]
@@ -270,7 +225,7 @@ impl DenseCholesky {
 #[derive(Debug, Clone, PartialEq)]
 enum CoarseSolver {
     /// Dense Cholesky — the normal case once coarsening reaches
-    /// [`MultigridConfig::direct_cells`].
+    /// [`DENSE_COARSEST_ROWS`].
     Direct(DenseCholesky),
     /// Jacobi-CG fallback for a coarsest operator that is still large
     /// (coarsening stalled) or resists the dense factorization.
@@ -283,7 +238,7 @@ enum CoarseSolver {
 /// chunks of this width.
 ///
 /// Three is what the memory budget buys. Each column of the pass needs
-/// its own column of every level buffer in [`MgWorkspace`]: three columns
+/// its own column of every level buffer ([`LevelBufs`]): three columns
 /// add about 16.2 MB over a one-column workspace on the full-die
 /// `Fidelity::Fast` hierarchy (407 400 / 111 886 / 26 723 / 8 539 / 3 900
 /// / 72 unknowns), which the CG workspace pays back by letting `z` share
@@ -297,23 +252,17 @@ enum CoarseSolver {
 /// and let a wider pass fit.
 const CYCLE_COLUMNS: usize = 3;
 
-/// Per-level scratch vectors for [`MultigridHierarchy::cycle`] and the
-/// block V-cycle behind [`Multigrid`].
+/// One level's buffers for the block V-cycle behind [`Multigrid`], sized
+/// once with the hierarchy and reused by every cycle, so applies allocate
+/// nothing.
 ///
-/// Owned by the caller (or by a [`Multigrid`] preconditioner) so repeated
-/// cycles allocate nothing: the buffers are sized once against a hierarchy
-/// and reused for every subsequent cycle. Every level holds two scratch
-/// vectors and every coarser level its own right-hand side and iterate,
-/// each for three columns back to back (the widest block V-cycle pass,
-/// `CYCLE_COLUMNS`); the finest level borrows the caller's right-hand
-/// side and iterate instead. The buffers are allocated zeroed, so a
-/// one-column cycle never touches the pages of the other columns.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MgWorkspace {
-    levels: Vec<LevelBufs>,
-}
-
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Every level holds two scratch vectors and every coarser level its own
+/// right-hand side and iterate, each for three columns back to back (the
+/// widest block V-cycle pass, [`CYCLE_COLUMNS`]); the finest level borrows
+/// the caller's right-hand side and iterate instead. The buffers are
+/// allocated zeroed, so a one-column cycle never touches the pages of the
+/// other columns.
+#[derive(Debug, Clone, PartialEq)]
 struct LevelBufs {
     /// Right-hand sides, empty on the finest level.
     b: Vec<f64>,
@@ -323,7 +272,7 @@ struct LevelBufs {
 }
 
 /// A level's two scratch vectors, [`CYCLE_COLUMNS`] columns each.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Scratch {
     /// `A·x`, then the residual `b − A·x`.
     r: Vec<f64>,
@@ -331,59 +280,9 @@ struct Scratch {
     z: Vec<f64>,
 }
 
-impl MgWorkspace {
-    /// An empty workspace; buffers are sized lazily on the first cycle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pre-sizes every level buffer for `h`.
-    pub fn for_hierarchy(h: &MultigridHierarchy) -> Self {
-        let mut ws = Self::new();
-        ws.ensure(h);
-        ws
-    }
-
-    /// Sizes the buffers for `h` unless they already fit — checked on
-    /// every cycle without allocating.
-    fn ensure(&mut self, h: &MultigridHierarchy) {
-        let fits = self.levels.len() == h.level_count()
-            && self
-                .levels
-                .iter()
-                .zip(h.sizes())
-                .all(|(l, n)| l.scratch.r.len() == CYCLE_COLUMNS * n);
-        if !fits {
-            self.resize(h);
-        }
-    }
-
-    #[cold]
-    fn resize(&mut self, h: &MultigridHierarchy) {
-        self.levels = h
-            .sizes()
-            .enumerate()
-            .map(|(level, n)| {
-                let own = if level == 0 { 0 } else { CYCLE_COLUMNS * n };
-                LevelBufs {
-                    b: vec![0.0; own],
-                    x: vec![0.0; own],
-                    scratch: Scratch {
-                        r: vec![0.0; CYCLE_COLUMNS * n],
-                        z: vec![0.0; CYCLE_COLUMNS * n],
-                    },
-                }
-            })
-            .collect();
-    }
-}
-
-/// A smoothed-aggregation multigrid hierarchy over one SPD operator.
-///
-/// Build once per matrix with [`MultigridHierarchy::build`], then run
-/// [`cycle`](MultigridHierarchy::cycle) against a caller-owned
-/// [`MgWorkspace`]. For use inside CG, wrap it in [`Multigrid`] (or select
-/// [`PreconditionerKind::Multigrid`](crate::PreconditionerKind::Multigrid)).
+/// A smoothed-aggregation multigrid hierarchy over one SPD operator: the
+/// levels behind a [`Multigrid`] preconditioner, which builds it and
+/// exposes it for inspection ([`Multigrid::hierarchy`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultigridHierarchy {
     /// The finest operator — always the same [`Arc`] as `levels[0].a`
@@ -397,7 +296,6 @@ pub struct MultigridHierarchy {
     /// The coarsest operator (kept for residuals and the CG fallback).
     coarse_a: Arc<CsrMatrix>,
     coarse: CoarseSolver,
-    config: MultigridConfig,
 }
 
 impl MultigridHierarchy {
@@ -405,60 +303,23 @@ impl MultigridHierarchy {
     /// level keeps a reference to the caller's allocation (at paper scale
     /// the fine operator is ~215 MB), which
     /// [`MultigridHierarchy::fine_operator`] exposes for identity checks.
-    /// Build telemetry (per-level coarsening spans, coarsest-solver choice,
-    /// grid and operator complexities) goes to
-    /// [`vcsel_telemetry::global`].
+    /// Coarsening stops at an operator of at most `dense_rows` rows:
+    /// [`Multigrid::new`] passes [`DENSE_COARSEST_ROWS`], and unit tests
+    /// pass less to get deep hierarchies on small operators. Build
+    /// telemetry (per-level coarsening spans, coarsest-solver choice, grid
+    /// and operator complexities) goes to [`vcsel_telemetry::global`].
     ///
     /// # Errors
     ///
     /// Returns [`NumericsError::BadMatrix`] for a non-square matrix or a
-    /// non-positive diagonal, and [`NumericsError::BadInput`] for
-    /// out-of-range configuration values.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use vcsel_numerics::{MgWorkspace, MultigridConfig, MultigridHierarchy, TripletBuilder};
-    ///
-    /// // 1-D Poisson chain with a Robin-like shift: SPD and coarsenable.
-    /// let n = 1200;
-    /// let mut b = TripletBuilder::new(n, n);
-    /// for i in 0..n {
-    ///     b.add(i, i, 2.001);
-    ///     if i > 0 { b.add(i, i - 1, -1.0); }
-    ///     if i + 1 < n { b.add(i, i + 1, -1.0); }
-    /// }
-    /// let a = Arc::new(b.build());
-    /// let mut h = MultigridHierarchy::build(Arc::clone(&a), &MultigridConfig::default())?;
-    /// assert!(h.level_count() >= 2, "1200 unknowns must coarsen");
-    ///
-    /// // Stationary V-cycling from zero: each cycle improves `x` in place.
-    /// let rhs = vec![1.0; n];
-    /// let mut x = vec![0.0; n];
-    /// let mut ws = MgWorkspace::for_hierarchy(&h);
-    /// // ‖b − Ax‖ / ‖b‖, with ‖b‖ = √n for the all-ones right-hand side.
-    /// let rel_residual = |x: &[f64]| {
-    ///     let ax = a.mul_vec(x).unwrap();
-    ///     let r2: f64 = ax.iter().zip(&rhs).map(|(p, q)| (p - q) * (p - q)).sum();
-    ///     (r2 / n as f64).sqrt()
-    /// };
-    /// let mut cycles = 0;
-    /// while rel_residual(&x) > 1e-9 {
-    ///     h.cycle(&rhs, &mut x, &mut ws);
-    ///     cycles += 1;
-    ///     assert!(cycles <= 100, "V-cycles must contract");
-    /// }
-    /// # Ok::<(), vcsel_numerics::NumericsError>(())
-    /// ```
-    pub fn build(a: Arc<CsrMatrix>, config: &MultigridConfig) -> Result<Self, NumericsError> {
+    /// non-positive diagonal.
+    pub(crate) fn build(a: Arc<CsrMatrix>, dense_rows: usize) -> Result<Self, NumericsError> {
         let sink = vcsel_telemetry::global();
         if a.rows() != a.cols() {
             return Err(NumericsError::BadMatrix {
                 reason: format!("matrix must be square, got {}x{}", a.rows(), a.cols()),
             });
         }
-        validate_config(config)?;
 
         // Per-level construction telemetry: structured `multigrid` span
         // events for aggregation-quality diagnosis.
@@ -466,10 +327,10 @@ impl MultigridHierarchy {
         let fine = Arc::clone(&a);
         let mut levels = Vec::new();
         let mut current = a;
-        while current.rows() > config.direct_cells && levels.len() + 1 < config.max_levels {
+        while current.rows() > dense_rows && levels.len() + 1 < MAX_LEVELS {
             let start_ns = vcsel_telemetry::now_ns();
             let t = std::time::Instant::now();
-            let Some((p, coarse)) = coarsen(&current, config)? else {
+            let Some((p, coarse)) = coarsen(&current)? else {
                 break; // Coarsening stalled; solve this level iteratively.
             };
             if sink.is_enabled() {
@@ -496,18 +357,7 @@ impl MultigridHierarchy {
             current = Arc::new(coarse);
         }
 
-        // Only *attempt* the dense factorization on a small enough
-        // operator — an O(n³) Cholesky on a stalled multi-thousand-cell
-        // coarsest level would dwarf the rest of the build.
-        let coarse = match &*current {
-            a if a.rows() <= config.direct_cells => match DenseCholesky::new(a) {
-                Ok(ch) => CoarseSolver::Direct(ch),
-                Err(_) => iterative_coarse(a)?,
-            },
-            // Too large for a dense factor (coarsening stall / level cap):
-            // fall back to Jacobi-CG per visit.
-            a => iterative_coarse(a)?,
-        };
+        let coarse = coarse_solver(&current, dense_rows)?;
         let coarse_kind = match &coarse {
             CoarseSolver::Direct(_) => "dense Cholesky",
             CoarseSolver::Iterative { .. } => "Jacobi-CG",
@@ -521,7 +371,7 @@ impl MultigridHierarchy {
                 Arg::str("solver", coarse_kind),
             ],
         );
-        let built = Self { fine, levels, coarse_a: current, coarse, config: *config };
+        let built = Self { fine, levels, coarse_a: current, coarse };
         if build_span.is_armed() {
             // Grid complexity Σ level cells / fine cells, operator
             // complexity Σ level nnz / fine nnz: the aggregation-health
@@ -561,8 +411,8 @@ impl MultigridHierarchy {
     }
 
     /// The finest-level operator — the same allocation the caller passed
-    /// to [`MultigridHierarchy::build`] (check with
-    /// [`Arc::ptr_eq`]), whichever level slot it occupies.
+    /// to [`Multigrid::new`] (check with [`Arc::ptr_eq`]), whichever level
+    /// slot it occupies.
     pub fn fine_operator(&self) -> &Arc<CsrMatrix> {
         &self.fine
     }
@@ -572,11 +422,6 @@ impl MultigridHierarchy {
     /// around 1.2–1.6 are healthy for aggregation-based coarsening).
     pub fn total_nnz(&self) -> usize {
         self.levels.iter().map(|l| l.a.nnz()).sum::<usize>() + self.coarse_a.nnz()
-    }
-
-    /// The construction parameters.
-    pub fn config(&self) -> &MultigridConfig {
-        &self.config
     }
 
     /// `(operator, λmax)` per smoothed (non-coarsest) level, fine to
@@ -601,31 +446,21 @@ impl MultigridHierarchy {
         &self.coarse_a
     }
 
-    /// The dense Cholesky factor of the coarsest level as `(n, row-major
-    /// L)`, or `None` when the coarsest solve is the Jacobi-CG fallback.
-    pub(crate) fn coarse_dense_factor(&self) -> Option<(usize, &[f64])> {
-        match &self.coarse {
-            CoarseSolver::Direct(ch) => Some((ch.n, &ch.l)),
-            CoarseSolver::Iterative { .. } => None,
-        }
-    }
-
     /// Reassembles a hierarchy from artifact-validated parts without any
-    /// coarsening, factorization or spectral estimation: restrictions are
-    /// re-transposed from the prolongators, inverse diagonals re-extracted
-    /// from the restored level operators, the stored Chebyshev bounds
-    /// adopted after a range check against each level's Gershgorin bound,
-    /// and the coarse solver either adopts the stored dense factor or
-    /// re-creates the cheap Jacobi-CG fallback.
+    /// coarsening or spectral estimation: restrictions are re-transposed
+    /// from the prolongators, inverse diagonals re-extracted from the
+    /// restored level operators, and the stored Chebyshev bounds adopted
+    /// after a range check against each level's Gershgorin bound. The
+    /// coarsest solver is chosen and set up by the build's own rule
+    /// ([`coarse_solver`] with [`DENSE_COARSEST_ROWS`]); the coarsest
+    /// operator comes back bitwise, so its dense factor is the fresh
+    /// build's.
     pub(crate) fn from_restored_parts(
         ops: Vec<Arc<CsrMatrix>>,
         prolongators: Vec<CsrMatrix>,
         bounds: Vec<f64>,
         coarse_a: CsrMatrix,
-        coarse_dense: Option<Vec<f64>>,
-        config: MultigridConfig,
     ) -> Result<Self, NumericsError> {
-        validate_config(&config)?;
         if ops.len() != prolongators.len() || ops.len() != bounds.len() {
             return Err(NumericsError::BadMatrix {
                 reason: format!(
@@ -669,55 +504,26 @@ impl MultigridHierarchy {
             levels.push(MgLevel { a, inv_diag, lambda_max, p, r });
         }
         let coarse_a = Arc::new(coarse_a);
-        let coarse = match coarse_dense {
-            Some(l) => CoarseSolver::Direct(DenseCholesky::from_restored(coarse_a.rows(), l)?),
-            None => iterative_coarse(&coarse_a)?,
-        };
+        let coarse = coarse_solver(&coarse_a, DENSE_COARSEST_ROWS)?;
         let fine = match levels.first() {
             Some(l) => Arc::clone(&l.a),
             None => Arc::clone(&coarse_a),
         };
-        Ok(Self { fine, levels, coarse_a, coarse, config })
+        Ok(Self { fine, levels, coarse_a, coarse })
     }
 
-    /// Runs one V-cycle on `A x = b`, improving `x` in place from its
-    /// incoming value — the stationary one-column cycle. A preconditioner
-    /// application starts from zero instead; [`Multigrid`] runs that form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` or `x` have the wrong length.
-    pub fn cycle(&mut self, b: &[f64], x: &mut [f64], ws: &mut MgWorkspace) {
-        let n = self.fine_unknowns();
-        assert_eq!(b.len(), n, "right-hand side length");
-        assert_eq!(x.len(), n, "solution length");
-        ws.ensure(self);
-        self.cycle_columns(b, x, false, ws);
-    }
-
-    /// One block V-cycle on the 1 to [`CYCLE_COLUMNS`] columns held back
-    /// to back in `b` and `x`, against a workspace [`MgWorkspace::ensure`]
-    /// has sized. The finest level works in `b` and `x` themselves. With
-    /// `from_zero` the cycle starts from `x = 0` and never reads `x`'s
-    /// incoming contents.
-    fn cycle_columns(&mut self, b: &[f64], x: &mut [f64], from_zero: bool, ws: &mut MgWorkspace) {
-        let (finest, coarser) = ws.levels.split_at_mut(1);
-        self.cycle_rec(0, b, x, from_zero, &mut finest[0].scratch, coarser);
-    }
-
-    /// One recursion step on `level`'s k columns: `b`/`x` hold its
-    /// right-hand sides and iterates (`x` in/out; with `from_zero` its
-    /// incoming contents are ignored), `scratch` its scratch vectors and
-    /// `coarser` the buffers of every coarser level. Each operator pass —
-    /// smoother and residual SpMVs, restriction, prolongation — serves all
-    /// k columns at once; the Chebyshev update and the coarse solve run
-    /// column by column.
+    /// One V-cycle from `x = 0` on `level`'s k columns, 1 to
+    /// [`CYCLE_COLUMNS`] of them back to back: `b` holds its right-hand
+    /// sides, `x` receives its iterates (its incoming contents are never
+    /// read), `scratch` holds its scratch vectors and `coarser` the buffers
+    /// of every coarser level. Each operator pass — smoother and residual
+    /// SpMVs, restriction, prolongation — serves all k columns at once;
+    /// the Chebyshev update and the coarse solve run column by column.
     fn cycle_rec(
         &mut self,
         level: usize,
         b: &[f64],
         x: &mut [f64],
-        from_zero: bool,
         scratch: &mut Scratch,
         coarser: &mut [LevelBufs],
     ) {
@@ -733,10 +539,10 @@ impl MultigridHierarchy {
         let coarse_len = len / current.a.rows() * current.p.cols();
         let (next_b, next_x) = (&mut next_b[..coarse_len], &mut next_x[..coarse_len]);
 
-        chebyshev_smooth(current, b, x, from_zero, r, z);
+        chebyshev_smooth(current, b, x, true, r, z);
         residual_into(&current.a, b, x, r);
         current.r.multiply_into(r, next_b);
-        self.cycle_rec(level + 1, next_b, next_x, true, next_scratch, rest);
+        self.cycle_rec(level + 1, next_b, next_x, next_scratch, rest);
         let current = &self.levels[level];
         prolong_correct(&current.p, next_x, x, z);
         chebyshev_smooth(current, b, x, false, r, z);
@@ -763,45 +569,28 @@ impl MultigridHierarchy {
     }
 }
 
-/// Range checks on [`MultigridConfig`], shared by the build path and the
-/// artifact restore path (which must re-reject a config that a newer or
-/// corrupted artifact smuggles in).
-fn validate_config(config: &MultigridConfig) -> Result<(), NumericsError> {
-    if !(0.0..1.0).contains(&config.strength_threshold) {
-        return Err(NumericsError::BadInput {
-            reason: format!(
-                "strength threshold must lie in [0,1), got {}",
-                config.strength_threshold
-            ),
-        });
-    }
-    if !(config.prolongation_damping >= 0.0) || !config.prolongation_damping.is_finite() {
-        return Err(NumericsError::BadInput {
-            reason: format!(
-                "prolongation damping must be non-negative, got {}",
-                config.prolongation_damping
-            ),
-        });
-    }
-    if config.max_levels == 0 || config.direct_cells == 0 {
-        return Err(NumericsError::BadInput {
-            reason: "max_levels and direct_cells must be positive".into(),
-        });
-    }
-    Ok(())
-}
-
-/// The CG fallback for a coarsest level that resisted dense factorization
-/// (stall or breakdown). Solved tightly enough to act as an exact-solve
+/// The coarsest-level solver, by the one rule the build and the artifact
+/// restore share: a dense Cholesky factor when the operator has at most
+/// `dense_rows` rows and factors, the Jacobi-CG fallback otherwise. Only a
+/// small enough operator is factored — an O(n³) Cholesky on a stalled
+/// multi-thousand-row coarsest level would dwarf the rest of the build.
+///
+/// The fallback covers a coarsest level that resisted dense factorization
+/// (stall or breakdown). It solves tightly enough to act as an exact-solve
 /// surrogate on the small stalled levels the θ=0 aggregation retry leaves
-/// behind, but hard-capped so a pathologically large coarsest level (e.g.
-/// a user-set `max_levels` truncating the hierarchy early) bounds the
-/// per-cycle cost instead of re-running a full fine-scale solve. A
-/// truncated inner solve makes the preconditioner slightly inexact —
-/// weaker convergence, surfaced by a large coarsest level in the
-/// `mg_coarsest` trace event — which is the deliberate trade against
-/// unbounded cycle cost.
-fn iterative_coarse(a: &CsrMatrix) -> Result<CoarseSolver, NumericsError> {
+/// behind, but hard-capped so a pathologically large coarsest level (a
+/// stall far above `dense_rows`, or the [`MAX_LEVELS`] cap truncating the
+/// hierarchy early) bounds the per-cycle cost instead of re-running a
+/// full fine-scale solve. A truncated inner solve makes the
+/// preconditioner slightly inexact — weaker convergence, surfaced by a
+/// large coarsest level in the `mg_coarsest` trace event — which is the
+/// deliberate trade against unbounded cycle cost.
+fn coarse_solver(a: &CsrMatrix, dense_rows: usize) -> Result<CoarseSolver, NumericsError> {
+    if a.rows() <= dense_rows {
+        if let Ok(ch) = DenseCholesky::new(a) {
+            return Ok(CoarseSolver::Direct(ch));
+        }
+    }
     Ok(CoarseSolver::Iterative {
         m: Jacobi::new(a)?,
         opts: SolveOptions { tolerance: 1e-12, max_iterations: a.rows().clamp(16, 500) },
@@ -1070,10 +859,7 @@ fn random_unit(i: usize) -> f64 {
 /// One smoothed-aggregation coarsening step: returns the prolongation and
 /// the Galerkin coarse operator, or `None` when aggregation fails to
 /// shrink the operator meaningfully.
-fn coarsen(
-    a: &CsrMatrix,
-    config: &MultigridConfig,
-) -> Result<Option<(CsrMatrix, CsrMatrix)>, NumericsError> {
+fn coarsen(a: &CsrMatrix) -> Result<Option<(CsrMatrix, CsrMatrix)>, NumericsError> {
     let n = a.rows();
     let diag = a.diagonal();
     if let Some(i) = diag.iter().position(|&d| d <= 0.0 || !d.is_finite()) {
@@ -1086,10 +872,9 @@ fn coarsen(
     // The retained graph is the one actually used, so the prolongation
     // filter below stays consistent with the aggregation.
     let (agg, n_agg, strong_ptr, strong_idx, strong_val) = {
-        let theta = config.strength_threshold;
-        let (ptr, idx, val) = strength_graph(a, &diag, theta);
+        let (ptr, idx, val) = strength_graph(a, &diag, STRENGTH_THRESHOLD);
         let (agg, n_agg) = aggregate(n, &ptr, &idx, &val);
-        if theta > 0.0 && (n_agg as f64) > 0.6 * n as f64 {
+        if (n_agg as f64) > 0.6 * n as f64 {
             // Strength filtering stranded most cells as singletons —
             // Galerkin stencils on deep coarse levels fall below any fixed
             // threshold long before their couplings stop mattering. Retry
@@ -1163,7 +948,7 @@ fn coarsen(
 
     let lambda = estimate_spectral_radius(&s, 10).max(1.0);
     let sp0 = s.multiply_matrix(&p0)?;
-    let p = p0.add_scaled(&sp0, -config.prolongation_damping / lambda)?;
+    let p = p0.add_scaled(&sp0, -PROLONGATION_DAMPING / lambda)?;
 
     // --- Galerkin coarse operator ----------------------------------------
     let ap = a.multiply_matrix(&p)?;
@@ -1287,36 +1072,92 @@ fn estimate_spectral_radius(s: &CsrMatrix, iterations: usize) -> f64 {
 /// One multigrid cycle as a [`Preconditioner`]: the form the solve engines
 /// consume via [`PreconditionerKind::Multigrid`](crate::PreconditionerKind::Multigrid).
 ///
-/// Owns its hierarchy and workspace, so every application is
-/// allocation-free after construction. An apply on k columns runs one
+/// Owns its hierarchy and per-level cycle buffers, so every application
+/// is allocation-free after construction. An apply on k columns runs one
 /// block V-cycle per three columns (`CYCLE_COLUMNS`) from `z = 0`,
 /// reading the right-hand sides straight from `r` and building the
 /// iterates in `z`; every column is bitwise its own one-column cycle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Multigrid {
     hierarchy: MultigridHierarchy,
-    ws: MgWorkspace,
+    /// One entry per level, fine to coarse.
+    levels: Vec<LevelBufs>,
 }
 
 impl Multigrid {
-    /// Builds the hierarchy on the shared operator `a` (see
-    /// [`MultigridHierarchy::build`]) and pre-sizes the cycle workspace;
+    /// Builds the hierarchy on the shared operator `a` without copying it
+    /// (the finest level aliases `a`, see
+    /// [`MultigridHierarchy::fine_operator`]) and sizes the cycle buffers;
     /// the form [`PreconditionerKind::build`](crate::PreconditionerKind::build)
     /// builds.
     ///
     /// # Errors
     ///
-    /// Propagates [`MultigridHierarchy::build`] failures.
-    pub fn new(a: Arc<CsrMatrix>, config: &MultigridConfig) -> Result<Self, NumericsError> {
-        Ok(Self::from_hierarchy(MultigridHierarchy::build(a, config)?))
+    /// Returns [`NumericsError::BadMatrix`] for a non-square matrix or a
+    /// non-positive diagonal.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use vcsel_numerics::{Multigrid, Preconditioner, TripletBuilder};
+    ///
+    /// // 1-D Poisson chain with a Robin-like shift: SPD and coarsenable.
+    /// let n = 1200;
+    /// let mut b = TripletBuilder::new(n, n);
+    /// for i in 0..n {
+    ///     b.add(i, i, 2.001);
+    ///     if i > 0 { b.add(i, i - 1, -1.0); }
+    ///     if i + 1 < n { b.add(i, i + 1, -1.0); }
+    /// }
+    /// let a = Arc::new(b.build());
+    /// let mut m = Multigrid::new(Arc::clone(&a))?;
+    /// assert!(m.hierarchy().level_count() >= 2, "1200 unknowns must coarsen");
+    ///
+    /// // Stationary iteration x += M⁻¹(b − Ax) from zero: one V-cycle per
+    /// // step. ‖b‖ = √n for the all-ones right-hand side.
+    /// let rhs = vec![1.0; n];
+    /// let (mut x, mut r, mut z) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    /// let mut cycles = 0;
+    /// loop {
+    ///     let ax = a.mul_vec(&x)?;
+    ///     for ((ri, bi), axi) in r.iter_mut().zip(&rhs).zip(&ax) {
+    ///         *ri = bi - axi;
+    ///     }
+    ///     if (r.iter().map(|v| v * v).sum::<f64>() / n as f64).sqrt() <= 1e-9 {
+    ///         break;
+    ///     }
+    ///     m.apply(&r, &mut z);
+    ///     x.iter_mut().zip(&z).for_each(|(xi, zi)| *xi += zi);
+    ///     cycles += 1;
+    ///     assert!(cycles <= 100, "V-cycles must contract");
+    /// }
+    /// # Ok::<(), vcsel_numerics::NumericsError>(())
+    /// ```
+    pub fn new(a: Arc<CsrMatrix>) -> Result<Self, NumericsError> {
+        Ok(Self::from_hierarchy(MultigridHierarchy::build(a, DENSE_COARSEST_ROWS)?))
     }
 
     /// Wraps an already-built (typically artifact-restored) hierarchy as a
-    /// CG preconditioner, paying only the workspace sizing — the
+    /// CG preconditioner, paying only the buffer sizing — the
     /// zero-factorization path of the engine cache.
     pub(crate) fn from_hierarchy(hierarchy: MultigridHierarchy) -> Self {
-        let ws = MgWorkspace::for_hierarchy(&hierarchy);
-        Self { hierarchy, ws }
+        let levels = hierarchy
+            .sizes()
+            .enumerate()
+            .map(|(level, n)| {
+                let own = if level == 0 { 0 } else { CYCLE_COLUMNS * n };
+                LevelBufs {
+                    b: vec![0.0; own],
+                    x: vec![0.0; own],
+                    scratch: Scratch {
+                        r: vec![0.0; CYCLE_COLUMNS * n],
+                        z: vec![0.0; CYCLE_COLUMNS * n],
+                    },
+                }
+            })
+            .collect();
+        Self { hierarchy, levels }
     }
 
     /// The underlying hierarchy (level counts, complexity — for benches
@@ -1331,8 +1172,10 @@ impl Preconditioner for Multigrid {
         let n = self.hierarchy.fine_unknowns();
         assert_columns(r, z, n);
         let chunk = (CYCLE_COLUMNS * n).max(1);
+        // The finest level works in the caller's `r` and `z` themselves.
+        let (finest, coarser) = self.levels.split_at_mut(1);
         for (rc, zc) in r.chunks(chunk).zip(z.chunks_mut(chunk)) {
-            self.hierarchy.cycle_columns(rc, zc, true, &mut self.ws);
+            self.hierarchy.cycle_rec(0, rc, zc, &mut finest[0].scratch, coarser);
         }
     }
 
@@ -1343,8 +1186,10 @@ impl Preconditioner for Multigrid {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
-    use crate::TripletBuilder;
+    use crate::{AnyPreconditioner, PreconditionerKind, TripletBuilder};
 
     /// 2-D 5-point Poisson operator with a small Robin-like shift.
     fn poisson_2d(nx: usize, ny: usize) -> CsrMatrix {
@@ -1386,24 +1231,35 @@ mod tests {
         num / norm2(b)
     }
 
-    /// Stationary V-cycling on `A x = b` from the incoming `x` until the
-    /// relative residual reaches `tol`: the number of cycles it took, or
-    /// `None` if `max_cycles` were not enough.
+    /// A multigrid preconditioner on `a` whose coarsening stops at
+    /// `dense_rows` rows, so small operators get deep hierarchies.
+    fn deep(a: Arc<CsrMatrix>, dense_rows: usize) -> Multigrid {
+        Multigrid::from_hierarchy(
+            MultigridHierarchy::build(a, dense_rows).expect("hierarchy builds"),
+        )
+    }
+
+    /// The stationary iteration `x += M⁻¹(b − Ax)` on `A x = b` from the
+    /// incoming `x`, one V-cycle per step, until the relative residual
+    /// reaches `tol`: the number of cycles it took, or `None` if
+    /// `max_cycles` were not enough.
     fn v_cycles_to(
-        h: &mut MultigridHierarchy,
+        m: &mut Multigrid,
         b: &[f64],
         x: &mut [f64],
         tol: f64,
         max_cycles: usize,
     ) -> Option<usize> {
-        let a = Arc::clone(h.fine_operator());
-        let mut ws = MgWorkspace::for_hierarchy(h);
+        let a = Arc::clone(m.hierarchy().fine_operator());
+        let (mut r, mut z) = (vec![0.0; b.len()], vec![0.0; b.len()]);
         for cycles in 0..=max_cycles {
-            if rel_residual(&a, x, b) <= tol {
+            residual_into(&a, b, x, &mut r);
+            if norm2(&r) / norm2(b) <= tol {
                 return Some(cycles);
             }
             if cycles < max_cycles {
-                h.cycle(b, x, &mut ws);
+                m.apply(&r, &mut z);
+                x.iter_mut().zip(&z).for_each(|(xi, zi)| *xi += zi);
             }
         }
         None
@@ -1412,13 +1268,14 @@ mod tests {
     #[test]
     fn hierarchy_coarsens_poisson() {
         let a = Arc::new(poisson_2d(40, 40));
-        let h = MultigridHierarchy::build(Arc::clone(&a), &MultigridConfig::default()).unwrap();
+        let m = Multigrid::new(Arc::clone(&a)).unwrap();
+        let h = m.hierarchy();
         assert!(h.level_count() >= 2, "1600 unknowns must coarsen at least once");
         let sizes = h.level_sizes();
         for w in sizes.windows(2) {
             assert!(w[1] < w[0], "levels must shrink: {sizes:?}");
         }
-        assert!(*sizes.last().unwrap() <= 500);
+        assert!(*sizes.last().unwrap() <= DENSE_COARSEST_ROWS);
         // Operator complexity stays bounded.
         assert!((h.total_nnz() as f64) < 2.5 * a.nnz() as f64, "complexity blow-up");
     }
@@ -1427,9 +1284,9 @@ mod tests {
     fn v_cycles_solve_standalone() {
         let a = Arc::new(poisson_2d(30, 30));
         let b = rhs(a.rows());
-        let mut h = MultigridHierarchy::build(Arc::clone(&a), &MultigridConfig::default()).unwrap();
+        let mut m = Multigrid::new(Arc::clone(&a)).unwrap();
         let mut x = vec![0.0; a.rows()];
-        let cycles = v_cycles_to(&mut h, &b, &mut x, 1e-10, 60).expect("V-cycles converge");
+        let cycles = v_cycles_to(&mut m, &b, &mut x, 1e-10, 60).expect("V-cycles converge");
         // Measured: 44 cycles, a contraction of ~0.6 per V(1,1)-cycle with
         // degree-2 Chebyshev smoothing. Stationary cycling is not how the
         // engines use the hierarchy (CG accelerates it), so the bar only
@@ -1448,10 +1305,10 @@ mod tests {
             // coarse direct solve alone would trivially win at small n).
             let a = Arc::new(poisson_2d(nx, nx));
             let b = rhs(a.rows());
-            let mut h = MultigridHierarchy::build(a, &MultigridConfig::default()).unwrap();
-            assert!(h.level_count() >= 2);
+            let mut m = Multigrid::new(a).unwrap();
+            assert!(m.hierarchy().level_count() >= 2);
             let mut x = vec![0.0; b.len()];
-            let cycles = v_cycles_to(&mut h, &b, &mut x, 1e-8, 80).expect("converges");
+            let cycles = v_cycles_to(&mut m, &b, &mut x, 1e-8, 80).expect("converges");
             counts.push(cycles.max(1));
         }
         assert!(
@@ -1462,9 +1319,9 @@ mod tests {
 
     #[test]
     fn tiny_matrix_degenerates_to_direct_solve() {
-        let a = Arc::new(poisson_2d(4, 4)); // 16 unknowns < direct_cells
+        let a = Arc::new(poisson_2d(4, 4)); // 16 unknowns < DENSE_COARSEST_ROWS
         let b = rhs(16);
-        let mut m = Multigrid::new(Arc::clone(&a), &MultigridConfig::default()).unwrap();
+        let mut m = Multigrid::new(Arc::clone(&a)).unwrap();
         assert_eq!(m.hierarchy().level_count(), 1);
         let mut z = vec![0.0; 16];
         m.apply(&b, &mut z);
@@ -1479,8 +1336,7 @@ mod tests {
         // and xᵀM⁻¹x > 0 for the V-cycle with symmetric smoothing.
         let a = Arc::new(poisson_2d(12, 12));
         let n = a.rows();
-        let config = MultigridConfig { direct_cells: 20, ..Default::default() };
-        let mut m = Multigrid::new(a, &config).unwrap();
+        let mut m = deep(a, 20);
         assert!(m.hierarchy().level_count() >= 2);
         let u: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
         let v: Vec<f64> = (0..n).map(|i| ((i * 3 % 13) as f64) - 6.0).collect();
@@ -1497,27 +1353,16 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_config() {
-        let a = Arc::new(poisson_2d(5, 5));
-        for config in [
-            MultigridConfig { strength_threshold: 1.0, ..Default::default() },
-            MultigridConfig { strength_threshold: -0.1, ..Default::default() },
-            MultigridConfig { prolongation_damping: f64::NAN, ..Default::default() },
-            MultigridConfig { max_levels: 0, ..Default::default() },
-            MultigridConfig { direct_cells: 0, ..Default::default() },
-        ] {
-            let built = MultigridHierarchy::build(Arc::clone(&a), &config);
-            assert!(built.is_err(), "{config:?} must fail");
-        }
         let mut nonsquare = TripletBuilder::new(2, 3);
         nonsquare.add(0, 0, 1.0);
-        let nonsquare = Arc::new(nonsquare.build());
-        assert!(MultigridHierarchy::build(nonsquare, &MultigridConfig::default()).is_err());
+        assert!(Multigrid::new(Arc::new(nonsquare.build())).is_err());
     }
 
     #[test]
     fn hierarchy_shares_the_fine_operator_instead_of_cloning() {
         let a = Arc::new(poisson_2d(40, 40));
-        let h = MultigridHierarchy::build(Arc::clone(&a), &MultigridConfig::default()).unwrap();
+        let m = Multigrid::new(Arc::clone(&a)).unwrap();
+        let h = m.hierarchy();
         assert!(h.level_count() >= 2);
         assert!(
             Arc::ptr_eq(h.fine_operator(), &a),
@@ -1530,9 +1375,9 @@ mod tests {
 
         // Degenerate (direct-solve) hierarchies alias it too.
         let tiny = Arc::new(poisson_2d(4, 4));
-        let h = MultigridHierarchy::build(Arc::clone(&tiny), &MultigridConfig::default()).unwrap();
-        assert_eq!(h.level_count(), 1);
-        assert!(Arc::ptr_eq(h.fine_operator(), &tiny));
+        let m = Multigrid::new(Arc::clone(&tiny)).unwrap();
+        assert_eq!(m.hierarchy().level_count(), 1);
+        assert!(Arc::ptr_eq(m.hierarchy().fine_operator(), &tiny));
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -1594,21 +1439,13 @@ mod tests {
         }
     }
 
-    /// A hierarchy of at least three levels over a 1 600-unknown Poisson
-    /// problem.
-    fn three_level_poisson() -> (Arc<CsrMatrix>, MultigridConfig) {
-        let a = Arc::new(poisson_2d(40, 40));
-        let config = MultigridConfig { direct_cells: 20, ..Default::default() };
-        (a, config)
-    }
-
     #[test]
     fn block_apply_is_bitwise_one_column_applies() {
         // k = 1..=7 crosses the three-column chunk boundary twice; `z`
         // enters as NaN, so an apply that read it would show.
-        let (a, config) = three_level_poisson();
+        let a = Arc::new(poisson_2d(40, 40));
         let n = a.rows();
-        let mut m = Multigrid::new(a, &config).unwrap();
+        let mut m = deep(a, 20);
         assert!(m.hierarchy().level_count() >= 3, "{:?}", m.hierarchy().level_sizes());
         let column = |c: usize| -> Vec<f64> {
             (0..n).map(|i| ((i * (c + 3)) as f64 * 0.29).sin() + 0.2 * c as f64).collect()
@@ -1625,30 +1462,193 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_column_apply_is_the_cycle_from_zero() {
-        // The apply's zero-start smoothing and borrowed finest-level
-        // buffers against the stationary cycle on a zeroed `x`, with
-        // signed-zero right-hand-side entries.
-        let (a, config) = three_level_poisson();
+    /// Random SPD 7-point stencil: a 3-D grid Laplacian with per-edge
+    /// conductances drawn from the seed values — the exact shape of the FVM
+    /// conduction systems, including their anisotropy spread.
+    fn random_spd_stencil_3d(nx: usize, ny: usize, nz: usize, seed: &[f64]) -> CsrMatrix {
+        let n = nx * ny * nz;
+        let mut b = TripletBuilder::with_capacity(n, n, 7 * n);
+        let draw = |k: usize| 0.02 + seed[k % seed.len()].abs();
+        let mut diag = vec![0.0; n];
+        let idx = |i: usize, j: usize, k: usize| (k * ny + j) * nx + i;
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx {
+                    let c = idx(i, j, k);
+                    let mut couple = |d: usize, g: f64| {
+                        b.add(c, d, -g);
+                        b.add(d, c, -g);
+                        diag[c] += g;
+                        diag[d] += g;
+                    };
+                    if i + 1 < nx {
+                        couple(idx(i + 1, j, k), draw(c * 3 + 1));
+                    }
+                    if j + 1 < ny {
+                        couple(idx(i, j + 1, k), draw(c * 5 + 2));
+                    }
+                    if k + 1 < nz {
+                        couple(idx(i, j, k + 1), draw(c * 7 + 3));
+                    }
+                }
+            }
+        }
+        for (c, d) in diag.iter().enumerate() {
+            // Small positive shift keeps the matrix SPD (Robin-boundary-like).
+            b.add(c, c, d + 0.01 + 0.1 * seed[(c * 11 + 5) % seed.len()].abs());
+        }
+        b.build()
+    }
+
+    /// `ρ(D⁻¹A)` from 200 power-iteration steps on the similar symmetric
+    /// matrix `D^{-1/2} A D^{-1/2}`. For a symmetric matrix the norm ratio
+    /// never exceeds `ρ`, so this converges to it from below.
+    fn jacobi_spectral_radius(a: &CsrMatrix) -> f64 {
         let n = a.rows();
-        let mut h = MultigridHierarchy::build(a, &config).unwrap();
-        assert!(h.level_count() >= 3, "{:?}", h.level_sizes());
-        let mut m = Multigrid::from_hierarchy(h.clone());
-        let b: Vec<f64> = rhs(n)
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| match i % 9 {
-                0 => -0.0,
-                1 => 0.0,
-                _ => v,
-            })
-            .collect();
-        let mut ws = MgWorkspace::for_hierarchy(&h);
-        let mut x = vec![0.0; n];
-        h.cycle(&b, &mut x, &mut ws);
-        let mut z = vec![f64::NAN; n];
-        m.apply(&b, &mut z);
-        assert_eq!(bits(&z), bits(&x));
+        let scale: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d.sqrt()).collect();
+        let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let mut v: Vec<f64> = (0..n).map(|i| ((i * 7919) % 13) as f64 - 6.5).collect();
+        let mut rho = 0.0;
+        for _ in 0..200 {
+            let sv: Vec<f64> = v.iter().zip(&scale).map(|(x, s)| x * s).collect();
+            let w: Vec<f64> =
+                a.mul_vec(&sv).unwrap().iter().zip(&scale).map(|(x, s)| x * s).collect();
+            let w_norm = norm(&w);
+            rho = w_norm / norm(&v);
+            v = w.iter().map(|x| x / w_norm).collect();
+        }
+        rho
+    }
+
+    fn dot(x: &[f64], y: &[f64]) -> f64 {
+        x.iter().zip(y).map(|(p, q)| p * q).sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn multigrid_cg_matches_ic0_cg_on_random_stencils(
+            nx in 3usize..7,
+            ny in 3usize..7,
+            nz in 2usize..5,
+            seed in proptest::collection::vec(-2.0f64..2.0, 56),
+            rhs_seed in proptest::collection::vec(-5.0f64..5.0, 216),
+        ) {
+            // The multigrid V-cycle preconditioner must land CG on the same
+            // field as IC(0), whatever the random conductance draw. Shrink
+            // the dense coarsest level to 8 rows so even the small proptest
+            // systems build a real multi-level hierarchy instead of
+            // degenerating to a dense solve.
+            let a = Arc::new(random_spd_stencil_3d(nx, ny, nz, &seed));
+            let n = nx * ny * nz;
+            let rhs: Vec<f64> = rhs_seed.iter().take(n).cloned().collect();
+            let opts = SolveOptions { tolerance: 1e-11, max_iterations: 50_000 };
+            let mut ws = CgWorkspace::new();
+
+            let mut ic0 = PreconditionerKind::IncompleteCholesky.build(&a).expect("factors");
+            let mut x_ic = vec![0.0; n];
+            preconditioned_cg(&a, &rhs, &mut x_ic, &mut ic0, &opts, &mut ws).expect("ic0 converges");
+
+            let mut mg = deep(Arc::clone(&a), 8);
+            let mut x_mg = vec![0.0; n];
+            let stats =
+                preconditioned_cg(&a, &rhs, &mut x_mg, &mut mg, &opts, &mut ws).expect("mg converges");
+            prop_assert!(stats.residual <= opts.tolerance);
+            prop_assert!(rel_residual(&a, &x_mg, &rhs) < 1e-8);
+
+            let scale = x_ic.iter().map(|v| v.abs()).fold(1e-12, f64::max);
+            for (p, q) in x_ic.iter().zip(&x_mg) {
+                prop_assert!((p - q).abs() / scale < 1e-8, "multigrid vs ic0 field: {p} vs {q}");
+            }
+        }
+
+        #[test]
+        fn chebyshev_bounds_cover_the_spectrum_on_high_contrast_stencils(
+            nx in 3usize..10,
+            ny in 3usize..10,
+            nz in 2usize..6,
+            exponents in proptest::collection::vec(-1.0f64..1.0, 56),
+            probe in proptest::collection::vec(-5.0f64..5.0, 64),
+        ) {
+            // Conductances spanning up to ~5 orders of magnitude (the
+            // package's copper-against-oxide contrast). Every smoothed level's
+            // stored Chebyshev bound must lie above ρ(D⁻¹A) — an
+            // under-estimate turns the smoother into an amplifier — and the
+            // V-cycle built on those bounds must stay symmetric positive
+            // definite, so CG may use it.
+            let seed: Vec<f64> = exponents.iter().map(|e| 10f64.powf(3.0 * e)).collect();
+            let a = Arc::new(random_spd_stencil_3d(nx, ny, nz, &seed));
+            let n = nx * ny * nz;
+            let mut mg = deep(a, 8);
+            for (level, (op, bound)) in mg.hierarchy().smoother_bounds().enumerate() {
+                let rho = jacobi_spectral_radius(op);
+                prop_assert!(bound >= rho, "level {level}: bound {bound} below rho(D^-1 A) {rho}");
+            }
+
+            let u: Vec<f64> = (0..n).map(|i| probe[i % probe.len()] + 0.01 * i as f64).collect();
+            let v: Vec<f64> = (0..n).map(|i| probe[(7 * i + 3) % probe.len()]).collect();
+            let (mut mu, mut mv) = (vec![0.0; n], vec![0.0; n]);
+            mg.apply(&u, &mut mu);
+            mg.apply(&v, &mut mv);
+            let scale = dot(&u, &u).sqrt() * dot(&mv, &mv).sqrt()
+                + dot(&v, &v).sqrt() * dot(&mu, &mu).sqrt();
+            prop_assert!(
+                (dot(&u, &mv) - dot(&v, &mu)).abs() <= 1e-10 * scale,
+                "V-cycle not symmetric: {} vs {}", dot(&u, &mv), dot(&v, &mu)
+            );
+            prop_assert!(dot(&u, &mu) > 0.0 && dot(&v, &mv) > 0.0, "V-cycle not positive definite");
+        }
+
+        #[test]
+        fn block_cg_matches_sequential_cg_on_random_stencils(
+            nx in 3usize..7,
+            ny in 3usize..7,
+            nz in 2usize..5,
+            k_pick in 0usize..4,
+            seed in proptest::collection::vec(-2.0f64..2.0, 56),
+            rhs_seed in proptest::collection::vec(-5.0f64..5.0, 512),
+        ) {
+            // One preconditioned_cg call on a k-column RHS must land every
+            // column bitwise on the field, iteration count and residual a
+            // one-column call produces for that column alone — the kernel's
+            // documented contract — for each preconditioner rung the solve
+            // ladder uses.
+            let a = Arc::new(random_spd_stencil_3d(nx, ny, nz, &seed));
+            let n = nx * ny * nz;
+            let k = [1usize, 2, 4, 7][k_pick];
+            let columns: Vec<Vec<f64>> = (0..k)
+                .map(|j| (0..n).map(|i| rhs_seed[(j * n + i) % rhs_seed.len()]).collect())
+                .collect();
+            let opts = SolveOptions { tolerance: 1e-12, max_iterations: 50_000 };
+            let preconditioners = [
+                PreconditionerKind::Jacobi.build(&a).expect("SPD stencil factors"),
+                PreconditionerKind::IncompleteCholesky.build(&a).expect("SPD stencil factors"),
+                AnyPreconditioner::Multigrid(Box::new(deep(Arc::clone(&a), 8))),
+            ];
+            let mut ws = CgWorkspace::new();
+            for mut m in preconditioners {
+                let mut sequential = Vec::new();
+                for rhs in &columns {
+                    let mut x = vec![0.0; n];
+                    let one =
+                        preconditioned_cg(&a, rhs, &mut x, &mut m, &opts, &mut ws).expect("one column");
+                    sequential.push((one, x));
+                }
+
+                let mut x_block = vec![0.0; k * n];
+                preconditioned_cg(&a, &columns.concat(), &mut x_block, &mut m, &opts, &mut ws)
+                    .expect("block solve");
+                for (j, (summary, (one, x))) in ws.summaries().iter().zip(&sequential).enumerate() {
+                    prop_assert!(summary.converged, "column {j} failed: {summary:?}");
+                    prop_assert_eq!(summary.iterations, one.iterations, "column {}", j);
+                    prop_assert_eq!(summary.residual.to_bits(), one.residual.to_bits());
+                    let block_bits: Vec<u64> =
+                        x_block[j * n..(j + 1) * n].iter().map(|v| v.to_bits()).collect();
+                    let one_bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(block_bits, one_bits, "column {}", j);
+                }
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::fork::{fork_join, share_range, take_front};
-use crate::multigrid::{Multigrid, MultigridConfig};
+use crate::multigrid::Multigrid;
 use crate::{CsrMatrix, NumericsError};
 
 /// Applies `z = M⁻¹ r` for some SPD approximation `M ≈ A`, to k ≥ 1
@@ -428,10 +428,7 @@ pub enum PreconditionerKind {
     /// Smoothed-aggregation algebraic multigrid (one V-cycle per
     /// application) — mesh-independent iteration counts at `O(n)` setup,
     /// the default for large steady solves. See [`crate::multigrid`].
-    Multigrid {
-        /// Hierarchy construction and cycling parameters.
-        config: MultigridConfig,
-    },
+    Multigrid,
 }
 
 /// An owned preconditioner of any supported kind (so caches can hold one
@@ -454,7 +451,7 @@ impl PreconditionerKind {
         match self {
             PreconditionerKind::Jacobi => "jacobi",
             PreconditionerKind::IncompleteCholesky => "ic0",
-            PreconditionerKind::Multigrid { .. } => "multigrid",
+            PreconditionerKind::Multigrid => "multigrid",
         }
     }
 
@@ -467,16 +464,15 @@ impl PreconditionerKind {
     /// # Errors
     ///
     /// Propagates the constructor errors of the selected implementation
-    /// (non-square matrix, bad diagonal, IC(0) breakdown, bad multigrid
-    /// configuration).
+    /// (non-square matrix, bad diagonal, IC(0) breakdown).
     pub fn build(&self, a: &Arc<CsrMatrix>) -> Result<AnyPreconditioner, NumericsError> {
         Ok(match *self {
             PreconditionerKind::Jacobi => AnyPreconditioner::Jacobi(Jacobi::new(a)?),
             PreconditionerKind::IncompleteCholesky => {
                 AnyPreconditioner::IncompleteCholesky(IncompleteCholesky::new(a)?)
             }
-            PreconditionerKind::Multigrid { config } => {
-                AnyPreconditioner::Multigrid(Box::new(Multigrid::new(Arc::clone(a), &config)?))
+            PreconditionerKind::Multigrid => {
+                AnyPreconditioner::Multigrid(Box::new(Multigrid::new(Arc::clone(a))?))
             }
         })
     }
@@ -596,10 +592,7 @@ mod tests {
         for (kind, name) in [
             (PreconditionerKind::Jacobi, "jacobi"),
             (PreconditionerKind::IncompleteCholesky, "ic0"),
-            (
-                PreconditionerKind::Multigrid { config: crate::MultigridConfig::default() },
-                "multigrid",
-            ),
+            (PreconditionerKind::Multigrid, "multigrid"),
         ] {
             let mut p = kind.build(&a).unwrap();
             assert_eq!(p.name(), name);

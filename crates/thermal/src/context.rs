@@ -41,8 +41,8 @@ use std::sync::Arc;
 
 use vcsel_numerics::solver::{CgWorkspace, SolveOptions};
 use vcsel_numerics::{
-    AnyPreconditioner, CsrMatrix, LadderSummary, MultigridConfig, NumericsError,
-    PreconditionerKind, RungAttempt, SolveLadder,
+    AnyPreconditioner, CsrMatrix, LadderSummary, NumericsError, PreconditionerKind, RungAttempt,
+    SolveLadder,
 };
 use vcsel_telemetry::{ArgValue, TelemetrySink};
 
@@ -61,7 +61,7 @@ pub(crate) const ENGINE_OPTIONS: SolveOptions =
 /// degrades gracefully instead of failing.
 pub(crate) fn escalation_chain(kind: PreconditionerKind) -> Vec<PreconditionerKind> {
     match kind {
-        PreconditionerKind::Multigrid { .. } => {
+        PreconditionerKind::Multigrid => {
             vec![kind, PreconditionerKind::IncompleteCholesky, PreconditionerKind::Jacobi]
         }
         PreconditionerKind::IncompleteCholesky => vec![kind, PreconditionerKind::Jacobi],
@@ -379,14 +379,15 @@ impl SolveContext {
     ///
     /// Below the threshold (the test-scale meshes) IC(0) sets up faster
     /// but solves slower: on the 66 500-unknown tiny SCC mesh the
-    /// committed `BENCH_solvers.json` record reads 44 vs 150 ms of setup,
-    /// 397 vs 227 ms per cold solve and 276 vs 145 ms per warm one, so
-    /// IC(0) does not win on wall clock there even for one solve. The
-    /// IC(0) iteration pins and benchmark references at that size were
-    /// taken with this switch. Above it, one-level preconditioners pay
-    /// iteration counts that grow with resolution while the multigrid
-    /// V-cycle stays flat — at `Fidelity::Paper` scale (~2.6 M unknowns)
-    /// that difference is what makes cold steady solves tractable at all.
+    /// committed `BENCH_solvers.json` record (v13) reads 66.8 vs 160.1 ms
+    /// of setup, 419.0 vs 230.9 ms per cold solve and 315.5 vs 148.2 ms
+    /// per warm one (IC(0) vs multigrid), so IC(0) does not win on wall
+    /// clock there even for one solve. The IC(0) iteration pins and
+    /// benchmark references at that size were taken with this switch.
+    /// Above it, one-level preconditioners pay iteration counts that grow
+    /// with resolution while the multigrid V-cycle stays flat — at
+    /// `Fidelity::Paper` scale (~2.6 M unknowns) that difference is what
+    /// makes cold steady solves tractable at all.
     pub const MULTIGRID_CELL_THRESHOLD: usize = 150_000;
 
     /// The preconditioner a steady engine picks for `n` unknowns: IC(0)
@@ -394,7 +395,7 @@ impl SolveContext {
     /// above it.
     pub fn default_steady_kind(n: usize) -> PreconditionerKind {
         if n >= Self::MULTIGRID_CELL_THRESHOLD {
-            PreconditionerKind::Multigrid { config: MultigridConfig::default() }
+            PreconditionerKind::Multigrid
         } else {
             PreconditionerKind::IncompleteCholesky
         }
@@ -922,7 +923,7 @@ mod tests {
         );
         assert!(matches!(
             SolveContext::default_steady_kind(SolveContext::MULTIGRID_CELL_THRESHOLD),
-            PreconditionerKind::Multigrid { .. }
+            PreconditionerKind::Multigrid
         ));
         // The tiny test meshes stay on IC(0).
         let (design, spec) = grouped_slab();
@@ -933,17 +934,11 @@ mod tests {
     #[test]
     fn explicit_preconditioner_choice_propagates_factorization_failures() {
         // The defensive Jacobi downgrade belongs to the *default* engines
-        // only: an explicitly requested kind that cannot build must error,
-        // never silently run a different preconditioner under the
-        // requested label.
+        // only: an explicitly requested kind builds strictly, and a
+        // buildable one answers solves. No FVM operator breaks a
+        // factorization, so the failure half is pinned at the ladder
+        // (`strict_ladder_propagates_rung_zero_build_errors`).
         let (design, spec) = grouped_slab();
-        let bad = PreconditionerKind::Multigrid {
-            config: vcsel_numerics::MultigridConfig {
-                strength_threshold: -1.0,
-                ..Default::default()
-            },
-        };
-        assert!(SolveContext::new_preconditioned(&design, &spec, bad).is_err());
         assert!(SolveContext::new_preconditioned(
             &design,
             &spec,
@@ -1003,12 +998,8 @@ mod tests {
         // second copy of the assembled matrix — the hierarchy's finest
         // level *is* the context's operator allocation.
         let (design, spec) = grouped_slab();
-        let ctx = SolveContext::new_preconditioned(
-            &design,
-            &spec,
-            PreconditionerKind::Multigrid { config: vcsel_numerics::MultigridConfig::default() },
-        )
-        .unwrap();
+        let ctx = SolveContext::new_preconditioned(&design, &spec, PreconditionerKind::Multigrid)
+            .unwrap();
         let mg = ctx.preconditioner().as_multigrid().expect("multigrid engine");
         assert!(
             Arc::ptr_eq(ctx.shared_operator(), mg.hierarchy().fine_operator()),
@@ -1020,12 +1011,9 @@ mod tests {
     fn multigrid_engine_agrees_with_ic0_on_the_slab() {
         let (design, spec) = grouped_slab();
         let mut ic0 = SolveContext::new(&design, &spec).unwrap();
-        let mut mg = SolveContext::new_preconditioned(
-            &design,
-            &spec,
-            PreconditionerKind::Multigrid { config: vcsel_numerics::MultigridConfig::default() },
-        )
-        .unwrap();
+        let mut mg =
+            SolveContext::new_preconditioned(&design, &spec, PreconditionerKind::Multigrid)
+                .unwrap();
         assert_eq!(mg.preconditioner_name(), "multigrid");
         let a = ic0.solve().unwrap();
         let b = mg.solve().unwrap();

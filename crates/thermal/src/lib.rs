@@ -100,12 +100,12 @@ pub use mesh::{Axis, Mesh, MeshSpec, RefineRegion};
 pub use simulator::Simulator;
 pub use stepper::TransientStepper;
 pub use superposition::ResponseBasis;
+/// Re-exported so downstream crates can pick a solve-engine preconditioner
+/// (including the multigrid hierarchy) without depending on
+/// `vcsel_numerics` directly.
+pub use vcsel_numerics::PreconditionerKind;
 /// Re-exported so downstream crates can read an engine's solve record,
 /// [`SolveContext::health`], and the per-rung story its
 /// [`SolveContext::attempts`] returns without depending on
 /// `vcsel_numerics` directly.
 pub use vcsel_numerics::{LadderSummary, RungAttempt, RungOutcome};
-/// Re-exported so downstream crates can pick a solve-engine preconditioner
-/// (including the multigrid hierarchy and its tuning knobs) without
-/// depending on `vcsel_numerics` directly.
-pub use vcsel_numerics::{MultigridConfig, PreconditionerKind};

@@ -31,7 +31,7 @@
 //!    suitable for the debug-profile tier-1 loop).
 
 use vcsel_arch::{Fidelity, SccConfig, SccSystem};
-use vcsel_thermal::{EngineBlueprint, MultigridConfig, PreconditionerKind, SolveContext};
+use vcsel_thermal::{EngineBlueprint, PreconditionerKind, SolveContext};
 use vcsel_units::Watts;
 
 fn system_at(fidelity: Fidelity) -> (SccSystem, vcsel_thermal::MeshSpec) {
@@ -42,17 +42,14 @@ fn system_at(fidelity: Fidelity) -> (SccSystem, vcsel_thermal::MeshSpec) {
     (system, spec)
 }
 
-fn multigrid_kind() -> PreconditionerKind {
-    PreconditionerKind::Multigrid { config: MultigridConfig::default() }
-}
-
 #[test]
 fn multigrid_cg_needs_at_most_half_the_ic0_iterations_on_the_scc_mesh() {
     let (system, spec) = system_at(Fidelity::Tiny);
     let mut ic0 = SolveContext::new(system.design(), &spec).expect("context");
     assert_eq!(ic0.preconditioner_name(), "ic0", "tiny meshes stay on IC(0) by default");
-    let mut mg = SolveContext::new_preconditioned(system.design(), &spec, multigrid_kind())
-        .expect("hierarchy builds");
+    let mut mg =
+        SolveContext::new_preconditioned(system.design(), &spec, PreconditionerKind::Multigrid)
+            .expect("hierarchy builds");
     assert_eq!(mg.preconditioner_name(), "multigrid");
 
     let map_i = ic0.solve().expect("ic0 solves");
@@ -80,8 +77,9 @@ fn multigrid_engine_holds_one_fine_operator_copy() {
     // hierarchy's finest level must be the engine's own matrix allocation
     // (at paper scale the old clone cost ~215 MB twice over).
     let (system, spec) = system_at(Fidelity::Tiny);
-    let ctx = SolveContext::new_preconditioned(system.design(), &spec, multigrid_kind())
-        .expect("context");
+    let ctx =
+        SolveContext::new_preconditioned(system.design(), &spec, PreconditionerKind::Multigrid)
+            .expect("context");
     let hierarchy = ctx.preconditioner().as_multigrid().expect("multigrid engine").hierarchy();
     assert!(
         std::sync::Arc::ptr_eq(ctx.shared_operator(), hierarchy.fine_operator()),
@@ -91,12 +89,14 @@ fn multigrid_engine_holds_one_fine_operator_copy() {
 
 #[test]
 fn restored_multigrid_engine_reproduces_the_fresh_solve_bitwise() {
-    // The engine cache stores the factored hierarchy (operators,
-    // prolongators, smoother bounds, coarse factor) and restores it with
-    // no coarsening or factorization: the first solve must not notice.
+    // The engine cache stores the hierarchy (operators, prolongators,
+    // smoother bounds) and restores it with no coarsening or spectral
+    // estimation; only the small coarsest level is factored again, by the
+    // build's own rule. The first solve must not notice.
     let (system, spec) = system_at(Fidelity::Tiny);
-    let blueprint =
-        EngineBlueprint::new(system.design(), &spec).expect("mesh").with_kind(multigrid_kind());
+    let blueprint = EngineBlueprint::new(system.design(), &spec)
+        .expect("mesh")
+        .with_kind(PreconditionerKind::Multigrid);
     let mut fresh = blueprint.build().expect("hierarchy builds");
     let artifact = blueprint.engine_artifact(&fresh).expect("multigrid engines are cacheable");
     let mut restored = blueprint.restore(&artifact).expect("artifact restores");
@@ -115,8 +115,9 @@ fn multigrid_iteration_count_is_mesh_independent_from_tiny_to_fast() {
     let mut iterations = Vec::new();
     for fidelity in [Fidelity::Tiny, Fidelity::Fast] {
         let (system, spec) = system_at(fidelity);
-        let mut ctx = SolveContext::new_preconditioned(system.design(), &spec, multigrid_kind())
-            .expect("hierarchy builds");
+        let mut ctx =
+            SolveContext::new_preconditioned(system.design(), &spec, PreconditionerKind::Multigrid)
+                .expect("hierarchy builds");
         ctx.solve().expect("steady solve");
         iterations.push(ctx.last_iterations().max(1));
     }
@@ -142,12 +143,14 @@ fn batched_multigrid_solve_matches_one_painting_solves_bitwise() {
         .collect();
     let refs: Vec<&[(&str, f64)]> = paintings.iter().map(Vec::as_slice).collect();
 
-    let mut batched = SolveContext::new_preconditioned(system.design(), &spec, multigrid_kind())
-        .expect("context");
+    let mut batched =
+        SolveContext::new_preconditioned(system.design(), &spec, PreconditionerKind::Multigrid)
+            .expect("context");
     let maps = batched.solve_batch(&refs).expect("batch solves");
 
-    let mut single = SolveContext::new_preconditioned(system.design(), &spec, multigrid_kind())
-        .expect("context");
+    let mut single =
+        SolveContext::new_preconditioned(system.design(), &spec, PreconditionerKind::Multigrid)
+            .expect("context");
     let (mut most, mut sum) = (0, 0);
     for (i, (map, painting)) in maps.iter().zip(&refs).enumerate() {
         let map = map.as_ref().expect("batched column converges");
