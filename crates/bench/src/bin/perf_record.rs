@@ -1,9 +1,8 @@
-//! Records the solve-engine benchmarks in reduced form and emits
-//! `BENCH_solvers.json` — the machine-readable bench trajectory the
-//! ROADMAP's "as fast as the hardware allows" north star is tracked
-//! against.
+//! Records the solve-engine benchmarks in reduced form and writes
+//! `BENCH_solvers.json`, the machine-readable bench trajectory of the
+//! solve engine, as one serde-derived [`BenchRecord`].
 //!
-//! Three workloads on the SCC case-study system:
+//! Six workloads on the SCC case-study system, in run order:
 //!
 //! 1. **Tiny steady solves** — five cold and five warm solves per
 //!    preconditioner (Jacobi / IC(0) / multigrid) on the
@@ -13,62 +12,62 @@
 //!    (~400 k unknowns), IC(0) vs the smoothed-aggregation multigrid
 //!    hierarchy, three cold and three warm solves each, recorded like the
 //!    tiny rows: the min/max spread tells a 10–20 % change from noise.
-//!    This is the acceptance workload for the multigrid
-//!    subsystem: its cold-solve iteration count must be at most **half**
-//!    of IC(0)'s. Control with `PERF_RECORD_FAST=all|mg|off` (CI's smoke
-//!    job runs `mg` to exercise hierarchy construction on every push).
-//! 3. **200-step transient** — the paper's runtime-management shape — run
-//!    on the engine path (IC(0) factored once + warm starts), recording
-//!    steps/second. At the default 200 steps it must take exactly
-//!    17 875 CG iterations and end on the frozen seed row's hottest
-//!    temperature to four decimals. The seed-era path (cold-start
-//!    Jacobi-CG every step) is no longer run: its row is the v11
-//!    measurement, frozen and labelled as not measured by this run.
-//! 4. **Engine-cache cold/warm** — on the same fast-fidelity system, one
+//!    This is the acceptance workload for the multigrid subsystem: its
+//!    cold-solve iteration count must be at most **half** of IC(0)'s.
+//! 3. **Engine-cache cold/warm** — on the same fast-fidelity system, one
 //!    cold engine construction through the persistent cache (fresh build
 //!    plus artifact store under `reports/cache/`) and one warm
 //!    construction (artifact restore with zero factorizations), recording
 //!    both setup times and the restore speedup. The warm probe must hit,
-//!    and with at least two hardware threads the restore must be ≥ 2×
+//!    and with at least two worker threads the restore must be ≥ 2×
 //!    faster than the fresh build.
-//! 5. **Batched DSE sweep** — a 100-point power sweep on the tiny system
+//! 4. **Paper steady solve** — one full-die `Fidelity::Paper` solve
+//!    (~2.6 M unknowns) through the multigrid engine, the workload that
+//!    is intractable with one-level preconditioners, with the memory
+//!    story of the shared-operator engine (the fine operator's size, a
+//!    pointer-identity check that the hierarchy aliases rather than
+//!    clones it, the process peak RSS right after the solve) and the
+//!    engine-artifact restore time (zero factorizations) with the peak
+//!    RSS of that round trip.
+//! 5. **200-step transient** — the paper's runtime-management shape — run
+//!    on the engine path (IC(0) factored once + warm starts), recording
+//!    steps/second. At 200 steps it must take exactly 17 875 CG
+//!    iterations and end on the frozen seed row's hottest temperature to
+//!    four decimals. The seed-era path (cold-start Jacobi-CG every step)
+//!    is no longer run: its row is the v11 measurement, frozen and
+//!    labelled as not measured by this run.
+//! 6. **Batched DSE sweep** — a 100-point power sweep on the tiny system
 //!    evaluated two ways: the sequential path (one warm-started
 //!    `solve_scaled` per point) vs the batched path (a
-//!    `ResponseBasis::build_on` block solve, then one `compose`
-//!    per point). Records both wall clocks and the throughput ratio; on
-//!    machines with at least two hardware threads the batched path must
-//!    be ≥ 3× faster. `PERF_RECORD_DSE=smoke` shrinks the sweep to 20
-//!    points for CI.
+//!    `ResponseBasis::build_on` block solve, then one `compose` per
+//!    point). Records both wall clocks and the throughput ratio; with at
+//!    least two worker threads the batched path must be ≥ 3× faster.
 //!
-//! Every threaded section stamps the worker count it ran with (`threads`,
-//! respecting the `VCSEL_THREADS` override); on a single-core machine the
-//! wall-clock speedup bars are skipped with an explicit note, so a 1-core
-//! record can never read as a threading regression. `VCSEL_THREADS=1` is
-//! the serial baseline: a run under it against a default run measures what
-//! the threaded kernels pay (iteration counts and fields do not depend on
-//! the worker count).
+//! One knob, `PERF_RECORD`, picks the run. Unset, it records all six
+//! workloads as committed (minutes; the paper solve peaks at ~1.5 GB).
+//! `PERF_RECORD=smoke` is CI's reduced run: multigrid-only fast rows, no
+//! paper solve, 20 transient steps and 20 DSE points.
 //!
-//! Setting `PERF_RECORD_PAPER=1` additionally runs one full-die
-//! `Fidelity::Paper` steady solve (~2.6 M unknowns) through the multigrid
-//! engine — the workload that is intractable with one-level
-//! preconditioners — and records it in the output, together with the
-//! memory story of the shared-operator engine (the fine operator's size,
-//! a pointer-identity check that the hierarchy aliases (rather than
-//! clones) it, the process peak RSS right after the solve) and the
-//! paper-scale engine-artifact restore time (the factored hierarchy
-//! deserialized with zero factorizations) with the peak RSS of that
-//! round trip.
+//! Every bar lives in [`violations`], which reads only the record, so the
+//! committed file is checked against the same bars as a fresh run. Every
+//! threaded section stamps the worker count it ran with (`threads`,
+//! respecting the `VCSEL_THREADS` override); a wall-clock speedup bar
+//! binds only on two or more workers, and a single-core section says so
+//! in its stamp, so a 1-core record can never read as a threading
+//! regression. `VCSEL_THREADS=1` is the serial baseline: a run under it
+//! against a default run measures what the threaded kernels pay
+//! (iteration counts and fields do not depend on the worker count).
 //!
 //! Usage: `cargo run --release -p vcsel_bench --bin perf_record [out.json]`
-//! (default output `BENCH_solvers.json` in the working directory). The
-//! default sections run in minutes; CI shrinks the transient via
-//! `PERF_RECORD_STEPS`. With `VCSEL_TRACE=full` the run also writes a
-//! chrome-trace JSON under `reports/traces/perf_record.trace.json` whose
-//! top-level spans mirror the record's `phases` array.
+//! (default output `BENCH_solvers.json` in the working directory). With
+//! `VCSEL_TRACE=full` the run also writes a chrome-trace JSON under
+//! `reports/traces/perf_record.trace.json` whose top-level spans mirror
+//! the record's `phases` array.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use serde::{Deserialize, Serialize};
 use vcsel_arch::{Fidelity, SccConfig, SccSystem};
 use vcsel_core::{CacheMode, CacheStore, EngineCache};
 use vcsel_numerics::hardware_threads;
@@ -84,44 +83,84 @@ const STEADY_REPS: usize = 5;
 /// seconds each).
 const FAST_REPS: usize = 3;
 
-/// Transient step count: 200 by default (the acceptance workload); CI's
-/// smoke job shrinks it via `PERF_RECORD_STEPS` to stay within its budget.
-fn transient_steps() -> usize {
-    std::env::var("PERF_RECORD_STEPS").ok().and_then(|v| v.parse().ok()).unwrap_or(200)
+/// CG iterations the engine path takes over the default 200 steps.
+const ENGINE_DEFAULT_ITERATIONS: usize = 17_875;
+/// The hottest cell at the end of the seed path's 200 steps, °C.
+const SEED_FINAL_HOTTEST_C: f64 = 60.8273;
+
+/// What one run records.
+struct Plan {
+    /// The full-die `Fidelity::Fast` steady rows.
+    fast_kinds: &'static [(&'static str, PreconditionerKind)],
+    /// Whether the paper-fidelity solve runs.
+    paper: bool,
+    /// Transient steps.
+    steps: usize,
+    /// Points of the DSE sweep.
+    dse_points: usize,
 }
 
-/// Fast-fidelity section selector: `all` (default), `mg`, or `off`.
-fn fast_mode() -> String {
-    std::env::var("PERF_RECORD_FAST").unwrap_or_else(|_| "all".to_string())
-}
+impl Plan {
+    /// The committed record.
+    const FULL: Plan = Plan {
+        fast_kinds: &[
+            ("ic0", PreconditionerKind::IncompleteCholesky),
+            ("multigrid", PreconditionerKind::Multigrid),
+        ],
+        paper: true,
+        steps: 200,
+        dse_points: 100,
+    };
 
-fn paper_enabled() -> bool {
-    matches!(std::env::var("PERF_RECORD_PAPER").as_deref(), Ok("1") | Ok("true"))
-}
+    /// CI's record: one full-die multigrid row still builds a fast
+    /// hierarchy on every push, inside a CI budget.
+    const SMOKE: Plan = Plan {
+        fast_kinds: &[("multigrid", PreconditionerKind::Multigrid)],
+        paper: false,
+        steps: 20,
+        dse_points: 20,
+    };
 
-/// DSE sweep size: 100 by default; `PERF_RECORD_DSE=smoke` is CI's
-/// 20-point budget, any integer picks an explicit size.
-fn dse_points() -> usize {
-    match std::env::var("PERF_RECORD_DSE").as_deref() {
-        Ok("smoke") => 20,
-        Ok(v) => v.parse().unwrap_or(100),
-        Err(_) => 100,
+    /// The plan `PERF_RECORD` names: unset is [`Plan::FULL`], `smoke` is
+    /// [`Plan::SMOKE`].
+    fn from_env() -> Result<Plan, String> {
+        match std::env::var("PERF_RECORD").as_deref() {
+            Err(std::env::VarError::NotPresent) => Ok(Plan::FULL),
+            Ok("smoke") => Ok(Plan::SMOKE),
+            Ok(v) => Err(format!("PERF_RECORD must be unset or `smoke`, got `{v}`")),
+            Err(e) => Err(format!("PERF_RECORD: {e}")),
+        }
     }
 }
 
-struct DseBatchRecord {
-    points: usize,
+/// The whole `BENCH_solvers.json` record of one run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct BenchRecord {
+    schema: String,
+    generated_by: String,
+    workload: String,
+    /// Unknowns of the tiny system.
     unknowns: usize,
-    threads: usize,
-    sequential_s: f64,
-    batched_s: f64,
-    throughput_ratio: f64,
+    steady: Vec<SteadyRecord>,
+    steady_fast: SteadyFast,
+    /// `null` where the run has no fast IC(0) row.
+    multigrid_vs_ic0_fast_cold_iteration_ratio: Option<f64>,
+    engine_cache: EngineCacheRecord,
+    dse_batch: DseBatchRecord,
+    /// `null` where the run skips the paper solve.
+    paper: Option<PaperRecord>,
+    /// Per-section wall clock, named like the trace spans, so a record
+    /// and a Perfetto trace of the same run line up.
+    phases: Vec<Phase>,
+    transient: TransientSection,
+    ic0_vs_jacobi_cold_iteration_ratio: f64,
 }
 
 /// One preconditioner's steady row: solve times are the fastest and the
 /// slowest of the repetitions.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SteadyRecord {
-    name: &'static str,
+    preconditioner: String,
     setup_ms: f64,
     cold_ms: f64,
     cold_max_ms: f64,
@@ -131,36 +170,18 @@ struct SteadyRecord {
     warm_iterations: usize,
 }
 
-struct TransientRecord {
-    label: &'static str,
-    /// `false` for a row copied from an earlier record.
-    measured: bool,
-    wall_s: f64,
-    steps_per_s: f64,
-    total_iterations: usize,
-    final_hottest_c: f64,
-    threads: usize,
+/// The full-die `Fidelity::Fast` steady rows.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct SteadyFast {
+    unknowns: usize,
+    rows: Vec<SteadyRecord>,
 }
 
-/// The seed-era transient path (cold-start Jacobi-CG every step) as the
-/// full `bench_solvers_v11` record measured it at the default 200 steps on
-/// a 2-thread Xeon. It is not re-run: it took ~150 s of every record.
-const SEED_JACOBI_COLD: TransientRecord = TransientRecord {
-    label: "seed_jacobi_cold",
-    measured: false,
-    wall_s: 148.249,
-    steps_per_s: 1.35,
-    total_iterations: 234_074,
-    final_hottest_c: 60.8273,
-    threads: 2,
-};
-
-/// CG iterations the engine path takes over the default 200 steps.
-const ENGINE_DEFAULT_ITERATIONS: usize = 17_875;
-
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct EngineCacheRecord {
     unknowns: usize,
     threads: usize,
+    mode: String,
     /// Fresh-path engine setup (assembly + factorization + artifact
     /// store), the cost a cache hit erases.
     cold_setup_ms: f64,
@@ -169,8 +190,21 @@ struct EngineCacheRecord {
     warm_setup_ms: f64,
     restore_speedup: f64,
     warm_hit: bool,
+    speedup_assertion: String,
 }
 
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct DseBatchRecord {
+    points: usize,
+    unknowns: usize,
+    threads: usize,
+    sequential_s: f64,
+    batched_s: f64,
+    throughput_ratio: f64,
+    ratio_assertion: String,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct PaperRecord {
     unknowns: usize,
     setup_s: f64,
@@ -180,16 +214,150 @@ struct PaperRecord {
     /// Wall time to restore the factored paper-scale engine from its
     /// artifact (zero factorizations).
     restore_s: f64,
+    restore_speedup: f64,
     /// One copy of the fine conduction operator, in MB — the allocation
-    /// the engine and the multigrid hierarchy now *share* (pre-sharing,
-    /// it was held three times: context, fine level, fine-level smoother).
+    /// the engine and the multigrid hierarchy share.
     fine_operator_mb: f64,
+    fine_operator_copies: usize,
+    shared_operator_savings_mb: f64,
     /// Process peak RSS (VmHWM) right after the cold solve, before the
-    /// artifact round trip, when the OS exposes it.
+    /// artifact round trip, where the OS exposes it.
     peak_rss_mb: Option<f64>,
     /// Process peak RSS after the artifact round trip (serialize while the
     /// live engine is held, then restore).
     artifact_peak_rss_mb: Option<f64>,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Phase {
+    phase: String,
+    wall_ms: f64,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct TransientSection {
+    steps: usize,
+    dt_s: f64,
+    paths: Vec<TransientRecord>,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct TransientRecord {
+    path: String,
+    /// `false` for a row copied from an earlier record.
+    measured: bool,
+    threads: usize,
+    wall_s: f64,
+    steps_per_s: f64,
+    total_cg_iterations: usize,
+    final_hottest_c: f64,
+}
+
+/// The seed-era transient path (cold-start Jacobi-CG every step) as the
+/// full `bench_solvers_v11` record measured it at the default 200 steps on
+/// a 2-thread Xeon. It is not re-run: it took ~150 s of every record.
+fn seed_jacobi_cold() -> TransientRecord {
+    TransientRecord {
+        path: "seed_jacobi_cold".to_string(),
+        measured: false,
+        threads: 2,
+        wall_s: 148.249,
+        steps_per_s: 1.35,
+        total_cg_iterations: 234_074,
+        final_hottest_c: SEED_FINAL_HOTTEST_C,
+    }
+}
+
+/// The stamp of a wall-clock bar: it binds only where threads exist to
+/// win with.
+fn assertion_stamp(threads: usize) -> String {
+    if threads >= 2 { "enforced" } else { "skipped: single core" }.to_string()
+}
+
+/// The cold iterations of `rows`' `preconditioner` row.
+fn cold_iterations(rows: &[SteadyRecord], preconditioner: &str) -> Option<usize> {
+    rows.iter().find(|r| r.preconditioner == preconditioner).map(|r| r.cold_iterations)
+}
+
+/// `a`'s cold iterations over `b`'s, where `rows` has both.
+fn iteration_ratio(rows: &[SteadyRecord], a: &str, b: &str) -> Option<f64> {
+    Some(cold_iterations(rows, a)? as f64 / cold_iterations(rows, b)?.max(1) as f64)
+}
+
+/// Every bar `r` misses, one message each. A wall-clock bar binds only
+/// where its section ran on two or more workers; an iteration bar binds
+/// where the record has both rows (CI's smoke record has no fast IC(0)
+/// row); the transient pins bind at the default 200 steps.
+fn violations(r: &BenchRecord) -> Vec<String> {
+    let mut out = Vec::new();
+    if r.transient.steps == 200 {
+        match r.transient.paths.iter().find(|t| t.measured) {
+            Some(t) => {
+                if t.total_cg_iterations != ENGINE_DEFAULT_ITERATIONS {
+                    out.push(format!(
+                        "200-step engine transient took {} CG iterations, pinned at \
+                         {ENGINE_DEFAULT_ITERATIONS}",
+                        t.total_cg_iterations
+                    ));
+                }
+                let (end, seed) =
+                    (format!("{:.4}", t.final_hottest_c), format!("{SEED_FINAL_HOTTEST_C:.4}"));
+                if end != seed {
+                    out.push(format!(
+                        "200-step engine transient ends at {end} C, the seed path at {seed} C"
+                    ));
+                }
+            }
+            None => out.push("no measured engine transient row".to_string()),
+        }
+    }
+    let halves = [
+        ("tiny", &r.steady, "ic0", "jacobi"),
+        ("tiny", &r.steady, "multigrid", "ic0"),
+        ("fast", &r.steady_fast.rows, "multigrid", "ic0"),
+    ];
+    for (label, rows, better, worse) in halves {
+        if let (Some(b), Some(w)) = (cold_iterations(rows, better), cold_iterations(rows, worse)) {
+            if 2 * b > w {
+                out.push(format!(
+                    "{label} {better} took {b} cold iterations, more than half of {worse}'s {w}"
+                ));
+            }
+        }
+    }
+    let c = &r.engine_cache;
+    if !c.warm_hit {
+        out.push("warm engine-cache probe rebuilt instead of restoring".to_string());
+    }
+    if c.threads >= 2 && !(c.restore_speedup >= 2.0) {
+        out.push(format!("engine-cache restore speedup {:.2}x < 2x", c.restore_speedup));
+    }
+    // The paper row carries no stamp of its own; it ran on the same
+    // workers as the engine-cache section.
+    if let Some(p) = &r.paper {
+        if c.threads >= 2 && !(p.restore_speedup >= 2.0) {
+            out.push(format!("paper-scale restore speedup {:.2}x < 2x", p.restore_speedup));
+        }
+    }
+    let d = &r.dse_batch;
+    if d.threads >= 2 && !(d.throughput_ratio >= 3.0) {
+        out.push(format!(
+            "batched DSE throughput {:.2}x < 3x over {} points",
+            d.throughput_ratio, d.points
+        ));
+    }
+    out
+}
+
+/// Runs `section` under a `perf` trace span named `name` and appends its
+/// wall clock to `phases`.
+fn phase<T>(phases: &mut Vec<Phase>, name: &'static str, section: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let span = vcsel_telemetry::global().span("perf", name);
+    let out = section();
+    drop(span);
+    phases.push(Phase { phase: name.to_string(), wall_ms: t.elapsed().as_secs_f64() * 1e3 });
+    out
 }
 
 /// Cold-then-warm engine construction through the real persistent cache
@@ -222,13 +390,16 @@ fn engine_cache_section(
     let warm_setup_ms = warm_t.elapsed().as_secs_f64() * 1e3;
     drop(warm_ctx);
 
+    let threads = hardware_threads();
     let record = EngineCacheRecord {
         unknowns,
-        threads: hardware_threads(),
+        threads,
+        mode: "readwrite".to_string(),
         cold_setup_ms,
         warm_setup_ms,
         restore_speedup: cold_setup_ms / warm_setup_ms,
         warm_hit: warm_outcome.is_hit(),
+        speedup_assertion: assertion_stamp(threads),
     };
     println!(
         "[engine_cache/fast] {} unknowns: cold build {:.0} ms, warm restore {:.0} ms \
@@ -287,7 +458,7 @@ fn steady_section(
         });
         let warm_iterations = ctx.last_iterations();
         let record = SteadyRecord {
-            name,
+            preconditioner: name.to_string(),
             setup_ms,
             cold_ms: cold_s * 1e3,
             cold_max_ms: cold_max_s * 1e3,
@@ -307,242 +478,134 @@ fn steady_section(
     (unknowns, records)
 }
 
-/// A peak RSS in MB as a JSON value: one decimal, or `null` where the OS
-/// does not expose it.
-fn json_mb(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |mb| format!("{mb:.1}"))
-}
-
-fn steady_json(records: &[SteadyRecord], indent: &str) -> String {
-    let rows: Vec<String> = records
-        .iter()
-        .map(|s| {
-            format!(
-                "{indent}{{ \"preconditioner\": \"{}\", \"setup_ms\": {:.3}, \"cold_ms\": {:.3}, \
-                 \"cold_max_ms\": {:.3}, \"cold_iterations\": {}, \"warm_ms\": {:.3}, \
-                 \"warm_max_ms\": {:.3}, \"warm_iterations\": {} }}",
-                s.name,
-                s.setup_ms,
-                s.cold_ms,
-                s.cold_max_ms,
-                s.cold_iterations,
-                s.warm_ms,
-                s.warm_max_ms,
-                s.warm_iterations
-            )
-        })
-        .collect();
-    rows.join(",\n")
-}
-
-fn main() {
-    // The root span must drop before the trace flushes, hence the inner
-    // function; `finish_global` is a no-op unless VCSEL_TRACE=full.
-    run();
-    vcsel_telemetry::finish_global("perf_record");
-}
-
-fn run() {
-    let sink = vcsel_telemetry::global();
-    let _root = sink.span("report", "perf_record");
-    // Per-phase wall clock for the JSON record — coarser than the trace
-    // spans but present even when tracing is off.
-    let mut phases: Vec<(&'static str, f64)> = Vec::new();
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_solvers.json".to_string());
-
-    // ---- Tiny steady solves per preconditioner -------------------------
-    let phase_t = Instant::now();
-    let phase_span = sink.span("perf", "steady_tiny");
-    let config = SccConfig { p_vcsel: Watts::from_milliwatts(4.0), ..SccConfig::tiny_test() };
-    let system = SccSystem::build(&config).expect("tiny SCC builds");
+/// The full-die `Fidelity::Paper` steady solve through the multigrid
+/// engine, then the engine-artifact round trip.
+fn paper_section() -> PaperRecord {
+    let config = SccConfig {
+        p_vcsel: Watts::from_milliwatts(4.0),
+        fidelity: Fidelity::Paper,
+        ..SccConfig::default()
+    };
+    let system = SccSystem::build(&config).expect("paper SCC builds");
     let spec = system.mesh_spec().expect("mesh spec");
-    let design = system.design();
-    let kinds = [
-        ("jacobi", PreconditionerKind::Jacobi),
-        ("ic0", PreconditionerKind::IncompleteCholesky),
-        ("multigrid", PreconditionerKind::Multigrid),
-    ];
-    let (unknowns, steady) = steady_section("tiny", design, &spec, &kinds, STEADY_REPS);
-    drop(phase_span);
-    phases.push(("steady_tiny", phase_t.elapsed().as_secs_f64() * 1e3));
-
-    // ---- Fast steady solves: IC(0) vs multigrid at full-die scale ------
-    let fast = fast_mode();
-    let fast_kinds: &[(&'static str, PreconditionerKind)] = match fast.as_str() {
-        "off" => &[],
-        "mg" => &[("multigrid", PreconditionerKind::Multigrid)],
-        "all" => &[
-            ("ic0", PreconditionerKind::IncompleteCholesky),
-            ("multigrid", PreconditionerKind::Multigrid),
-        ],
-        other => panic!("PERF_RECORD_FAST must be all|mg|off, got '{other}'"),
+    // One blueprint serves the build and the artifact round trip, so the
+    // 2.6 M-cell mesh is built once; `setup_s` times mesh + assembly +
+    // factorization, as `SolveContext::new` does.
+    let setup = Instant::now();
+    let blueprint = EngineBlueprint::new(system.design(), &spec).expect("paper blueprint meshes");
+    let mut ctx = blueprint.build().expect("paper-scale context builds");
+    let setup_s = setup.elapsed().as_secs_f64();
+    assert_eq!(ctx.preconditioner_name(), "multigrid", "paper scale must default to multigrid");
+    // The shared-operator contract at the scale where it matters: the
+    // hierarchy's finest level must alias the engine's ~230 MB operator,
+    // not hold a second copy of it.
+    let mg = ctx.preconditioner().as_multigrid().expect("multigrid engine");
+    assert!(
+        Arc::ptr_eq(ctx.shared_operator(), mg.hierarchy().fine_operator()),
+        "paper-scale hierarchy must share the fine operator"
+    );
+    let fine_operator_mb = ctx.shared_operator().storage_bytes() as f64 / 1e6;
+    let solve = Instant::now();
+    let hottest_c = ctx.solve().expect("paper-scale steady solve").hottest().1.value();
+    let solve_s = solve.elapsed().as_secs_f64();
+    // What a paper-fidelity solve needs, before any artifact bytes exist.
+    let peak_rss_mb = vcsel_telemetry::peak_rss_mb();
+    let iterations = ctx.last_iterations();
+    let unknowns = ctx.unknowns();
+    // The engine-cache story at the scale where it pays most: restore the
+    // factored hierarchy from its artifact with zero factorizations. The
+    // artifact is written while the live engine is held, and the live
+    // engine is dropped before the restore, so the round trip peaks at
+    // one engine + one artifact.
+    let artifact = blueprint.engine_artifact(&ctx).expect("paper engine is cacheable");
+    drop(ctx);
+    let restore = Instant::now();
+    let restored = blueprint.restore(&artifact).expect("paper engine restores");
+    let restore_s = restore.elapsed().as_secs_f64();
+    drop(restored);
+    let record = PaperRecord {
+        unknowns,
+        setup_s,
+        solve_s,
+        iterations,
+        hottest_c,
+        restore_s,
+        restore_speedup: setup_s / restore_s,
+        fine_operator_mb,
+        fine_operator_copies: 1,
+        // Before the operator was shared, the engine, the finest
+        // multigrid level and that level's smoother each held a copy.
+        shared_operator_savings_mb: 2.0 * fine_operator_mb,
+        peak_rss_mb,
+        artifact_peak_rss_mb: vcsel_telemetry::peak_rss_mb(),
     };
-    let (fast_unknowns, fast_steady, engine_cache) = if fast_kinds.is_empty() {
-        (0, Vec::new(), None)
-    } else {
-        let phase_t = Instant::now();
-        let phase_span = sink.span("perf", "steady_fast");
-        let config = SccConfig {
-            p_vcsel: Watts::from_milliwatts(4.0),
-            fidelity: Fidelity::Fast,
-            ..SccConfig::default()
-        };
-        let system = SccSystem::build(&config).expect("fast SCC builds");
-        let spec = system.mesh_spec().expect("mesh spec");
-        let (unknowns, records) =
-            steady_section("fast", system.design(), &spec, fast_kinds, FAST_REPS);
-        drop(phase_span);
-        phases.push(("steady_fast", phase_t.elapsed().as_secs_f64() * 1e3));
+    let mb = |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.0} MB"));
+    println!(
+        "[paper] multigrid: {} unknowns, setup {:.1} s, cold solve {:.1} s / {} iters, \
+         hottest {:.2} C, artifact restore {:.1} s ({:.1}x vs setup), \
+         operator {:.0} MB shared (1 copy), peak RSS {} (solve) / {} (artifact round trip)",
+        record.unknowns,
+        record.setup_s,
+        record.solve_s,
+        record.iterations,
+        record.hottest_c,
+        record.restore_s,
+        record.restore_speedup,
+        record.fine_operator_mb,
+        mb(record.peak_rss_mb),
+        mb(record.artifact_peak_rss_mb),
+    );
+    vcsel_telemetry::global().rss_snapshot("perf", "paper_peak_rss");
+    record
+}
 
-        let phase_t = Instant::now();
-        let phase_span = sink.span("perf", "engine_cache");
-        let engine_cache = engine_cache_section(&config, &system, &spec);
-        drop(phase_span);
-        phases.push(("engine_cache", phase_t.elapsed().as_secs_f64() * 1e3));
-        (unknowns, records, Some(engine_cache))
-    };
-
-    // ---- Optional full-paper-fidelity multigrid solve ------------------
-    let paper = if paper_enabled() {
-        let phase_t = Instant::now();
-        let phase_span = sink.span("perf", "paper");
-        let config = SccConfig {
-            p_vcsel: Watts::from_milliwatts(4.0),
-            fidelity: Fidelity::Paper,
-            ..SccConfig::default()
-        };
-        let system = SccSystem::build(&config).expect("paper SCC builds");
-        let spec = system.mesh_spec().expect("mesh spec");
-        // One blueprint serves the build and the artifact round trip, so
-        // the 2.6 M-cell mesh is built once; `setup_s` times mesh +
-        // assembly + factorization, as `SolveContext::new` does.
-        let setup = Instant::now();
-        let blueprint =
-            EngineBlueprint::new(system.design(), &spec).expect("paper blueprint meshes");
-        let mut ctx = blueprint.build().expect("paper-scale context builds");
-        let setup_s = setup.elapsed().as_secs_f64();
-        assert_eq!(ctx.preconditioner_name(), "multigrid", "paper scale must default to multigrid");
-        // The shared-operator contract at the scale where it matters: the
-        // hierarchy's finest level must alias the engine's ~215 MB
-        // operator, not hold a second copy of it.
-        let mg = ctx.preconditioner().as_multigrid().expect("multigrid engine");
-        assert!(
-            Arc::ptr_eq(ctx.shared_operator(), mg.hierarchy().fine_operator()),
-            "paper-scale hierarchy must share the fine operator"
-        );
-        let fine_operator_mb = ctx.shared_operator().storage_bytes() as f64 / 1e6;
-        let solve = Instant::now();
-        let hottest_c = ctx.solve().expect("paper-scale steady solve").hottest().1.value();
-        let solve_s = solve.elapsed().as_secs_f64();
-        // What a paper-fidelity solve needs, before any artifact bytes exist.
-        let peak_rss_mb = vcsel_telemetry::peak_rss_mb();
-        let iterations = ctx.last_iterations();
-        let unknowns = ctx.unknowns();
-        // The engine-cache story at the scale where it pays most: restore
-        // the factored hierarchy from its artifact with zero
-        // factorizations. The artifact is written while the live engine is
-        // held, and the live engine is dropped before the restore, so the
-        // round trip peaks at one engine + one artifact.
-        let artifact = blueprint.engine_artifact(&ctx).expect("paper engine is cacheable");
-        drop(ctx);
-        let restore = Instant::now();
-        let restored = blueprint.restore(&artifact).expect("paper engine restores");
-        let restore_s = restore.elapsed().as_secs_f64();
-        drop(restored);
-        let record = PaperRecord {
-            unknowns,
-            setup_s,
-            solve_s,
-            iterations,
-            hottest_c,
-            restore_s,
-            fine_operator_mb,
-            peak_rss_mb,
-            artifact_peak_rss_mb: vcsel_telemetry::peak_rss_mb(),
-        };
-        let mb = |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.0} MB"));
-        println!(
-            "[paper] multigrid: {} unknowns, setup {:.1} s, cold solve {:.1} s / {} iters, \
-             hottest {:.2} C, artifact restore {:.1} s ({:.1}x vs setup), \
-             operator {:.0} MB shared (1 copy), peak RSS {} (solve) / {} (artifact round trip)",
-            record.unknowns,
-            record.setup_s,
-            record.solve_s,
-            record.iterations,
-            record.hottest_c,
-            record.restore_s,
-            record.setup_s / record.restore_s,
-            record.fine_operator_mb,
-            mb(record.peak_rss_mb),
-            mb(record.artifact_peak_rss_mb),
-        );
-        sink.rss_snapshot("perf", "paper_peak_rss");
-        drop(phase_span);
-        phases.push(("paper", phase_t.elapsed().as_secs_f64() * 1e3));
-        Some(record)
-    } else {
-        None
-    };
-
-    // ---- 200-step transient: the engine path ----------------------------
-    let phase_t = Instant::now();
-    let phase_span = sink.span("perf", "transient");
-    let group_names: Vec<String> = design.group_names().iter().map(|g| g.to_string()).collect();
-    let scales: Vec<(&str, f64)> = group_names.iter().map(|g| (g.as_str(), 1.0)).collect();
-    let steps = transient_steps();
-    let mut stepper = TransientStepper::new(design, &spec, Celsius::new(40.0), TRANSIENT_DT_S)
+/// `steps` backward-Euler steps on the engine path, every group at full
+/// power.
+fn transient_section(design: &Design, spec: &MeshSpec, steps: usize) -> TransientRecord {
+    let scales: Vec<(&str, f64)> = design.group_names().into_iter().map(|g| (g, 1.0)).collect();
+    let mut stepper = TransientStepper::new(design, spec, Celsius::new(40.0), TRANSIENT_DT_S)
         .expect("stepper builds");
     let t = Instant::now();
     for _ in 0..steps {
         stepper.step(&scales).expect("step solves");
     }
     let wall_s = t.elapsed().as_secs_f64();
-    let engine = TransientRecord {
-        label: "engine_ic0_warm",
+    TransientRecord {
+        path: "engine_ic0_warm".to_string(),
         measured: true,
+        threads: hardware_threads(),
         wall_s,
         steps_per_s: steps as f64 / wall_s,
-        total_iterations: stepper.total_iterations(),
+        total_cg_iterations: stepper.total_iterations(),
         final_hottest_c: stepper.snapshot().hottest().1.value(),
-        threads: hardware_threads(),
-    };
-    drop(phase_span);
-    phases.push(("transient", phase_t.elapsed().as_secs_f64() * 1e3));
-    sink.rss_snapshot("perf", "final_peak_rss");
-
-    let transient = [SEED_JACOBI_COLD, engine];
-    for t in &transient {
-        let source = if t.measured { "" } else { " (frozen v11 row, not measured)" };
-        println!(
-            "[transient] {:>28}: {:>6.2} s ({:>7.1} steps/s, {} CG iterations){source}",
-            t.label, t.wall_s, t.steps_per_s, t.total_iterations
-        );
     }
+}
 
-    // ---- Batched DSE sweep: shared basis vs per-point solves -----------
-    let phase_t = Instant::now();
-    let phase_span = sink.span("perf", "dse_batch");
-    let dse_n = dse_points();
+/// A `points`-point power sweep solved point by point, then through one
+/// shared response basis; the two must agree on every point's hottest
+/// cell.
+fn dse_section(design: &Design, spec: &MeshSpec, unknowns: usize, points: usize) -> DseBatchRecord {
+    let groups = design.group_names();
     // Every point paints all power groups at the same scale; the spread
     // is wide enough that warm starts cannot make the sequential loop
     // trivially cheap.
-    let dse_scales: Vec<f64> =
-        (0..dse_n).map(|i| 0.25 + 2.75 * i as f64 / (dse_n.max(2) - 1) as f64).collect();
-    let dse_paintings: Vec<Vec<(&str, f64)>> =
-        dse_scales.iter().map(|&s| group_names.iter().map(|g| (g.as_str(), s)).collect()).collect();
+    let paintings: Vec<Vec<(&str, f64)>> = (0..points)
+        .map(|i| 0.25 + 2.75 * i as f64 / (points.max(2) - 1) as f64)
+        .map(|s| groups.iter().map(|&g| (g, s)).collect())
+        .collect();
 
-    let mut seq_ctx = SolveContext::new(design, &spec).expect("sequential DSE context");
+    let mut seq_ctx = SolveContext::new(design, spec).expect("sequential DSE context");
     let seq_t = Instant::now();
-    let seq_hot: Vec<f64> = dse_paintings
+    let seq_hot: Vec<f64> = paintings
         .iter()
         .map(|p| seq_ctx.solve_scaled(p).expect("sequential point solves").hottest().1.value())
         .collect();
     let sequential_s = seq_t.elapsed().as_secs_f64();
 
-    let mut batch_ctx = SolveContext::new(design, &spec).expect("batched DSE context");
+    let mut batch_ctx = SolveContext::new(design, spec).expect("batched DSE context");
     let batch_t = Instant::now();
     let basis = ResponseBasis::build_on(&mut batch_ctx).expect("batched basis builds");
-    let batch_hot: Vec<f64> = dse_paintings
+    let batch_hot: Vec<f64> = paintings
         .iter()
         .map(|p| basis.compose(p).expect("point composes").hottest().1.value())
         .collect();
@@ -551,241 +614,184 @@ fn run() {
     for (i, (a, b)) in seq_hot.iter().zip(&batch_hot).enumerate() {
         assert!((a - b).abs() < 1e-5, "DSE point {i}: sequential hottest {a} vs batched {b}");
     }
-    let dse = DseBatchRecord {
-        points: dse_n,
+    let threads = hardware_threads();
+    let record = DseBatchRecord {
+        points,
         unknowns,
-        threads: hardware_threads(),
+        threads,
         sequential_s,
         batched_s,
         throughput_ratio: sequential_s / batched_s,
+        ratio_assertion: assertion_stamp(threads),
     };
     println!(
         "[dse_batch] {} points on {} unknowns: sequential {:.3} s, batched {:.3} s \
          ({:.1}x throughput, {} threads)",
-        dse.points,
-        dse.unknowns,
-        dse.sequential_s,
-        dse.batched_s,
-        dse.throughput_ratio,
-        dse.threads,
+        record.points,
+        record.unknowns,
+        record.sequential_s,
+        record.batched_s,
+        record.throughput_ratio,
+        record.threads,
     );
-    drop(phase_span);
-    phases.push(("dse_batch", phase_t.elapsed().as_secs_f64() * 1e3));
+    record
+}
 
-    // ---- Emit JSON -----------------------------------------------------
-    let transient_json: Vec<String> = transient
-        .iter()
-        .map(|t| {
-            format!(
-                "      {{ \"path\": \"{}\", \"measured\": {}, \"threads\": {}, \
-                 \"wall_s\": {:.4}, \"steps_per_s\": {:.2}, \"total_cg_iterations\": {}, \
-                 \"final_hottest_c\": {:.4} }}",
-                t.label,
-                t.measured,
-                t.threads,
-                t.wall_s,
-                t.steps_per_s,
-                t.total_iterations,
-                t.final_hottest_c
-            )
-        })
-        .collect();
-    let ic0 = steady.iter().find(|s| s.name == "ic0").expect("ic0 present");
-    let jacobi = steady.iter().find(|s| s.name == "jacobi").expect("jacobi present");
-    let fast_json = if fast_steady.is_empty() {
-        String::new()
-    } else {
-        format!(
-            ",\n  \"steady_fast\": {{\n    \"unknowns\": {fast_unknowns},\n    \
-             \"rows\": [\n{}\n    ]\n  }}",
-            steady_json(&fast_steady, "      ")
-        )
+/// Runs every section of `plan` under the root trace span.
+fn run(plan: &Plan) -> BenchRecord {
+    let _root = vcsel_telemetry::global().span("report", "perf_record");
+    let mut phases = Vec::new();
+
+    let config = SccConfig { p_vcsel: Watts::from_milliwatts(4.0), ..SccConfig::tiny_test() };
+    let (system, spec, (unknowns, steady)) = phase(&mut phases, "steady_tiny", || {
+        let system = SccSystem::build(&config).expect("tiny SCC builds");
+        let spec = system.mesh_spec().expect("mesh spec");
+        let kinds = [
+            ("jacobi", PreconditionerKind::Jacobi),
+            ("ic0", PreconditionerKind::IncompleteCholesky),
+            ("multigrid", PreconditionerKind::Multigrid),
+        ];
+        let rows = steady_section("tiny", system.design(), &spec, &kinds, STEADY_REPS);
+        (system, spec, rows)
+    });
+    let design = system.design();
+
+    // The full-die fast system lives only for its two sections.
+    let (steady_fast, engine_cache) = {
+        let config = SccConfig {
+            p_vcsel: Watts::from_milliwatts(4.0),
+            fidelity: Fidelity::Fast,
+            ..SccConfig::default()
+        };
+        let (system, spec, steady_fast) = phase(&mut phases, "steady_fast", || {
+            let system = SccSystem::build(&config).expect("fast SCC builds");
+            let spec = system.mesh_spec().expect("mesh spec");
+            let (unknowns, rows) =
+                steady_section("fast", system.design(), &spec, plan.fast_kinds, FAST_REPS);
+            (system, spec, SteadyFast { unknowns, rows })
+        });
+        let engine_cache =
+            phase(&mut phases, "engine_cache", || engine_cache_section(&config, &system, &spec));
+        (steady_fast, engine_cache)
     };
-    let fast_ratio = {
-        let mg = fast_steady.iter().find(|s| s.name == "multigrid");
-        let ic = fast_steady.iter().find(|s| s.name == "ic0");
-        match (mg, ic) {
-            (Some(mg), Some(ic)) => format!(
-                ",\n  \"multigrid_vs_ic0_fast_cold_iteration_ratio\": {:.4}",
-                mg.cold_iterations as f64 / ic.cold_iterations.max(1) as f64
-            ),
-            _ => String::new(),
-        }
+
+    let paper = plan.paper.then(|| phase(&mut phases, "paper", paper_section));
+
+    let engine = phase(&mut phases, "transient", || transient_section(design, &spec, plan.steps));
+    vcsel_telemetry::global().rss_snapshot("perf", "final_peak_rss");
+    let transient = TransientSection {
+        steps: plan.steps,
+        dt_s: TRANSIENT_DT_S,
+        paths: vec![seed_jacobi_cold(), engine],
     };
-    // A wall-clock speedup bar only binds where threads exist to win with;
-    // a single-core machine correctly records ~1.0x, annotated so the row
-    // can never read as a threading regression.
-    let speedup_note = |threads: usize| {
-        if threads >= 2 {
-            "\"enforced\""
-        } else {
-            "\"skipped: single core\""
-        }
-    };
-    // Per-phase wall clock (since v5): the same section boundaries the trace
-    // spans use, so a record and a Perfetto trace line up by name.
-    let phases_json = {
-        let rows: Vec<String> = phases
-            .iter()
-            .map(|(name, ms)| format!("    {{ \"phase\": \"{name}\", \"wall_ms\": {ms:.1} }}"))
-            .collect();
-        format!(",\n  \"phases\": [\n{}\n  ]", rows.join(",\n"))
-    };
-    let engine_cache_json = engine_cache
-        .as_ref()
-        .map(|c| {
-            format!(
-                ",\n  \"engine_cache\": {{ \"unknowns\": {}, \"threads\": {}, \
-                 \"mode\": \"readwrite\", \"cold_setup_ms\": {:.1}, \"warm_setup_ms\": {:.1}, \
-                 \"restore_speedup\": {:.3}, \"warm_hit\": {}, \"speedup_assertion\": {} }}",
-                c.unknowns,
-                c.threads,
-                c.cold_setup_ms,
-                c.warm_setup_ms,
-                c.restore_speedup,
-                c.warm_hit,
-                speedup_note(c.threads)
-            )
-        })
-        .unwrap_or_default();
-    let dse_json = format!(
-        ",\n  \"dse_batch\": {{ \"points\": {}, \"unknowns\": {}, \"threads\": {}, \
-         \"sequential_s\": {:.4}, \"batched_s\": {:.4}, \"throughput_ratio\": {:.3}, \
-         \"ratio_assertion\": {} }}",
-        dse.points,
-        dse.unknowns,
-        dse.threads,
-        dse.sequential_s,
-        dse.batched_s,
-        dse.throughput_ratio,
-        speedup_note(dse.threads),
-    );
-    let paper_json = paper
-        .as_ref()
-        .map(|p| {
-            format!(
-                ",\n  \"paper\": {{ \"unknowns\": {}, \"setup_s\": {:.2}, \"solve_s\": {:.2}, \
-                 \"iterations\": {}, \"hottest_c\": {:.4}, \"restore_s\": {:.2}, \
-                 \"restore_speedup\": {:.3}, \"fine_operator_mb\": {:.1}, \
-                 \"fine_operator_copies\": 1, \"shared_operator_savings_mb\": {:.1}, \
-                 \"peak_rss_mb\": {}, \"artifact_peak_rss_mb\": {} }}",
-                p.unknowns,
-                p.setup_s,
-                p.solve_s,
-                p.iterations,
-                p.hottest_c,
-                p.restore_s,
-                p.setup_s / p.restore_s,
-                p.fine_operator_mb,
-                // Pre-sharing, the operator was held three times (context
-                // + fine level + fine-level SSOR): two copies saved.
-                2.0 * p.fine_operator_mb,
-                json_mb(p.peak_rss_mb),
-                json_mb(p.artifact_peak_rss_mb),
-            )
-        })
-        .unwrap_or_default();
-    let json = format!(
-        "{{\n  \"schema\": \"bench_solvers_v13\",\n  \"generated_by\": \"perf_record\",\n  \
-         \"workload\": \"SccConfig tiny_test + full-die Fast, p_vcsel = 4 mW\",\n  \
-         \"unknowns\": {unknowns},\n  \
-         \"steady\": [\n{}\n  ]{fast_json}{fast_ratio}{engine_cache_json}{dse_json}{paper_json}\
-         {phases_json},\n  \
-         \"transient\": {{\n    \
-         \"steps\": {steps},\n    \"dt_s\": {TRANSIENT_DT_S},\n    \
-         \"paths\": [\n{}\n    ]\n  }},\n  \
-         \"ic0_vs_jacobi_cold_iteration_ratio\": {:.4}\n}}\n",
-        steady_json(&steady, "    "),
-        transient_json.join(",\n"),
-        ic0.cold_iterations as f64 / jacobi.cold_iterations.max(1) as f64,
-    );
-    std::fs::write(&out_path, &json).expect("write bench record");
+    for t in &transient.paths {
+        let source = if t.measured { "" } else { " (frozen v11 row, not measured)" };
+        println!(
+            "[transient] {:>28}: {:>6.2} s ({:>7.1} steps/s, {} CG iterations){source}",
+            t.path, t.wall_s, t.steps_per_s, t.total_cg_iterations
+        );
+    }
+
+    let dse_batch =
+        phase(&mut phases, "dse_batch", || dse_section(design, &spec, unknowns, plan.dse_points));
+
+    BenchRecord {
+        schema: "bench_solvers_v13".to_string(),
+        generated_by: "perf_record".to_string(),
+        workload: "SccConfig tiny_test + full-die Fast, p_vcsel = 4 mW".to_string(),
+        unknowns,
+        ic0_vs_jacobi_cold_iteration_ratio: iteration_ratio(&steady, "ic0", "jacobi")
+            .expect("the tiny rows include IC(0) and Jacobi"),
+        steady,
+        multigrid_vs_ic0_fast_cold_iteration_ratio: iteration_ratio(
+            &steady_fast.rows,
+            "multigrid",
+            "ic0",
+        ),
+        steady_fast,
+        engine_cache,
+        dse_batch,
+        paper,
+        phases,
+        transient,
+    }
+}
+
+fn main() {
+    let plan = Plan::from_env().unwrap_or_else(|e| {
+        eprintln!("perf_record: {e}");
+        std::process::exit(2)
+    });
+    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_solvers.json".to_string());
+    // The root span must drop before the trace flushes, hence `run`;
+    // `finish_global` is a no-op unless VCSEL_TRACE=full.
+    let record = run(&plan);
+    vcsel_telemetry::finish_global("perf_record");
+    let json = serde_json::to_string_pretty(&record).expect("the record serializes");
+    std::fs::write(&out_path, json + "\n").expect("write bench record");
     println!("[perf_record] wrote {out_path}");
+    let missed = violations(&record);
+    assert!(missed.is_empty(), "bench bars missed:\n{}", missed.join("\n"));
+}
 
-    // The acceptance bars: at the default step count the engine transient
-    // must reproduce its pinned iterations and the frozen seed row's
-    // hottest temperature, IC(0) must need at most half the Jacobi
-    // iterations, and at fast fidelity multigrid at most half the IC(0)
-    // iterations.
-    if steps == 200 {
-        let engine = &transient[1];
-        assert_eq!(
-            engine.total_iterations, ENGINE_DEFAULT_ITERATIONS,
-            "200-step engine transient CG iterations"
-        );
-        assert_eq!(
-            format!("{:.4}", engine.final_hottest_c),
-            format!("{:.4}", SEED_JACOBI_COLD.final_hottest_c),
-            "200-step engine transient must end on the seed path's hottest temperature"
-        );
-    }
-    assert!(
-        2 * ic0.cold_iterations <= jacobi.cold_iterations,
-        "IC(0) iterations {} vs Jacobi {} — expected at most half",
-        ic0.cold_iterations,
-        jacobi.cold_iterations
-    );
-    let mg_tiny = steady.iter().find(|s| s.name == "multigrid").expect("multigrid present");
-    assert!(
-        2 * mg_tiny.cold_iterations <= ic0.cold_iterations,
-        "multigrid iterations {} vs IC(0) {} at tiny fidelity — expected at most half",
-        mg_tiny.cold_iterations,
-        ic0.cold_iterations
-    );
-    if let (Some(mg), Some(ic)) = (
-        fast_steady.iter().find(|s| s.name == "multigrid"),
-        fast_steady.iter().find(|s| s.name == "ic0"),
-    ) {
-        assert!(
-            2 * mg.cold_iterations <= ic.cold_iterations,
-            "multigrid iterations {} vs IC(0) {} at fast fidelity — expected at most half",
-            mg.cold_iterations,
-            ic.cold_iterations
-        );
-    }
-    // The engine-cache bars: the warm probe must restore (a miss means the
-    // artifact pipeline regressed — deterministic, asserted everywhere),
-    // and the restore must erase at least half the fresh setup cost (a
-    // wall-clock ratio, so it follows the single-core skip convention).
-    if let Some(c) = &engine_cache {
-        assert!(c.warm_hit, "warm engine-cache probe rebuilt instead of restoring");
-        if c.threads >= 2 {
-            assert!(
-                c.restore_speedup >= 2.0,
-                "engine-cache restore speedup {:.2}x < 2x (cold {:.0} ms, warm {:.0} ms)",
-                c.restore_speedup,
-                c.cold_setup_ms,
-                c.warm_setup_ms
-            );
-        } else {
-            println!("[engine_cache/fast] single-core: restore speedup assertion skipped");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_committed_record_meets_every_bar_and_each_bar_flags_its_own_miss() {
+        let committed: BenchRecord =
+            serde_json::from_str(include_str!("../../../../BENCH_solvers.json"))
+                .expect("the committed record parses");
+
+        // Each mutation of the committed record and the one violation it
+        // must raise ("" for none); every mutated record round-trips.
+        type Case = (fn(&mut BenchRecord), &'static str);
+        let cases: [Case; 12] = [
+            (|_| {}, ""),
+            (|r| r.transient.paths[1].total_cg_iterations = 17_876, "took 17876 CG iterations"),
+            (|r| r.transient.paths[1].final_hottest_c = 60.8275, "ends at 60.8275 C"),
+            // CI's smoke shape: 20 steps, no fast IC(0) row, no paper row.
+            (
+                |r| {
+                    r.transient.steps = 20;
+                    r.transient.paths[1].total_cg_iterations = 1_936;
+                    r.steady_fast.rows.remove(0);
+                    r.multigrid_vs_ic0_fast_cold_iteration_ratio = None;
+                    r.paper = None;
+                },
+                "",
+            ),
+            (|r| r.steady[1].cold_iterations = 1_062, "tiny ic0 took 1062"),
+            (|r| r.steady[2].cold_iterations = 111, "tiny multigrid took 111"),
+            (|r| r.steady_fast.rows[1].cold_iterations = 199, "fast multigrid took 199"),
+            (|r| r.engine_cache.warm_hit = false, "rebuilt instead of restoring"),
+            (|r| r.engine_cache.restore_speedup = 1.9, "engine-cache restore speedup 1.90x"),
+            (
+                |r| r.paper.as_mut().expect("paper row").restore_speedup = 1.9,
+                "paper-scale restore speedup 1.90x",
+            ),
+            (|r| r.dse_batch.throughput_ratio = 2.9, "batched DSE throughput 2.90x"),
+            (
+                |r| {
+                    r.dse_batch.threads = 1;
+                    r.dse_batch.throughput_ratio = 2.9;
+                },
+                "",
+            ),
+        ];
+        for (i, (mutate, expected)) in cases.into_iter().enumerate() {
+            let mut record = committed.clone();
+            mutate(&mut record);
+            let text = serde_json::to_string_pretty(&record).expect("the record serializes");
+            let parsed: BenchRecord = serde_json::from_str(&text).expect("the record re-parses");
+            assert_eq!(parsed, record, "case {i}");
+            let found = violations(&record);
+            if expected.is_empty() {
+                assert!(found.is_empty(), "case {i}: {found:?}");
+            } else {
+                assert!(found.len() == 1 && found[0].contains(expected), "case {i}: {found:?}");
+            }
         }
-    }
-    if let Some(p) = &paper {
-        if hardware_threads() >= 2 {
-            assert!(
-                p.setup_s / p.restore_s >= 2.0,
-                "paper-scale restore speedup {:.2}x < 2x (setup {:.1} s, restore {:.1} s)",
-                p.setup_s / p.restore_s,
-                p.setup_s,
-                p.restore_s
-            );
-        } else {
-            println!("[paper] single-core: restore speedup assertion skipped");
-        }
-    }
-    // The batched-DSE bar: the shared basis + compose path must deliver at
-    // least 3x the sweep throughput of per-point solves. The win is
-    // algorithmic, but it is still a wall-clock ratio, so it follows the
-    // same single-core skip convention as the threading bars.
-    if dse.threads >= 2 {
-        assert!(
-            dse.throughput_ratio >= 3.0,
-            "batched DSE throughput {:.2}x < 3x over {} points",
-            dse.throughput_ratio,
-            dse.points
-        );
-    } else {
-        println!("[dse_batch] single-core: throughput assertion skipped");
     }
 }

@@ -270,29 +270,18 @@ pub struct Figure12Row {
 /// reusing the assembled matrix, preconditioner and warm-started fields
 /// instead of re-solving from scratch per combination.
 ///
-/// # Errors
-///
-/// Propagates study construction and analysis errors.
-pub fn figure12(
-    flow: &DesignFlow,
-    fidelity: Fidelity,
-    p_chip: Watts,
-) -> Result<Vec<Figure12Row>, FlowError> {
-    figure12_resumable(flow, fidelity, p_chip, None)
-}
-
-/// [`figure12`] with optional per-point checkpointing: each completed
-/// (activity, placement) row is stored in `checkpoints` as soon as its
-/// solves finish, and a re-run loads stored rows instead of re-solving
-/// them. A placement whose three rows are all cached skips thermal-study
-/// construction entirely — at `Fidelity::Paper` (minutes of setup plus a
-/// response basis of ~2.6 M-unknown solves per placement) this is what
-/// makes the nine-study campaign resumable after an interruption.
+/// With `checkpoints`, each completed (activity, placement) row is stored
+/// as soon as its solves finish, and a re-run loads stored rows instead of
+/// re-solving them. A placement whose three rows are all cached skips
+/// thermal-study construction entirely — at `Fidelity::Paper` (minutes of
+/// setup plus a response basis of ~2.6 M-unknown solves per placement)
+/// this is what makes the nine-study campaign resumable after an
+/// interruption.
 ///
 /// # Errors
 ///
 /// Propagates study construction, analysis and checkpoint-write errors.
-pub fn figure12_resumable(
+pub fn figure12(
     flow: &DesignFlow,
     fidelity: Fidelity,
     p_chip: Watts,
@@ -443,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn figure12_resumable_serves_checkpointed_rows_without_solving() {
+    fn figure12_serves_checkpointed_rows_without_solving() {
         use crate::CheckpointStore;
 
         let dir = std::env::temp_dir().join(format!("vcsel_fig12_ckpt_{}", std::process::id()));
@@ -481,8 +470,7 @@ mod tests {
         // study — this returns instantly even at paper fidelity (a real
         // solve campaign would take minutes, which is itself the proof).
         let flow = crate::DesignFlow::paper();
-        let rows =
-            figure12_resumable(&flow, Fidelity::Paper, Watts::new(12.5), Some(&store)).unwrap();
+        let rows = figure12(&flow, Fidelity::Paper, Watts::new(12.5), Some(&store)).unwrap();
         assert_eq!(rows.len(), 9);
         for (i, row) in rows.iter().enumerate() {
             // Activity-outer, placement-inner row order (the paper's).

@@ -294,11 +294,6 @@ impl SolveLadder {
         })
     }
 
-    /// The preconditioner kinds of the rungs, in priority order.
-    pub fn kinds(&self) -> Vec<PreconditionerKind> {
-        self.rungs.iter().map(|r| r.kind).collect()
-    }
-
     /// Name of the rung currently answering solves.
     pub fn active_name(&self) -> &'static str {
         self.rungs[self.active].kind.name()

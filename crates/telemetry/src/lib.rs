@@ -27,7 +27,7 @@
 //! [`global`] resolves once from the environment: `VCSEL_TRACE=off|summary|
 //! full` picks the mode, `VCSEL_TRACE_DIR` the trace directory (default
 //! `reports/traces`). Engines default to the global sink; tests inject
-//! their own with the engines' `set_telemetry` hooks so parallel tests
+//! their own with the engines' `with_telemetry` builders so parallel tests
 //! never share state.
 
 // Lint levels (forbid(unsafe_code), warn(missing_docs), the clippy set)

@@ -190,8 +190,8 @@ impl EngineBlueprint {
 
     /// The fresh path: the one assembly-and-painting site every engine
     /// shares, on this blueprint's design, mesh and kind.
-    /// [`SolveContext::on_mesh`] and [`SolveContext::new_preconditioned`]
-    /// delegate here.
+    /// [`SolveContext::new`] and [`SolveContext::new_preconditioned`]
+    /// build through here.
     ///
     /// # Errors
     ///

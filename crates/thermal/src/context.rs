@@ -304,8 +304,7 @@ impl SolveContext {
     /// Propagates meshing and assembly failures ([`ThermalError::NoHeatPath`],
     /// [`ThermalError::MeshTooLarge`], [`ThermalError::BadParameter`]).
     pub fn new(design: &Design, spec: &MeshSpec) -> Result<Self, ThermalError> {
-        let mesh = Mesh::build(design, spec)?;
-        Self::on_mesh(design, mesh)
+        crate::EngineBlueprint::new(design, spec)?.build()
     }
 
     /// Like [`SolveContext::new`] but with an explicit preconditioner
@@ -322,17 +321,7 @@ impl SolveContext {
         spec: &MeshSpec,
         kind: PreconditionerKind,
     ) -> Result<Self, ThermalError> {
-        let mesh = Mesh::build(design, spec)?;
-        crate::EngineBlueprint::on_mesh(design, mesh).with_kind(kind).build()
-    }
-
-    /// Builds the engine on an already-built mesh (lets sweeps share one).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SolveContext::new`], minus the meshing errors.
-    pub fn on_mesh(design: &Design, mesh: Mesh) -> Result<Self, ThermalError> {
-        crate::EngineBlueprint::on_mesh(design, mesh).build()
+        crate::EngineBlueprint::new(design, spec)?.with_kind(kind).build()
     }
 
     /// Final assembly step of the blueprint pipeline: wraps the expensive
@@ -478,24 +467,15 @@ impl SolveContext {
         self.ladder.attempts()
     }
 
-    /// Replaces the engine's telemetry sink. The [`SolveLadder`] owns the
-    /// handle, so rung attempts, escalations and the engine's own solve
-    /// spans all record through the same buffer. Engines default to
-    /// [`vcsel_telemetry::global`]; tests inject private sinks.
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.ladder.set_telemetry(sink);
-    }
-
-    /// Builder form of [`SolveContext::set_telemetry`].
+    /// Replaces the engine's telemetry sink (builder style). The
+    /// [`SolveLadder`] owns the handle, so rung attempts, escalations and
+    /// the engine's own solve spans all record through the same buffer.
+    /// Engines default to [`vcsel_telemetry::global`]; tests inject
+    /// private sinks.
     #[must_use]
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
-        self.set_telemetry(sink);
+        self.ladder.set_telemetry(sink);
         self
-    }
-
-    /// The engine's telemetry sink (disabled unless tracing is on).
-    pub fn telemetry(&self) -> &TelemetrySink {
-        self.ladder.telemetry()
     }
 
     /// Corrupts the active preconditioner's apply until the next ladder

@@ -2,7 +2,7 @@
 
 use vcsel_numerics::solver::SolveOptions;
 
-use crate::{Design, Mesh, MeshSpec, SolveContext, ThermalError, ThermalMap};
+use crate::{Design, MeshSpec, SolveContext, ThermalError, ThermalMap};
 
 /// Steady-state thermal simulator (the IcTherm-equivalent entry point).
 ///
@@ -68,19 +68,6 @@ impl Simulator {
 
     /// Meshes the design and solves for the steady-state temperature field.
     ///
-    /// # Errors
-    ///
-    /// * [`ThermalError::NoHeatPath`] if every boundary is adiabatic,
-    /// * [`ThermalError::MeshTooLarge`] if the spec exceeds its cell limit,
-    /// * [`ThermalError::BadParameter`] for invalid powers/coefficients,
-    /// * [`ThermalError::Solver`] if CG fails to converge.
-    pub fn solve(&self, design: &Design, spec: &MeshSpec) -> Result<ThermalMap, ThermalError> {
-        let mesh = Mesh::build(design, spec)?;
-        self.solve_on(design, mesh)
-    }
-
-    /// Solves on an already-built mesh (lets sweeps reuse the mesh).
-    ///
     /// One-shot solves route through the same [`SolveContext`] engine the
     /// cached paths use, so every caller gets the size-matched default
     /// preconditioner — IC(0) on small meshes, the smoothed-aggregation
@@ -92,9 +79,12 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Simulator::solve`].
-    pub fn solve_on(&self, design: &Design, mesh: Mesh) -> Result<ThermalMap, ThermalError> {
-        let mut ctx = SolveContext::on_mesh(design, mesh)?.with_options(self.options);
+    /// * [`ThermalError::NoHeatPath`] if every boundary is adiabatic,
+    /// * [`ThermalError::MeshTooLarge`] if the spec exceeds its cell limit,
+    /// * [`ThermalError::BadParameter`] for invalid powers/coefficients,
+    /// * [`ThermalError::Solver`] if CG fails to converge.
+    pub fn solve(&self, design: &Design, spec: &MeshSpec) -> Result<ThermalMap, ThermalError> {
+        let mut ctx = SolveContext::new(design, spec)?.with_options(self.options);
         ctx.solve()
     }
 }

@@ -154,23 +154,14 @@ impl TransientStepper {
         self.engine.attempts()
     }
 
-    /// Replaces the stepper's telemetry sink. The engine's ladder owns the
-    /// handle, so rung attempts, escalations and the per-step
-    /// `transient_step` spans all record through the same buffer.
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.engine.set_telemetry(sink);
-    }
-
-    /// Builder form of [`TransientStepper::set_telemetry`].
+    /// Replaces the stepper's telemetry sink (builder style). The
+    /// engine's ladder owns the handle, so rung attempts, escalations and
+    /// the per-step `transient_step` spans all record through the same
+    /// buffer.
     #[must_use]
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
-        self.set_telemetry(sink);
+        self.engine = self.engine.with_telemetry(sink);
         self
-    }
-
-    /// The stepper's telemetry sink (disabled unless tracing is on).
-    pub fn telemetry(&self) -> &TelemetrySink {
-        self.engine.telemetry()
     }
 
     /// Corrupts the active preconditioner's apply until the next ladder

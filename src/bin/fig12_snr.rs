@@ -15,7 +15,7 @@
 //! multigrid-hierarchy setup are paid three times, not nine.
 
 use vcsel_arch::Fidelity;
-use vcsel_core::experiments::figure12_resumable;
+use vcsel_core::experiments::figure12;
 use vcsel_core::{fidelity_label, DesignFlow, FigureCli};
 use vcsel_numerics::solver::SolveOptions;
 use vcsel_thermal::Simulator;
@@ -46,7 +46,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(s) = &store {
         eprintln!("checkpointing per-point rows under {} ...", s.dir().display());
     }
-    let rows = figure12_resumable(&flow, cli.fidelity, Watts::new(12.5), store.as_ref())?;
+    let rows = figure12(&flow, cli.fidelity, Watts::new(12.5), store.as_ref())?;
 
     println!("=== Figure 12: worst-case SNR under activities x placements ===");
     println!(
